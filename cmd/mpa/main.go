@@ -21,16 +21,17 @@
 //	              observability breakdown (time, allocs, counters) plus
 //	              the flight recorder's slowest-stage list
 //	serve         load once and answer analysis queries over HTTP
-//	              (-addr, -max-inflight); see internal/serve. With
-//	              -orgs or -orgs-config, load one warm framework per
-//	              organization and shard /v1/* by tenant (path segment
-//	              /v1/orgs/{org}/... or X-MPA-Org header), with
-//	              cross-org aggregates at /v1/fleet/rank and
-//	              /v1/fleet/health
-//	watch         serve plus streaming ingest: poll -watch-dir for
-//	              update files and/or -replay N synthetic months, apply
-//	              each in place (POST /v1/ingest works too), and push
-//	              deltas to GET /v1/stream subscribers
+//	              (-addr, -max-inflight); see internal/serve. The daemon
+//	              serves an org registry: one org named "default" built
+//	              from -seed/-networks/-months, or with -orgs or
+//	              -orgs-config one warm framework per organization,
+//	              sharded by tenant (path segment /v1/orgs/{org}/... or
+//	              X-MPA-Org header). Cross-org aggregates are at
+//	              /v1/fleet/rank and /v1/fleet/health
+//	watch         serve the default org plus streaming ingest: poll
+//	              -watch-dir for update files and/or -replay N synthetic
+//	              months, apply each in place (POST /v1/ingest works
+//	              too), and push deltas to GET /v1/stream subscribers
 //	nextmonth     print the month after the configured window as a wire
 //	              update (JSON) on stdout — generation is prefix-stable,
 //	              so the output applies cleanly to a running `mpa watch`
@@ -51,7 +52,8 @@
 //	-cache         content-addressed caching of pure pipeline stages
 //	               (default true; results are identical either way)
 //	-cache-dir D   on-disk cache tier; warm re-runs with the same directory
-//	               skip all unchanged per-network work
+//	               skip all unchanged per-network work (serve and watch
+//	               keep each org's tier under D/orgs/<org>)
 //	-cache-max N   max in-memory cache entries per pipeline stage
 //	-addr A        listen address for `serve` (default localhost:8080)
 //	-max-inflight N  concurrent query limit for `serve` (0 = 2×GOMAXPROCS)
@@ -103,6 +105,10 @@ import (
 	"mpa/internal/serve"
 	"mpa/internal/tenant"
 )
+
+// defaultOrg names the single org serve and watch load when no -orgs or
+// -orgs-config fleet is given: a single-org daemon is a registry of one.
+const defaultOrg = "default"
 
 func main() {
 	seed := flag.Uint64("seed", 1, "generator seed")
@@ -175,24 +181,28 @@ func main() {
 		return
 	}
 
-	// Multi-tenant serve: an org registry replaces the single synthetic
-	// organization — one warm framework per org, sharded by the router.
-	if *orgsSpec != "" || *orgsConfig != "" {
-		if cmd != "serve" {
-			fatal(fmt.Errorf("-orgs/-orgs-config apply only to the serve subcommand"))
-		}
-		if *orgsSpec != "" && *orgsConfig != "" {
-			fatal(fmt.Errorf("use -orgs or -orgs-config, not both"))
-		}
-		specs, err := tenant.ParseOrgs(*orgsSpec)
-		if *orgsConfig != "" {
+	if (*orgsSpec != "" || *orgsConfig != "") && cmd != "serve" {
+		fatal(fmt.Errorf("-orgs/-orgs-config apply only to the serve subcommand"))
+	}
+
+	// serve and watch run the daemon over an org registry: the -orgs /
+	// -orgs-config fleet, or else a registry of one default org.
+	if cmd == "serve" || cmd == "watch" {
+		specs := []tenant.OrgSpec{{Name: defaultOrg, Seed: cfg.Seed}}
+		var err error
+		switch {
+		case *orgsSpec != "" && *orgsConfig != "":
+			err = fmt.Errorf("use -orgs or -orgs-config, not both")
+		case *orgsSpec != "":
+			specs, err = tenant.ParseOrgs(*orgsSpec)
+		case *orgsConfig != "":
 			specs, err = tenant.ReadConfig(*orgsConfig)
 		}
 		if err != nil {
 			fatal(err)
 		}
-		obs.Logger().Info("generating fleet", "orgs", len(specs),
-			"networks", cfg.Networks, "months", *monthsN)
+		obs.Logger().Info("generating orgs", "orgs", len(specs),
+			"networks", cfg.Networks, "months", *monthsN, "seed", cfg.Seed)
 		reg, err := tenant.Load(specs, cfg)
 		if err != nil {
 			fatal(err)
@@ -206,14 +216,63 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("mpa: serving %d orgs on http://%s (%s; SIGINT/SIGTERM to stop)\n",
-			reg.Len(), bound, strings.Join(reg.Names(), ", "))
+		fmt.Printf("mpa: serving %s on http://%s (SIGINT/SIGTERM to stop)\n",
+			strings.Join(reg.Names(), ", "), bound)
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		org := reg.Orgs()[0]
+		var wg sync.WaitGroup
+		// watch feeds the first org from update files and replayed months.
+		if cmd == "watch" && *watchDir != "" {
+			w := ingest.NewWatcher(*watchDir, *poll, func(path string, u *ingest.Update) error {
+				res, err := org.F.Ingest(u)
+				if err != nil {
+					return err
+				}
+				fmt.Printf("mpa: ingested %s from %s: %d snapshots, %d tickets, %d networks\n",
+					res.MonthName, filepath.Base(path), res.Snapshots, res.Tickets, len(res.Networks))
+				return nil
+			})
+			fmt.Printf("mpa: polling %s every %s for update files\n", *watchDir, *poll)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = w.Run(ctx)
+			}()
+		}
+		if cmd == "watch" && *replayN > 0 {
+			ups, err := mpa.NextMonths(org.Cfg, *replayN)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Printf("mpa: replaying %d synthetic months, one per %s\n", *replayN, *poll)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tick := time.NewTicker(*poll)
+				defer tick.Stop()
+				for _, u := range ups {
+					select {
+					case <-ctx.Done():
+						return
+					case <-tick.C:
+					}
+					res, err := org.F.Ingest(u)
+					if err != nil {
+						obs.Logger().Error("watch: replay ingest failed", "err", err)
+						return
+					}
+					fmt.Printf("mpa: replayed %s: %d snapshots, %d tickets, %d networks\n",
+						res.MonthName, res.Snapshots, res.Tickets, len(res.Networks))
+				}
+			}()
+		}
 		err = srv.Serve(ctx)
 		stop()
+		wg.Wait()
 		if err != nil {
 			fatal(err)
 		}
+		finish(cmd, org.F, &obsFlags)
 		return
 	}
 
@@ -309,86 +368,6 @@ func main() {
 		fmt.Println(r.Title)
 		fmt.Println(strings.Repeat("=", len(r.Title)))
 		fmt.Println(r.Text)
-	case "serve":
-		srv := serve.New(f, serve.Config{
-			Addr:          *addr,
-			MaxInFlight:   *maxInflight,
-			SlowThreshold: time.Duration(*slowMS) * time.Millisecond,
-		})
-		bound, err := srv.Listen()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("mpa: serving on http://%s (SIGINT/SIGTERM to stop)\n", bound)
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		err = srv.Serve(ctx)
-		stop()
-		if err != nil {
-			fatal(err)
-		}
-	case "watch":
-		srv := serve.New(f, serve.Config{
-			Addr:          *addr,
-			MaxInFlight:   *maxInflight,
-			SlowThreshold: time.Duration(*slowMS) * time.Millisecond,
-		})
-		bound, err := srv.Listen()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("mpa: watching on http://%s (POST /v1/ingest, GET /v1/stream; SIGINT/SIGTERM to stop)\n", bound)
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		var wg sync.WaitGroup
-		if *watchDir != "" {
-			w := ingest.NewWatcher(*watchDir, *poll, func(path string, u *ingest.Update) error {
-				res, err := f.Ingest(u)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("mpa: ingested %s from %s: %d snapshots, %d tickets, %d networks\n",
-					res.MonthName, filepath.Base(path), res.Snapshots, res.Tickets, len(res.Networks))
-				return nil
-			})
-			fmt.Printf("mpa: polling %s every %s for update files\n", *watchDir, *poll)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_ = w.Run(ctx)
-			}()
-		}
-		if *replayN > 0 {
-			ups, err := mpa.NextMonths(cfg, *replayN)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("mpa: replaying %d synthetic months, one per %s\n", *replayN, *poll)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				tick := time.NewTicker(*poll)
-				defer tick.Stop()
-				for _, u := range ups {
-					select {
-					case <-ctx.Done():
-						return
-					case <-tick.C:
-					}
-					res, err := f.Ingest(u)
-					if err != nil {
-						obs.Logger().Error("watch: replay ingest failed", "err", err)
-						return
-					}
-					fmt.Printf("mpa: replayed %s: %d snapshots, %d tickets, %d networks\n",
-						res.MonthName, res.Snapshots, res.Tickets, len(res.Networks))
-				}
-			}()
-		}
-		err = srv.Serve(ctx)
-		stop()
-		wg.Wait()
-		if err != nil {
-			fatal(err)
-		}
 	case "stats":
 		// Exercise the analysis stages beyond generation/inference/dataset
 		// (which ran in NewSynthetic), then print the per-stage breakdown.
@@ -405,9 +384,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Record the pipeline's stage roots into the flight recorder: `mpa
-	// stats` prints the slowest below, and the run manifest written next
-	// snapshots the recorder (internal/runinfo "recorder" section).
+	finish(cmd, f, &obsFlags)
+}
+
+// finish closes a run: it records the framework's stage roots in the
+// flight recorder (`mpa stats` prints the slowest), then writes the run
+// manifest, profiles, and trace the observability flags asked for. A
+// daemon's run record is its first org's.
+func finish(cmd string, f *mpa.Framework, obsFlags *obs.Flags) {
 	f.RecordStages(obs.DefaultRecorder())
 	if cmd == "stats" {
 		fmt.Println("\nFlight recorder — slowest stages of this run:")

@@ -31,17 +31,16 @@ import (
 	"mpa/internal/practices"
 )
 
-// ingestHist records end-to-end ingest latency in milliseconds.
-var ingestHist = obs.GetHistogram("ingest.apply_ms",
-	1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000)
+// ingestHist records end-to-end ingest latency in nanoseconds.
+var ingestHist = obs.GetLogHistogram("ingest.apply_ns")
 
 // rejectApply accounts one update that failed after validation: unlike a
 // validation reject, apply work already ran, so the latency histogram
-// must see it too or ingest.apply_ms silently undercounts failed
+// must see it too or ingest.apply_ns silently undercounts failed
 // applies.
 func rejectApply(start time.Time) {
 	obs.GetCounter("ingest.rejected").Add(1)
-	ingestHist.Observe(float64(time.Since(start).Microseconds()) / 1000)
+	ingestHist.Observe(float64(time.Since(start).Nanoseconds()))
 }
 
 // IngestResult summarizes one applied update.
@@ -217,7 +216,7 @@ func (f *Framework) Ingest(u *IngestUpdate) (*IngestResult, error) {
 	obs.GetCounter("ingest.updates").Add(1)
 	obs.GetCounter("ingest.snapshots").Add(int64(res.Snapshots))
 	obs.GetCounter("ingest.tickets").Add(int64(res.Tickets))
-	ingestHist.Observe(float64(time.Since(start).Microseconds()) / 1000)
+	ingestHist.Observe(float64(time.Since(start).Nanoseconds()))
 	obs.Logger().Info("ingest applied",
 		"month", res.MonthName, "new_month", res.NewMonth,
 		"networks", len(res.Networks), "snapshots", res.Snapshots, "tickets", res.Tickets,

@@ -3,7 +3,7 @@ package mpa
 // Failure-path metrics for streaming ingest: an update that passes
 // validation but fails during apply (here: a snapshot whose config text
 // the dialect parser rejects, surfacing through incremental inference)
-// must count in ingest.rejected and observe ingest.apply_ms like any
+// must count in ingest.rejected and observe ingest.apply_ns like any
 // other finished apply — the regression was that only compile/window
 // rejects were counted, silently undercounting failed applies.
 
@@ -28,7 +28,7 @@ func TestIngestApplyFailureCounted(t *testing.T) {
 
 	rejected := obs.GetCounter("ingest.rejected")
 	rejectedBefore := rejected.Value()
-	applyBefore := obs.GetHistogram("ingest.apply_ms").Snapshot().Count
+	applyBefore := obs.GetLogHistogram("ingest.apply_ns").Count()
 
 	// Compile checks months, device identity, and monotonicity — not the
 	// config text itself. Unparseable text therefore survives validation
@@ -52,24 +52,24 @@ func TestIngestApplyFailureCounted(t *testing.T) {
 	if d := rejected.Value() - rejectedBefore; d != 1 {
 		t.Errorf("ingest.rejected grew by %d, want 1", d)
 	}
-	if d := obs.GetHistogram("ingest.apply_ms").Snapshot().Count - applyBefore; d != 1 {
-		t.Errorf("ingest.apply_ms observed %d new applies, want 1 (failed applies must not vanish from the latency series)", d)
+	if d := obs.GetLogHistogram("ingest.apply_ns").Count() - applyBefore; d != 1 {
+		t.Errorf("ingest.apply_ns observed %d new applies, want 1 (failed applies must not vanish from the latency series)", d)
 	}
 	if f.environment() != envBefore {
 		t.Error("failed apply swapped the environment")
 	}
 
-	// A plain validation reject still counts without an apply_ms sample:
+	// A plain validation reject still counts without an apply_ns sample:
 	// no apply work ran.
 	rejectedBefore = rejected.Value()
-	applyBefore = obs.GetHistogram("ingest.apply_ms").Snapshot().Count
+	applyBefore = obs.GetLogHistogram("ingest.apply_ns").Count()
 	if _, err := f.Ingest(&IngestUpdate{Month: next.String()}); err == nil {
 		t.Fatal("empty update accepted")
 	}
 	if d := rejected.Value() - rejectedBefore; d != 1 {
 		t.Errorf("validation reject: ingest.rejected grew by %d, want 1", d)
 	}
-	if d := obs.GetHistogram("ingest.apply_ms").Snapshot().Count - applyBefore; d != 0 {
-		t.Errorf("validation reject observed %d apply_ms samples, want 0", d)
+	if d := obs.GetLogHistogram("ingest.apply_ns").Count() - applyBefore; d != 0 {
+		t.Errorf("validation reject observed %d apply_ns samples, want 0", d)
 	}
 }

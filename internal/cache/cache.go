@@ -148,7 +148,7 @@ type Cache struct {
 	diskHits, diskMisses *obs.Counter
 	evictions, diskErrs  *obs.Counter
 	diskCorrupt          *obs.Counter
-	memGetUS, diskGetMS  *obs.Histogram
+	memGet, diskGet      *obs.LogHistogram // nanoseconds
 
 	stats struct {
 		memHits, memMisses, diskHits, diskMisses, evictions int64
@@ -187,10 +187,8 @@ func New(stage string, cfg Config) *Cache {
 		evictions:   obs.GetCounter("cache." + stage + ".evictions"),
 		diskErrs:    obs.GetCounter("cache." + stage + ".disk_errors"),
 		diskCorrupt: obs.GetCounter("cache." + stage + ".disk_corrupt"),
-		memGetUS: obs.GetHistogram("cache."+stage+".mem_get_us",
-			0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100),
-		diskGetMS: obs.GetHistogram("cache."+stage+".disk_get_ms",
-			0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 500),
+		memGet:      obs.GetLogHistogram("cache." + stage + ".mem_get_ns"),
+		diskGet:     obs.GetLogHistogram("cache." + stage + ".disk_get_ns"),
 	}
 }
 
@@ -235,7 +233,7 @@ func (c *Cache) Get(k Key) (any, bool) {
 		c.stats.memMisses++
 	}
 	c.mu.Unlock()
-	c.memGetUS.Observe(float64(time.Since(start).Nanoseconds()) / 1e3)
+	c.memGet.Observe(float64(time.Since(start).Nanoseconds()))
 	if !ok {
 		c.memMisses.Add(1)
 		return nil, false
@@ -282,7 +280,7 @@ func (c *Cache) GetBytes(k Key) ([]byte, bool) {
 	}
 	start := time.Now()
 	b, err := os.ReadFile(c.diskPath(k))
-	c.diskGetMS.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+	c.diskGet.Observe(float64(time.Since(start).Nanoseconds()))
 	if err != nil {
 		c.diskMisses.Add(1)
 		c.mu.Lock()

@@ -51,6 +51,41 @@ func TestLogHistogramIgnoresNonFinite(t *testing.T) {
 	}
 }
 
+// TestLogHistogramBucketEdges pins the bucket rule: slot 0 takes v < 1,
+// slot i ≥ 1 takes [growth^(i-1), growth^i), and values past the top
+// boundary land in the overflow slot; count and sum stay exact.
+func TestLogHistogramBucketEdges(t *testing.T) {
+	cases := []struct {
+		v    float64
+		want int // slot index
+	}{
+		{0, 0},
+		{0.999, 0}, // just below 1 is underflow
+		{1, 1},     // the first boundary belongs to the bucket it opens
+		{1.05, 1},
+		{1.2, 2}, // past growth^1 = 1.1
+		{1000, 1 + int(math.Log(1000)/math.Log(LogHistGrowth))},
+		{1e300, logHistOverflowIndex},
+	}
+	h := NewLogHistogram()
+	wantSum := 0.0
+	for _, c := range cases {
+		if got := logHistIndex(c.v); got != c.want {
+			t.Errorf("logHistIndex(%v) = %d, want %d", c.v, got, c.want)
+		}
+		h.Observe(c.v)
+		wantSum += c.v
+	}
+	snap := h.Snapshot()
+	if snap.Count != int64(len(cases)) || snap.Sum != wantSum {
+		t.Errorf("count/sum = %d/%v, want %d/%v", snap.Count, snap.Sum, len(cases), wantSum)
+	}
+	if len(snap.Buckets) != 5 || snap.Buckets[0] != (LogBucket{Index: 0, Count: 2}) ||
+		snap.Buckets[1] != (LogBucket{Index: 1, Count: 2}) {
+		t.Errorf("buckets = %+v, want underflow ×2, slot 1 ×2, then one each", snap.Buckets)
+	}
+}
+
 func TestLogHistogramMinMaxSumCount(t *testing.T) {
 	h := NewLogHistogram()
 	for _, v := range []float64{3, 1500, 7, 42} {

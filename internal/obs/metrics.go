@@ -3,7 +3,6 @@ package obs
 import (
 	"expvar"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -67,86 +66,16 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket distribution. A value v lands in the first
-// bucket whose upper bound satisfies v <= bound; values above the last
-// bound land in the overflow bucket. Observations are lock-free.
-type Histogram struct {
-	bounds []float64      // ascending upper bounds; len(counts) = len(bounds)+1
-	counts []atomic.Int64 // per-bucket counts, overflow last
-	total  atomic.Int64
-	sum    atomic.Uint64 // float64 bits, updated by CAS
-}
-
-// NewHistogram builds a histogram with the given ascending upper bounds.
-// It is unregistered; most callers want GetHistogram instead.
-func NewHistogram(bounds ...float64) *Histogram {
-	bs := append([]float64(nil), bounds...)
-	sort.Float64s(bs)
-	return &Histogram{
-		bounds: bs,
-		counts: make([]atomic.Int64, len(bs)+1),
-	}
-}
-
-// Observe records one value. NaN and ±Inf are ignored: a single
-// non-finite observation would otherwise poison sum forever and corrupt
-// the Prometheus _sum exposition.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	idx := sort.SearchFloat64s(h.bounds, v)
-	// SearchFloat64s finds the first bound >= v, which is the first bucket
-	// with v <= bound — except an exact hit needs no adjustment and v
-	// above every bound falls through to the overflow bucket at len.
-	h.counts[idx].Add(1)
-	h.total.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			break
-		}
-	}
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram's state.
-type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"` // len(Bounds)+1; overflow last
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-}
-
-// Snapshot copies the histogram's current state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	snap := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: make([]int64, len(h.counts)),
-		Count:  h.total.Load(),
-		Sum:    math.Float64frombits(h.sum.Load()),
-	}
-	for i := range h.counts {
-		snap.Counts[i] = h.counts[i].Load()
-	}
-	return snap
-}
-
 // registry is the process-wide named-metric store, published once through
 // expvar under the "mpa" variable.
 var registry = struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	loghists map[string]*LogHistogram
 }{
 	counters: map[string]*Counter{},
 	gauges:   map[string]*Gauge{},
-	hists:    map[string]*Histogram{},
 	loghists: map[string]*LogHistogram{},
 }
 
@@ -181,24 +110,11 @@ func GetGauge(name string) *Gauge {
 	return g
 }
 
-// GetHistogram returns the process-wide histogram with the given name,
-// creating it with the given bucket bounds on first use (later calls
-// reuse the existing buckets and ignore bounds).
-func GetHistogram(name string, bounds ...float64) *Histogram {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	h, ok := registry.hists[name]
-	if !ok {
-		h = NewHistogram(bounds...)
-		registry.hists[name] = h
-	}
-	return h
-}
-
 // GetLogHistogram returns the process-wide log-spaced histogram with
-// the given name, creating it on first use. Unlike GetHistogram there
-// are no bounds to choose: every LogHistogram shares the fixed
-// geometric bucket layout (see LogHistGrowth).
+// the given name, creating it on first use. There are no bounds to
+// choose: every LogHistogram shares the fixed geometric bucket layout
+// (see LogHistGrowth). Durations are recorded in nanoseconds under
+// "_ns" names.
 func GetLogHistogram(name string) *LogHistogram {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
@@ -216,7 +132,6 @@ func GetLogHistogram(name string) *LogHistogram {
 type MetricsSnapshot struct {
 	Counters      map[string]int64                `json:"counters"`
 	Gauges        map[string]float64              `json:"gauges"`
-	Histograms    map[string]HistogramSnapshot    `json:"histograms"`
 	LogHistograms map[string]LogHistogramSnapshot `json:"log_histograms,omitempty"`
 }
 
@@ -225,9 +140,9 @@ func SnapshotMetrics() MetricsSnapshot {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	snap := MetricsSnapshot{
-		Counters:   make(map[string]int64, len(registry.counters)),
-		Gauges:     make(map[string]float64, len(registry.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(registry.hists)),
+		Counters:      make(map[string]int64, len(registry.counters)),
+		Gauges:        make(map[string]float64, len(registry.gauges)),
+		LogHistograms: make(map[string]LogHistogramSnapshot, len(registry.loghists)),
 	}
 	for name, c := range registry.counters {
 		snap.Counters[name] = c.Value()
@@ -235,14 +150,8 @@ func SnapshotMetrics() MetricsSnapshot {
 	for name, g := range registry.gauges {
 		snap.Gauges[name] = g.Value()
 	}
-	for name, h := range registry.hists {
-		snap.Histograms[name] = h.Snapshot()
-	}
-	if len(registry.loghists) > 0 {
-		snap.LogHistograms = make(map[string]LogHistogramSnapshot, len(registry.loghists))
-		for name, h := range registry.loghists {
-			snap.LogHistograms[name] = h.Snapshot()
-		}
+	for name, h := range registry.loghists {
+		snap.LogHistograms[name] = h.Snapshot()
 	}
 	return snap
 }

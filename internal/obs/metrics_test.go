@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
-	"math"
 	"sync"
 	"testing"
 )
@@ -45,11 +44,6 @@ func TestNilMetricReceivers(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatal("nil gauge non-zero")
 	}
-	var h *Histogram
-	h.Observe(1)
-	if h.Snapshot().Count != 0 {
-		t.Fatal("nil histogram non-zero")
-	}
 }
 
 func TestGauge(t *testing.T) {
@@ -87,86 +81,6 @@ func TestGaugeAdd(t *testing.T) {
 	}
 	var nilG *Gauge
 	nilG.Add(1) // must not panic
-}
-
-// TestHistogramIgnoresNonFinite is the regression test for the poisoned
-// sum: one NaN (or ±Inf) observation used to corrupt sum — and with it
-// the Prometheus _sum series — forever.
-func TestHistogramIgnoresNonFinite(t *testing.T) {
-	h := NewHistogram(1, 10)
-	h.Observe(math.NaN())
-	h.Observe(math.Inf(1))
-	h.Observe(math.Inf(-1))
-	h.Observe(5)
-	snap := h.Snapshot()
-	if snap.Count != 1 {
-		t.Fatalf("count = %d, want 1 (non-finite values must be dropped)", snap.Count)
-	}
-	if snap.Sum != 5 || math.IsNaN(snap.Sum) {
-		t.Fatalf("sum = %v, want 5", snap.Sum)
-	}
-}
-
-// TestHistogramBucketEdges pins the bucket rule: a value lands in the
-// first bucket whose upper bound is >= the value; values above every
-// bound land in the overflow bucket.
-func TestHistogramBucketEdges(t *testing.T) {
-	h := NewHistogram(1, 10, 100)
-	cases := []struct {
-		v    float64
-		want int // bucket index
-	}{
-		{0, 0},    // below the first bound
-		{1, 0},    // exactly on a bound belongs to that bucket
-		{1.01, 1}, // just above a bound spills to the next
-		{10, 1},
-		{99.999, 2},
-		{100, 2},
-		{100.5, 3}, // overflow
-		{1e9, 3},
-	}
-	for _, c := range cases {
-		h.Observe(c.v)
-	}
-	snap := h.Snapshot()
-	wantCounts := []int64{2, 2, 2, 2}
-	for i, want := range wantCounts {
-		if snap.Counts[i] != want {
-			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, snap.Counts[i], want, snap.Counts)
-		}
-	}
-	if snap.Count != 8 {
-		t.Fatalf("count = %d, want 8", snap.Count)
-	}
-	wantSum := 0.0
-	for _, c := range cases {
-		wantSum += c.v
-	}
-	if snap.Sum != wantSum {
-		t.Fatalf("sum = %v, want %v", snap.Sum, wantSum)
-	}
-	if len(snap.Bounds) != 3 || snap.Bounds[2] != 100 {
-		t.Fatalf("bounds = %v", snap.Bounds)
-	}
-}
-
-func TestHistogramConcurrency(t *testing.T) {
-	h := GetHistogram("test.hist", 1, 2, 3)
-	before := h.Snapshot().Count
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				h.Observe(float64(i % 5))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := h.Snapshot().Count - before; got != 4000 {
-		t.Fatalf("count delta = %d, want 4000", got)
-	}
 }
 
 // TestExpvarExport checks the registry is visible through expvar as JSON.

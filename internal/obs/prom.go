@@ -59,15 +59,6 @@ func WritePrometheus(w io.Writer, snap MetricsSnapshot) {
 	}
 
 	names = names[:0]
-	for name := range snap.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		writePromHistogram(w, promName(name), snap.Histograms[name])
-	}
-
-	names = names[:0]
 	for name := range snap.LogHistograms {
 		names = append(names, name)
 	}
@@ -75,24 +66,6 @@ func WritePrometheus(w io.Writer, snap MetricsSnapshot) {
 	for _, name := range names {
 		writePromLogHistogram(w, promName(name), snap.LogHistograms[name])
 	}
-}
-
-// writePromHistogram renders one histogram as cumulative buckets plus the
-// _sum and _count series. The registry stores per-bucket counts with the
-// overflow bucket last; Prometheus wants cumulative counts per upper
-// bound ending in le="+Inf".
-func writePromHistogram(w io.Writer, pn string, h HistogramSnapshot) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", pn)
-	var cum int64
-	for i, bound := range h.Bounds {
-		if i < len(h.Counts) {
-			cum += h.Counts[i]
-		}
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", pn, promFloat(bound), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, h.Count)
-	fmt.Fprintf(w, "%s_sum %s\n", pn, promFloat(h.Sum))
-	fmt.Fprintf(w, "%s_count %d\n", pn, h.Count)
 }
 
 // writePromLogHistogram renders one log-spaced histogram. Only the

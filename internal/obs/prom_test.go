@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -11,7 +12,7 @@ import (
 
 // TestPrometheusGolden pins the text exposition format byte-for-byte on
 // a fixed snapshot: counter/gauge/histogram type lines, sorted series
-// order, cumulative buckets, and float rendering.
+// order, sparse cumulative buckets, and float rendering.
 func TestPrometheusGolden(t *testing.T) {
 	snap := MetricsSnapshot{
 		Counters: map[string]int64{
@@ -22,12 +23,19 @@ func TestPrometheusGolden(t *testing.T) {
 			"pipeline.networks":   120,
 			"dataset.build_ratio": 0.25,
 		},
-		Histograms: map[string]HistogramSnapshot{
-			"inference.month_ms": {
-				Bounds: []float64{1, 5, 25},
-				Counts: []int64{3, 2, 1, 4},
-				Count:  10,
-				Sum:    123.5,
+		LogHistograms: map[string]LogHistogramSnapshot{
+			"inference.month_ns": {
+				Growth: LogHistGrowth,
+				Buckets: []LogBucket{
+					{Index: 0, Count: 1},
+					{Index: 145, Count: 5},
+					{Index: 170, Count: 3},
+					{Index: logHistOverflowIndex, Count: 1},
+				},
+				Count: 10,
+				Sum:   1.25e10,
+				Min:   0.5,
+				Max:   7e11,
 			},
 		},
 	}
@@ -64,7 +72,7 @@ var expositionLine = regexp.MustCompile(
 func TestPromHandlerLive(t *testing.T) {
 	GetCounter("promtest.events").Add(3)
 	GetGauge("promtest.level").Set(1.5)
-	GetHistogram("promtest.latency_ms", 1, 10, 100).Observe(12)
+	GetLogHistogram("promtest.latency_ns").Observe(12e6)
 
 	rec := httptest.NewRecorder()
 	PromHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -85,7 +93,7 @@ func TestPromHandlerLive(t *testing.T) {
 			t.Errorf("gauge %q missing from /metrics", name)
 		}
 	}
-	for name := range snap.Histograms {
+	for name := range snap.LogHistograms {
 		pn := promName(name)
 		for _, suffix := range []string{`_bucket{le="+Inf"} `, "_sum ", "_count "} {
 			if !strings.Contains(body, pn+suffix) {
@@ -111,20 +119,25 @@ func TestPromHandlerLive(t *testing.T) {
 	}
 }
 
-// TestPromHistogramCumulative checks the bucket math: registry buckets
-// are per-bucket counts, exposition buckets must be cumulative and end
-// at the total count.
+// TestPromHistogramCumulative checks the bucket math: snapshot buckets
+// are per-bucket counts, exposition buckets must be cumulative at each
+// non-empty bucket's upper bound (growth^index) and end at the total
+// count, with the overflow bucket only in le="+Inf".
 func TestPromHistogramCumulative(t *testing.T) {
 	var b strings.Builder
-	writePromHistogram(&b, "mpa_x", HistogramSnapshot{
-		Bounds: []float64{1, 2},
-		Counts: []int64{5, 3, 2},
-		Count:  10,
-		Sum:    9,
+	writePromLogHistogram(&b, "mpa_x", LogHistogramSnapshot{
+		Growth: LogHistGrowth,
+		Buckets: []LogBucket{
+			{Index: 0, Count: 5},
+			{Index: 2, Count: 3},
+			{Index: logHistOverflowIndex, Count: 2},
+		},
+		Count: 10,
+		Sum:   9,
 	})
 	want := "# TYPE mpa_x histogram\n" +
 		"mpa_x_bucket{le=\"1\"} 5\n" +
-		"mpa_x_bucket{le=\"2\"} 8\n" +
+		"mpa_x_bucket{le=\"" + promFloat(math.Pow(LogHistGrowth, 2)) + "\"} 8\n" +
 		"mpa_x_bucket{le=\"+Inf\"} 10\n" +
 		"mpa_x_sum 9\n" +
 		"mpa_x_count 10\n"

@@ -18,11 +18,8 @@ import (
 	"mpa/internal/par"
 )
 
-// monthHist records per-network-month inference latency in milliseconds;
-// the buckets span sub-millisecond small networks to multi-second
-// paper-scale ones.
-var monthHist = obs.GetHistogram("inference.month_ms",
-	0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000)
+// monthHist records per-network-month inference latency in nanoseconds.
+var monthHist = obs.GetLogHistogram("inference.month_ns")
 
 // ChangeDetail is one inferred configuration change with the attributes
 // the characterization figures and event metrics need.
@@ -389,7 +386,7 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 		msp.Count("changes", float64(len(changes)))
 		msp.Count("events", float64(nEvents))
 		msp.End()
-		monthHist.Observe(float64(time.Since(monthStart).Microseconds()) / 1000)
+		monthHist.Observe(float64(time.Since(monthStart).Nanoseconds()))
 	}
 	nsp.Count("snapshots_parsed", float64(snapsParsed))
 	nsp.Count("diffs", float64(diffsComputed))

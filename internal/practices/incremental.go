@@ -164,6 +164,6 @@ func (e *Engine) computeNetworkMonth(nw *netmodel.Network, m months.Month, paren
 	obs.GetCounter("inference.diffs").Add(int64(diffsComputed))
 	obs.GetCounter("inference.changes").Add(int64(len(changes)))
 	obs.GetCounter("inference.events_grouped").Add(int64(nEvents))
-	monthHist.Observe(float64(time.Since(monthStart).Microseconds()) / 1000)
+	monthHist.Observe(float64(time.Since(monthStart).Nanoseconds()))
 	return MonthAnalysis{Network: nw.Name, Month: m, Metrics: metrics, Changes: changes}, nil
 }

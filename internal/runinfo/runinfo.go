@@ -19,7 +19,7 @@
 //	                 cache_enabled, cache_dir?, cache_max_entries?, extra?},
 //	  "total_wall_ns": root-span age in nanoseconds,
 //	  "stages":     [{name, calls, wall_ns, alloc_bytes, counters?}, ...],
-//	  "metrics":    {counters, gauges, histograms, log_histograms?} —
+//	  "metrics":    {counters, gauges, log_histograms?} —
 //	                the obs registry,
 //	  "runtime":    {gomaxprocs, num_cpu, heap_objects_bytes,
 //	                 heap_sys_bytes, total_alloc_bytes, gc_cycles,

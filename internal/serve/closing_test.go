@@ -10,7 +10,7 @@ import (
 // listener-error exit path returned without closing s.closing, leaving
 // attached SSE streams waiting on a channel nobody would ever close.
 func TestServeListenerErrorClosesClosing(t *testing.T) {
-	s := New(nil, Config{Addr: "127.0.0.1:0"})
+	s := newServer(Config{Addr: "127.0.0.1:0"})
 	if _, err := s.Listen(); err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func postIngest(t *testing.T, s *serve.Server, body []byte) *http.Response {
 
 func TestIngestEndpoint(t *testing.T) {
 	f, u, o := ingestFixture(t)
-	s := serve.New(f, serve.Config{})
+	s := oneOrgServer(t, f, serve.Config{})
 	newMonth := o.Params.End
 
 	var before struct {
@@ -114,7 +114,7 @@ func TestIngestEndpoint(t *testing.T) {
 
 func TestIngestEndpointRejects(t *testing.T) {
 	f, u, o := ingestFixture(t)
-	s := serve.New(f, serve.Config{})
+	s := oneOrgServer(t, f, serve.Config{})
 
 	bad := [][]byte{
 		[]byte(`{nope`), // malformed JSON
@@ -175,7 +175,7 @@ func readSSE(t *testing.T, body *bufio.Scanner, n int, deadline time.Time) []sse
 // the response's (sorted) network order, then one rank event.
 func TestIngestStream(t *testing.T) {
 	f, u, _ := ingestFixture(t)
-	s := serve.New(f, serve.Config{})
+	s := oneOrgServer(t, f, serve.Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -261,7 +261,7 @@ func TestIngestStream(t *testing.T) {
 // -race this also proves the swap is data-race-free.
 func TestIngestMidQueryConsistency(t *testing.T) {
 	f, u, o := ingestFixture(t)
-	s := serve.New(f, serve.Config{})
+	s := oneOrgServer(t, f, serve.Config{})
 	oldEnd := o.Params.Start.Add(1).String()
 	newEnd := o.Params.End.String()
 

@@ -10,15 +10,22 @@ import (
 	"mpa/internal/obs"
 )
 
+// bareServer builds the request plumbing with one framework-less default
+// shard: query and the test handlers never touch the framework, so the
+// tests skip a full pipeline build.
+func bareServer(rec *obs.Recorder) *Server {
+	s := newServer(Config{Recorder: rec})
+	s.def = &shard{name: "bare"}
+	return s
+}
+
 // TestQueryPanicRecovered pins the regression where a panicking handler
 // skipped sp.End() and every counter: the wrapper must recover, return a
 // 500 JSON error, bump serve.panics and serve.errors, still observe
 // latency, and record the request in the flight recorder as errored.
-// New and query never touch the framework, so a nil one keeps the test
-// from paying a full pipeline build.
 func TestQueryPanicRecovered(t *testing.T) {
 	rec := obs.NewRecorder(obs.RecorderConfig{})
-	s := New(nil, Config{Recorder: rec})
+	s := bareServer(rec)
 
 	panicsBefore := s.panics.Value()
 	errorsBefore := s.errors.Value()
@@ -73,7 +80,7 @@ func TestQueryPanicRecovered(t *testing.T) {
 // a 500 internally.
 func TestQueryPanicAfterWrite(t *testing.T) {
 	rec := obs.NewRecorder(obs.RecorderConfig{})
-	s := New(nil, Config{Recorder: rec})
+	s := bareServer(rec)
 
 	h := s.query("halfway", func(_ *shard, w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -105,7 +112,7 @@ func TestQueryPanicAfterWrite(t *testing.T) {
 // back and keys the recorder entry; a traceparent supplies the trace-id.
 func TestQueryRequestIDPropagation(t *testing.T) {
 	rec := obs.NewRecorder(obs.RecorderConfig{})
-	s := New(nil, Config{Recorder: rec})
+	s := bareServer(rec)
 	h := s.query("ok", func(_ *shard, w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"ok": "true"})
 	})

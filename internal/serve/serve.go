@@ -7,13 +7,13 @@
 // are served from the framework's query cache ("cache.query.*" in
 // /metrics), which is the daemon's heavy-traffic path.
 //
-// The daemon runs one warm Framework per organization. A single-tenant
-// server (New) has exactly one; a sharded server (NewSharded) fronts an
-// org registry (internal/tenant) and routes every /v1 query to the
-// tenant's shard, resolved from the /v1/orgs/{org}/... path segment or
-// the X-MPA-Org header. Shards share no mutable state — each org owns
-// its engines, caches, and query generations — so cross-tenant
-// isolation is structural, not locked. Fleet-wide aggregates
+// The daemon runs one warm Framework per organization and always fronts
+// an org registry (internal/tenant): a single-org daemon is a registry of
+// one, whose org also answers requests that name none. Every /v1 query
+// routes to the tenant's shard, resolved from the /v1/orgs/{org}/...
+// path segment or the X-MPA-Org header. Shards share no mutable state —
+// each org owns its engines, caches, and query generations — so
+// cross-tenant isolation is structural, not locked. Fleet-wide aggregates
 // (/v1/fleet/*) fan per-shard partial results out over internal/par and
 // merge them map-reduce style (tenant.MergeRank / tenant.MergeHealth);
 // merging the per-org responses offline reproduces the fleet response
@@ -21,7 +21,7 @@
 //
 // Endpoints (each /v1 query also mounts at /v1/orgs/{org}/...):
 //
-//	GET /healthz                       liveness + loaded-state summary (fleet summary when sharded)
+//	GET /healthz                       liveness + loaded-state summary (fleet summary for several orgs)
 //	GET /v1/rank                       practice↔health MI ranking
 //	GET /v1/causal?practice=NAME       matched-design causal analysis
 //	GET /v1/predict?network=N&month=M  health prediction for one network-month
@@ -30,29 +30,28 @@
 //	GET /v1/manifest                   run manifest for the loaded state
 //	POST /v1/ingest                    apply one month of new snapshots/tickets in place
 //	GET /v1/stream                     SSE feed of per-network deltas + refreshed rankings
-//	GET /v1/fleet/rank                 cross-org merged practice ranking (sharded only)
-//	GET /v1/fleet/health               cross-org loaded-state rollup (sharded only)
+//	GET /v1/fleet/rank                 cross-org merged practice ranking
+//	GET /v1/fleet/health               cross-org loaded-state rollup
 //	GET /debug/slo                     per-endpoint latency percentiles + error rates (slo.go)
 //	GET /metrics, /debug/pprof, /debug/vars  (the shared obs debug set)
 //	GET /debug/requests[/{id}[/trace]], /debug/logs  (the flight recorder)
 //
 // Every /v1 query runs under a concurrency limit and a request-scoped
 // obs span; totals, per-endpoint counts, errors, panics, in-flight
-// depth, and latency histograms are registered under "serve.*" — the
-// legacy coarse serve.latency_ms series plus one log-spaced
-// serve.latency_ns.<endpoint> histogram (p50…p99.9 at ~5% relative
-// error) and serve.status.<endpoint>.<class> counters per endpoint,
-// summarized at /debug/slo and gated in CI by cmd/mpa-slogate. Sharded
-// servers additionally record each request under its tenant's own
-// serve.tenant.<org>.latency_ns.<endpoint> / status series — the global
-// series stay fleet-wide aggregates, so the single-tenant SLO baseline
-// remains comparable. Each request gets an ID — honoring an incoming
-// X-Request-ID or W3C traceparent, echoed back as X-Request-ID — and is
-// recorded in the flight recorder (obs.Recorder) on completion with its
-// tenant column: the recent ring is served at /debug/requests, and full
-// span trees of the slowest and errored requests can be fetched as
-// per-request Chrome traces. Requests slower than Config.SlowThreshold
-// are logged at Warn with a per-stage breakdown. Shutdown is graceful:
+// depth, and latency histograms are registered under "serve.*" — one
+// log-spaced serve.latency_ns.<endpoint> histogram (p50…p99.9 at ~5%
+// relative error) and serve.status.<endpoint>.<class> counters per
+// endpoint, summarized at /debug/slo and gated in CI by cmd/mpa-slogate.
+// Each request is also recorded under its tenant's own
+// serve.tenant.<org>.latency_ns.<endpoint> / status series; the global
+// series stay fleet-wide aggregates. Each request gets an ID — honoring
+// an incoming X-Request-ID or W3C traceparent, echoed back as
+// X-Request-ID — and is recorded in the flight recorder (obs.Recorder)
+// on completion with its tenant column: the recent ring is served at
+// /debug/requests, and full span trees of the slowest and errored
+// requests can be fetched as per-request Chrome traces. Requests slower
+// than Config.SlowThreshold are logged at Warn with a per-stage
+// breakdown. Shutdown is graceful:
 // canceling the Serve context stops accepting connections and drains
 // in-flight requests before returning.
 package serve
@@ -99,11 +98,6 @@ type Config struct {
 	// MaxIngestBytes bounds a POST /v1/ingest body; an oversized body is
 	// a 413. Zero means 256 MiB.
 	MaxIngestBytes int64
-	// Tenant optionally names the organization of a single-tenant server
-	// (New); it labels the flight recorder and adds the per-tenant
-	// metric series. Empty leaves the server anonymous, as before
-	// multi-tenancy existed. NewSharded ignores it.
-	Tenant string
 	// Recorder receives every completed query. Nil uses the process-wide
 	// obs.DefaultRecorder.
 	Recorder *obs.Recorder
@@ -117,8 +111,7 @@ type shard struct {
 	name string
 	f    *mpa.Framework
 	// ep holds the per-tenant endpoint metrics
-	// (serve.tenant.<org>.latency_ns.<endpoint> and status counters),
-	// nil for an anonymous single-tenant server.
+	// (serve.tenant.<org>.latency_ns.<endpoint> and status counters).
 	ep map[string]*endpointMetrics
 }
 
@@ -129,12 +122,9 @@ var queryEndpoints = []string{
 }
 
 func newShard(name string, f *mpa.Framework) *shard {
-	sh := &shard{name: name, f: f}
-	if name != "" {
-		sh.ep = make(map[string]*endpointMetrics, len(queryEndpoints))
-		for _, ep := range queryEndpoints {
-			sh.ep[ep] = newEndpointMetrics("serve.tenant."+name+".", ep)
-		}
+	sh := &shard{name: name, f: f, ep: make(map[string]*endpointMetrics, len(queryEndpoints))}
+	for _, ep := range queryEndpoints {
+		sh.ep[ep] = newEndpointMetrics("serve.tenant."+name+".", ep)
 	}
 	return sh
 }
@@ -148,12 +138,11 @@ type Server struct {
 	ln    net.Listener
 
 	// def is the shard a request with no org resolves to: the only
-	// shard of a single-tenant (or single-org sharded) server, nil when
-	// several orgs are registered and the request must name one.
+	// shard of a single-org server, nil when several orgs are registered
+	// and the request must name one.
 	def    *shard
 	shards map[string]*shard
-	names  []string         // registered org names, sorted
-	reg    *tenant.Registry // nil for single-tenant servers
+	reg    *tenant.Registry
 
 	// closing is closed when graceful shutdown begins, so long-lived
 	// stream handlers return and their connections can drain — an SSE
@@ -168,7 +157,6 @@ type Server struct {
 	errors   *obs.Counter
 	panics   *obs.Counter
 	inflight *obs.Gauge
-	latency  *obs.Histogram
 
 	// ep holds the global per-endpoint latency-SLO instrumentation
 	// (log-spaced latency histograms + status-class counters; see
@@ -193,61 +181,43 @@ func newServer(cfg Config) *Server {
 		cfg.Recorder = obs.DefaultRecorder()
 	}
 	return &Server{
-		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.MaxInFlight),
-		start:    time.Now(),
-		mux:      http.NewServeMux(),
-		shards:   map[string]*shard{},
-		closing:  make(chan struct{}),
-		rec:      cfg.Recorder,
-		requests: obs.GetCounter("serve.requests"),
-		errors:   obs.GetCounter("serve.errors"),
-		panics:   obs.GetCounter("serve.panics"),
-		inflight: obs.GetGauge("serve.inflight"),
-		latency: obs.GetHistogram("serve.latency_ms",
-			0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000, 5000),
+		cfg:         cfg,
+		sem:         make(chan struct{}, cfg.MaxInFlight),
+		start:       time.Now(),
+		mux:         http.NewServeMux(),
+		shards:      map[string]*shard{},
+		closing:     make(chan struct{}),
+		rec:         cfg.Recorder,
+		requests:    obs.GetCounter("serve.requests"),
+		errors:      obs.GetCounter("serve.errors"),
+		panics:      obs.GetCounter("serve.panics"),
+		inflight:    obs.GetGauge("serve.inflight"),
 		ep:          map[string]*endpointMetrics{},
 		streamsOpen: obs.GetGauge("serve.streams_open"),
 	}
 }
 
-// New builds a single-tenant server over an already-constructed (and
-// therefore already-inferred) framework. Config.Tenant optionally names
-// the organization.
-func New(f *mpa.Framework, cfg Config) *Server {
-	s := newServer(cfg)
-	sh := newShard(cfg.Tenant, f)
-	s.def = sh
-	if sh.name != "" {
-		s.shards[sh.name] = sh
-		s.names = []string{sh.name}
-	}
-	s.routes()
-	return s
-}
-
-// NewSharded builds a multi-tenant server over an org registry: one
-// shard per org, the /v1/orgs/{org} router in front, and the
-// /v1/fleet/* aggregate endpoints. With exactly one org registered,
-// requests that name no org resolve to it; with several, they must pick
-// one (path segment or X-MPA-Org header).
+// NewSharded builds the server over an org registry of already-built
+// (and therefore already-inferred) frameworks: one shard per org, the
+// /v1/orgs/{org} router in front, and the /v1/fleet/* aggregate
+// endpoints. With exactly one org registered, requests that name no org
+// resolve to it; with several, they must pick one (path segment or
+// X-MPA-Org header).
 func NewSharded(reg *tenant.Registry, cfg Config) *Server {
 	s := newServer(cfg)
 	s.reg = reg
-	s.names = reg.Names()
 	for _, o := range reg.Orgs() {
 		s.shards[o.Name] = newShard(o.Name, o.F)
 	}
-	if len(s.names) == 1 {
-		s.def = s.shards[s.names[0]]
+	if reg.Len() == 1 {
+		s.def = s.shards[reg.Names()[0]]
 	}
 	s.routes()
 	return s
 }
 
 // routes mounts the full route set. Every query endpoint is reachable
-// both bare (tenant from header or default) and under /v1/orgs/{org};
-// the fleet aggregates exist only on sharded servers.
+// both bare (tenant from header or default) and under /v1/orgs/{org}.
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/orgs/{org}/healthz", s.handleHealthz)
@@ -264,10 +234,8 @@ func (s *Server) routes() {
 	// every analysis query).
 	s.mux.HandleFunc("GET /v1/stream", s.handleStream)
 	s.mux.HandleFunc("GET /v1/orgs/{org}/stream", s.handleStream)
-	if s.reg != nil {
-		s.mux.Handle("GET /v1/fleet/rank", s.fleet("fleet_rank", s.handleFleetRank))
-		s.mux.Handle("GET /v1/fleet/health", s.fleet("fleet_health", s.handleFleetHealth))
-	}
+	s.mux.Handle("GET /v1/fleet/rank", s.fleet("fleet_rank", s.handleFleetRank))
+	s.mux.Handle("GET /v1/fleet/health", s.fleet("fleet_health", s.handleFleetHealth))
 	s.mux.HandleFunc("GET /debug/slo", s.handleSLO)
 	obs.RegisterDebug(s.mux)
 	obs.RegisterRecorderDebug(s.mux, s.rec)
@@ -327,16 +295,6 @@ func (s *Server) Serve(ctx context.Context) error {
 	return nil
 }
 
-// Run is Listen + Serve.
-func (s *Server) Run(ctx context.Context) error {
-	if s.ln == nil {
-		if _, err := s.Listen(); err != nil {
-			return err
-		}
-	}
-	return s.Serve(ctx)
-}
-
 // statusWriter captures the response status for the error counter and
 // whether anything was written, so the panic path knows if a 500 body
 // can still be sent.
@@ -372,7 +330,7 @@ func (s *Server) resolveShard(w http.ResponseWriter, r *http.Request) (*shard, b
 		}
 		writeError(w, http.StatusBadRequest,
 			"multi-tenant server: name an org via /v1/orgs/{org}/... or the %s header (orgs: %s)",
-			OrgHeader, strings.Join(s.names, ", "))
+			OrgHeader, strings.Join(s.reg.Names(), ", "))
 		return nil, false
 	}
 	sh, ok := s.shards[name]
@@ -392,7 +350,7 @@ type instrumented func(w http.ResponseWriter, r *http.Request) (tenantName strin
 // instrument wraps a handler with the shared request plumbing: the
 // concurrency limit, total/per-endpoint/error/panic counters, the
 // in-flight gauge, the latency histograms (global and, when the request
-// resolved to a named tenant, that tenant's), a request-scoped span
+// resolved to a tenant, that tenant's), a request-scoped span
 // (passed down via the request context for handlers to hang stage spans
 // on), the request ID (honoring X-Request-ID / traceparent, echoed back
 // as X-Request-ID), and the tenant-labeled flight-recorder entry. A
@@ -441,7 +399,6 @@ func (s *Server) instrument(name string, h instrumented) http.Handler {
 			if sw.status >= 400 {
 				s.errors.Add(1)
 			}
-			s.latency.Observe(float64(dur.Nanoseconds()) / 1e6)
 			em.observe(dur, sw.status)
 			if tem != nil {
 				tem.observe(dur, sw.status)
@@ -563,7 +520,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, fleetHealthzResponse{
 			Status:        merged.Status,
-			Orgs:          s.names,
+			Orgs:          s.reg.Names(),
 			Totals:        merged.Totals,
 			UptimeSeconds: time.Since(s.start).Seconds(),
 		})

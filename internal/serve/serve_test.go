@@ -15,6 +15,7 @@ import (
 	"mpa"
 	"mpa/internal/obs"
 	"mpa/internal/serve"
+	"mpa/internal/tenant"
 )
 
 // The package shares one warm framework: building it runs inference once,
@@ -38,9 +39,24 @@ func testFramework(t *testing.T) *mpa.Framework {
 	return framework
 }
 
+// testOrg names the org of the one-org test daemons, as `mpa serve`
+// names its single org.
+const testOrg = "default"
+
+// oneOrgServer serves f as a registry of one org: the shape of every
+// single-org daemon.
+func oneOrgServer(t *testing.T, f *mpa.Framework, cfg serve.Config) *serve.Server {
+	t.Helper()
+	reg, err := tenant.New([]*tenant.Org{{Name: testOrg, F: f}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serve.NewSharded(reg, cfg)
+}
+
 func testServer(t *testing.T) *serve.Server {
 	t.Helper()
-	return serve.New(testFramework(t), serve.Config{})
+	return oneOrgServer(t, testFramework(t), serve.Config{})
 }
 
 // get performs one request against the server's handler and decodes the
@@ -317,7 +333,7 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 	// A dedicated recorder keeps other tests' requests out, and a 1ns
 	// threshold classifies every real request as slow.
 	rec := obs.NewRecorder(obs.RecorderConfig{})
-	s := serve.New(testFramework(t), serve.Config{
+	s := oneOrgServer(t, testFramework(t), serve.Config{
 		SlowThreshold: time.Nanosecond,
 		Recorder:      rec,
 	})
@@ -455,7 +471,7 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 // asserts the request completes successfully and Serve returns nil
 // (clean drain).
 func TestGracefulShutdownDrains(t *testing.T) {
-	s := serve.New(testFramework(t), serve.Config{
+	s := oneOrgServer(t, testFramework(t), serve.Config{
 		Addr:         "127.0.0.1:0",
 		DrainTimeout: 10 * time.Second,
 	})

@@ -1,16 +1,14 @@
 // Per-endpoint latency-SLO instrumentation: every query-wrapped /v1
 // endpoint records into a log-spaced latency histogram (~5% relative
 // quantile error, see obs.LogHistogram) and per-status-class counters,
-// alongside — not replacing — the coarse global serve.latency_ms series
-// that predates it. GET /debug/slo summarizes the same state as JSON
-// (p50/p90/p99/p99.9, min/max/mean, error rates) so the SLO gate, a
+// globally and per tenant. GET /debug/slo summarizes the same state as
+// JSON (p50/p90/p99/p99.9, min/max/mean, error rates) so the SLO gate, a
 // dashboard, or a human can read the daemon's latency posture without a
 // Prometheus stack; /metrics carries the full series for one.
 package serve
 
 import (
 	"net/http"
-	"sort"
 	"time"
 
 	"mpa/internal/obs"
@@ -96,13 +94,13 @@ func latencyMS(snap obs.LogHistogramSnapshot) *latencySummaryMS {
 }
 
 // sloResponse is the GET /debug/slo body. Endpoints carries the global
-// (fleet-wide) aggregates; Tenants, present only when tenants are
-// named, breaks the same endpoints down per organization.
+// (fleet-wide) aggregates; Tenants breaks the same endpoints down per
+// organization.
 type sloResponse struct {
 	UptimeSeconds float64                           `json:"uptime_seconds"`
 	StreamsOpen   int64                             `json:"streams_open"`
 	Endpoints     map[string]endpointSLO            `json:"endpoints"`
-	Tenants       map[string]map[string]endpointSLO `json:"tenants,omitempty"`
+	Tenants       map[string]map[string]endpointSLO `json:"tenants"`
 }
 
 // sloRow snapshots one endpoint's instrumentation into a summary row.
@@ -135,25 +133,15 @@ func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		StreamsOpen:   int64(s.streamsOpen.Value()),
 		Endpoints:     make(map[string]endpointSLO, len(s.ep)),
+		Tenants:       make(map[string]map[string]endpointSLO, len(s.shards)),
 	}
-	names := make([]string, 0, len(s.ep))
-	for name := range s.ep {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		out.Endpoints[name] = sloRow(s.ep[name])
+	for name, m := range s.ep {
+		out.Endpoints[name] = sloRow(m)
 	}
 	for name, sh := range s.shards {
-		if sh.ep == nil {
-			continue
-		}
 		rows := make(map[string]endpointSLO, len(sh.ep))
 		for ep, m := range sh.ep {
 			rows[ep] = sloRow(m)
-		}
-		if out.Tenants == nil {
-			out.Tenants = make(map[string]map[string]endpointSLO, len(s.shards))
 		}
 		out.Tenants[name] = rows
 	}

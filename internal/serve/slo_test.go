@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mpa/internal/obs"
-	"mpa/internal/serve"
 )
 
 // sloBody mirrors the GET /debug/slo response shape.
@@ -112,7 +111,7 @@ func TestSLOSummaryEndToEnd(t *testing.T) {
 // /v1/stream connection raises serve.streams_open but never appears in
 // any request-latency histogram, no matter how long it stays attached.
 func TestStreamsExcludedFromLatency(t *testing.T) {
-	s := serve.New(testFramework(t), serve.Config{})
+	s := testServer(t)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -120,8 +119,9 @@ func TestStreamsExcludedFromLatency(t *testing.T) {
 		var total int64
 		for _, name := range []string{"rank", "causal", "predict", "network", "report", "manifest", "ingest"} {
 			total += obs.GetLogHistogram("serve.latency_ns." + name).Count()
+			total += obs.GetLogHistogram("serve.tenant." + testOrg + ".latency_ns." + name).Count()
 		}
-		return total + obs.GetHistogram("serve.latency_ms").Snapshot().Count
+		return total
 	}
 	gauge := obs.GetGauge("serve.streams_open")
 	openBefore := gauge.Value()

@@ -4,8 +4,8 @@ package serve_test
 // header), cross-org fleet aggregates pinned byte-identical to the
 // offline merge of per-org results, tenant isolation across ingest
 // (exact warm-cache hit/miss deltas), the tenant-labeled flight
-// recorder and /debug/slo, and the 413 regression for oversized ingest
-// bodies.
+// recorder and /debug/slo, the single-org daemon as a registry of one,
+// and the 413 regression for oversized ingest bodies.
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -454,7 +455,7 @@ func TestConcurrentCrossTenantQueries(t *testing.T) {
 // update body over the limit must be a 413, not a 400, while malformed
 // small bodies stay 400s.
 func TestIngestOversizedBodyIs413(t *testing.T) {
-	s := serve.New(testFramework(t), serve.Config{MaxIngestBytes: 1 << 10})
+	s := oneOrgServer(t, testFramework(t), serve.Config{MaxIngestBytes: 1 << 10})
 
 	big := `{"month":"2014-07","snapshots":[{"device":"d","text":"` +
 		strings.Repeat("x", 4<<10) + `"}]}`
@@ -466,5 +467,90 @@ func TestIngestOversizedBodyIs413(t *testing.T) {
 	code, _ = raw(t, s, http.MethodPost, "/v1/ingest", nil, strings.NewReader("{not json"))
 	if code != http.StatusBadRequest {
 		t.Errorf("malformed ingest body: status %d, want 400", code)
+	}
+}
+
+// TestOneOrgDaemon pins the single-org daemon as a registry of one: an
+// org-less query answers byte-for-byte as the org-scoped one, /healthz
+// names the org, the fleet ranking orders the metrics as the org's own
+// ranking does (MI ties broken by name), and every request lands in the per-tenant series and the
+// flight recorder's tenant column.
+func TestOneOrgDaemon(t *testing.T) {
+	rec := obs.NewRecorder(obs.RecorderConfig{})
+	s := oneOrgServer(t, testFramework(t), serve.Config{Recorder: rec})
+	tenantRank := obs.GetLogHistogram("serve.tenant." + testOrg + ".latency_ns.rank")
+	tenantOK := obs.GetCounter("serve.tenant." + testOrg + ".status.rank.2xx")
+	rankBefore, okBefore := tenantRank.Count(), tenantOK.Value()
+
+	codeBare, bare := raw(t, s, http.MethodGet, "/v1/rank",
+		map[string]string{"X-Request-ID": "one-org-rank"}, nil)
+	codeOrg, scoped := raw(t, s, http.MethodGet, "/v1/orgs/"+testOrg+"/rank", nil, nil)
+	if codeBare != http.StatusOK || codeOrg != http.StatusOK {
+		t.Fatalf("statuses %d (org-less) / %d (org path), want 200/200", codeBare, codeOrg)
+	}
+	if !bytes.Equal(bare, scoped) {
+		t.Error("org-less /v1/rank differs from /v1/orgs/" + testOrg + "/rank")
+	}
+
+	var hz struct {
+		Status string `json:"status"`
+		Org    string `json:"org"`
+	}
+	code, body := raw(t, s, http.MethodGet, "/healthz", nil, nil)
+	if code != http.StatusOK {
+		t.Fatalf("/healthz: %d (%s)", code, body)
+	}
+	if err := json.Unmarshal(body, &hz); err != nil {
+		t.Fatal(err)
+	}
+	if hz.Status != "ok" || hz.Org != testOrg {
+		t.Errorf("/healthz = %+v, want ok naming org %s", hz, testOrg)
+	}
+
+	var rank []struct {
+		Metric string  `json:"metric"`
+		MI     float64 `json:"mi_bits"`
+	}
+	if err := json.Unmarshal(bare, &rank); err != nil {
+		t.Fatal(err)
+	}
+	// /v1/rank keeps equal-MI practices in catalogue order; the fleet
+	// merge breaks MI ties by metric name.
+	sort.SliceStable(rank, func(i, j int) bool {
+		return rank[i].MI > rank[j].MI || rank[i].MI == rank[j].MI && rank[i].Metric < rank[j].Metric
+	})
+	var fleet struct {
+		Entries []struct {
+			Metric string `json:"metric"`
+		} `json:"entries"`
+	}
+	code, body = raw(t, s, http.MethodGet, "/v1/fleet/rank", nil, nil)
+	if code != http.StatusOK {
+		t.Fatalf("/v1/fleet/rank: %d (%s)", code, body)
+	}
+	if err := json.Unmarshal(body, &fleet); err != nil {
+		t.Fatal(err)
+	}
+	if len(fleet.Entries) != len(rank) {
+		t.Fatalf("fleet ranks %d metrics, /v1/rank %d", len(fleet.Entries), len(rank))
+	}
+	for i := range rank {
+		if fleet.Entries[i].Metric != rank[i].Metric {
+			t.Errorf("rank %d: fleet has %s, /v1/rank has %s", i+1, fleet.Entries[i].Metric, rank[i].Metric)
+		}
+	}
+
+	if d := tenantRank.Count() - rankBefore; d != 2 {
+		t.Errorf("per-tenant rank latency series grew by %d, want 2", d)
+	}
+	if d := tenantOK.Value() - okBefore; d != 2 {
+		t.Errorf("per-tenant rank 2xx counter grew by %d, want 2", d)
+	}
+	sum, ok := rec.Get("one-org-rank")
+	if !ok {
+		t.Fatal("org-less request missing from the flight recorder")
+	}
+	if sum.Tenant != testOrg {
+		t.Errorf("recorder tenant = %q, want %s", sum.Tenant, testOrg)
 	}
 }

@@ -4,7 +4,8 @@
 # exercise the flight recorder (request-ID round-trip, /debug/requests,
 # a per-request Chrome trace), stream one month of new data through the
 # ingest path (SSE subscriber + `mpa nextmonth` + POST /v1/ingest), and
-# assert a clean graceful shutdown on SIGINT. A second phase starts a
+# assert a clean graceful shutdown on SIGINT. The single org is served
+# as a registry of one named "default". A second phase starts a
 # 2-org sharded daemon (`serve -orgs`) and checks tenant routing by
 # path and header, cross-tenant 404s, fleet aggregates, and per-tenant
 # metric series.
@@ -58,6 +59,7 @@ curl -fsS "http://127.0.0.1:$PORT/metrics" >/tmp/metrics.txt
 for series in \
     'mpa_serve_latency_ns_rank_bucket{le=' \
     'mpa_serve_latency_ns_rank_count ' \
+    'mpa_serve_tenant_default_latency_ns_rank_count ' \
     'mpa_serve_status_rank_2xx_total ' \
     'mpa_serve_streams_open '; do
     grep -qF "$series" /tmp/metrics.txt || {
@@ -72,6 +74,15 @@ grep -q '"rank"' /tmp/slo.json && grep -q '"p99"' /tmp/slo.json || {
     exit 1
 }
 echo "serve-smoke: per-endpoint metrics and /debug/slo ok"
+
+# A single-org daemon is a registry of one: the fleet aggregates are
+# mounted too.
+CODE="$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$PORT/v1/fleet/rank")"
+[ "$CODE" = 200 ] || {
+    echo "serve-smoke: single-org /v1/fleet/rank returned $CODE, want 200" >&2
+    exit 1
+}
+echo "serve-smoke: single-org /v1/fleet/rank ok"
 
 # Flight recorder: a client-supplied X-Request-ID must round-trip back.
 REQ_ID="smoke-$$"
