@@ -8,9 +8,10 @@ package mpa
 // only for the network-months whose inputs changed, the analysis map and
 // dataset are re-assembled around the spliced rows, and the new
 // environment is swapped in atomically. Queries racing an ingest read
-// either the old or the new state, never a mix; the query memo layer is
-// invalidated generationally (query.go) so untouched networks' entries
-// stay warm.
+// either the old or the new state, never a mix. The new environment
+// carries bumped generations (the global one and the touched networks'),
+// which the query memo keys embed (query.go), so untouched networks'
+// entries stay warm.
 //
 // The correctness bar is byte-identity, not freshness: ingesting months
 // 1..k one at a time must leave the framework in exactly the state a
@@ -183,7 +184,7 @@ func (f *Framework) Ingest(u *IngestUpdate) (*IngestResult, error) {
 	o.Params = params
 	o.Archive = arch
 	o.Tickets = tickets
-	env2 := env.Evolve(params, &o, analysis, data)
+	env2 := env.Evolve(params, &o, analysis, data, comp.Networks)
 
 	f.env.Store(env2)
 	if newMonth {
@@ -191,7 +192,6 @@ func (f *Framework) Ingest(u *IngestUpdate) (*IngestResult, error) {
 		f.cfg.End = comp.Month
 		f.cfgMu.Unlock()
 	}
-	f.invalidateQueries(comp.Networks)
 	ssp.End()
 
 	res := &IngestResult{
@@ -277,7 +277,7 @@ func (f *Framework) publishIngest(env *experiments.Env, res *IngestResult) {
 		Month string               `json:"month"`
 		Rank  []PracticeDependence `json:"rank"`
 	}
-	if b, err := json.Marshal(rankEvent{Month: res.MonthName, Rank: f.RankPracticesCached()}); err == nil {
+	if b, err := json.Marshal(rankEvent{Month: res.MonthName, Rank: f.rankPractices(env)}); err == nil {
 		evs = append(evs, IngestEvent{Type: "rank", Data: b})
 	}
 	f.hub.Publish(evs...)

@@ -33,6 +33,16 @@ type Env struct {
 	// experiment run adds its own child. Nil on hand-assembled Envs —
 	// all instrumentation degrades to no-ops.
 	Obs *obs.Span
+	// Gen counts the ingests applied to reach this snapshot, and NetGen
+	// the ingests that touched each network (absent = 0). Query memo keys
+	// embed them, so a key and the inputs it names always come from the
+	// same Env. NetGen is copy-on-write: Evolve never mutates the parent's.
+	Gen    uint64
+	NetGen map[string]uint64
+
+	// cases indexes Data by network and month; built on first Case.
+	casesOnce sync.Once
+	cases     map[string]map[months.Month]*dataset.Case
 
 	// digests records the SHA-256 of every report produced through Run,
 	// keyed by experiment ID, for the run manifest. Run executes
@@ -103,14 +113,22 @@ func NewEnvCached(p osp.Params, cc cache.Config) (*Env, error) {
 
 // Evolve returns a new Env holding the given (spliced) data while
 // carrying over e's observability root and the report digests recorded
-// so far. The incremental ingest path builds each post-update state as a
-// fresh Env and swaps it in atomically, so in-flight experiment runs
-// keep reading a consistent snapshot; the shared root span means
-// pipeline stats keep accruing in one tree across updates. The digest
-// map is copied, never shared — re-run experiments on the evolved Env
-// overwrite their entries without racing readers of the old one.
-func (e *Env) Evolve(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAnalysis, data *dataset.Dataset) *Env {
-	ne := &Env{Params: p, OSP: o, Analysis: analysis, Data: data, Obs: e.Obs}
+// so far, with Gen and the touched networks' NetGen bumped. The
+// incremental ingest path builds each post-update state as a fresh Env
+// and swaps it in atomically, so in-flight experiment runs keep reading
+// a consistent snapshot; the shared root span means pipeline stats keep
+// accruing in one tree across updates. The digest map is copied, never
+// shared — re-run experiments on the evolved Env overwrite their entries
+// without racing readers of the old one.
+func (e *Env) Evolve(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAnalysis, data *dataset.Dataset, touched []string) *Env {
+	ne := &Env{Params: p, OSP: o, Analysis: analysis, Data: data, Obs: e.Obs, Gen: e.Gen + 1,
+		NetGen: make(map[string]uint64, len(e.NetGen)+len(touched))}
+	for n, g := range e.NetGen {
+		ne.NetGen[n] = g
+	}
+	for _, n := range touched {
+		ne.NetGen[n]++
+	}
 	e.digestMu.Lock()
 	defer e.digestMu.Unlock()
 	if len(e.digests) > 0 {
@@ -124,6 +142,27 @@ func (e *Env) Evolve(p osp.Params, o *osp.OSP, analysis map[string][]practices.M
 
 // Window returns the study months.
 func (e *Env) Window() []months.Month { return e.Params.Months() }
+
+// Case returns the dataset's observation for one network-month, or false
+// when the network or month is not in the dataset. The lookup index is
+// built once per Env, on first use.
+func (e *Env) Case(network string, m months.Month) (*dataset.Case, bool) {
+	e.casesOnce.Do(func() {
+		e.cases = make(map[string]map[months.Month]*dataset.Case, len(e.Analysis))
+		perNetwork := len(e.Window())
+		for i := range e.Data.Cases {
+			c := &e.Data.Cases[i]
+			byMonth := e.cases[c.Network]
+			if byMonth == nil {
+				byMonth = make(map[months.Month]*dataset.Case, perNetwork)
+				e.cases[c.Network] = byMonth
+			}
+			byMonth[c.Month] = c
+		}
+	})
+	c, ok := e.cases[network][m]
+	return c, ok
+}
 
 // Report is one experiment's output.
 type Report struct {

@@ -556,7 +556,7 @@ type rankEntry struct {
 func (s *Server) handleRank(sh *shard, w http.ResponseWriter, r *http.Request) {
 	sp := obs.SpanFrom(r.Context())
 	c := sp.Start("rank_practices")
-	ranked := sh.f.RankPracticesCached()
+	ranked := sh.f.RankPractices()
 	c.End()
 	out := make([]rankEntry, len(ranked))
 	for i, e := range ranked {
@@ -605,7 +605,7 @@ func (s *Server) handleCausal(sh *shard, w http.ResponseWriter, r *http.Request)
 	}
 	sp := obs.SpanFrom(r.Context())
 	c := sp.Start("causal_analysis")
-	res, err := sh.f.AnalyzeCausalCached(metric)
+	res, err := sh.f.AnalyzeCausal(metric)
 	c.End()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "causal analysis failed: %v", err)
@@ -669,21 +669,9 @@ func (s *Server) handlePredict(sh *shard, w http.ResponseWriter, r *http.Request
 	sp := obs.SpanFrom(r.Context())
 	c := sp.Start("predict")
 	pred, err := sh.f.PredictNetworkMonth(network, month)
-	if err != nil {
-		c.End()
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	m2, err := sh.f.HealthModelCached(mpa.TwoClass)
-	if err != nil {
-		c.End()
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	m5, err := sh.f.HealthModelCached(mpa.FiveClass)
 	c.End()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	enc := sp.Start("encode")
@@ -698,8 +686,8 @@ func (s *Server) handlePredict(sh *shard, w http.ResponseWriter, r *http.Request
 		Predicted5Name: pred.Predicted5Name,
 		Actual2:        pred.Actual2,
 		Actual5:        pred.Actual5,
-		Accuracy2:      m2.Quality().Accuracy,
-		Accuracy5:      m5.Quality().Accuracy,
+		Accuracy2:      pred.Accuracy2,
+		Accuracy5:      pred.Accuracy5,
 	})
 }
 
@@ -717,7 +705,7 @@ func (s *Server) handleReport(sh *shard, w http.ResponseWriter, r *http.Request)
 	name := r.PathValue("name")
 	sp := obs.SpanFrom(r.Context())
 	c := sp.Start("experiment")
-	rep, ok := sh.f.ExperimentCached(name)
+	rep, ok := sh.f.Experiment(name)
 	c.End()
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown experiment %q (GET /v1/manifest lists the known ids after they run; see mpa.ExperimentIDs)", name)

@@ -14,7 +14,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -507,18 +506,14 @@ func TestOneOrgDaemon(t *testing.T) {
 		t.Errorf("/healthz = %+v, want ok naming org %s", hz, testOrg)
 	}
 
+	// Both rankings keep equal-MI practices in catalogue order, so a
+	// one-org fleet ranks exactly like its org.
 	var rank []struct {
-		Metric string  `json:"metric"`
-		MI     float64 `json:"mi_bits"`
+		Metric string `json:"metric"`
 	}
 	if err := json.Unmarshal(bare, &rank); err != nil {
 		t.Fatal(err)
 	}
-	// /v1/rank keeps equal-MI practices in catalogue order; the fleet
-	// merge breaks MI ties by metric name.
-	sort.SliceStable(rank, func(i, j int) bool {
-		return rank[i].MI > rank[j].MI || rank[i].MI == rank[j].MI && rank[i].Metric < rank[j].Metric
-	})
 	var fleet struct {
 		Entries []struct {
 			Metric string `json:"metric"`

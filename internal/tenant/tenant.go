@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -271,7 +272,7 @@ func RankPartialOf(o *Org) RankPartial {
 	return RankPartial{
 		Org:   o.Name,
 		Cases: o.F.Dataset().Len(),
-		Rank:  o.F.RankPracticesCached(),
+		Rank:  o.F.RankPractices(),
 	}
 }
 
@@ -295,12 +296,23 @@ type FleetRank struct {
 	Entries []FleetRankEntry `json:"entries"`
 }
 
+// catalogueIndex is metric's position in mpa.MetricNames, or one past
+// the end for a metric the catalogue does not name.
+func catalogueIndex(metric string) int {
+	if i := slices.Index(mpa.MetricNames, metric); i >= 0 {
+		return i
+	}
+	return len(mpa.MetricNames)
+}
+
 // MergeRank reduces per-org ranking partials into the fleet ranking:
 // for every practice, the case-weighted mean MI across the orgs that
-// report it, ordered by decreasing MI with ties broken by metric name.
-// The reduction is a pure function of the partials — merging the same
-// per-org results offline reproduces the fleet endpoint byte-for-byte —
-// and is insensitive to partial order.
+// report it, ordered by decreasing MI. Ties keep catalogue order, as
+// Framework.RankPractices does, so a one-org fleet ranks exactly like
+// its org; metrics outside the catalogue go last, by name. The reduction
+// is a pure function of the partials — merging the same per-org results
+// offline reproduces the fleet endpoint byte-for-byte — and is
+// insensitive to partial order.
 func MergeRank(parts []RankPartial) (*FleetRank, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("tenant: no rank partials to merge")
@@ -344,10 +356,14 @@ func MergeRank(parts []RankPartial) (*FleetRank, error) {
 		})
 	}
 	sort.Slice(out.Entries, func(i, j int) bool {
-		if out.Entries[i].MI != out.Entries[j].MI {
-			return out.Entries[i].MI > out.Entries[j].MI
+		a, b := out.Entries[i], out.Entries[j]
+		if a.MI != b.MI {
+			return a.MI > b.MI
 		}
-		return out.Entries[i].Metric < out.Entries[j].Metric
+		if ca, cb := catalogueIndex(a.Metric), catalogueIndex(b.Metric); ca != cb {
+			return ca < cb
+		}
+		return a.Metric < b.Metric
 	})
 	for i := range out.Entries {
 		out.Entries[i].Rank = i + 1

@@ -304,40 +304,6 @@ func (f *Framework) Tickets() *TicketLog { return f.environment().OSP.Tickets }
 // Window returns the study months.
 func (f *Framework) Window() []Month { return f.environment().Window() }
 
-// PracticeDependence is one practice's statistical dependence with
-// network health.
-type PracticeDependence struct {
-	Metric string
-	// MI is the average monthly mutual information with health, in bits.
-	MI float64
-}
-
-// RankPractices returns every practice ordered by decreasing statistical
-// dependence with network health (paper Table 3 generalized to all 28).
-func (f *Framework) RankPractices() []PracticeDependence {
-	entries := experiments.MIRanking(f.environment())
-	out := make([]PracticeDependence, len(entries))
-	for i, e := range entries {
-		out[i] = PracticeDependence{Metric: e.Metric, MI: e.MI}
-	}
-	return out
-}
-
-// AnalyzeCausal runs the paper's matched-design quasi-experiment for one
-// treatment practice, controlling for the remaining 27 practice metrics.
-func (f *Framework) AnalyzeCausal(metric string) (*CausalResult, error) {
-	env := f.environment()
-	cfg := qed.DefaultConfig(practices.MetricNames)
-	cfg.Obs = env.Obs
-	return qed.Run(env.Data, metric, cfg)
-}
-
-// Experiment runs one of the paper's tables/figures by ID (see
-// ExperimentIDs) and reports whether the ID was known.
-func (f *Framework) Experiment(id string) (Report, bool) {
-	return experiments.Run(f.environment(), id)
-}
-
 // ExperimentResult pairs an experiment ID with its outcome; OK is false
 // for unknown IDs.
 type ExperimentResult = experiments.RunResult

@@ -91,6 +91,15 @@ func TestAnalyzeCausalAPI(t *testing.T) {
 	if res.Treatment != "no_change_events" || len(res.Points) != 4 {
 		t.Fatalf("result = %+v", res)
 	}
+	// An unknown practice errors before the memo is consulted: qed.Run
+	// would bin the absent metric as all zeros and report empty points.
+	before := testFramework.QueryCacheStats()
+	if res, err := testFramework.AnalyzeCausal("bogus"); err == nil {
+		t.Fatalf("unknown practice analyzed: %+v", res)
+	}
+	if after := testFramework.QueryCacheStats(); after != before {
+		t.Errorf("unknown practice touched the memo: %+v -> %+v", before, after)
+	}
 }
 
 func TestTrainHealthModel(t *testing.T) {

@@ -90,12 +90,6 @@ func (m *HealthModel) PredictClassName(metrics Metrics) string {
 	return m.granularity.ClassNames()[m.Predict(metrics)]
 }
 
-// TrainHealthModel trains a health model on the framework's full dataset
-// with the paper's best options for the granularity.
-func (f *Framework) TrainHealthModel(g Granularity) (*HealthModel, error) {
-	return f.TrainHealthModelOn(f.environment().Data, g, BestOptions(g))
-}
-
 // TrainHealthModelOn trains a health model on an explicit dataset slice
 // (e.g. a FilterMonths window for online prediction) with the given
 // options.

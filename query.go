@@ -2,56 +2,48 @@ package mpa
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"mpa/internal/cache"
 	"mpa/internal/dataset"
 	"mpa/internal/experiments"
 	"mpa/internal/practices"
+	"mpa/internal/qed"
 )
 
-// This file is the framework's warm query layer: memoized variants of the
-// analysis entry points, built for long-lived processes (`mpa serve`) that
-// answer the same questions repeatedly over one loaded organization. The
-// memo is an internal/cache stage named "query", so hits and misses are
-// observable next to the pipeline caches ("cache.query.*" in /metrics,
-// /debug/vars, and run manifests). Inference never re-runs for a warm
-// query: the framework's Analysis and Dataset are computed once at
-// construction, and the derived results (MI ranking, causal analyses,
-// trained models, experiment reports) are computed once per distinct
-// query and served from memory afterwards.
-
-// queryState holds the framework's memoized query results.
+// This file is the framework's query API: the paper's operator workflow
+// — rank practices by mutual information (§5.1), run matched
+// quasi-experiments (§5.2), train health models (§6), render experiment
+// reports — plus the per-network health and prediction lookups behind
+// `mpa serve`. Every query is memoized: the first call computes, later
+// calls over the same data return the stored result (shared, so treat it
+// as read-only), and a long-lived process never re-runs inference or an
+// analysis for a repeated question. The memo is an internal/cache stage
+// named "query", so hits and misses are observable next to the pipeline
+// caches ("cache.query.*" in /metrics, /debug/vars, and run manifests).
 //
-// Invalidation is generational, not delete-based: every memo key embeds
-// a generation counter, and an applied ingest bumps the counters whose
-// inputs changed — the global one for whole-organization queries
-// (ranking, causal analyses, models, experiment reports all read every
-// network) and the per-network one for exactly the touched networks.
-// Old entries become unreachable and age out of the LRU; entries for
-// untouched networks keep their keys and stay warm. The precision of
-// this scheme — untouched networks hit, touched networks miss — is
-// pinned by TestIngestCacheInvalidationPrecision.
+// Each query loads the environment snapshot once and derives both its
+// memo key and its inputs from that one Env. Keys embed the snapshot's
+// generation: Env.Gen for whole-organization queries (ranking, causal
+// analyses, models, and reports read every network), Env.NetGen[network]
+// for per-network ones. An applied ingest evolves the Env, bumping Gen
+// and exactly the touched networks' NetGen, so old entries become
+// unreachable and age out of the LRU while untouched networks keep their
+// keys and stay warm (pinned by TestIngestCacheInvalidationPrecision).
+// Since the generation travels with the data it counts, a key can never
+// name data it was not computed from.
+
+// queryState holds the framework's query memo.
 type queryState struct {
 	mu    sync.Mutex
 	cache *cache.Cache
-	// gen is the global query generation; netGen the per-network ones.
-	// Missing netGen entries are generation 0.
-	gen    uint64
-	netGen map[string]uint64
-	// cases indexes the dataset by network and month for O(1) predict
-	// lookups; built on first use and rebuilt when the environment it
-	// was built from is swapped out by an ingest.
-	cases    map[string]map[Month]*dataset.Case
-	casesEnv *experiments.Env
 }
 
-// queryKey builds a memo key for a whole-organization query, embedding
-// the global generation.
-func (f *Framework) queryKey(parts ...string) cache.Key {
-	f.queries.mu.Lock()
-	gen := f.queries.gen
-	f.queries.mu.Unlock()
+// queryKey builds a memo key from a generation and the query's parts.
+// Per-network queries pass the network's generation and the network name
+// as their first part.
+func queryKey(gen uint64, parts ...string) cache.Key {
 	h := cache.NewHasher("query/v1")
 	h.Int(int64(gen))
 	for _, p := range parts {
@@ -60,40 +52,9 @@ func (f *Framework) queryKey(parts ...string) cache.Key {
 	return h.Sum()
 }
 
-// netQueryKey builds a memo key for one network's query, embedding that
-// network's generation: an ingest touching other networks leaves this
-// key — and its cached entry — intact.
-func (f *Framework) netQueryKey(network string, parts ...string) cache.Key {
-	f.queries.mu.Lock()
-	gen := f.queries.netGen[network]
-	f.queries.mu.Unlock()
-	h := cache.NewHasher("query/v1")
-	h.Int(int64(gen)).String(network)
-	for _, p := range parts {
-		h.String(p)
-	}
-	return h.Sum()
-}
-
-// invalidateQueries is called after an ingest swaps the environment:
-// whole-organization memos are invalidated unconditionally (every global
-// result reads every network), per-network memos only for the touched
-// networks.
-func (f *Framework) invalidateQueries(networks []string) {
-	f.queries.mu.Lock()
-	defer f.queries.mu.Unlock()
-	f.queries.gen++
-	if f.queries.netGen == nil {
-		f.queries.netGen = make(map[string]uint64, len(networks))
-	}
-	for _, n := range networks {
-		f.queries.netGen[n]++
-	}
-}
-
-// QueryCacheStats returns a snapshot of the warm query layer's memo
-// activity (hits, misses, entries); the invalidation-precision tests
-// assert on deltas of these counts around an ingest.
+// QueryCacheStats returns a snapshot of the query memo's activity (hits,
+// misses, entries); the invalidation-precision tests assert on deltas of
+// these counts around an ingest.
 func (f *Framework) QueryCacheStats() CacheStats {
 	return f.queryCache().Stats()
 }
@@ -120,119 +81,109 @@ func (f *Framework) queryCache() *cache.Cache {
 // queries compute once; errors are returned without being cached. compute
 // must not recurse into another memoized query (the lock is not
 // reentrant).
-func (f *Framework) memoized(k cache.Key, compute func() (any, error)) (any, error) {
+func memoized[T any](f *Framework, k cache.Key, compute func() (T, error)) (T, error) {
 	c := f.queryCache()
 	if v, ok := c.Get(k); ok {
-		return v, nil
+		return v.(T), nil
 	}
 	f.queries.mu.Lock()
 	defer f.queries.mu.Unlock()
 	if v, ok := c.Get(k); ok {
-		return v, nil
+		return v.(T), nil
 	}
 	v, err := compute()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
 	c.Put(k, v)
 	return v, nil
 }
 
-// RankPracticesCached is RankPractices memoized: the first call computes
-// the MI ranking, later calls return the stored slice (treat it as
-// read-only). No pipeline stage re-runs on a warm call.
-func (f *Framework) RankPracticesCached() []PracticeDependence {
-	v, _ := f.memoized(f.queryKey("rank"), func() (any, error) {
-		return f.RankPractices(), nil
-	})
-	return v.([]PracticeDependence)
+// PracticeDependence is one practice's statistical dependence with
+// network health.
+type PracticeDependence struct {
+	Metric string
+	// MI is the average monthly mutual information with health, in bits.
+	MI float64
 }
+
+// RankPractices returns every practice ordered by decreasing statistical
+// dependence with network health (paper Table 3 generalized to all 28),
+// equal-MI practices in catalogue order.
+func (f *Framework) RankPractices() []PracticeDependence {
+	return f.rankPractices(f.environment())
+}
+
+// rankPractices is RankPractices over one snapshot.
+func (f *Framework) rankPractices(env *experiments.Env) []PracticeDependence {
+	out, _ := memoized(f, queryKey(env.Gen, "rank"), func() ([]PracticeDependence, error) {
+		entries := experiments.MIRanking(env)
+		out := make([]PracticeDependence, len(entries))
+		for i, e := range entries {
+			out[i] = PracticeDependence{Metric: e.Metric, MI: e.MI}
+		}
+		return out, nil
+	})
+	return out
+}
+
+// RankPracticesCached is RankPractices.
+//
+// Deprecated: RankPractices is memoized; call it instead.
+func (f *Framework) RankPracticesCached() []PracticeDependence { return f.RankPractices() }
 
 // KnownMetric reports whether metric is one of the 28 practice metrics.
-func KnownMetric(metric string) bool {
-	for _, m := range practices.MetricNames {
-		if m == metric {
-			return true
-		}
-	}
-	return false
-}
+func KnownMetric(metric string) bool { return slices.Contains(practices.MetricNames, metric) }
 
-// AnalyzeCausalCached is AnalyzeCausal memoized per treatment metric.
-// Unknown metrics error without touching the cache.
-func (f *Framework) AnalyzeCausalCached(metric string) (*CausalResult, error) {
+// AnalyzeCausal runs the paper's matched-design quasi-experiment for one
+// treatment practice, controlling for the remaining 27 practice metrics.
+// Unknown metrics error without touching the memo.
+func (f *Framework) AnalyzeCausal(metric string) (*CausalResult, error) {
 	if !KnownMetric(metric) {
 		return nil, fmt.Errorf("mpa: unknown practice metric %q", metric)
 	}
-	v, err := f.memoized(f.queryKey("causal", metric), func() (any, error) {
-		return f.AnalyzeCausal(metric)
+	env := f.environment()
+	return memoized(f, queryKey(env.Gen, "causal", metric), func() (*CausalResult, error) {
+		cfg := qed.DefaultConfig(practices.MetricNames)
+		cfg.Obs = env.Obs
+		return qed.Run(env.Data, metric, cfg)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*CausalResult), nil
 }
 
-// HealthModelCached is TrainHealthModel memoized per granularity: the
-// first call trains (one "train_model" stage), later calls return the
-// same warm model.
-func (f *Framework) HealthModelCached(g Granularity) (*HealthModel, error) {
-	v, err := f.memoized(f.queryKey("model", fmt.Sprint(int(g))), func() (any, error) {
-		return f.TrainHealthModel(g)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*HealthModel), nil
+// TrainHealthModel trains a health model on the framework's full dataset
+// with the paper's best options for the granularity: the first call per
+// granularity trains (one "train_model" stage), later calls return the
+// same model.
+func (f *Framework) TrainHealthModel(g Granularity) (*HealthModel, error) {
+	return f.healthModel(f.environment(), g)
 }
 
-// ExperimentCached is Experiment memoized per experiment ID; ok is false
-// for unknown IDs, which are never cached.
-func (f *Framework) ExperimentCached(id string) (Report, bool) {
-	known := false
-	for _, eid := range ExperimentIDs() {
-		if eid == id {
-			known = true
-			break
-		}
-	}
-	if !known {
+// healthModel is TrainHealthModel over one snapshot.
+func (f *Framework) healthModel(env *experiments.Env, g Granularity) (*HealthModel, error) {
+	return memoized(f, queryKey(env.Gen, "model", fmt.Sprint(int(g))), func() (*HealthModel, error) {
+		return f.TrainHealthModelOn(env.Data, g, BestOptions(g))
+	})
+}
+
+// Experiment runs one of the paper's tables/figures by ID (see
+// ExperimentIDs) and reports whether the ID was known. Unknown IDs are
+// never memoized.
+func (f *Framework) Experiment(id string) (Report, bool) {
+	if !slices.Contains(ExperimentIDs(), id) {
 		return Report{}, false
 	}
-	v, _ := f.memoized(f.queryKey("experiment", id), func() (any, error) {
-		r, _ := f.Experiment(id)
+	env := f.environment()
+	r, _ := memoized(f, queryKey(env.Gen, "experiment", id), func() (Report, error) {
+		r, _ := experiments.Run(env, id)
 		return r, nil
 	})
-	return v.(Report), true
+	return r, true
 }
 
 // Case returns the dataset's observation for one network-month, or false
-// when the network or month is not in the dataset. The lookup index is
-// built on first use and rebuilt after an ingest swaps the environment
-// (the index remembers which environment it indexed — a cheap
-// self-invalidation that needs no coordination with the ingest path).
+// when the network or month is not in the dataset.
 func (f *Framework) Case(network string, m Month) (*Case, bool) {
-	env := f.environment()
-	f.queries.mu.Lock()
-	if f.queries.cases == nil || f.queries.casesEnv != env {
-		d := env.Data
-		idx := make(map[string]map[Month]*dataset.Case, len(d.Networks()))
-		for i := range d.Cases {
-			c := &d.Cases[i]
-			byMonth := idx[c.Network]
-			if byMonth == nil {
-				byMonth = make(map[Month]*dataset.Case, len(env.Window()))
-				idx[c.Network] = byMonth
-			}
-			byMonth[c.Month] = c
-		}
-		f.queries.cases = idx
-		f.queries.casesEnv = env
-	}
-	byMonth := f.queries.cases[network]
-	f.queries.mu.Unlock()
-	c, ok := byMonth[m]
-	return c, ok
+	return f.environment().Case(network, m)
 }
 
 // NetworkHealth is one network-month's health summary: the observed
@@ -278,19 +229,15 @@ func networkHealth(env *experiments.Env, network string, m Month) (*NetworkHealt
 }
 
 // NetworkHealthCached returns one network-month's health summary,
-// memoized under the network's own cache generation: an ingest touching
-// other networks leaves this network's entries warm, while an ingest
-// touching this one invalidates exactly them. Errors (unknown network or
-// month) are never cached.
+// memoized under the network's own generation: an ingest touching other
+// networks leaves this network's entries warm, while an ingest touching
+// this one invalidates exactly them. Errors (unknown network or month)
+// are never cached.
 func (f *Framework) NetworkHealthCached(network string, m Month) (*NetworkHealth, error) {
 	env := f.environment()
-	v, err := f.memoized(f.netQueryKey(network, "health", m.String()), func() (any, error) {
+	return memoized(f, queryKey(env.NetGen[network], network, "health", m.String()), func() (*NetworkHealth, error) {
 		return networkHealth(env, network, m)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*NetworkHealth), nil
 }
 
 // NetworkPrediction is one network-month's health prediction at both
@@ -309,21 +256,26 @@ type NetworkPrediction struct {
 	// Actual2/Actual5 are the classes the observed tickets fall in.
 	Actual2 int
 	Actual5 int
+	// Accuracy2/Accuracy5 are the two models' cross-validated accuracies.
+	Accuracy2 float64
+	Accuracy5 float64
 }
 
 // PredictNetworkMonth predicts one network-month's health class from its
-// inferred practices, using the warm cached models (trained on first
-// use). It errors when the network-month is not in the dataset.
+// inferred practices, using the memoized models (trained on first use).
+// The case and both models come from one snapshot. It errors when the
+// network-month is not in the dataset.
 func (f *Framework) PredictNetworkMonth(network string, m Month) (*NetworkPrediction, error) {
-	c, ok := f.Case(network, m)
+	env := f.environment()
+	c, ok := env.Case(network, m)
 	if !ok {
 		return nil, fmt.Errorf("mpa: no case for network %q in %s", network, m)
 	}
-	m2, err := f.HealthModelCached(TwoClass)
+	m2, err := f.healthModel(env, TwoClass)
 	if err != nil {
 		return nil, err
 	}
-	m5, err := f.HealthModelCached(FiveClass)
+	m5, err := f.healthModel(env, FiveClass)
 	if err != nil {
 		return nil, err
 	}
@@ -339,5 +291,7 @@ func (f *Framework) PredictNetworkMonth(network string, m Month) (*NetworkPredic
 		Predicted5Name: FiveClass.ClassNames()[p5],
 		Actual2:        dataset.Class2(c.Tickets),
 		Actual5:        dataset.Class5(c.Tickets),
+		Accuracy2:      m2.Quality().Accuracy,
+		Accuracy5:      m5.Quality().Accuracy,
 	}, nil
 }

@@ -19,6 +19,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mpa/internal/ingest"
@@ -63,7 +66,7 @@ func digestsOf(t *testing.T, f *Framework, workers int) spliceDigests {
 		return fmt.Sprintf("%x", sha256.Sum256(b))
 	}
 	d.Dataset = jsonDigest(f.Dataset().Cases)
-	d.Rank = jsonDigest(f.RankPracticesCached())
+	d.Rank = jsonDigest(f.RankPractices())
 	return d
 }
 
@@ -215,7 +218,7 @@ func TestIngestRejectsLeaveStateUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	envBefore := f.environment()
-	rankBefore := f.RankPracticesCached()
+	rankBefore := f.RankPractices()
 	dev := o.Inventory.Networks[0].Devices[0].Name
 
 	bad := []*IngestUpdate{
@@ -240,7 +243,7 @@ func TestIngestRejectsLeaveStateUntouched(t *testing.T) {
 	}
 	// The memoized rank must still be served from the same generation.
 	stats := f.QueryCacheStats()
-	rankAfter := f.RankPracticesCached()
+	rankAfter := f.RankPractices()
 	if &rankBefore[0] != &rankAfter[0] {
 		t.Fatal("rejected update invalidated the warm rank memo")
 	}
@@ -273,7 +276,7 @@ func TestIngestCacheInvalidationPrecision(t *testing.T) {
 			t.Fatalf("warm %s: %v", n, err)
 		}
 	}
-	f.RankPracticesCached()
+	f.RankPractices()
 	base := f.QueryCacheStats()
 
 	// Re-query everything warm: all hits, no misses.
@@ -282,7 +285,7 @@ func TestIngestCacheInvalidationPrecision(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.RankPracticesCached()
+	f.RankPractices()
 	warm := f.QueryCacheStats()
 	if d := warm.MemHits - base.MemHits; d != int64(len(networks)+1) {
 		t.Fatalf("warm pass: %d hits, want %d", d, len(networks)+1)
@@ -347,8 +350,8 @@ func TestIngestCacheInvalidationPrecision(t *testing.T) {
 
 	// The global ranking memo was invalidated exactly once.
 	pre = f.QueryCacheStats()
-	f.RankPracticesCached()
-	f.RankPracticesCached()
+	f.RankPractices()
+	f.RankPractices()
 	post = f.QueryCacheStats()
 	if d := post.MemMisses - pre.MemMisses; d != 2 {
 		t.Errorf("rank after ingest: %d misses, want 2 (one cold rebuild)", d)
@@ -360,5 +363,142 @@ func TestIngestCacheInvalidationPrecision(t *testing.T) {
 	// Precision's backstop: no full inference re-ran for any of this.
 	if calls := f.StageCalls("inference"); calls != 1 {
 		t.Errorf("inference stage ran %d times, want 1", calls)
+	}
+}
+
+// TestQueriesNeverMixSnapshots races readers against month-by-month
+// ingests: every answer RankPractices, NetworkHealthCached, and
+// PredictNetworkMonth return must equal the answer a cold build over one
+// of the k+1 windows gives. A prediction whose case and two models came
+// from different snapshots, or a memo key naming one generation over
+// another's data, would match no window.
+func TestQueriesNeverMixSnapshots(t *testing.T) {
+	const extra = 2
+	cfg := SmallConfig(21)
+	cfg.Networks = 6
+	cfg.End = cfg.Start.Add(2)
+	ups, err := NextMonths(cfg, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cfg.params()
+	p.End = p.End.Add(extra)
+	o := osp.Generate(p)
+	var names []string
+	for _, nw := range o.Inventory.Networks {
+		names = append(names, nw.Name)
+	}
+
+	// answer runs one query and renders its result or error canonically.
+	type query struct {
+		kind, network string
+		m             Month
+	}
+	answer := func(f *Framework, q query) string {
+		var v any
+		var err error
+		switch q.kind {
+		case "rank":
+			v = f.RankPractices()
+		case "health":
+			v, err = f.NetworkHealthCached(q.network, q.m)
+		case "predict":
+			v, err = f.PredictNetworkMonth(q.network, q.m)
+		}
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Error(err)
+		}
+		return string(b)
+	}
+	queries := []query{{kind: "rank"}}
+	for _, n := range names {
+		for m := p.Start; !p.End.Before(m); m = m.Next() {
+			queries = append(queries, query{"health", n, m}, query{"predict", n, m})
+		}
+	}
+
+	// The offline truth: a cold build per window end.
+	allowed := make(map[query]map[string]bool, len(queries))
+	for _, q := range queries {
+		allowed[q] = map[string]bool{}
+	}
+	final := make(map[query]string, len(queries))
+	var live *Framework
+	for end := cfg.End; !p.End.Before(end); end = end.Next() {
+		arch, log := ingest.Truncate(o.Archive, o.Tickets, end)
+		f, err := NewCached(o.Inventory, arch, log, p.Start, end, CacheConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			final[q] = answer(f, q)
+			allowed[q][final[q]] = true
+		}
+		if live == nil {
+			live = f // the base window's build is the one that ingests
+		}
+	}
+
+	// Readers sweep the queries while the updates land one by one; the
+	// writer lets them make progress between updates.
+	var reads atomic.Int64
+	done := make(chan struct{})
+	type observation struct {
+		q   query
+		got string
+	}
+	const readers = 4
+	seen := make([][]observation, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				q := queries[i%len(queries)]
+				seen[r] = append(seen[r], observation{q, answer(live, q)})
+				reads.Add(1)
+			}
+		}(r)
+	}
+	var ingestErr error
+	for _, u := range ups {
+		for target := reads.Load() + 200; reads.Load() < target; {
+			runtime.Gosched()
+		}
+		if _, ingestErr = live.Ingest(u); ingestErr != nil {
+			break
+		}
+	}
+	for target := reads.Load() + 200; reads.Load() < target; {
+		runtime.Gosched()
+	}
+	close(done)
+	wg.Wait()
+	if ingestErr != nil {
+		t.Fatal(ingestErr)
+	}
+
+	for _, obs := range seen {
+		for _, ob := range obs {
+			if !allowed[ob.q][ob.got] {
+				t.Fatalf("%s %s %s: answer %s matches no window", ob.q.kind, ob.q.network, ob.q.m, ob.got)
+			}
+		}
+	}
+	// Once the updates have landed, no stale memo entry may answer.
+	for _, q := range queries {
+		if got := answer(live, q); got != final[q] {
+			t.Fatalf("%s %s %s after the last update: %s, want %s", q.kind, q.network, q.m, got, final[q])
+		}
 	}
 }
