@@ -124,12 +124,16 @@ func Figure8(env *Env) Report {
 		{"DT+OS", trainerDTOS(5)},
 		{"DT+AB+OS", trainerDTABOS(5)},
 	}
+	evals := make([]ml.Evaluation, len(variants))
+	for i, v := range variants {
+		evals[i] = ml.CrossValidate(X, y, 5, cvFolds, v.trainer, rng.New(env.Params.Seed+303))
+	}
 	numbers := map[string]float64{}
 	var b strings.Builder
 	for _, section := range []string{"Precision", "Recall"} {
 		tb := report.NewTable(append([]string{section}, dataset.Class5Names...)...)
-		for _, v := range variants {
-			ev := ml.CrossValidate(X, y, 5, cvFolds, v.trainer, rng.New(env.Params.Seed+303))
+		for i, v := range variants {
+			ev := evals[i]
 			cells := []string{v.name}
 			for c := 0; c < 5; c++ {
 				val := ev.Precision[c]

@@ -85,9 +85,10 @@ func TrainAdaBoost(X [][]int, y []int, classes int, cfg BoostConfig) Classifier 
 		w[i] = 1 / float64(n)
 	}
 	ens := &Ensemble{classes: classes}
+	set := binFeatures(X, y)
 	var lastTree *Tree
 	for round := 0; round < cfg.Rounds; round++ {
-		tree := TrainTree(X, y, w, classes, cfg.Tree)
+		tree := set.train(w, classes, cfg.Tree)
 		lastTree = tree
 		cfg.Obs.Count("boost_rounds", 1)
 		cfg.Obs.Count("tree_nodes", float64(tree.NodeCount()))

@@ -97,11 +97,11 @@ func TestCrossValidateTree(t *testing.T) {
 	}
 }
 
-// TestBoostedTreeDeterministic guards the sorted-key accumulation in
+// TestBoostedTreeDeterministic guards the fixed accumulation order in
 // bestSplit: boosting produces irrational sample weights whose sums are
-// sensitive to addition order, so if gain ratios were ever summed in map
-// iteration order again, near-tie splits would flip between these two
-// identically-seeded runs.
+// sensitive to addition order, so if gain ratios were ever summed in
+// anything but ascending bin order, near-tie splits could flip between
+// these two identically-seeded runs.
 func TestBoostedTreeDeterministic(t *testing.T) {
 	build := func() ([][]int, []int) {
 		r := rng.New(7)

@@ -9,6 +9,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -60,11 +61,63 @@ type Tree struct {
 // optional per-sample weights w (nil = uniform). classes is the number of
 // distinct labels. Training is deterministic.
 func TrainTree(X [][]int, y []int, w []float64, classes int, cfg TreeConfig) *Tree {
+	return binFeatures(X, y).train(w, classes, cfg)
+}
+
+// binnedSet is a training set with every feature remapped to dense bin
+// codes. It is read-only once built, so one set can train many trees:
+// AdaBoost remaps its inputs once for all its rounds.
+type binnedSet struct {
+	y []int
+	// codes[f][i] is the rank of X[i][f] among feature f's distinct
+	// values, and values[f][code] maps it back, so ascending code order
+	// is ascending value order.
+	codes  [][]int32
+	values [][]int
+	bins   int // the most distinct values of any feature
+}
+
+func binFeatures(X [][]int, y []int) *binnedSet {
 	if len(X) == 0 || len(X) != len(y) {
 		panic("ml: TrainTree with empty or mismatched data")
 	}
+	n, d := len(X), len(X[0])
+	s := &binnedSet{y: y, codes: make([][]int32, d), values: make([][]int, d)}
+	codes := make([]int32, n*d)
+	col := make([]int, n)
+	for f := 0; f < d; f++ {
+		for i, row := range X {
+			col[i] = row[f]
+		}
+		slices.Sort(col)
+		vals := slices.Clone(slices.Compact(col))
+		fc := codes[f*n : (f+1)*n]
+		for i, row := range X {
+			fc[i] = int32(sort.SearchInts(vals, row[f]))
+		}
+		s.codes[f], s.values[f] = fc, vals
+		s.bins = max(s.bins, len(vals))
+	}
+	return s
+}
+
+// train fits one tree to the set under sample weights w (nil = uniform).
+func (s *binnedSet) train(w []float64, classes int, cfg TreeConfig) *Tree {
+	tr := s.newTrainer(w, classes, cfg)
+	idx := make([]int, len(s.y))
+	for i := range idx {
+		idx[i] = i
+	}
+	t := &Tree{classes: classes, root: tr.build(idx, 0)}
+	obs.GetCounter("ml.tree_nodes").Add(int64(t.NodeCount()))
+	obs.GetCounter("ml.trees_trained").Add(1)
+	return t
+}
+
+func (s *binnedSet) newTrainer(w []float64, classes int, cfg TreeConfig) *trainer {
+	n := len(s.y)
 	if w == nil {
-		w = make([]float64, len(y))
+		w = make([]float64, n)
 		for i := range w {
 			w[i] = 1
 		}
@@ -73,59 +126,86 @@ func TrainTree(X [][]int, y []int, w []float64, classes int, cfg TreeConfig) *Tr
 	for _, wi := range w {
 		total += wi
 	}
-	idx := make([]int, len(y))
-	for i := range idx {
-		idx[i] = i
+	return &trainer{
+		binnedSet: s,
+		w:         w,
+		classes:   classes,
+		minWeight: cfg.MinLeafFrac * total,
+		maxDepth:  cfg.MaxDepth,
+		used:      make([]bool, len(s.codes)),
+		counts:    make([]float64, s.bins*classes),
+		binW:      make([]float64, s.bins),
+		binN:      make([]int, s.bins),
+		seen:      make([]bool, s.bins),
+		touched:   make([]int32, 0, s.bins),
+		classW:    make([]float64, classes),
+		tmp:       make([]int, n),
 	}
-	used := make([]bool, len(X[0]))
-	t := &Tree{classes: classes}
-	minWeight := cfg.MinLeafFrac * total
-	t.root = build(X, y, w, idx, used, classes, minWeight, cfg.MaxDepth, 0)
-	obs.GetCounter("ml.tree_nodes").Add(int64(t.NodeCount()))
-	obs.GetCounter("ml.trees_trained").Add(1)
-	return t
 }
 
-// build recursively constructs the tree over the samples in idx.
-func build(X [][]int, y []int, w []float64, idx []int, used []bool, classes int, minWeight float64, maxDepth, depth int) *treeNode {
-	majority, pure, weight := classStats(y, w, idx, classes)
-	if pure || weight < minWeight || (maxDepth > 0 && depth >= maxDepth) {
+// trainer is the state of one tree's training: the binned set, the
+// weights, and one scratch histogram reused by every node and feature.
+// It is never shared, so concurrent training calls (cross-validation
+// folds, forest trees) need no synchronization.
+type trainer struct {
+	*binnedSet
+	w         []float64
+	classes   int
+	minWeight float64
+	maxDepth  int
+	used      []bool
+
+	// Scratch. counts[b*classes+c] is the weight of class c in bin b and
+	// binW[b] the bin's total weight; seen marks the bins in touched, the
+	// bins present at the current node. partition counts samples per bin
+	// in binN and stages idx in tmp.
+	counts  []float64
+	binW    []float64
+	binN    []int
+	seen    []bool
+	touched []int32
+	classW  []float64
+	tmp     []int
+}
+
+// build recursively constructs the tree over the samples in idx. It
+// reorders idx in place: each child's samples end up contiguous, in
+// their original relative order.
+func (tr *trainer) build(idx []int, depth int) *treeNode {
+	majority, pure, weight := tr.classStats(idx)
+	if pure || weight < tr.minWeight || (tr.maxDepth > 0 && depth >= tr.maxDepth) {
 		return &treeNode{leaf: true, class: majority}
 	}
-	feature, groups, ok := bestSplit(X, y, w, idx, used, classes)
+	feature, _, ok := tr.bestSplit(idx, weight)
 	if !ok {
 		return &treeNode{leaf: true, class: majority}
 	}
-	node := &treeNode{feature: feature, children: map[int]*treeNode{}, fallback: majority}
-	used[feature] = true
-	// Deterministic child order.
-	vals := make([]int, 0, len(groups))
-	for v := range groups {
-		vals = append(vals, v)
-	}
-	sort.Ints(vals)
-	for _, v := range vals {
-		child := groups[v]
+	kids := tr.partition(idx, feature)
+	node := &treeNode{feature: feature, children: make(map[int]*treeNode, len(kids)), fallback: majority}
+	tr.used[feature] = true
+	for _, k := range kids {
+		child := idx[k.start:k.end]
 		// The paper's alpha-pruning: branches reached by too little data
 		// become majority leaves.
-		if groupWeight(w, child) < minWeight {
-			m, _, _ := classStats(y, w, child, classes)
-			node.children[v] = &treeNode{leaf: true, class: m}
+		if k.weight < tr.minWeight {
+			m, _, _ := tr.classStats(child)
+			node.children[k.value] = &treeNode{leaf: true, class: m}
 			continue
 		}
-		node.children[v] = build(X, y, w, child, used, classes, minWeight, maxDepth, depth+1)
+		node.children[k.value] = tr.build(child, depth+1)
 	}
-	used[feature] = false
+	tr.used[feature] = false
 	return node
 }
 
 // classStats returns the majority class, purity, and total weight of the
-// samples in idx.
-func classStats(y []int, w []float64, idx []int, classes int) (majority int, pure bool, weight float64) {
-	counts := make([]float64, classes)
+// samples in idx, leaving the per-class weights in tr.classW.
+func (tr *trainer) classStats(idx []int) (majority int, pure bool, weight float64) {
+	counts := tr.classW
+	clear(counts)
 	for _, i := range idx {
-		counts[y[i]] += w[i]
-		weight += w[i]
+		counts[tr.y[i]] += tr.w[i]
+		weight += tr.w[i]
 	}
 	best := 0.0
 	nonzero := 0
@@ -141,22 +221,9 @@ func classStats(y []int, w []float64, idx []int, classes int) (majority int, pur
 	return majority, nonzero <= 1, weight
 }
 
-func groupWeight(w []float64, idx []int) float64 {
-	var total float64
-	for _, i := range idx {
-		total += w[i]
-	}
-	return total
-}
-
-// weightedEntropy returns the class entropy of the samples in idx.
-func weightedEntropy(y []int, w []float64, idx []int, classes int) float64 {
-	counts := make([]float64, classes)
-	var total float64
-	for _, i := range idx {
-		counts[y[i]] += w[i]
-		total += w[i]
-	}
+// entropy returns the entropy of the class weights counts, which sum to
+// total.
+func entropy(counts []float64, total float64) float64 {
 	if total == 0 {
 		return 0
 	}
@@ -171,40 +238,28 @@ func weightedEntropy(y []int, w []float64, idx []int, classes int) float64 {
 	return h
 }
 
-// bestSplit finds the unused feature with the highest gain ratio. It
-// returns false when no feature yields positive information gain.
-func bestSplit(X [][]int, y []int, w []float64, idx []int, used []bool, classes int) (int, map[int][]int, bool) {
-	baseH := weightedEntropy(y, w, idx, classes)
-	total := groupWeight(w, idx)
+// bestSplit finds the unused feature with the highest gain ratio over
+// the samples in idx, whose class weights classStats has just left in
+// tr.classW and whose total weight is total. It returns false when no
+// feature yields positive information gain.
+func (tr *trainer) bestSplit(idx []int, total float64) (int, float64, bool) {
+	baseH := entropy(tr.classW, total)
+	classes := tr.classes
 	bestRatio := 0.0
 	bestFeature := -1
-	var bestGroups map[int][]int
-	for f := range used {
-		if used[f] {
+	for f, used := range tr.used {
+		if used {
 			continue
 		}
-		groups := map[int][]int{}
-		for _, i := range idx {
-			groups[X[i][f]] = append(groups[X[i][f]], i)
-		}
-		if len(groups) < 2 {
+		bins := tr.histogram(idx, f)
+		if len(bins) < 2 {
 			continue
 		}
-		// Accumulate in sorted bin order: float addition is not
-		// associative, so summing in map-iteration order perturbs the
-		// ratio's last bits and flips near-tie split choices between
-		// otherwise identical runs.
-		vals := make([]int, 0, len(groups))
-		for v := range groups {
-			vals = append(vals, v)
-		}
-		sort.Ints(vals)
 		var condH, splitInfo float64
-		for _, v := range vals {
-			g := groups[v]
-			gw := groupWeight(w, g)
+		for _, b := range bins {
+			gw := tr.binW[b]
 			p := gw / total
-			condH += p * weightedEntropy(y, w, g, classes)
+			condH += p * entropy(tr.counts[int(b)*classes:int(b+1)*classes], gw)
 			splitInfo -= p * math.Log2(p)
 		}
 		gain := baseH - condH
@@ -215,13 +270,81 @@ func bestSplit(X [][]int, y []int, w []float64, idx []int, used []bool, classes 
 		if ratio > bestRatio || (ratio == bestRatio && (bestFeature == -1 || f < bestFeature)) {
 			bestRatio = ratio
 			bestFeature = f
-			bestGroups = groups
 		}
 	}
 	if bestFeature < 0 {
-		return 0, nil, false
+		return 0, 0, false
 	}
-	return bestFeature, bestGroups, true
+	return bestFeature, bestRatio, true
+}
+
+// histogram fills the scratch with feature f's class histogram over the
+// samples in idx and returns the bins present, in ascending order.
+//
+// Every cell sums its weights in idx order, and bestSplit adds the
+// per-bin terms in ascending bin order. Float addition is not
+// associative, so any other order would perturb gain ratios in their
+// last bits and could flip near-tie splits between otherwise identical
+// runs.
+func (tr *trainer) histogram(idx []int, f int) []int32 {
+	classes := tr.classes
+	y, w, codes := tr.y, tr.w, tr.codes[f]
+	counts, binW, seen := tr.counts, tr.binW, tr.seen
+	bins := tr.touched[:0]
+	for _, i := range idx {
+		b := int(codes[i])
+		if !seen[b] {
+			seen[b] = true
+			bins = append(bins, int32(b))
+			clear(counts[b*classes : (b+1)*classes])
+			binW[b] = 0
+		}
+		counts[b*classes+y[i]] += w[i]
+		binW[b] += w[i]
+	}
+	for _, b := range bins {
+		seen[b] = false
+	}
+	slices.Sort(bins)
+	return bins
+}
+
+// child is one branch of a split: the feature value it matches, its
+// samples' range in the partitioned idx, and their total weight.
+type child struct {
+	value      int
+	start, end int
+	weight     float64
+}
+
+// partition stably reorders idx so that the samples of each bin of
+// feature f are contiguous, bins in ascending order, and returns the
+// branches.
+func (tr *trainer) partition(idx []int, f int) []child {
+	bins := tr.histogram(idx, f)
+	codes := tr.codes[f]
+	next := tr.binN // each bin's size, then its next write position
+	for _, b := range bins {
+		next[b] = 0
+	}
+	for _, i := range idx {
+		next[codes[i]]++
+	}
+	kids := make([]child, len(bins))
+	start := 0
+	for k, b := range bins {
+		kids[k] = child{value: tr.values[f][b], start: start, end: start + next[b], weight: tr.binW[b]}
+		next[b] = start
+		start = kids[k].end
+	}
+	tmp := tr.tmp[:len(idx)]
+	copy(tmp, idx)
+	for _, i := range tmp {
+		b := codes[i]
+		idx[next[b]] = i
+		next[b]++
+	}
+	return kids
 }
 
 // Predict returns the predicted class for a feature vector. Feature values

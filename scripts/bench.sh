@@ -8,7 +8,8 @@
 # Runs BenchmarkGenerate, BenchmarkInference, BenchmarkInferenceWarmCache,
 # BenchmarkIngestMonth (the streaming-ingest cost of one new month),
 # the per-dialect parse/diff stage benchmarks (BenchmarkParseSnapshot*,
-# BenchmarkDiffPair*), BenchmarkTable3, and BenchmarkSection61 with
+# BenchmarkDiffPair*), BenchmarkTable3, BenchmarkSection61, and the two
+# heaviest analyses, BenchmarkFigure8 and BenchmarkTable9, with
 # -count (default 10) repetitions each and writes
 # BENCH_<YYYY-MM-DD>.json in the repo root: one object per benchmark run
 # with ns/op, B/op, and allocs/op, plus the host's CPU count and the
@@ -26,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 count="${1:-10}"
-pattern='^(BenchmarkGenerate|BenchmarkInference|BenchmarkInferenceWarmCache|BenchmarkIngestMonth|BenchmarkParseSnapshotCisco|BenchmarkParseSnapshotJunos|BenchmarkDiffPairCisco|BenchmarkDiffPairJunos|BenchmarkTable3|BenchmarkSection61)$'
+pattern='^(BenchmarkGenerate|BenchmarkInference|BenchmarkInferenceWarmCache|BenchmarkIngestMonth|BenchmarkParseSnapshotCisco|BenchmarkParseSnapshotJunos|BenchmarkDiffPairCisco|BenchmarkDiffPairJunos|BenchmarkTable3|BenchmarkSection61|BenchmarkFigure8|BenchmarkTable9)$'
 out="${MPA_BENCH_OUT:-BENCH_$(date +%F).json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
