@@ -15,9 +15,8 @@
 // inference, CV folds, forest trees, experiment fan-out) may use; 0 (the
 // default) uses every CPU. Output is byte-identical at any worker count.
 //
-// -cache (default true) memoizes the pipeline's pure stages — snapshot
-// parsing, config diffing, per-network practice inference, the dataset
-// build — under SHA-256 content keys. -cache-dir adds an on-disk tier:
+// -cache (default true) memoizes per-network practice inference under
+// SHA-256 content keys. -cache-dir adds an on-disk tier:
 // re-running with the same directory skips all unchanged per-network
 // work, which is most of the pipeline. Output is byte-identical with the
 // cache cold, warm, or disabled (-cache=false); hit/miss/evict counters

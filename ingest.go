@@ -65,10 +65,12 @@ type IngestResult struct {
 // Ingest validates and applies one month of new data to the warm
 // framework. The update must carry the current final month (intra-month
 // growth: only the touched networks' final month re-infers) or the month
-// after it (window extension: every network gains the new month's row,
-// but untouched networks only re-derive month-end design state through
-// the warm parse cache — no new parsing or diffing). Updates are
-// serialized; queries are never blocked by an in-flight ingest.
+// after it (window extension: every network gains the new month's row;
+// untouched networks re-parse only their month-entering snapshots to
+// carry design state forward). Each update infers on a fresh engine: the
+// month's snapshot texts are new, so there is nothing from earlier
+// updates to reuse. Updates are serialized; queries are never blocked by
+// an in-flight ingest.
 func (f *Framework) Ingest(u *IngestUpdate) (*IngestResult, error) {
 	f.ingestMu.Lock()
 	defer f.ingestMu.Unlock()
@@ -119,14 +121,10 @@ func (f *Framework) Ingest(u *IngestUpdate) (*IngestResult, error) {
 	}
 	asp.End()
 
-	// Infer exactly the affected network-months with the warm engine.
-	if f.engine == nil {
-		f.engine = practices.NewEngine(env.OSP.Inventory, arch)
-		f.engine.SetCache(f.cfg.Cache)
-	}
-	f.engine.SetArchive(arch)
-	f.engine.SetWorkers(f.cfg.Workers)
-	f.engine.SetObs(sp)
+	// Infer exactly the affected network-months.
+	engine := practices.NewEngine(env.OSP.Inventory, arch)
+	engine.SetWorkers(f.cfg.Workers)
+	engine.SetObs(sp)
 	var names []string
 	if newMonth {
 		// Every network gains a row for the new month; the untouched ones
@@ -138,7 +136,7 @@ func (f *Framework) Ingest(u *IngestUpdate) (*IngestResult, error) {
 	} else {
 		names = comp.Networks
 	}
-	rows, err := f.engine.AnalyzeMonth(comp.Month, names)
+	rows, err := engine.AnalyzeMonth(comp.Month, names)
 	if err != nil {
 		rejectApply(start)
 		return nil, fmt.Errorf("mpa: incremental inference failed: %w", err)

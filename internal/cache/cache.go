@@ -1,9 +1,9 @@
-// Package cache provides the content-addressed memoization layer the
-// pipeline's pure stages (snapshot parsing, config diffing, per-network
-// practice inference, dataset assembly) use to skip recomputation of
-// unchanged inputs. Keys are SHA-256 digests over canonical input bytes;
-// values live in a bounded in-memory LRU tier and, optionally, in an
-// on-disk tier so warm re-runs of a fresh process still hit.
+// Package cache provides the content-addressed memoization layer behind
+// the pipeline's per-network practice inference and the framework's
+// query memo, so unchanged inputs are not recomputed. Keys are SHA-256
+// digests over canonical input bytes; values live in a bounded in-memory
+// LRU tier and, optionally, in an on-disk tier so warm re-runs of a fresh
+// process still hit.
 //
 // The cache is strictly an optimization: every cached stage is a pure
 // function of its key's preimage, so a cold run, a warm run, and a
@@ -79,13 +79,6 @@ func (h *Hasher) Int(v int64) *Hasher {
 // Time adds an instant (nanosecond precision, location-independent).
 func (h *Hasher) Time(t time.Time) *Hasher { return h.Int(t.UnixNano()) }
 
-// Key adds another key, chaining digests (e.g. a dataset key built from
-// the upstream analysis digest).
-func (h *Hasher) Key(k Key) *Hasher {
-	h.writeFrame(k[:])
-	return h
-}
-
 // Sum finalizes and returns the key. The hasher must not be reused.
 func (h *Hasher) Sum() Key {
 	var k Key
@@ -103,8 +96,8 @@ func KeyOf(namespace string, parts ...string) Key {
 }
 
 // DefaultMaxEntries bounds each stage's in-memory tier when Config leaves
-// MaxEntries zero. Entries are whole stage outputs (a parsed config, a
-// network's month analyses), so a few thousand covers paper scale.
+// MaxEntries zero. Entries are whole stage outputs (a network's month
+// analyses, a query answer), so a few thousand covers paper scale.
 const DefaultMaxEntries = 4096
 
 // Config enables and parameterizes the pipeline caches. The zero value
@@ -160,8 +153,8 @@ type entry struct {
 	val any
 }
 
-// New returns the cache for one pipeline stage ("parse", "confdiff",
-// "practices", "dataset"), or nil when cfg.Enabled is false.
+// New returns the cache for one pipeline stage ("practices", "query"),
+// or nil when cfg.Enabled is false.
 func New(stage string, cfg Config) *Cache {
 	if !cfg.Enabled {
 		return nil
@@ -347,8 +340,8 @@ func (c *Cache) corruptEntry(k Key, err error) {
 }
 
 // Codec serializes values for the disk tier. A zero Codec (nil funcs)
-// keeps the value memory-only, which suits intermediate results that are
-// cheap to recompute from other cached stages (e.g. per-pair diffs).
+// keeps the value memory-only, which suits results that are cheap to
+// recompute from data the process already holds.
 type Codec[V any] struct {
 	Encode func(V) ([]byte, error)
 	Decode func([]byte) (V, error)

@@ -43,10 +43,6 @@ func TestHasherParts(t *testing.T) {
 	if h1 == h2 {
 		t.Fatal("Int/String collision")
 	}
-	k := KeyOf("inner", "x")
-	if NewHasher("ns").Key(k).Sum() == NewHasher("ns").Sum() {
-		t.Fatal("Key part ignored")
-	}
 }
 
 func TestDisabledAndNil(t *testing.T) {

@@ -218,10 +218,9 @@ type Config struct {
 
 	// sorted caches the key-sorted stanza view handed out by Stanzas and
 	// OfType; it is invalidated (set to nil) by Upsert and Remove. The
-	// pointer is atomic because parsed configs are shared read-only
-	// across inference workers via the content-addressed cache: two
-	// workers may rebuild the view concurrently, and both builds are
-	// identical, so racing Stores are benign.
+	// pointer is atomic so a parsed config stays safe to share read-only
+	// across goroutines: two readers may rebuild the view concurrently,
+	// and both builds are identical, so racing Stores are benign.
 	sorted atomic.Pointer[[]*Stanza]
 }
 

@@ -6,11 +6,9 @@
 package dataset
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
-	"mpa/internal/cache"
 	"mpa/internal/months"
 	"mpa/internal/obs"
 	"mpa/internal/practices"
@@ -101,45 +99,6 @@ func BuildObs(analysis map[string][]practices.MonthAnalysis, log *ticketing.Log,
 	sp.Count("networks", float64(len(names)))
 	obs.GetCounter("dataset.cases").Add(int64(len(d.Cases)))
 	obs.Logger().Debug("dataset built", "cases", len(d.Cases), "networks", len(names))
-	return d
-}
-
-// caseCodec serializes the case matrix for the cache's disk tier.
-var caseCodec = cache.Codec[*Dataset]{
-	Encode: func(d *Dataset) ([]byte, error) { return json.Marshal(d.Cases) },
-	Decode: func(b []byte) (*Dataset, error) {
-		var cases []Case
-		if err := json.Unmarshal(b, &cases); err != nil {
-			return nil, err
-		}
-		return &Dataset{Cases: cases}, nil
-	},
-}
-
-// ticketDigest folds the health-relevant ticket fields (network, opening
-// time, origin) into the hasher; any filed, reclassified, or retimed
-// ticket changes the digest.
-func ticketDigest(h *cache.Hasher, log *ticketing.Log) {
-	all := log.All()
-	h.Int(int64(len(all)))
-	for _, t := range all {
-		h.String(t.Network).Time(t.Opened).Int(int64(t.Origin))
-	}
-}
-
-// BuildCached is BuildObs memoized under a content-addressed key chained
-// from the upstream analysis digest (see practices.Engine.AnalysisKey)
-// and the ticket log's health-relevant fields. With a nil cache or no
-// upstream key (caching disabled upstream) it degrades to BuildObs.
-func BuildCached(analysis map[string][]practices.MonthAnalysis, log *ticketing.Log, parent *obs.Span, c *cache.Cache, upstream cache.Key, haveKey bool) *Dataset {
-	if c == nil || !haveKey {
-		return BuildObs(analysis, log, parent)
-	}
-	h := cache.NewHasher("dataset/v1")
-	h.Key(upstream)
-	ticketDigest(h, log)
-	d, _ := cache.GetOrCompute(c, h.Sum(), caseCodec,
-		func() (*Dataset, error) { return BuildObs(analysis, log, parent), nil })
 	return d
 }
 

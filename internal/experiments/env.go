@@ -84,11 +84,10 @@ func NewEnv(p osp.Params) (*Env, error) {
 	return NewEnvCached(p, cache.Config{})
 }
 
-// NewEnvCached is NewEnv with the content-addressed pipeline caches
-// configured by cc: snapshot parsing, diffing, and per-network inference
-// are memoized in the practice engine, and the dataset build is keyed on
-// the analysis digest. Caching never changes the Env's contents — cold,
-// warm, and disabled runs are byte-identical (TestCacheEquivalence).
+// NewEnvCached is NewEnv with the practice engine's per-network
+// inference cache configured by cc. Caching never changes the Env's
+// contents — cold, warm, and disabled runs are byte-identical
+// (TestCacheEquivalence).
 func NewEnvCached(p osp.Params, cc cache.Config) (*Env, error) {
 	root := obs.NewRoot("pipeline")
 	o := osp.GenerateObs(p, root)
@@ -100,13 +99,11 @@ func NewEnvCached(p osp.Params, cc cache.Config) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: inference failed: %w", err)
 	}
-	upstream, haveKey := engine.AnalysisKey()
-	data := dataset.BuildCached(analysis, o.Tickets, root, cache.New("dataset", cc), upstream, haveKey)
 	return &Env{
 		Params:   p,
 		OSP:      o,
 		Analysis: analysis,
-		Data:     data,
+		Data:     dataset.BuildObs(analysis, o.Tickets, root),
 		Obs:      root,
 	}, nil
 }

@@ -3,6 +3,8 @@ package practices
 import (
 	"testing"
 
+	"mpa/internal/cache"
+	"mpa/internal/obs"
 	"mpa/internal/osp"
 )
 
@@ -43,5 +45,43 @@ func TestAllocBudgetInferNetwork(t *testing.T) {
 	const budget = 300.0
 	if perSnap > budget {
 		t.Errorf("inference allocations %.1f/snapshot exceed budget %.0f", perSnap, budget)
+	}
+}
+
+// TestAllocBudgetAnalyzeMonth is the same budget for the single-month
+// path behind Framework.Ingest: one month of every network, normalized
+// per snapshot the walk parses (each device's month-entering baseline
+// plus the month's own snapshots). Each run builds a fresh engine with
+// caching enabled, as Ingest does, so nothing a previous run left behind
+// can hide the cost of a month the engine has not seen.
+func TestAllocBudgetAnalyzeMonth(t *testing.T) {
+	p := osp.Small(5)
+	p.Networks = 3
+	o := osp.Generate(p)
+	m := o.Params.End
+	names := make([]string, 0, len(o.Inventory.Networks))
+	for _, nw := range o.Inventory.Networks {
+		names = append(names, nw.Name)
+	}
+	analyze := func() {
+		engine := NewEngine(o.Inventory, o.Archive)
+		engine.SetCache(cache.Config{Enabled: true})
+		if _, err := engine.AnalyzeMonth(m, names); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parsed := obs.GetCounter("inference.snapshots_parsed")
+	before := parsed.Value()
+	analyze()
+	snaps := parsed.Value() - before
+	if snaps == 0 {
+		t.Fatal("fixture month parses no snapshots")
+	}
+	avg := testing.AllocsPerRun(8, analyze)
+	perSnap := avg / float64(snaps)
+	t.Logf("month inference: %.0f allocs/month (%d snapshots, %.1f allocs/snapshot)", avg, snaps, perSnap)
+	const budget = 300.0
+	if perSnap > budget {
+		t.Errorf("month inference allocations %.1f/snapshot exceed budget %.0f", perSnap, budget)
 	}
 }

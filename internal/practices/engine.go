@@ -79,23 +79,15 @@ type Engine struct {
 	delta   time.Duration // change-event grouping threshold
 	workers int           // goroutines for Analyze; 0 = process default
 
-	cisco confmodel.Dialect
-	junos confmodel.Dialect
+	cisco confmodel.ScratchParser
+	junos confmodel.ScratchParser
 
 	obs *obs.Span // parent span for analysis runs; nil = untraced
 
-	// Content-addressed memoization of the engine's pure stages (see
-	// internal/cache); all nil when caching is disabled. Cached values
-	// (parsed configs, diffs, month analyses) are shared and immutable.
-	parseCache *cache.Cache // snapshot text -> *confmodel.Config
-	diffCache  *cache.Cache // snapshot text pair -> []confdiff.StanzaChange
-	netCache   *cache.Cache // network inputs -> []MonthAnalysis
-
-	// analysisKey digests the inputs of the last Analyze call (the
-	// per-network keys in inventory order); valid only when caching was
-	// enabled for that run.
-	analysisKey   cache.Key
-	analysisKeyOK bool
+	// netCache memoizes whole per-network month analyses (see
+	// internal/cache); nil when caching is disabled. Cached analyses are
+	// shared and immutable.
+	netCache *cache.Cache
 }
 
 // NewEngine returns an inference engine over the given data sources using
@@ -118,23 +110,16 @@ func (e *Engine) SetDelta(d time.Duration) { e.delta = d }
 // "inference" span with per-network (and per-month) children under it.
 func (e *Engine) SetObs(sp *obs.Span) { e.obs = sp }
 
-// SetCache enables content-addressed memoization of the engine's pure
-// stages: snapshot parsing, per-pair diffing, and whole per-network month
-// analyses. Parse results and network analyses also use the on-disk tier
-// when cfg.Dir is set, so a fresh process re-analyzing unchanged inputs
-// skips all per-network work. Caching never changes results — a cold,
-// warm, or disabled run produces byte-identical analyses.
+// SetCache enables content-addressed memoization of whole per-network
+// month analyses, keyed by everything a network's analysis reads. With
+// cfg.Dir set the analyses also live on disk, so a fresh process
+// re-analyzing unchanged inputs skips all per-network work. Snapshots are
+// always parsed and diffed afresh: in a snapshot stream almost every text
+// is new, so per-snapshot memoization would cost more than it saves.
+// Caching never changes results — a cold, warm, or disabled run produces
+// byte-identical analyses.
 func (e *Engine) SetCache(cfg cache.Config) {
-	e.parseCache = cache.New("parse", cfg)
-	e.diffCache = cache.New("confdiff", cfg)
 	e.netCache = cache.New("practices", cfg)
-}
-
-// AnalysisKey returns the content digest of the last Analyze run's inputs
-// (delta, window, inventory, snapshot streams, automation accounts), for
-// keying downstream caches. ok is false when caching was disabled.
-func (e *Engine) AnalysisKey() (key cache.Key, ok bool) {
-	return e.analysisKey, e.analysisKeyOK
 }
 
 // SetWorkers bounds the goroutines Analyze uses to process networks
@@ -146,7 +131,7 @@ func (e *Engine) AnalysisKey() (key cache.Key, ok bool) {
 func (e *Engine) SetWorkers(n int) { e.workers = n }
 
 // dialect returns the device's vendor dialect.
-func (e *Engine) dialect(dev *netmodel.Device) confmodel.Dialect {
+func (e *Engine) dialect(dev *netmodel.Device) confmodel.ScratchParser {
 	if dev.Vendor == netmodel.VendorCisco {
 		return e.cisco
 	}
@@ -167,60 +152,54 @@ type netScratch struct {
 
 func newNetScratch() *netScratch { return &netScratch{sc: confmodel.NewScratch()} }
 
-// parse parses a snapshot's text with the device's vendor dialect,
-// memoized by text content when caching is enabled. The disk tier stores
-// the canonical rendering of the parsed config — Render is the encode,
-// Parse the decode, so the codec is exactly the dialect's (fuzz- and
-// property-tested) round trip. The worker's scratch backs the parse;
-// parsed configs retain only immutable strings (see confmodel.Scratch),
-// so caching and sharing them across workers stays safe.
-func (e *Engine) parse(ns *netScratch, dev *netmodel.Device, s *nms.Snapshot) (*confmodel.Config, error) {
-	d := e.dialect(dev)
-	parse := func(text string) (*confmodel.Config, error) {
-		if sp, ok := d.(confmodel.ScratchParser); ok && ns != nil {
-			return sp.ParseScratch(text, ns.sc)
-		}
-		return d.Parse(text)
-	}
-	var cfg *confmodel.Config
-	var err error
-	if e.parseCache == nil {
-		cfg, err = parse(s.Text)
-	} else {
-		key := cache.KeyOf("parse/v1", d.Name(), s.Text)
-		codec := cache.Codec[*confmodel.Config]{
-			Encode: func(c *confmodel.Config) ([]byte, error) { return []byte(d.Render(c)), nil },
-			Decode: func(b []byte) (*confmodel.Config, error) { return d.Parse(string(b)) },
-		}
-		cfg, err = cache.GetOrCompute(e.parseCache, key, codec, func() (*confmodel.Config, error) {
-			return parse(s.Text)
-		})
-	}
-	if err != nil {
-		return nil, fmt.Errorf("practices: parsing snapshot of %s at %v: %w", dev.Name, s.Time, err)
-	}
-	return cfg, nil
+// netWalk accumulates one network's inference walk: the changes found
+// in the month being walked and the work counts for the span rollups.
+type netWalk struct {
+	ns           *netScratch
+	month        months.Month // only changes inside this month count
+	changes      []ChangeDetail
+	snaps, diffs int
 }
 
-// diffSnapshots computes the typed stanza changes between two successive
-// snapshots, memoized per text pair (memory tier only: diffs are cheap to
-// recompute from the cached parses, so they do not earn disk files).
-// Without the cache the diff lands in the worker's reusable buffer — the
-// result is only valid until the next diffSnapshots call on the same
-// scratch, which computeNetwork respects by consuming it immediately.
-// Cached diffs are shared across callers and so must own their memory.
-func (e *Engine) diffSnapshots(ns *netScratch, dialect, oldText, newText string, oldCfg, newCfg *confmodel.Config) []confdiff.StanzaChange {
-	if e.diffCache == nil {
-		if ns != nil {
-			ns.diff = confdiff.AppendDiff(ns.diff[:0], oldCfg, newCfg)
-			return ns.diff
-		}
-		return confdiff.Diff(oldCfg, newCfg)
+// step consumes the next snapshot of a device's time-ordered history. It
+// parses the snapshot with the worker's scratch and, when the device
+// already has a state, diffs the two configs; a non-empty diff inside the
+// walk's month becomes a ChangeDetail. It returns the device's new state.
+// The diff lives in the worker's reused buffer, so step reduces it to the
+// change's types before returning and never retains it.
+func (e *Engine) step(w *netWalk, dev *netmodel.Device, state *confmodel.Config, snap *nms.Snapshot) (*confmodel.Config, error) {
+	cfg, err := e.dialect(dev).ParseScratch(snap.Text, w.ns.sc)
+	w.snaps++
+	if err != nil {
+		obs.GetCounter("inference.parse_failures").Add(1)
+		return nil, fmt.Errorf("practices: parsing snapshot of %s at %v: %w", dev.Name, snap.Time, err)
 	}
-	key := cache.KeyOf("confdiff/v1", dialect, oldText, newText)
-	diff, _ := cache.GetOrCompute(e.diffCache, key, cache.Codec[[]confdiff.StanzaChange]{},
-		func() ([]confdiff.StanzaChange, error) { return confdiff.Diff(oldCfg, newCfg), nil })
-	return diff
+	if state == nil {
+		return cfg, nil // baseline import, not a change
+	}
+	w.ns.diff = confdiff.AppendDiff(w.ns.diff[:0], state, cfg)
+	w.diffs++
+	// An identical snapshot is no configuration change, and only changes
+	// inside the walk's month count.
+	if len(w.ns.diff) == 0 || months.Of(snap.Time) != w.month {
+		return cfg, nil
+	}
+	// Distinct types in deterministic order: the diff is sorted by type,
+	// so consecutive dedup suffices.
+	types := make([]confmodel.Type, 0, 2)
+	for _, ch := range w.ns.diff {
+		if len(types) == 0 || types[len(types)-1] != ch.Type {
+			types = append(types, ch.Type)
+		}
+	}
+	w.changes = append(w.changes, ChangeDetail{
+		Device:    dev.Name,
+		Time:      snap.Time,
+		Automated: e.arch.IsAutomated(snap.Login),
+		Types:     types,
+		Middlebox: dev.Role.IsMiddlebox(),
+	})
+	return cfg, nil
 }
 
 // networkKey digests everything the network's month analyses depend on:
@@ -271,26 +250,21 @@ var monthAnalysisCodec = cache.Codec[[]MonthAnalysis]{
 // network whose inputs are unchanged is answered from the cache without
 // any parsing or diffing.
 func (e *Engine) AnalyzeNetwork(name string, window []months.Month) ([]MonthAnalysis, error) {
-	ma, _, err := e.analyzeNetwork(name, window, e.obs, newNetScratch())
-	return ma, err
+	return e.analyzeNetwork(name, window, e.obs, newNetScratch())
 }
 
 // analyzeNetwork is AnalyzeNetwork under an explicit parent span and
-// worker-owned scratch, additionally returning the network's content key
-// (zero when caching is disabled).
-func (e *Engine) analyzeNetwork(name string, window []months.Month, parent *obs.Span, ns *netScratch) ([]MonthAnalysis, cache.Key, error) {
+// worker-owned scratch.
+func (e *Engine) analyzeNetwork(name string, window []months.Month, parent *obs.Span, ns *netScratch) ([]MonthAnalysis, error) {
 	nw := e.inv.Network(name)
 	if nw == nil {
-		return nil, cache.Key{}, fmt.Errorf("practices: unknown network %q", name)
+		return nil, fmt.Errorf("practices: unknown network %q", name)
 	}
 	if e.netCache == nil {
-		ma, err := e.computeNetwork(nw, window, parent, ns)
-		return ma, cache.Key{}, err
+		return e.computeNetwork(nw, window, parent, ns)
 	}
-	key := e.networkKey(nw, window)
-	ma, err := cache.GetOrCompute(e.netCache, key, monthAnalysisCodec,
+	return cache.GetOrCompute(e.netCache, e.networkKey(nw, window), monthAnalysisCodec,
 		func() ([]MonthAnalysis, error) { return e.computeNetwork(nw, window, parent, ns) })
-	return ma, key, err
 }
 
 // computeNetwork runs the actual per-network inference.
@@ -301,11 +275,10 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 
 	// Per-device cursor over the snapshot history.
 	type cursor struct {
-		dev      *netmodel.Device
-		hist     []*nms.Snapshot
-		pos      int               // next snapshot to consume
-		state    *confmodel.Config // config as of consumed snapshots
-		prevText string            // text of the snapshot state was parsed from
+		dev   *netmodel.Device
+		hist  []*nms.Snapshot
+		pos   int               // next snapshot to consume
+		state *confmodel.Config // config as of consumed snapshots
 	}
 	cursors := make([]*cursor, 0, len(nw.Devices))
 	for _, dev := range nw.Devices {
@@ -317,56 +290,26 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 		mgmtOwner[dev.MgmtIP] = dev.Name
 	}
 
-	var snapsParsed, diffsComputed, changesFound, eventsGrouped int
+	w := netWalk{ns: ns}
+	var changesFound, eventsGrouped int
 	out := make([]MonthAnalysis, 0, len(window))
 	for _, m := range window {
 		msp := nsp.Start(m.String())
 		monthStart := time.Now()
 		end := m.End()
-		var changes []ChangeDetail
+		w.month, w.changes = m, nil
 		for _, cu := range cursors {
 			for cu.pos < len(cu.hist) && cu.hist[cu.pos].Time.Before(end) {
-				snap := cu.hist[cu.pos]
-				cu.pos++
-				cfg, err := e.parse(ns, cu.dev, snap)
-				snapsParsed++
-				if err != nil {
-					obs.GetCounter("inference.parse_failures").Add(1)
+				var err error
+				if cu.state, err = e.step(&w, cu.dev, cu.state, cu.hist[cu.pos]); err != nil {
 					nsp.Count("parse_failures", 1)
 					msp.End()
 					return nil, err
 				}
-				if cu.state == nil {
-					cu.state, cu.prevText = cfg, snap.Text // baseline import, not a change
-					continue
-				}
-				diff := e.diffSnapshots(ns, e.dialect(cu.dev).Name(), cu.prevText, snap.Text, cu.state, cfg)
-				diffsComputed++
-				cu.state, cu.prevText = cfg, snap.Text
-				if len(diff) == 0 {
-					continue // identical snapshot: no configuration change
-				}
-				// Only changes inside the analysis window count.
-				if months.Of(snap.Time) != m {
-					continue
-				}
-				// Distinct types in deterministic order: the diff is sorted
-				// by type, so consecutive dedup suffices.
-				types := make([]confmodel.Type, 0, 2)
-				for _, ch := range diff {
-					if len(types) == 0 || types[len(types)-1] != ch.Type {
-						types = append(types, ch.Type)
-					}
-				}
-				changes = append(changes, ChangeDetail{
-					Device:    cu.dev.Name,
-					Time:      snap.Time,
-					Automated: e.arch.IsAutomated(snap.Login),
-					Types:     types,
-					Middlebox: cu.dev.Role.IsMiddlebox(),
-				})
+				cu.pos++
 			}
 		}
+		changes := w.changes
 
 		// Assemble end-of-month configuration states.
 		var configs []*confmodel.Config
@@ -388,17 +331,17 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 		msp.End()
 		monthHist.Observe(float64(time.Since(monthStart).Nanoseconds()))
 	}
-	nsp.Count("snapshots_parsed", float64(snapsParsed))
-	nsp.Count("diffs", float64(diffsComputed))
+	nsp.Count("snapshots_parsed", float64(w.snaps))
+	nsp.Count("diffs", float64(w.diffs))
 	nsp.Count("changes", float64(changesFound))
 	nsp.Count("events", float64(eventsGrouped))
 	// Roll the totals up to the stage span ("inference" under Analyze).
-	parent.Count("snapshots_parsed", float64(snapsParsed))
-	parent.Count("diffs", float64(diffsComputed))
+	parent.Count("snapshots_parsed", float64(w.snaps))
+	parent.Count("diffs", float64(w.diffs))
 	parent.Count("changes", float64(changesFound))
 	parent.Count("events", float64(eventsGrouped))
-	obs.GetCounter("inference.snapshots_parsed").Add(int64(snapsParsed))
-	obs.GetCounter("inference.diffs").Add(int64(diffsComputed))
+	obs.GetCounter("inference.snapshots_parsed").Add(int64(w.snaps))
+	obs.GetCounter("inference.diffs").Add(int64(w.diffs))
 	obs.GetCounter("inference.changes").Add(int64(changesFound))
 	obs.GetCounter("inference.events_grouped").Add(int64(eventsGrouped))
 	return out, nil
@@ -415,31 +358,20 @@ func (e *Engine) Analyze(window []months.Month) (map[string][]MonthAnalysis, err
 	sp := e.obs.Start("inference")
 	defer sp.End()
 	start := time.Now()
-	type netResult struct {
-		ma  []MonthAnalysis
-		key cache.Key
-	}
-	e.analysisKeyOK = false
 	pt := obs.StartProgress("inference", int64(len(e.inv.Networks)))
 	results, err := par.MapLocal(e.workers, e.inv.Networks, newNetScratch,
-		func(ns *netScratch, _ int, nw *netmodel.Network) (netResult, error) {
-			ma, key, err := e.analyzeNetwork(nw.Name, window, sp, ns)
+		func(ns *netScratch, _ int, nw *netmodel.Network) ([]MonthAnalysis, error) {
+			ma, err := e.analyzeNetwork(nw.Name, window, sp, ns)
 			pt.Add(1)
-			return netResult{ma: ma, key: key}, err
+			return ma, err
 		})
 	pt.Done()
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]MonthAnalysis, len(results))
-	keys := cache.NewHasher("practices-all/v1")
-	for i, r := range results {
-		out[e.inv.Networks[i].Name] = r.ma
-		keys.Key(r.key)
-	}
-	if e.netCache != nil {
-		e.analysisKey = keys.Sum()
-		e.analysisKeyOK = true
+	for i, ma := range results {
+		out[e.inv.Networks[i].Name] = ma
 	}
 	sp.Count("networks", float64(len(out)))
 	obs.Logger().Info("inference complete",

@@ -33,18 +33,16 @@ import (
 )
 
 // SetArchive rebinds the engine to a (typically cloned and extended)
-// snapshot archive. The engine's content-addressed caches are keyed by
-// snapshot text, never archive identity, so a rebound engine reuses
-// every still-valid parse and diff entry and pays only for genuinely
-// new snapshots.
+// snapshot archive. Later runs read the new archive's histories; the
+// per-network cache keys digest the snapshot texts themselves, never
+// archive identity, so entries for unchanged networks stay valid.
 func (e *Engine) SetArchive(a *nms.Archive) { e.arch = a }
 
 // AnalyzeNetworkMonth computes one network's analysis for a single
 // month, byte-identical to the corresponding row of a full
 // AnalyzeNetwork walk over any window containing the month. It parses
 // one pre-month baseline snapshot per device plus the month's own
-// snapshots; with the parse cache warm only new snapshot texts cost
-// anything.
+// snapshots, so its cost does not grow with history length.
 func (e *Engine) AnalyzeNetworkMonth(name string, m months.Month) (MonthAnalysis, error) {
 	nw := e.inv.Network(name)
 	if nw == nil {
@@ -93,75 +91,37 @@ func (e *Engine) computeNetworkMonth(nw *netmodel.Network, m months.Month, paren
 		mgmtOwner[dev.MgmtIP] = dev.Name
 	}
 
-	var snapsParsed, diffsComputed int
-	var changes []ChangeDetail
+	w := netWalk{ns: ns, month: m}
 	var configs []*confmodel.Config
 	for _, dev := range nw.Devices {
 		hist := e.arch.Snapshots(dev.Name)
 		// Histories are time-ordered, so the pre-month snapshots form a
-		// prefix; hist[base-1] is the device's state entering the month.
+		// prefix; hist[base-1] is the device's state entering the month,
+		// and the walk starts there as the device's baseline import.
 		base := sort.Search(len(hist), func(i int) bool { return !hist[i].Time.Before(begin) })
 		var state *confmodel.Config
-		var prevText string
-		if base > 0 {
-			cfg, err := e.parse(ns, dev, hist[base-1])
-			snapsParsed++
-			if err != nil {
-				obs.GetCounter("inference.parse_failures").Add(1)
+		for i := max(base-1, 0); i < len(hist) && hist[i].Time.Before(end); i++ {
+			var err error
+			if state, err = e.step(&w, dev, state, hist[i]); err != nil {
 				return MonthAnalysis{}, err
 			}
-			state, prevText = cfg, hist[base-1].Text
-		}
-		for i := base; i < len(hist) && hist[i].Time.Before(end); i++ {
-			snap := hist[i]
-			cfg, err := e.parse(ns, dev, snap)
-			snapsParsed++
-			if err != nil {
-				obs.GetCounter("inference.parse_failures").Add(1)
-				return MonthAnalysis{}, err
-			}
-			if state == nil {
-				state, prevText = cfg, snap.Text // baseline import, not a change
-				continue
-			}
-			diff := e.diffSnapshots(ns, e.dialect(dev).Name(), prevText, snap.Text, state, cfg)
-			diffsComputed++
-			state, prevText = cfg, snap.Text
-			if len(diff) == 0 {
-				continue // identical snapshot: no configuration change
-			}
-			if months.Of(snap.Time) != m {
-				continue
-			}
-			types := make([]confmodel.Type, 0, 2)
-			for _, ch := range diff {
-				if len(types) == 0 || types[len(types)-1] != ch.Type {
-					types = append(types, ch.Type)
-				}
-			}
-			changes = append(changes, ChangeDetail{
-				Device:    dev.Name,
-				Time:      snap.Time,
-				Automated: e.arch.IsAutomated(snap.Login),
-				Types:     types,
-				Middlebox: dev.Role.IsMiddlebox(),
-			})
 		}
 		if state != nil {
 			configs = append(configs, state)
 		}
 	}
+	changes := w.changes
 
 	metrics := Metrics{}
 	e.designMetrics(metrics, nw, configs, mgmtOwner)
 	nEvents := e.operationalMetrics(metrics, nw, changes)
 
-	nsp.Count("snapshots_parsed", float64(snapsParsed))
-	nsp.Count("diffs", float64(diffsComputed))
+	nsp.Count("snapshots_parsed", float64(w.snaps))
+	nsp.Count("diffs", float64(w.diffs))
 	nsp.Count("changes", float64(len(changes)))
 	nsp.Count("events", float64(nEvents))
-	obs.GetCounter("inference.snapshots_parsed").Add(int64(snapsParsed))
-	obs.GetCounter("inference.diffs").Add(int64(diffsComputed))
+	obs.GetCounter("inference.snapshots_parsed").Add(int64(w.snaps))
+	obs.GetCounter("inference.diffs").Add(int64(w.diffs))
 	obs.GetCounter("inference.changes").Add(int64(len(changes)))
 	obs.GetCounter("inference.events_grouped").Add(int64(nEvents))
 	monthHist.Observe(float64(time.Since(monthStart).Nanoseconds()))

@@ -96,8 +96,7 @@ func TestAnalyzeMonthOrderAndWorkers(t *testing.T) {
 }
 
 // TestSetArchiveRebind pins that a rebound engine analyzes the new
-// archive: an appended snapshot shows up in the month's analysis while
-// the content-addressed caches keep serving unchanged texts.
+// archive while the original archive stays untouched.
 func TestSetArchiveRebind(t *testing.T) {
 	p := osp.Small(11)
 	p.Networks = 4

@@ -83,9 +83,11 @@ type (
 	// HealthWeights is the synthetic ground-truth health model.
 	HealthWeights = osp.HealthWeights
 	// CacheConfig parameterizes the content-addressed pipeline cache
-	// (Config.Cache): an in-memory LRU tier plus an optional on-disk tier
-	// (Dir) that lets warm re-runs skip all unchanged per-network work.
-	// The zero value disables caching; caching never changes results.
+	// (Config.Cache): per-network inference in an in-memory LRU tier plus
+	// an optional on-disk tier (Dir) that lets warm re-runs skip all
+	// unchanged per-network work; MaxEntries also bounds the query memo.
+	// The zero value disables the inference cache; caching never changes
+	// results.
 	CacheConfig = cache.Config
 	// CacheStats is a point-in-time snapshot of one cache's activity
 	// (see Framework.QueryCacheStats).
@@ -128,10 +130,10 @@ type Config struct {
 	// whatever par.SetDefaultWorkers / the CLIs' -workers flag set. Every
 	// result is byte-identical at every worker count.
 	Workers int
-	// Cache configures content-addressed memoization of the pipeline's
-	// pure stages (snapshot parsing, diffing, per-network inference, the
-	// dataset build). The zero value disables it. Results are
-	// byte-identical with the cache cold, warm, or disabled.
+	// Cache configures content-addressed memoization of per-network
+	// inference and bounds the query memo. The zero value disables the
+	// inference cache. Results are byte-identical with the cache cold,
+	// warm, or disabled.
 	Cache CacheConfig
 }
 
@@ -203,10 +205,8 @@ type Framework struct {
 	// queries is the warm query layer (query.go): memoized rankings,
 	// causal analyses, models, and reports for long-lived processes.
 	queries queryState
-	// ingestMu serializes updates; engine is the lazily-built incremental
-	// inference engine reused across them (guarded by ingestMu).
+	// ingestMu serializes updates.
 	ingestMu sync.Mutex
-	engine   *practices.Engine
 	// hub fans applied updates out to stream subscribers.
 	hub *ingest.Hub
 }
@@ -244,10 +244,11 @@ func New(inv *Inventory, arch *Archive, tickets *TicketLog, start, end Month) (*
 	return NewCached(inv, arch, tickets, start, end, CacheConfig{})
 }
 
-// NewCached is New with the content-addressed pipeline cache enabled per
-// cc: with an on-disk tier configured, re-analyzing an organization whose
-// data is largely unchanged (the common monitoring cadence) recomputes
-// only the networks whose inputs actually changed.
+// NewCached is New with the content-addressed per-network inference
+// cache configured by cc: with an on-disk tier, re-analyzing an
+// organization whose data is largely unchanged (a restart, or the common
+// monitoring cadence) recomputes only the networks whose inputs actually
+// changed.
 func NewCached(inv *Inventory, arch *Archive, tickets *TicketLog, start, end Month, cc CacheConfig) (*Framework, error) {
 	if inv == nil || arch == nil || tickets == nil {
 		return nil, fmt.Errorf("mpa: nil data source")
@@ -264,7 +265,6 @@ func NewCached(inv *Inventory, arch *Archive, tickets *TicketLog, start, end Mon
 	if err != nil {
 		return nil, err
 	}
-	upstream, haveKey := engine.AnalysisKey()
 	env := &experiments.Env{
 		Params: osp.Params{
 			Start: start,
@@ -276,20 +276,16 @@ func NewCached(inv *Inventory, arch *Archive, tickets *TicketLog, start, end Mon
 			Tickets:   tickets,
 		},
 		Analysis: analysis,
-		Data:     dataset.BuildCached(analysis, tickets, root, cache.New("dataset", cc), upstream, haveKey),
+		Data:     dataset.BuildObs(analysis, tickets, root),
 		Obs:      root,
 	}
 	env.OSP.Params = env.Params
-	f := newFramework(env, Config{
+	return newFramework(env, Config{
 		Networks: len(inv.Networks),
 		Start:    start,
 		End:      end,
 		Cache:    cc,
-	})
-	// Keep the engine warm: Ingest reuses its content-addressed caches,
-	// so an incremental month pays only for genuinely new snapshots.
-	f.engine = engine
-	return f, nil
+	}), nil
 }
 
 // Dataset returns the case matrix (one case per network-month).

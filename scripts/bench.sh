@@ -6,10 +6,12 @@
 #   scripts/bench.sh [count]
 #
 # Runs BenchmarkGenerate, BenchmarkInference, BenchmarkInferenceWarmCache,
-# BenchmarkIngestMonth (the streaming-ingest cost of one new month),
-# the per-dialect parse/diff stage benchmarks (BenchmarkParseSnapshot*,
-# BenchmarkDiffPair*), BenchmarkTable3, BenchmarkSection61, and the two
-# heaviest analyses, BenchmarkFigure8 and BenchmarkTable9, with
+# BenchmarkIngestMonth (the streaming-ingest cost of one new month; each
+# iteration ingests into a fresh framework that has never seen that
+# month, as in a real stream), the per-dialect parse/diff stage
+# benchmarks (BenchmarkParseSnapshot*, BenchmarkDiffPair*),
+# BenchmarkTable3, BenchmarkSection61, and the two heaviest analyses,
+# BenchmarkFigure8 and BenchmarkTable9, with
 # -count (default 10) repetitions each and writes
 # BENCH_<YYYY-MM-DD>.json in the repo root: one object per benchmark run
 # with ns/op, B/op, and allocs/op, plus the host's CPU count and the

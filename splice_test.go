@@ -25,6 +25,7 @@ import (
 	"testing"
 
 	"mpa/internal/ingest"
+	"mpa/internal/obs"
 	"mpa/internal/osp"
 	"mpa/internal/par"
 )
@@ -204,6 +205,26 @@ func TestSpliceEquivalence(t *testing.T) {
 			})
 		}
 	}
+
+	// The restart path: a framework built from a populated on-disk tier,
+	// then grown by ingest, must match the golden too. Ingest never reads
+	// the per-network tier, so every disk hit comes from construction.
+	t.Run("cache=disk-warm", func(t *testing.T) {
+		cc := CacheConfig{Enabled: true, Dir: t.TempDir()}
+		buildIncremental(t, o, cc)
+		hits := obs.GetCounter("cache.practices.disk_hits")
+		before := hits.Value()
+		inc, _ := buildIncremental(t, o, cc)
+		if got := hits.Value() - before; got < int64(len(o.Inventory.Networks)) {
+			t.Errorf("disk-warm build took %d per-network disk hits, want >= %d", got, len(o.Inventory.Networks))
+		}
+		if got := digestsOf(t, inc, 1); !reflect.DeepEqual(got, golden) {
+			t.Fatalf("disk-warm incremental framework diverged from full rebuild:\n got %+v\nwant %+v", got, golden)
+		}
+		if calls := inc.StageCalls("inference"); calls != 1 {
+			t.Errorf("inference stage ran %d times, want exactly 1 (construction)", calls)
+		}
+	})
 }
 
 // TestIngestRejectsLeaveStateUntouched pins that a rejected update is
