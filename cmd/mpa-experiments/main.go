@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mpa-experiments [-seed N] [-scale small|medium|full] [-only id,id,...]
-//	                [-workers N] [-cache] [-cache-dir DIR] [-cache-max N]
+//	                [-workers N] [-cache-dir DIR]
 //
 // Scale selects the synthetic OSP size: small (60 networks, 6 months),
 // medium (240 networks, 10 months), or full (the paper's 850 networks
@@ -15,12 +15,12 @@
 // inference, CV folds, forest trees, experiment fan-out) may use; 0 (the
 // default) uses every CPU. Output is byte-identical at any worker count.
 //
-// -cache (default true) memoizes per-network practice inference under
-// SHA-256 content keys. -cache-dir adds an on-disk tier:
-// re-running with the same directory skips all unchanged per-network
-// work, which is most of the pipeline. Output is byte-identical with the
-// cache cold, warm, or disabled (-cache=false); hit/miss/evict counters
-// appear under "cache.*" in /debug/vars and the stats breakdown.
+// -cache-dir stores per-network practice inference on disk under SHA-256
+// content keys: re-running with the same directory skips all unchanged
+// per-network work, which is most of the pipeline. Output is
+// byte-identical with the cache cold, warm, or off (no -cache-dir); its
+// hit/miss counters appear under "cache.*" in /debug/vars and the stats
+// breakdown.
 //
 // The observability flags of cmd/mpa (-v, -vv, -progress, -cpuprofile,
 // -memprofile, -trace, -manifest, -debug-addr) are available here too.
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"mpa"
-	"mpa/internal/cache"
 	"mpa/internal/obs"
 	"mpa/internal/par"
 )
@@ -49,9 +48,7 @@ func main() {
 	scale := flag.String("scale", "medium", "small | medium | full")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	workers := flag.Int("workers", 0, "worker goroutines per pipeline stage (0 = all CPUs); results are identical at any count")
-	cacheOn := flag.Bool("cache", true, "content-addressed caching of pure pipeline stages; results are identical either way")
-	cacheDir := flag.String("cache-dir", "", "on-disk cache tier directory (empty = in-memory only); warm re-runs skip unchanged per-network work")
-	cacheMax := flag.Int("cache-max", cache.DefaultMaxEntries, "max in-memory cache entries per pipeline stage")
+	cacheDir := flag.String("cache-dir", "", "on-disk cache directory for per-network inference (empty = no cache); re-runs skip unchanged per-network work, results are identical either way")
 	var obsFlags obs.Flags
 	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
@@ -78,7 +75,7 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Workers = *workers
-	cfg.Cache = mpa.CacheConfig{Enabled: *cacheOn, Dir: *cacheDir, MaxEntries: *cacheMax}
+	cfg.Cache = mpa.CacheConfig{Dir: *cacheDir}
 
 	ids := mpa.ExperimentIDs()
 	if *only != "" {

@@ -49,12 +49,11 @@
 //	-network NAME  network for `report`
 //	-workers N     worker goroutines per pipeline stage (0 = all CPUs);
 //	               results are byte-identical at any worker count
-//	-cache         content-addressed caching of pure pipeline stages
-//	               (default true; results are identical either way)
-//	-cache-dir D   on-disk cache tier; warm re-runs with the same directory
-//	               skip all unchanged per-network work (serve and watch
-//	               keep each org's tier under D/orgs/<org>)
-//	-cache-max N   max in-memory cache entries per pipeline stage
+//	-cache-dir D   on-disk cache of per-network inference (default off);
+//	               re-runs with the same directory skip all unchanged
+//	               per-network work (serve and watch keep each org's
+//	               tier under D/orgs/<org>); results are identical either
+//	               way
 //	-addr A        listen address for `serve` (default localhost:8080)
 //	-max-inflight N  concurrent query limit for `serve` (0 = 2×GOMAXPROCS)
 //	-orgs SPEC     multi-tenant serve: comma-separated
@@ -98,7 +97,6 @@ import (
 	"time"
 
 	"mpa"
-	"mpa/internal/cache"
 	"mpa/internal/ingest"
 	"mpa/internal/obs"
 	"mpa/internal/par"
@@ -120,9 +118,7 @@ func main() {
 	dir := flag.String("dir", "mpa-export", "output directory for export")
 	network := flag.String("network", "", "network name for report")
 	workers := flag.Int("workers", 0, "worker goroutines per pipeline stage (0 = all CPUs); results are identical at any count")
-	cacheOn := flag.Bool("cache", true, "content-addressed caching of pure pipeline stages; results are identical either way")
-	cacheDir := flag.String("cache-dir", "", "on-disk cache tier directory (empty = in-memory only); warm re-runs skip unchanged per-network work")
-	cacheMax := flag.Int("cache-max", cache.DefaultMaxEntries, "max in-memory cache entries per pipeline stage")
+	cacheDir := flag.String("cache-dir", "", "on-disk cache directory for per-network inference (empty = no cache); re-runs skip unchanged per-network work, results are identical either way")
 	addr := flag.String("addr", "localhost:8080", "listen address for the serve subcommand")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent query limit for serve (0 = 2×GOMAXPROCS)")
 	orgsSpec := flag.String("orgs", "", "multi-tenant serve: comma-separated name=seed[:networks[:months]] org specs")
@@ -164,7 +160,7 @@ func main() {
 	cfg := mpa.DefaultConfig(*seed)
 	cfg.Networks = *networks
 	cfg.Workers = *workers
-	cfg.Cache = mpa.CacheConfig{Enabled: *cacheOn, Dir: *cacheDir, MaxEntries: *cacheMax}
+	cfg.Cache = mpa.CacheConfig{Dir: *cacheDir}
 	start, _ := mpa.StudyWindow()
 	cfg.Start = start
 	cfg.End = start.Add(*monthsN - 1)

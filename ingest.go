@@ -9,9 +9,8 @@ package mpa
 // dataset are re-assembled around the spliced rows, and the new
 // environment is swapped in atomically. Queries racing an ingest read
 // either the old or the new state, never a mix. The new environment
-// carries bumped generations (the global one and the touched networks'),
-// which the query memo keys embed (query.go), so untouched networks'
-// entries stay warm.
+// starts fresh query memos for the touched networks and shares the
+// untouched networks' memos (query.go), so their entries stay warm.
 //
 // The correctness bar is byte-identity, not freshness: ingesting months
 // 1..k one at a time must leave the framework in exactly the state a

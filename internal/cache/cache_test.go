@@ -5,30 +5,34 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"testing"
 
 	"mpa/internal/obs"
 )
 
+// keyOf is a small key: a namespace plus string parts.
+func keyOf(namespace string, parts ...string) Key {
+	h := NewHasher(namespace)
+	for _, p := range parts {
+		h.String(p)
+	}
+	return h.Sum()
+}
+
 func TestKeyFraming(t *testing.T) {
 	// Length-prefix framing: distinct part splits must not collide.
-	a := KeyOf("ns", "ab", "c")
-	b := KeyOf("ns", "a", "bc")
+	a := keyOf("ns", "ab", "c")
+	b := keyOf("ns", "a", "bc")
 	if a == b {
 		t.Fatal("framing collision: (ab,c) == (a,bc)")
 	}
 	// Namespaces separate key spaces.
-	if KeyOf("ns1", "x") == KeyOf("ns2", "x") {
+	if keyOf("ns1", "x") == keyOf("ns2", "x") {
 		t.Fatal("namespace collision")
 	}
 	// Keys are deterministic.
-	if a != KeyOf("ns", "ab", "c") {
+	if a != keyOf("ns", "ab", "c") {
 		t.Fatal("key not deterministic")
-	}
-	// Hasher and KeyOf agree.
-	if got := NewHasher("ns").String("ab").String("c").Sum(); got != a {
-		t.Fatalf("Hasher sum %s != KeyOf %s", got.Hex(), a.Hex())
 	}
 	if len(a.Hex()) != 64 {
 		t.Fatalf("hex length %d", len(a.Hex()))
@@ -45,74 +49,44 @@ func TestHasherParts(t *testing.T) {
 	}
 }
 
-func TestDisabledAndNil(t *testing.T) {
-	if c := New("stage", Config{}); c != nil {
-		t.Fatal("disabled config should yield nil cache")
-	}
-	var c *Cache
-	if _, ok := c.Get(Key{}); ok {
-		t.Fatal("nil Get hit")
-	}
-	c.Put(Key{}, 1) // must not panic
-	c.PutBytes(Key{}, nil)
-	if _, ok := c.GetBytes(Key{}); ok {
-		t.Fatal("nil GetBytes hit")
-	}
-	if c.Stats() != (Stats{}) {
-		t.Fatal("nil Stats non-zero")
-	}
-	calls := 0
-	v, err := GetOrCompute(c, Key{}, Codec[int]{}, func() (int, error) { calls++; return 7, nil })
-	if err != nil || v != 7 || calls != 1 {
-		t.Fatalf("nil GetOrCompute = %d, %v (calls %d)", v, err, calls)
-	}
+// intCodec stores ints as decimal text.
+var intCodec = Codec[int]{
+	Encode: func(v int) ([]byte, error) { return []byte(strconv.Itoa(v)), nil },
+	Decode: func(b []byte) (int, error) { return strconv.Atoi(string(b)) },
 }
 
-func TestMemoryTierLRU(t *testing.T) {
-	c := New("test-lru", Config{Enabled: true, MaxEntries: 2})
-	k := func(i int) Key { return KeyOf("k", strconv.Itoa(i)) }
-	c.Put(k(1), "one")
-	c.Put(k(2), "two")
-	if v, ok := c.Get(k(1)); !ok || v != "one" {
-		t.Fatal("miss on k1")
+func TestDisabledAndNil(t *testing.T) {
+	// Without a Dir there is no tier, whatever the deprecated Enabled says.
+	for _, cfg := range []Config{{}, {Enabled: true}} {
+		if c := New("stage", cfg); c != nil {
+			t.Fatalf("config %+v should yield a nil cache", cfg)
+		}
 	}
-	// k2 is now least recently used; inserting k3 must evict it.
-	c.Put(k(3), "three")
-	if _, ok := c.Get(k(2)); ok {
-		t.Fatal("k2 survived eviction")
-	}
-	if _, ok := c.Get(k(1)); !ok {
-		t.Fatal("k1 evicted out of LRU order")
-	}
-	s := c.Stats()
-	if s.Evictions != 1 || s.Entries != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-	// Overwriting an existing key must not grow the cache.
-	c.Put(k(1), "uno")
-	if v, _ := c.Get(k(1)); v != "uno" {
-		t.Fatal("overwrite lost")
-	}
-	if s := c.Stats(); s.Entries != 2 {
-		t.Fatalf("entries after overwrite = %d", s.Entries)
+	var c *Cache
+	calls := 0
+	for i := 0; i < 2; i++ {
+		v, err := GetOrCompute(c, Key{}, intCodec, func() (int, error) { calls++; return 7, nil })
+		if err != nil || v != 7 || calls != i+1 {
+			t.Fatalf("nil GetOrCompute = %d, %v (calls %d)", v, err, calls)
+		}
 	}
 }
 
 func TestDiskTier(t *testing.T) {
 	dir := t.TempDir()
-	c := New("test-disk", Config{Enabled: true, Dir: dir})
-	k := KeyOf("k", "x")
-	if _, ok := c.GetBytes(k); ok {
+	c := New("test-disk", Config{Dir: dir})
+	k := keyOf("k", "x")
+	if _, ok := c.getBytes(k); ok {
 		t.Fatal("hit on empty disk tier")
 	}
-	c.PutBytes(k, []byte("payload"))
-	b, ok := c.GetBytes(k)
+	c.putBytes(k, []byte("payload"))
+	b, ok := c.getBytes(k)
 	if !ok || string(b) != "payload" {
 		t.Fatalf("disk round trip = %q, %v", b, ok)
 	}
 	// A second instance over the same dir (fresh process simulation) hits.
-	c2 := New("test-disk", Config{Enabled: true, Dir: dir})
-	if _, ok := c2.GetBytes(k); !ok {
+	c2 := New("test-disk", Config{Dir: dir})
+	if _, ok := c2.getBytes(k); !ok {
 		t.Fatal("fresh instance missed persisted entry")
 	}
 	// Entries are sharded under the stage subdirectory.
@@ -125,11 +99,7 @@ func TestDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	v, err := GetOrCompute(New("test-disk", Config{Enabled: true, Dir: dir}), k,
-		Codec[int]{
-			Encode: func(v int) ([]byte, error) { return []byte(strconv.Itoa(v)), nil },
-			Decode: func(b []byte) (int, error) { return strconv.Atoi(string(b)) },
-		},
+	v, err := GetOrCompute(New("test-disk", Config{Dir: dir}), k, intCodec,
 		func() (int, error) { calls++; return 5, nil })
 	if err != nil || v != 5 || calls != 1 {
 		t.Fatalf("corrupt entry not recomputed: %d, %v, calls %d", v, err, calls)
@@ -143,7 +113,7 @@ func TestDiskCorruptEntryRecovered(t *testing.T) {
 	// miss, be deleted, counted under cache.<stage>.disk_corrupt, and be
 	// replaced by the recomputed value.
 	dir := t.TempDir()
-	cfg := Config{Enabled: true, Dir: dir}
+	cfg := Config{Dir: dir}
 	codec := Codec[string]{
 		Encode: func(s string) ([]byte, error) { return []byte("v1:" + s), nil },
 		Decode: func(b []byte) (string, error) {
@@ -153,7 +123,7 @@ func TestDiskCorruptEntryRecovered(t *testing.T) {
 			return string(b[3:]), nil
 		},
 	}
-	k := KeyOf("k", "truncated")
+	k := keyOf("k", "truncated")
 	calls := 0
 	compute := func() (string, error) { calls++; return "payload", nil }
 
@@ -169,7 +139,7 @@ func TestDiskCorruptEntryRecovered(t *testing.T) {
 	}
 
 	corruptBefore := obs.GetCounter("cache.test-corrupt.disk_corrupt").Value()
-	c2 := New("test-corrupt", cfg) // fresh memory tier, warm (bad) disk tier
+	c2 := New("test-corrupt", cfg) // fresh instance, warm (bad) disk tier
 	v, err := GetOrCompute(c2, k, codec, compute)
 	if err != nil || v != "payload" {
 		t.Fatalf("recovery = %q, %v", v, err)
@@ -196,77 +166,48 @@ func TestDiskCorruptEntryRecovered(t *testing.T) {
 
 func TestGetOrComputeTiers(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Enabled: true, Dir: dir}
+	cfg := Config{Dir: dir}
 	codec := Codec[string]{
 		Encode: func(s string) ([]byte, error) { return []byte(s), nil },
 		Decode: func(b []byte) (string, error) { return string(b), nil },
 	}
-	k := KeyOf("k", "v")
+	k := keyOf("k", "v")
 	calls := 0
 	compute := func() (string, error) { calls++; return "value", nil }
+	hits := obs.GetCounter("cache.test-tiers.disk_hits")
+	misses := obs.GetCounter("cache.test-tiers.disk_misses")
+	hits0, misses0 := hits.Value(), misses.Value()
 
-	c := New("test-tiers", cfg)
-	for i := 0; i < 3; i++ {
+	// Every call reads the disk: the first misses and computes, the rest
+	// hit, on this instance and on a fresh one over the same Dir.
+	for _, c := range []*Cache{New("test-tiers", cfg), New("test-tiers", cfg), New("test-tiers", cfg)} {
 		v, err := GetOrCompute(c, k, codec, compute)
 		if err != nil || v != "value" {
-			t.Fatalf("round %d: %q, %v", i, v, err)
+			t.Fatalf("GetOrCompute = %q, %v", v, err)
 		}
 	}
 	if calls != 1 {
 		t.Fatalf("computed %d times, want 1", calls)
 	}
-	s := c.Stats()
-	if s.MemHits != 2 || s.DiskMisses != 1 {
-		t.Fatalf("stats = %+v", s)
+	if d := misses.Value() - misses0; d != 1 {
+		t.Fatalf("disk misses rose by %d, want 1", d)
 	}
-
-	// A fresh instance (cold memory, warm disk) must hit the disk tier.
-	c2 := New("test-tiers", cfg)
-	v, err := GetOrCompute(c2, k, codec, compute)
-	if err != nil || v != "value" || calls != 1 {
-		t.Fatalf("disk-tier reuse failed: %q, %v, calls %d", v, err, calls)
-	}
-	if s := c2.Stats(); s.DiskHits != 1 {
-		t.Fatalf("fresh-instance stats = %+v", s)
-	}
-	// And the decoded value is promoted into memory.
-	if _, ok := c2.Get(k); !ok {
-		t.Fatal("disk hit not promoted to memory tier")
+	if d := hits.Value() - hits0; d != 2 {
+		t.Fatalf("disk hits rose by %d, want 2", d)
 	}
 }
 
 func TestGetOrComputeError(t *testing.T) {
-	c := New("test-err", Config{Enabled: true})
-	k := KeyOf("k", "err")
+	dir := t.TempDir()
+	c := New("test-err", Config{Dir: dir})
+	k := keyOf("k", "err")
 	wantErr := fmt.Errorf("boom")
-	if _, err := GetOrCompute(c, k, Codec[int]{}, func() (int, error) { return 0, wantErr }); err != wantErr {
+	if _, err := GetOrCompute(c, k, intCodec, func() (int, error) { return 0, wantErr }); err != wantErr {
 		t.Fatalf("err = %v", err)
 	}
-	// Errors are not cached.
-	if _, ok := c.Get(k); ok {
-		t.Fatal("error result cached")
+	// Errors are not cached: the next call computes.
+	calls := 0
+	if v, err := GetOrCompute(c, k, intCodec, func() (int, error) { calls++; return 3, nil }); err != nil || v != 3 || calls != 1 {
+		t.Fatalf("after an error GetOrCompute = %d, %v (calls %d)", v, err, calls)
 	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	c := New("test-conc", Config{Enabled: true, MaxEntries: 64})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				k := KeyOf("k", strconv.Itoa(i%100))
-				if v, ok := c.Get(k); ok {
-					if v.(int) != i%100 {
-						t.Errorf("got %v for key %d", v, i%100)
-						return
-					}
-				} else {
-					c.Put(k, i%100)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }

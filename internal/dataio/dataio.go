@@ -183,20 +183,6 @@ func WriteTickets(w io.Writer, log *ticketing.Log) error {
 	return cw.Error()
 }
 
-// originFromString parses a ticket origin.
-func originFromString(s string) (ticketing.Origin, error) {
-	switch strings.ToLower(s) {
-	case "alarm":
-		return ticketing.OriginAlarm, nil
-	case "user-report":
-		return ticketing.OriginUserReport, nil
-	case "maintenance":
-		return ticketing.OriginMaintenance, nil
-	default:
-		return 0, fmt.Errorf("dataio: unknown ticket origin %q", s)
-	}
-}
-
 // ReadTickets parses a ticket CSV produced by WriteTickets (or a
 // compatible export). IDs are reassigned by the log in row order.
 func ReadTickets(r io.Reader) (*ticketing.Log, error) {
@@ -222,7 +208,7 @@ func ReadTickets(r io.Reader) (*ticketing.Log, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataio: ticket line %d: %w", line, err)
 		}
-		origin, err := originFromString(rec[3])
+		origin, err := ticketing.ParseOrigin(strings.ToLower(rec[3]))
 		if err != nil {
 			return nil, fmt.Errorf("dataio: ticket line %d: %w", line, err)
 		}
@@ -349,33 +335,23 @@ func ReadArchive(root string, specialAccounts []string) (*nms.Archive, error) {
 		}
 		sort.Slice(snaps, func(i, j int) bool { return snaps[i].t.Before(snaps[j].t) })
 		for _, s := range snaps {
-			text, err := os.ReadFile(s.path)
+			b, err := os.ReadFile(s.path)
 			if err != nil {
 				return nil, fmt.Errorf("dataio: %w", err)
 			}
+			text := string(b)
 			if err := arch.Record(&nms.Snapshot{
 				Device:      device,
 				Time:        s.t,
 				Login:       s.login,
-				Text:        string(text),
-				Fingerprint: textFingerprint(text),
+				Text:        text,
+				Fingerprint: nms.Fingerprint(text),
 			}); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return arch, nil
-}
-
-// textFingerprint hashes raw snapshot text (FNV-1a).
-func textFingerprint(text []byte) string {
-	const offset, prime = 14695981039346656037, 1099511628211
-	var h uint64 = offset
-	for _, b := range text {
-		h ^= uint64(b)
-		h *= prime
-	}
-	return fmt.Sprintf("%016x", h)
 }
 
 // ---- Whole-organization convenience ----

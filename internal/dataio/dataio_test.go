@@ -158,7 +158,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 	for i, text := range texts {
 		if err := arch.Record(&nms.Snapshot{
 			Device: "d1", Time: base.Add(time.Duration(i) * time.Hour),
-			Login: "svc-netauto", Text: text, Fingerprint: textFingerprint([]byte(text)),
+			Login: "svc-netauto", Text: text, Fingerprint: nms.Fingerprint(text),
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"sync"
@@ -33,12 +34,13 @@ type Env struct {
 	// experiment run adds its own child. Nil on hand-assembled Envs —
 	// all instrumentation degrades to no-ops.
 	Obs *obs.Span
-	// Gen counts the ingests applied to reach this snapshot, and NetGen
-	// the ingests that touched each network (absent = 0). Query memo keys
-	// embed them, so a key and the inputs it names always come from the
-	// same Env. NetGen is copy-on-write: Evolve never mutates the parent's.
-	Gen    uint64
-	NetGen map[string]uint64
+
+	// memo holds the answers to whole-organization queries over this
+	// snapshot, and netMemo each analyzed network's answers. netMemo is
+	// built with the Env and never mutated afterwards; an Env assembled
+	// by hand has neither and computes every query.
+	memo    *cache.Memo
+	netMemo map[string]*cache.Memo
 
 	// cases indexes Data by network and month; built on first Case.
 	casesOnce sync.Once
@@ -99,40 +101,58 @@ func NewEnvCached(p osp.Params, cc cache.Config) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: inference failed: %w", err)
 	}
-	return &Env{
-		Params:   p,
-		OSP:      o,
-		Analysis: analysis,
-		Data:     dataset.BuildObs(analysis, o.Tickets, root),
-		Obs:      root,
-	}, nil
+	return Assemble(p, o, analysis, dataset.BuildObs(analysis, o.Tickets, root), root), nil
 }
+
+// Assemble wraps one snapshot's data in an Env with empty query memos.
+func Assemble(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAnalysis, data *dataset.Dataset, root *obs.Span) *Env {
+	return assemble(p, o, analysis, data, root, nil)
+}
+
+// assemble builds an Env with one query memo per analyzed network, taken
+// from carry when it holds the network and fresh otherwise.
+func assemble(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAnalysis, data *dataset.Dataset, root *obs.Span, carry map[string]*cache.Memo) *Env {
+	e := &Env{Params: p, OSP: o, Analysis: analysis, Data: data, Obs: root,
+		memo: new(cache.Memo), netMemo: make(map[string]*cache.Memo, len(analysis))}
+	for n := range analysis {
+		m := carry[n]
+		if m == nil {
+			m = new(cache.Memo)
+		}
+		e.netMemo[n] = m
+	}
+	return e
+}
+
+// Memo returns the snapshot's whole-organization query memo.
+func (e *Env) Memo() *cache.Memo { return e.memo }
+
+// NetworkMemo returns one network's query memo, or nil (compute every
+// call) for a network the snapshot does not hold, so names from outside
+// input never grow the memo set.
+func (e *Env) NetworkMemo(network string) *cache.Memo { return e.netMemo[network] }
 
 // Evolve returns a new Env holding the given (spliced) data while
 // carrying over e's observability root and the report digests recorded
-// so far, with Gen and the touched networks' NetGen bumped. The
-// incremental ingest path builds each post-update state as a fresh Env
-// and swaps it in atomically, so in-flight experiment runs keep reading
-// a consistent snapshot; the shared root span means pipeline stats keep
-// accruing in one tree across updates. The digest map is copied, never
-// shared — re-run experiments on the evolved Env overwrite their entries
-// without racing readers of the old one.
+// so far. The new snapshot starts a fresh whole-organization memo and
+// fresh memos for the touched networks; untouched networks share e's
+// memos, since their answers are unchanged. The incremental ingest path
+// builds each post-update state as a fresh Env and swaps it in
+// atomically, so in-flight queries keep reading a consistent snapshot;
+// the shared root span means pipeline stats keep accruing in one tree
+// across updates. The digest map is copied, never shared — re-run
+// experiments on the evolved Env overwrite their entries without racing
+// readers of the old one.
 func (e *Env) Evolve(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAnalysis, data *dataset.Dataset, touched []string) *Env {
-	ne := &Env{Params: p, OSP: o, Analysis: analysis, Data: data, Obs: e.Obs, Gen: e.Gen + 1,
-		NetGen: make(map[string]uint64, len(e.NetGen)+len(touched))}
-	for n, g := range e.NetGen {
-		ne.NetGen[n] = g
-	}
+	carry := maps.Clone(e.netMemo)
 	for _, n := range touched {
-		ne.NetGen[n]++
+		delete(carry, n)
 	}
+	ne := assemble(p, o, analysis, data, e.Obs, carry)
 	e.digestMu.Lock()
 	defer e.digestMu.Unlock()
 	if len(e.digests) > 0 {
-		ne.digests = make(map[string]string, len(e.digests))
-		for id, d := range e.digests {
-			ne.digests[id] = d
-		}
+		ne.digests = maps.Clone(e.digests)
 	}
 	return ne
 }

@@ -13,7 +13,6 @@
 package ingest
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -146,7 +145,7 @@ func (u *Update) Compile(inv *netmodel.Inventory, arch *nms.Archive) (*Compiled,
 			Time:        s.Time,
 			Login:       s.Login,
 			Text:        s.Text,
-			Fingerprint: textFingerprint(s.Text),
+			Fingerprint: nms.Fingerprint(s.Text),
 		})
 		touched[netName] = true
 	}
@@ -175,7 +174,7 @@ func (u *Update) Compile(inv *netmodel.Inventory, arch *nms.Archive) (*Compiled,
 			return nil, fmt.Errorf("ingest: ticket %d (%s at %v): outside update month %s",
 				i, t.Network, t.Opened, m)
 		}
-		origin, err := parseOrigin(t.Origin)
+		origin, err := ticketing.ParseOrigin(t.Origin)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: ticket %d: %w", i, err)
 		}
@@ -256,36 +255,6 @@ func Truncate(arch *nms.Archive, log *ticketing.Log, end months.Month) (*nms.Arc
 		}
 	}
 	return ta, tl
-}
-
-// parseOrigin maps a wire origin string to its ticketing constant.
-func parseOrigin(s string) (ticketing.Origin, error) {
-	for _, o := range []ticketing.Origin{
-		ticketing.OriginAlarm, ticketing.OriginUserReport, ticketing.OriginMaintenance,
-	} {
-		if o.String() == s {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown ticket origin %q", s)
-}
-
-// textFingerprint digests raw snapshot text (FNV-1a), the same
-// change-detection convention the dataio importer uses: consumers only
-// ever compare fingerprints of successive same-device snapshots for
-// equality, so any deterministic text digest serves.
-func textFingerprint(text string) string {
-	const offset, prime = 14695981039346656037, 1099511628211
-	var h uint64 = offset
-	for i := 0; i < len(text); i++ {
-		h ^= uint64(text[i])
-		h *= prime
-	}
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(h >> (56 - 8*i))
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // sortedKeys returns the map's keys in sorted order.

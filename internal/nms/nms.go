@@ -31,6 +31,26 @@ type Snapshot struct {
 	Fingerprint string // cheap digest for change detection
 }
 
+// Fingerprint digests raw snapshot text as 16 hex digits of its 64-bit
+// FNV-1a hash. Consumers only compare the fingerprints of successive
+// same-device snapshots for equality, so any deterministic text digest
+// serves; importers of raw text all use this one.
+func Fingerprint(text string) string {
+	const offset, prime = 14695981039346656037, 1099511628211
+	const digits = "0123456789abcdef"
+	var h uint64 = offset
+	for i := 0; i < len(text); i++ {
+		h ^= uint64(text[i])
+		h *= prime
+	}
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[h&0xf]
+		h >>= 4
+	}
+	return string(b[:])
+}
+
 // ChangeRecord is a configuration change: a pair of successive snapshots
 // of one device whose configurations differ.
 type ChangeRecord struct {

@@ -143,3 +143,17 @@ func TestChangesEmptyHistory(t *testing.T) {
 		t.Errorf("Changes of unknown device = %v", got)
 	}
 }
+
+// TestFingerprintPinned pins the text digest importers store: a change
+// of scheme would make every imported snapshot look changed against its
+// archived predecessor.
+func TestFingerprintPinned(t *testing.T) {
+	for text, want := range map[string]string{
+		"":              "cbf29ce484222325", // the FNV-1a 64-bit offset basis
+		"hostname r1\n": "d9637733475f4699",
+	} {
+		if got := Fingerprint(text); got != want {
+			t.Errorf("Fingerprint(%q) = %s, want %s", text, got, want)
+		}
+	}
+}

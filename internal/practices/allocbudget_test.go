@@ -51,9 +51,10 @@ func TestAllocBudgetInferNetwork(t *testing.T) {
 // TestAllocBudgetAnalyzeMonth is the same budget for the single-month
 // path behind Framework.Ingest: one month of every network, normalized
 // per snapshot the walk parses (each device's month-entering baseline
-// plus the month's own snapshots). Each run builds a fresh engine with
-// caching enabled, as Ingest does, so nothing a previous run left behind
-// can hide the cost of a month the engine has not seen.
+// plus the month's own snapshots). Each run builds a fresh engine with a
+// disk cache tier configured; the single-month path never reads it, so
+// nothing a previous run left behind can hide the cost of a month the
+// engine has not seen.
 func TestAllocBudgetAnalyzeMonth(t *testing.T) {
 	p := osp.Small(5)
 	p.Networks = 3
@@ -63,9 +64,10 @@ func TestAllocBudgetAnalyzeMonth(t *testing.T) {
 	for _, nw := range o.Inventory.Networks {
 		names = append(names, nw.Name)
 	}
+	dir := t.TempDir()
 	analyze := func() {
 		engine := NewEngine(o.Inventory, o.Archive)
-		engine.SetCache(cache.Config{Enabled: true})
+		engine.SetCache(cache.Config{Dir: dir})
 		if _, err := engine.AnalyzeMonth(m, names); err != nil {
 			t.Fatal(err)
 		}

@@ -84,9 +84,8 @@ type Engine struct {
 
 	obs *obs.Span // parent span for analysis runs; nil = untraced
 
-	// netCache memoizes whole per-network month analyses (see
-	// internal/cache); nil when caching is disabled. Cached analyses are
-	// shared and immutable.
+	// netCache stores whole per-network month analyses on disk (see
+	// internal/cache); nil when caching is disabled.
 	netCache *cache.Cache
 }
 
@@ -110,10 +109,10 @@ func (e *Engine) SetDelta(d time.Duration) { e.delta = d }
 // "inference" span with per-network (and per-month) children under it.
 func (e *Engine) SetObs(sp *obs.Span) { e.obs = sp }
 
-// SetCache enables content-addressed memoization of whole per-network
-// month analyses, keyed by everything a network's analysis reads. With
-// cfg.Dir set the analyses also live on disk, so a fresh process
-// re-analyzing unchanged inputs skips all per-network work. Snapshots are
+// SetCache stores whole per-network month analyses in a disk tier under
+// cfg.Dir (none when Dir is empty), keyed by everything a network's
+// analysis reads, so a fresh process re-analyzing unchanged inputs skips
+// all per-network work. Snapshots are
 // always parsed and diffed afresh: in a snapshot stream almost every text
 // is new, so per-snapshot memoization would cost more than it saves.
 // Caching never changes results — a cold, warm, or disabled run produces

@@ -30,7 +30,7 @@ func TestIncrementalMonthEquivalence(t *testing.T) {
 		"cold-uncached": NewEngine(o.Inventory, o.Archive),
 	}
 	warm := NewEngine(o.Inventory, o.Archive)
-	warm.SetCache(cache.Config{Enabled: true})
+	warm.SetCache(cache.Config{Dir: t.TempDir()})
 	if _, err := warm.Analyze(window); err != nil {
 		t.Fatalf("warm analyze: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestSetArchiveRebind(t *testing.T) {
 	m := p.End
 
 	e := NewEngine(o.Inventory, o.Archive)
-	e.SetCache(cache.Config{Enabled: true})
+	e.SetCache(cache.Config{Dir: t.TempDir()})
 	before, err := e.AnalyzeNetworkMonth(o.Inventory.Networks[0].Name, m)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@
 //	  "created_at": RFC 3339 timestamp,
 //	  "build":      {go_version, module, vcs_revision?, vcs_time?, vcs_dirty?},
 //	  "config":     {seed, networks, window_start, window_end, workers,
-//	                 cache_enabled, cache_dir?, cache_max_entries?, extra?},
+//	                 cache_enabled, cache_dir?, extra?},
 //	  "total_wall_ns": root-span age in nanoseconds,
 //	  "stages":     [{name, calls, wall_ns, alloc_bytes, counters?}, ...],
 //	  "metrics":    {counters, gauges, log_histograms?} —
@@ -89,15 +89,16 @@ type BuildInfo struct {
 // performance. Extra carries command-level settings (subcommand, scale)
 // that have no framework-level equivalent.
 type RunConfig struct {
-	Seed            uint64            `json:"seed"`
-	Networks        int               `json:"networks"`
-	WindowStart     string            `json:"window_start"`
-	WindowEnd       string            `json:"window_end"`
-	Workers         int               `json:"workers"`
-	CacheEnabled    bool              `json:"cache_enabled"`
-	CacheDir        string            `json:"cache_dir,omitempty"`
-	CacheMaxEntries int               `json:"cache_max_entries,omitempty"`
-	Extra           map[string]string `json:"extra,omitempty"`
+	Seed        uint64 `json:"seed"`
+	Networks    int    `json:"networks"`
+	WindowStart string `json:"window_start"`
+	WindowEnd   string `json:"window_end"`
+	Workers     int    `json:"workers"`
+	// CacheEnabled records whether the disk cache tier was on (CacheDir
+	// set).
+	CacheEnabled bool              `json:"cache_enabled"`
+	CacheDir     string            `json:"cache_dir,omitempty"`
+	Extra        map[string]string `json:"extra,omitempty"`
 }
 
 // Stage is one pipeline stage's rollup: the per-name merge of the spans

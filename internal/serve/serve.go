@@ -1,18 +1,19 @@
 // Package serve implements the long-lived `mpa serve` daemon: the
 // paper's monthly monitoring loop turned into a resident process. The
 // organization's data is loaded and inferred exactly once; the warm
-// Framework — its analysis, dataset, and the content-addressed caches —
-// stays in memory, and analysis queries are answered over HTTP. Repeated
-// queries never re-run inference or any other pipeline stage: results
-// are served from the framework's query cache ("cache.query.*" in
-// /metrics), which is the daemon's heavy-traffic path.
+// Framework — its analysis, dataset, and query memos — stays in memory,
+// and analysis queries are answered over HTTP. Repeated queries never
+// re-run inference or any other pipeline stage: results are served from
+// the memo of the data snapshot they read (hits and misses are the
+// "cache.query.*" counters in /metrics), which is the daemon's
+// heavy-traffic path.
 //
 // The daemon runs one warm Framework per organization and always fronts
 // an org registry (internal/tenant): a single-org daemon is a registry of
 // one, whose org also answers requests that name none. Every /v1 query
 // routes to the tenant's shard, resolved from the /v1/orgs/{org}/...
 // path segment or the X-MPA-Org header. Shards share no mutable state —
-// each org owns its engines, caches, and query generations — so
+// each org owns its engines, caches, and snapshot memos — so
 // cross-tenant isolation is structural, not locked. Fleet-wide aggregates
 // (/v1/fleet/*) fan per-shard partial results out over internal/par and
 // merge them map-reduce style (tenant.MergeRank / tenant.MergeHealth);
@@ -723,7 +724,7 @@ func (s *Server) handleReport(sh *shard, w http.ResponseWriter, r *http.Request)
 }
 
 // handleNetwork serves the per-network-month health summary, memoized
-// under the network's own cache generation (see mpa.NetworkHealthCached):
+// in the network's own memo (see mpa.NetworkHealthCached):
 // the heavy-traffic per-network dashboard path that stays warm across
 // ingests touching other networks — or, under sharding, other orgs.
 func (s *Server) handleNetwork(sh *shard, w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,6 @@
 // Package tenant generalizes the daemon from one warm Framework to N:
 // an organization registry that loads and infers one framework per org
-// (each with its own cache namespace, query generations, and ingest
+// (each with its own cache namespace, snapshot query memos, and ingest
 // path), plus the map-reduce merge layer behind the fleet-wide
 // aggregate endpoints (/v1/fleet/*).
 //

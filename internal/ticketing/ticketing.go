@@ -8,6 +8,7 @@
 package ticketing
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -36,6 +37,16 @@ func (o Origin) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseOrigin returns the origin whose String is s.
+func ParseOrigin(s string) (Origin, error) {
+	for _, o := range []Origin{OriginAlarm, OriginUserReport, OriginMaintenance} {
+		if o.String() == s {
+			return o, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown ticket origin %q", s)
 }
 
 // Ticket is one trouble ticket. The structured fields mirror the paper's

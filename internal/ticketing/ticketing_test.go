@@ -93,3 +93,16 @@ func TestFileCopiesTicket(t *testing.T) {
 		t.Error("File did not copy the ticket")
 	}
 }
+
+func TestParseOrigin(t *testing.T) {
+	for _, o := range []Origin{OriginAlarm, OriginUserReport, OriginMaintenance} {
+		if got, err := ParseOrigin(o.String()); err != nil || got != o {
+			t.Errorf("ParseOrigin(%q) = %v, %v", o.String(), got, err)
+		}
+	}
+	for _, s := range []string{"unknown", "Alarm", ""} {
+		if _, err := ParseOrigin(s); err == nil {
+			t.Errorf("ParseOrigin(%q) accepted", s)
+		}
+	}
+}

@@ -13,7 +13,6 @@ func smallManifestFramework(t *testing.T, seed uint64) *Framework {
 	t.Helper()
 	cfg := SmallConfig(seed)
 	cfg.Networks = 12
-	cfg.Cache = CacheConfig{Enabled: true} // the CLI default; registers cache.* counters
 	f, err := NewSynthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,9 +61,9 @@ func TestManifestContents(t *testing.T) {
 		t.Errorf("generate counters not rolled up: %+v", st.Counters)
 	}
 
-	// The registry snapshot must include the cache hit/miss counter
-	// family.
-	for _, name := range []string{"cache.practices.mem_hits", "cache.practices.mem_misses"} {
+	// The registry snapshot must include the query memo's hit/miss
+	// counters.
+	for _, name := range []string{"cache.query.mem_hits", "cache.query.mem_misses"} {
 		if _, ok := m.Metrics.Counters[name]; !ok {
 			t.Errorf("counter %q missing from the manifest metrics snapshot", name)
 		}

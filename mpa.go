@@ -82,16 +82,12 @@ type (
 	SyntheticParams = osp.Params
 	// HealthWeights is the synthetic ground-truth health model.
 	HealthWeights = osp.HealthWeights
-	// CacheConfig parameterizes the content-addressed pipeline cache
-	// (Config.Cache): per-network inference in an in-memory LRU tier plus
-	// an optional on-disk tier (Dir) that lets warm re-runs skip all
-	// unchanged per-network work; MaxEntries also bounds the query memo.
-	// The zero value disables the inference cache; caching never changes
-	// results.
+	// CacheConfig places the content-addressed per-network inference
+	// cache (Config.Cache): with Dir set, analyses are stored on disk
+	// under it, so re-runs and restarts skip all unchanged per-network
+	// work. Dir is the only setting; Enabled is deprecated and ignored.
+	// The zero value disables the cache; caching never changes results.
 	CacheConfig = cache.Config
-	// CacheStats is a point-in-time snapshot of one cache's activity
-	// (see Framework.QueryCacheStats).
-	CacheStats = cache.Stats
 	// IngestUpdate is one month of new snapshots and tickets in the
 	// streaming wire format (see Framework.Ingest and internal/ingest).
 	IngestUpdate = ingest.Update
@@ -130,9 +126,8 @@ type Config struct {
 	// whatever par.SetDefaultWorkers / the CLIs' -workers flag set. Every
 	// result is byte-identical at every worker count.
 	Workers int
-	// Cache configures content-addressed memoization of per-network
-	// inference and bounds the query memo. The zero value disables the
-	// inference cache. Results are byte-identical with the cache cold,
+	// Cache places the on-disk cache of per-network inference. The zero
+	// value disables it. Results are byte-identical with the cache cold,
 	// warm, or disabled.
 	Cache CacheConfig
 }
@@ -202,9 +197,9 @@ type Framework struct {
 	// while Manifest reads the whole struct.
 	cfgMu sync.Mutex
 	cfg   Config // the run's settings, recorded in manifests
-	// queries is the warm query layer (query.go): memoized rankings,
-	// causal analyses, models, and reports for long-lived processes.
-	queries queryState
+	// memoHits and memoMisses count query memo lookups (query.go); the
+	// memos themselves live on each environment snapshot.
+	memoHits, memoMisses atomic.Int64
 	// ingestMu serializes updates.
 	ingestMu sync.Mutex
 	// hub fans applied updates out to stream subscribers.
@@ -265,21 +260,9 @@ func NewCached(inv *Inventory, arch *Archive, tickets *TicketLog, start, end Mon
 	if err != nil {
 		return nil, err
 	}
-	env := &experiments.Env{
-		Params: osp.Params{
-			Start: start,
-			End:   end,
-		},
-		OSP: &osp.OSP{
-			Inventory: inv,
-			Archive:   arch,
-			Tickets:   tickets,
-		},
-		Analysis: analysis,
-		Data:     dataset.BuildObs(analysis, tickets, root),
-		Obs:      root,
-	}
-	env.OSP.Params = env.Params
+	params := osp.Params{Start: start, End: end}
+	o := &osp.OSP{Params: params, Inventory: inv, Archive: arch, Tickets: tickets}
+	env := experiments.Assemble(params, o, analysis, dataset.BuildObs(analysis, tickets, root), root)
 	return newFramework(env, Config{
 		Networks: len(inv.Networks),
 		Start:    start,

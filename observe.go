@@ -114,14 +114,13 @@ func (f *Framework) Manifest() *runinfo.Manifest {
 	m := runinfo.New()
 	cfg := f.config() // snapshot: Ingest advances the window end
 	m.Config = runinfo.RunConfig{
-		Seed:            cfg.Seed,
-		Networks:        cfg.Networks,
-		WindowStart:     cfg.Start.String(),
-		WindowEnd:       cfg.End.String(),
-		Workers:         cfg.Workers,
-		CacheEnabled:    cfg.Cache.Enabled,
-		CacheDir:        cfg.Cache.Dir,
-		CacheMaxEntries: cfg.Cache.MaxEntries,
+		Seed:         cfg.Seed,
+		Networks:     cfg.Networks,
+		WindowStart:  cfg.Start.String(),
+		WindowEnd:    cfg.End.String(),
+		Workers:      cfg.Workers,
+		CacheEnabled: cfg.Cache.Dir != "",
+		CacheDir:     cfg.Cache.Dir,
 	}
 	ps := f.PipelineStats()
 	m.TotalWallNS = int64(ps.Total)

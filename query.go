@@ -3,11 +3,12 @@ package mpa
 import (
 	"fmt"
 	"slices"
-	"sync"
+	"strconv"
 
 	"mpa/internal/cache"
 	"mpa/internal/dataset"
 	"mpa/internal/experiments"
+	"mpa/internal/obs"
 	"mpa/internal/practices"
 	"mpa/internal/qed"
 )
@@ -19,84 +20,59 @@ import (
 // `mpa serve`. Every query is memoized: the first call computes, later
 // calls over the same data return the stored result (shared, so treat it
 // as read-only), and a long-lived process never re-runs inference or an
-// analysis for a repeated question. The memo is an internal/cache stage
-// named "query", so hits and misses are observable next to the pipeline
-// caches ("cache.query.*" in /metrics, /debug/vars, and run manifests).
+// analysis for a repeated question.
 //
-// Each query loads the environment snapshot once and derives both its
-// memo key and its inputs from that one Env. Keys embed the snapshot's
-// generation: Env.Gen for whole-organization queries (ranking, causal
-// analyses, models, and reports read every network), Env.NetGen[network]
-// for per-network ones. An applied ingest evolves the Env, bumping Gen
-// and exactly the touched networks' NetGen, so old entries become
-// unreachable and age out of the LRU while untouched networks keep their
-// keys and stay warm (pinned by TestIngestCacheInvalidationPrecision).
-// Since the generation travels with the data it counts, a key can never
-// name data it was not computed from.
+// Each query loads the environment snapshot once and answers from it
+// alone, so the memo lives on the snapshot: whole-organization queries
+// (ranking, causal analyses, models, and reports read every network) use
+// Env.Memo, per-network ones Env.NetworkMemo. An applied ingest evolves
+// the Env, giving the new snapshot a fresh whole-organization memo and
+// fresh memos for exactly the touched networks, while untouched networks
+// share theirs and stay warm (pinned by
+// TestIngestCacheInvalidationPrecision). An answer can therefore never
+// name data it was not computed from, and an old snapshot's answers are
+// freed with it. The memo is single-flight per key (cache.Memo):
+// concurrent callers of one key compute once, distinct keys compute in
+// parallel, and a compute may call another memoized query.
 
-// queryState holds the framework's query memo.
-type queryState struct {
-	mu    sync.Mutex
-	cache *cache.Cache
+// Process-wide query memo counters ("cache.query.*" in /metrics,
+// /debug/vars, and run manifests).
+var (
+	queryHits   = obs.GetCounter("cache.query.mem_hits")
+	queryMisses = obs.GetCounter("cache.query.mem_misses")
+)
+
+// CacheStats counts one framework's query memo activity: a hit is a call
+// that found a finished or in-flight answer, a miss a call that computed
+// one.
+type CacheStats struct {
+	MemHits   int64
+	MemMisses int64
 }
 
-// queryKey builds a memo key from a generation and the query's parts.
-// Per-network queries pass the network's generation and the network name
-// as their first part.
-func queryKey(gen uint64, parts ...string) cache.Key {
-	h := cache.NewHasher("query/v1")
-	h.Int(int64(gen))
-	for _, p := range parts {
-		h.String(p)
-	}
-	return h.Sum()
-}
-
-// QueryCacheStats returns a snapshot of the query memo's activity (hits,
-// misses, entries); the invalidation-precision tests assert on deltas of
-// these counts around an ingest.
+// QueryCacheStats returns the framework's query memo counts so far; the
+// invalidation-precision tests assert on deltas of them around an ingest.
 func (f *Framework) QueryCacheStats() CacheStats {
-	return f.queryCache().Stats()
+	return CacheStats{MemHits: f.memoHits.Load(), MemMisses: f.memoMisses.Load()}
 }
 
-// queryCache returns the framework's query-result cache, creating it on
-// first use. The cache is always enabled — it memoizes work on data the
-// framework already holds, so there is no correctness or footprint reason
-// to turn it off — and is bounded by the framework's cache MaxEntries
-// setting (DefaultMaxEntries when unset).
-func (f *Framework) queryCache() *cache.Cache {
-	f.queries.mu.Lock()
-	defer f.queries.mu.Unlock()
-	if f.queries.cache == nil {
-		f.queries.cache = cache.New("query", cache.Config{
-			Enabled:    true,
-			MaxEntries: f.cfg.Cache.MaxEntries,
-		})
+// memoized returns the answer stored in m under key, computing it on a
+// miss. Errors are returned without being stored; a nil m computes every
+// call.
+func memoized[T any](f *Framework, m *cache.Memo, key string, compute func() (T, error)) (T, error) {
+	v, hit, err := m.Do(key, func() (any, error) { return compute() })
+	if hit {
+		f.memoHits.Add(1)
+		queryHits.Add(1)
+	} else {
+		f.memoMisses.Add(1)
+		queryMisses.Add(1)
 	}
-	return f.queries.cache
-}
-
-// memoized returns the cached value for k, computing and storing it on a
-// miss. Computation runs under the query lock, so concurrent identical
-// queries compute once; errors are returned without being cached. compute
-// must not recurse into another memoized query (the lock is not
-// reentrant).
-func memoized[T any](f *Framework, k cache.Key, compute func() (T, error)) (T, error) {
-	c := f.queryCache()
-	if v, ok := c.Get(k); ok {
-		return v.(T), nil
-	}
-	f.queries.mu.Lock()
-	defer f.queries.mu.Unlock()
-	if v, ok := c.Get(k); ok {
-		return v.(T), nil
-	}
-	v, err := compute()
 	if err != nil {
-		return v, err
+		var zero T
+		return zero, err
 	}
-	c.Put(k, v)
-	return v, nil
+	return v.(T), nil
 }
 
 // PracticeDependence is one practice's statistical dependence with
@@ -116,7 +92,7 @@ func (f *Framework) RankPractices() []PracticeDependence {
 
 // rankPractices is RankPractices over one snapshot.
 func (f *Framework) rankPractices(env *experiments.Env) []PracticeDependence {
-	out, _ := memoized(f, queryKey(env.Gen, "rank"), func() ([]PracticeDependence, error) {
+	out, _ := memoized(f, env.Memo(), "rank", func() ([]PracticeDependence, error) {
 		entries := experiments.MIRanking(env)
 		out := make([]PracticeDependence, len(entries))
 		for i, e := range entries {
@@ -143,7 +119,7 @@ func (f *Framework) AnalyzeCausal(metric string) (*CausalResult, error) {
 		return nil, fmt.Errorf("mpa: unknown practice metric %q", metric)
 	}
 	env := f.environment()
-	return memoized(f, queryKey(env.Gen, "causal", metric), func() (*CausalResult, error) {
+	return memoized(f, env.Memo(), "causal/"+metric, func() (*CausalResult, error) {
 		cfg := qed.DefaultConfig(practices.MetricNames)
 		cfg.Obs = env.Obs
 		return qed.Run(env.Data, metric, cfg)
@@ -160,7 +136,7 @@ func (f *Framework) TrainHealthModel(g Granularity) (*HealthModel, error) {
 
 // healthModel is TrainHealthModel over one snapshot.
 func (f *Framework) healthModel(env *experiments.Env, g Granularity) (*HealthModel, error) {
-	return memoized(f, queryKey(env.Gen, "model", fmt.Sprint(int(g))), func() (*HealthModel, error) {
+	return memoized(f, env.Memo(), "model/"+strconv.Itoa(int(g)), func() (*HealthModel, error) {
 		return f.TrainHealthModelOn(env.Data, g, BestOptions(g))
 	})
 }
@@ -173,7 +149,7 @@ func (f *Framework) Experiment(id string) (Report, bool) {
 		return Report{}, false
 	}
 	env := f.environment()
-	r, _ := memoized(f, queryKey(env.Gen, "experiment", id), func() (Report, error) {
+	r, _ := memoized(f, env.Memo(), "experiment/"+id, func() (Report, error) {
 		r, _ := experiments.Run(env, id)
 		return r, nil
 	})
@@ -229,13 +205,13 @@ func networkHealth(env *experiments.Env, network string, m Month) (*NetworkHealt
 }
 
 // NetworkHealthCached returns one network-month's health summary,
-// memoized under the network's own generation: an ingest touching other
-// networks leaves this network's entries warm, while an ingest touching
-// this one invalidates exactly them. Errors (unknown network or month)
-// are never cached.
+// memoized in the network's own memo: an ingest touching other networks
+// leaves this network's entries warm, while an ingest touching this one
+// invalidates exactly them. Errors (unknown network or month) are never
+// cached.
 func (f *Framework) NetworkHealthCached(network string, m Month) (*NetworkHealth, error) {
 	env := f.environment()
-	return memoized(f, queryKey(env.NetGen[network], network, "health", m.String()), func() (*NetworkHealth, error) {
+	return memoized(f, env.NetworkMemo(network), "health/"+m.String(), func() (*NetworkHealth, error) {
 		return networkHealth(env, network, m)
 	})
 }

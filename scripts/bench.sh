@@ -5,7 +5,9 @@
 #
 #   scripts/bench.sh [count]
 #
-# Runs BenchmarkGenerate, BenchmarkInference, BenchmarkInferenceWarmCache,
+# Runs BenchmarkGenerate, BenchmarkInference, BenchmarkInferenceWarmCache
+# (the restart path: a fresh engine reading every per-network analysis
+# from a filled disk cache tier, ~7x faster than BenchmarkInference),
 # BenchmarkIngestMonth (the streaming-ingest cost of one new month; each
 # iteration ingests into a fresh framework that has never seen that
 # month, as in a real stream), the per-dialect parse/diff stage

@@ -229,7 +229,7 @@ func TestSpliceEquivalence(t *testing.T) {
 
 // TestIngestRejectsLeaveStateUntouched pins that a rejected update is
 // free: wrong months, unknown devices, and malformed records all error
-// without swapping the environment or bumping cache generations.
+// without swapping the environment or its query memos.
 func TestIngestRejectsLeaveStateUntouched(t *testing.T) {
 	p := spliceParams()
 	p.Networks = 4
@@ -262,7 +262,7 @@ func TestIngestRejectsLeaveStateUntouched(t *testing.T) {
 	if f.environment() != envBefore {
 		t.Fatal("rejected update swapped the environment")
 	}
-	// The memoized rank must still be served from the same generation.
+	// The memoized rank must still be served from the same snapshot.
 	stats := f.QueryCacheStats()
 	rankAfter := f.RankPractices()
 	if &rankBefore[0] != &rankAfter[0] {
@@ -355,11 +355,9 @@ func TestIngestCacheInvalidationPrecision(t *testing.T) {
 		}
 	}
 	post := f.QueryCacheStats()
-	// Untouched networks hit; touched networks miss. A cold memoized call
-	// checks the cache twice (double-checked locking), so each touched
-	// network contributes two miss counts.
+	// Untouched networks hit; touched networks miss.
 	wantHits := int64(len(networks) - len(touched))
-	wantMisses := int64(2 * len(touched))
+	wantMisses := int64(len(touched))
 	if d := post.MemHits - pre.MemHits; d != wantHits {
 		t.Errorf("per-network queries after ingest: %d hits, want %d (untouched networks must stay warm)",
 			d, wantHits)
@@ -374,8 +372,8 @@ func TestIngestCacheInvalidationPrecision(t *testing.T) {
 	f.RankPractices()
 	f.RankPractices()
 	post = f.QueryCacheStats()
-	if d := post.MemMisses - pre.MemMisses; d != 2 {
-		t.Errorf("rank after ingest: %d misses, want 2 (one cold rebuild)", d)
+	if d := post.MemMisses - pre.MemMisses; d != 1 {
+		t.Errorf("rank after ingest: %d misses, want 1 (one cold rebuild)", d)
 	}
 	if d := post.MemHits - pre.MemHits; d != 1 {
 		t.Errorf("rank after ingest: %d hits, want 1", d)
@@ -391,8 +389,8 @@ func TestIngestCacheInvalidationPrecision(t *testing.T) {
 // ingests: every answer RankPractices, NetworkHealthCached, and
 // PredictNetworkMonth return must equal the answer a cold build over one
 // of the k+1 windows gives. A prediction whose case and two models came
-// from different snapshots, or a memo key naming one generation over
-// another's data, would match no window.
+// from different snapshots, or a memo answer computed from another
+// snapshot's data, would match no window.
 func TestQueriesNeverMixSnapshots(t *testing.T) {
 	const extra = 2
 	cfg := SmallConfig(21)
