@@ -22,6 +22,7 @@ import (
 	"mpa/internal/junos"
 	"mpa/internal/months"
 	"mpa/internal/netmodel"
+	"mpa/internal/nms"
 	"mpa/internal/osp"
 	"mpa/internal/practices"
 )
@@ -131,10 +132,9 @@ var (
 	benchSnapOut  *osp.OSP
 )
 
-// benchSnapshotPair returns the first and last snapshot texts of the
-// first device of the given vendor with at least two snapshots in a
-// shared small OSP — a realistic drifted same-device pair.
-func benchSnapshotPair(b *testing.B, vendor netmodel.Vendor) (oldText, newText string) {
+// benchSnapshotHistory returns the snapshot history of the first device
+// of the given vendor with at least two snapshots in a shared small OSP.
+func benchSnapshotHistory(b *testing.B, vendor netmodel.Vendor) []*nms.Snapshot {
 	b.Helper()
 	benchSnapOnce.Do(func() {
 		p := osp.Small(2)
@@ -147,12 +147,19 @@ func benchSnapshotPair(b *testing.B, vendor netmodel.Vendor) (oldText, newText s
 				continue
 			}
 			if hist := benchSnapOut.Archive.Snapshots(dev.Name); len(hist) >= 2 {
-				return hist[0].Text, hist[len(hist)-1].Text
+				return hist
 			}
 		}
 	}
 	b.Fatalf("no %v device with two snapshots", vendor)
-	return "", ""
+	return nil
+}
+
+// benchSnapshotPair returns the first and last snapshot texts of
+// benchSnapshotHistory's device — a realistic drifted same-device pair.
+func benchSnapshotPair(b *testing.B, vendor netmodel.Vendor) (oldText, newText string) {
+	hist := benchSnapshotHistory(b, vendor)
+	return hist[0].Text, hist[len(hist)-1].Text
 }
 
 func benchParseSnapshot(b *testing.B, d confmodel.ScratchParser, vendor netmodel.Vendor) {
@@ -162,6 +169,26 @@ func benchParseSnapshot(b *testing.B, d confmodel.ScratchParser, vendor netmodel
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.ParseScratch(text, sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchParseNext parses the device's last snapshot as the successor of
+// its second-to-last, the step the inference engine takes on every
+// snapshot after a device's first: only the changed blocks are parsed.
+func benchParseNext(b *testing.B, d confmodel.ScratchParser, vendor netmodel.Vendor) {
+	hist := benchSnapshotHistory(b, vendor)
+	sc := confmodel.NewScratch()
+	prev, err := d.ParseScratch(hist[len(hist)-2].Text, sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	text := hist[len(hist)-1].Text
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.ParseNext(prev, text, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -192,6 +219,14 @@ func BenchmarkParseSnapshotCisco(b *testing.B) {
 
 func BenchmarkParseSnapshotJunos(b *testing.B) {
 	benchParseSnapshot(b, junos.Dialect{}, netmodel.VendorJuniper)
+}
+
+func BenchmarkParseNextCisco(b *testing.B) {
+	benchParseNext(b, ciscoios.Dialect{}, netmodel.VendorCisco)
+}
+
+func BenchmarkParseNextJunos(b *testing.B) {
+	benchParseNext(b, junos.Dialect{}, netmodel.VendorJuniper)
 }
 
 func BenchmarkDiffPairCisco(b *testing.B) {
@@ -252,7 +287,7 @@ func BenchmarkIngestMonth(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		f, err := NewCached(o.Inventory, arch, log, p.Start, last.Prev(), CacheConfig{Enabled: true})
+		f, err := New(o.Inventory, arch, log, p.Start, last.Prev())
 		if err != nil {
 			b.Fatal(err)
 		}

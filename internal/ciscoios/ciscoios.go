@@ -205,15 +205,30 @@ func (d Dialect) Parse(text string) (*confmodel.Config, error) {
 // allocates a fresh one. Every string stored in the returned Config is
 // immutable (it aliases text or the interner) and safe to retain after
 // the scratch is reset or reused.
-func (Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Config, error) {
+func (d Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Config, error) {
+	return d.ParseNext(nil, text, sc)
+}
+
+// ParseNext is ParseScratch for the snapshot that follows prev (see
+// confmodel.ScratchParser). A block is a header line plus every line up
+// to the next line that flushes it (non-indented and not blank, "!" or
+// "end") or the end of the text, and only the block kinds are shared
+// from prev. The single-line families (hostname, username, snmp-server,
+// ntp, logging, sflow, spanning-tree, udld, ip prefix-list) are always
+// parsed: their stanzas are built up line by line, so they are never
+// shared, and their types are disjoint from the block types, so no
+// shared stanza is ever written to.
+func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scratch) (*confmodel.Config, error) {
 	if sc == nil {
 		sc = confmodel.NewScratch()
 	}
 	sc.Reset()
 	c := sc.NewConfig("")
 	var cur *confmodel.Stanza
-	flush := func() {
+	curStart := 0 // offset of cur's header line
+	flush := func(end int) {
 		if cur != nil {
+			cur.SetSource(text[curStart:end])
 			c.Upsert(cur)
 			cur = nil
 		}
@@ -233,6 +248,7 @@ func (Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Conf
 	}
 	lineNo := 0
 	for start := 0; start <= len(text); {
+		lineStart := start
 		var raw string
 		if end := strings.IndexByte(text[start:], '\n'); end < 0 {
 			raw = text[start:]
@@ -243,7 +259,7 @@ func (Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Conf
 		}
 		lineNo++
 		line := strings.TrimRight(raw, " \t")
-		if strings.TrimSpace(line) == "" || line == "!" || line == "end" {
+		if skipped(line) {
 			continue
 		}
 		if strings.HasPrefix(line, " ") {
@@ -255,25 +271,28 @@ func (Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Conf
 			}
 			continue
 		}
-		flush()
+		flush(lineStart)
 		fields := sc.Fields(line)
+		if t, name, ok := blockHeader(line, fields); ok {
+			if ps := sc.Reusable(prev, t, name, text[lineStart:]); ps != nil &&
+				blockEnds(text, lineStart+len(ps.Source())) {
+				c.Upsert(ps)
+				start = lineStart + len(ps.Source())
+				lineNo += strings.Count(ps.Source(), "\n") - 1
+				continue
+			}
+			cur, curStart = sc.NewStanza(t, name), lineStart
+			switch t {
+			case confmodel.TypeVLAN:
+				cur.Set("vlan-id", name)
+			case confmodel.TypeBGP:
+				cur.Set("local-as", name)
+			}
+			continue
+		}
 		switch {
 		case fields[0] == "hostname" && len(fields) == 2:
 			c.Hostname = fields[1]
-		case fields[0] == "interface" && len(fields) == 2:
-			cur = sc.NewStanza(confmodel.TypeInterface, fields[1])
-		case fields[0] == "vlan" && len(fields) == 2:
-			cur = sc.NewStanza(confmodel.TypeVLAN, fields[1])
-			cur.Set("vlan-id", fields[1])
-		case strings.HasPrefix(line, "ip access-list extended ") && len(fields) == 4:
-			cur = sc.NewStanza(confmodel.TypeACL, fields[3])
-		case strings.HasPrefix(line, "router bgp ") && len(fields) == 3:
-			cur = sc.NewStanza(confmodel.TypeBGP, fields[2])
-			cur.Set("local-as", fields[2])
-		case strings.HasPrefix(line, "router ospf ") && len(fields) == 3:
-			cur = sc.NewStanza(confmodel.TypeOSPF, fields[2])
-		case strings.HasPrefix(line, "ip slb serverfarm ") && len(fields) == 4:
-			cur = sc.NewStanza(confmodel.TypePool, fields[3])
 		case fields[0] == "username" && len(fields) == 7:
 			s := sc.NewStanza(confmodel.TypeUser, fields[1])
 			s.Set("role", fields[3]).Set("hash", fields[6])
@@ -288,8 +307,6 @@ func (Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Conf
 			global(confmodel.TypeLogging).Set("level", fields[2])
 		case strings.HasPrefix(line, "logging host ") && len(fields) == 3:
 			global(confmodel.TypeLogging).Set(sc.Intern2("host:", fields[2]), "true")
-		case fields[0] == "policy-map" && len(fields) == 2:
-			cur = sc.NewStanza(confmodel.TypeQoS, fields[1])
 		case strings.HasPrefix(line, "sflow collector ") && len(fields) == 3:
 			global(confmodel.TypeSflow).Set("collector", fields[2])
 		case strings.HasPrefix(line, "sflow sampling-rate ") && len(fields) == 3:
@@ -302,8 +319,6 @@ func (Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Conf
 			global(confmodel.TypeSTP).Set("region", fields[3])
 		case line == "udld enable":
 			global(confmodel.TypeUDLD).Set("enable", "true")
-		case strings.HasPrefix(line, "ip dhcp-relay ") && len(fields) == 3:
-			cur = sc.NewStanza(confmodel.TypeDHCPRelay, fields[2])
 		case strings.HasPrefix(line, "ip prefix-list ") && len(fields) >= 5 && fields[3] == "seq":
 			name := fields[2]
 			s := sc.Lookup(c, confmodel.TypePrefixList, name)
@@ -312,17 +327,65 @@ func (Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Conf
 				c.Upsert(s)
 			}
 			s.Set(sc.Intern2("rule:", fields[4]), sc.InternJoin(fields[5:]))
-		case fields[0] == "route-map" && len(fields) == 2:
-			cur = sc.NewStanza(confmodel.TypeRouteMap, fields[1])
-		case fields[0] == "other" && len(fields) == 2:
-			cur = sc.NewStanza(confmodel.TypeOther, fields[1])
 		default:
 			return nil, &ParseError{lineNo, line, "unrecognized top-level line"}
 		}
 	}
-	flush()
+	flush(len(text))
 	sc.FinishConfig(c)
 	return c, nil
+}
+
+// skipped reports whether the parser ignores a line (trailing blanks
+// trimmed): it is blank, "!" or "end".
+func skipped(line string) bool {
+	return strings.TrimSpace(line) == "" || line == "!" || line == "end"
+}
+
+// blockEnds reports whether a block ending at offset pos of text ends
+// there in a full parse too: pos is the end of the text, or the start of
+// a line that flushes.
+func blockEnds(text string, pos int) bool {
+	if pos == len(text) {
+		return true
+	}
+	if text[pos-1] != '\n' {
+		return false
+	}
+	line := text[pos:]
+	if i := strings.IndexByte(line, '\n'); i >= 0 {
+		line = line[:i]
+	}
+	line = strings.TrimRight(line, " \t")
+	return !skipped(line) && !strings.HasPrefix(line, " ")
+}
+
+// blockHeader maps a top-level line that opens a block to its stanza
+// type and name.
+func blockHeader(line string, fields []string) (confmodel.Type, string, bool) {
+	switch {
+	case fields[0] == "interface" && len(fields) == 2:
+		return confmodel.TypeInterface, fields[1], true
+	case fields[0] == "vlan" && len(fields) == 2:
+		return confmodel.TypeVLAN, fields[1], true
+	case strings.HasPrefix(line, "ip access-list extended ") && len(fields) == 4:
+		return confmodel.TypeACL, fields[3], true
+	case strings.HasPrefix(line, "router bgp ") && len(fields) == 3:
+		return confmodel.TypeBGP, fields[2], true
+	case strings.HasPrefix(line, "router ospf ") && len(fields) == 3:
+		return confmodel.TypeOSPF, fields[2], true
+	case strings.HasPrefix(line, "ip slb serverfarm ") && len(fields) == 4:
+		return confmodel.TypePool, fields[3], true
+	case fields[0] == "policy-map" && len(fields) == 2:
+		return confmodel.TypeQoS, fields[1], true
+	case strings.HasPrefix(line, "ip dhcp-relay ") && len(fields) == 3:
+		return confmodel.TypeDHCPRelay, fields[2], true
+	case fields[0] == "route-map" && len(fields) == 2:
+		return confmodel.TypeRouteMap, fields[1], true
+	case fields[0] == "other" && len(fields) == 2:
+		return confmodel.TypeOther, fields[1], true
+	}
+	return 0, "", false
 }
 
 // parseOption interprets one indented option line in the context of the

@@ -91,3 +91,52 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseNext checks incremental parsing against the full parse on
+// arbitrary snapshot pairs: whenever prevText parses, ParseNext(prev,
+// nextText) must agree with ParseScratch(nextText) — an Equal config, or
+// an error with the same message and line number — and must leave prev
+// rendering exactly as before. The seeds are consecutive snapshot pairs
+// (conftest.Successor) plus truncated, duplicated-header and
+// no-trailing-newline variants: the shapes where a shared block's end
+// could be misjudged.
+func FuzzParseNext(f *testing.F) {
+	var d Dialect
+	r := rng.New(18)
+	for i := 0; i < 8; i++ {
+		c := conftest.RandomConfig(r, conftest.StyleCisco)
+		prev, next := d.Render(c), d.Render(conftest.Successor(r, c))
+		f.Add(prev, next)
+		f.Add(prev, next[:len(next)/2])
+		f.Add(prev, strings.TrimSuffix(prev, "!\nend\n"))
+		f.Add(prev, prev+prev)
+	}
+	block := "interface Gi0/1\n description a\n!\n"
+	f.Add(block, block+"interface Gi0/1\n description b\n!\n")
+	f.Add(block, "interface Gi0/1\n description a")
+	f.Add("interface Gi0/1\n description a", "interface Gi0/1\n description a\n shutdown\n")
+	f.Add(block, block+" shutdown\n")
+	f.Add(block, "hostname h\n"+block+"vlan 10\n!\n")
+	f.Fuzz(func(t *testing.T, prevText, nextText string) {
+		sc := confmodel.NewScratch()
+		prev, err := d.ParseScratch(prevText, sc)
+		if err != nil {
+			return // ParseNext's prev is always a successful parse
+		}
+		before := d.Render(prev)
+		want, wantErr := d.Parse(nextText)
+		got, err := d.ParseNext(prev, nextText, sc)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("ParseNext error %v, full parse error %v", err, wantErr)
+		case err != nil && err.Error() != wantErr.Error():
+			t.Fatalf("ParseNext error %q, full parse error %q", err, wantErr)
+		case err == nil && !got.Equal(want):
+			t.Fatalf("ParseNext differs from full parse: hostname %q, want %q; diff %v",
+				got.Hostname, want.Hostname, confdiff.Diff(want, got))
+		}
+		if d.Render(prev) != before {
+			t.Fatalf("ParseNext modified its prev config")
+		}
+	})
+}

@@ -77,7 +77,10 @@ func AppendDiff(dst []StanzaChange, oldCfg, newCfg *confmodel.Config) []StanzaCh
 				dst = append(dst, StanzaChange{news[j].Type, news[j].Name, KindAdd})
 				j++
 			default:
-				if !olds[i].Equal(news[j]) {
+				// A stanza shared from the previous snapshot by the
+				// dialect's ParseNext is the same object: no need to
+				// compare its options.
+				if olds[i] != news[j] && !olds[i].Equal(news[j]) {
 					dst = append(dst, StanzaChange{news[j].Type, news[j].Name, KindUpdate})
 				}
 				i++

@@ -120,6 +120,12 @@ func (t Type) IsRouter() bool { return t == TypeBGP || t == TypeOSPF }
 //	           "network:<prefix>", "route-map:<name>" -> direction
 //	ospf:      "area", "network:<prefix>"
 //	pool:      "member:<ip:port>" -> weight, "monitor"
+//
+// A parsed stanza is immutable: once the parser that built it returns,
+// nothing may call Set or Delete on it, because a dialect's ParseNext
+// shares every unchanged stanza of a device's previous snapshot with the
+// next one, so one *Stanza may belong to many configs. Code that needs a
+// modified stanza works on a Clone.
 type Stanza struct {
 	Type    Type
 	Name    string
@@ -130,6 +136,12 @@ type Stanza struct {
 	// readers of a shared parsed config are race-free. Type and Name are
 	// set at construction and must not be reassigned.
 	key string
+
+	// src is the exact block of text the stanza was parsed from, set by
+	// the parser (SetSource) before the config is returned and never
+	// written afterwards, like key. It is empty unless that block alone
+	// determines the stanza; see Source.
+	src string
 }
 
 // NewStanza returns an empty stanza of the given type and name.
@@ -149,6 +161,17 @@ func (s *Stanza) Key() string {
 	return s.Type.String() + " " + s.Name
 }
 
+// Source returns the block of text the stanza was parsed from, or "" when
+// the stanza was built in code or the block alone does not determine it.
+// A dialect's ParseNext reuses a previous snapshot's stanza in place of
+// parsing when its source reappears verbatim at a block boundary.
+func (s *Stanza) Source() string { return s.src }
+
+// SetSource records the block of text the stanza was parsed from. Only a
+// parser calls it, on a stanza it has just built, before returning the
+// config; the block must determine every field of the stanza.
+func (s *Stanza) SetSource(src string) { s.src = src }
+
 // Set sets an option and returns the stanza for chaining.
 func (s *Stanza) Set(key, value string) *Stanza {
 	if s.Options == nil {
@@ -164,7 +187,8 @@ func (s *Stanza) Get(key string) string { return s.Options[key] }
 // Delete removes an option.
 func (s *Stanza) Delete(key string) { delete(s.Options, key) }
 
-// Clone returns a deep copy of the stanza.
+// Clone returns a deep copy of the stanza. The copy has no Source: it is
+// built to be modified, so it no longer matches the text it came from.
 func (s *Stanza) Clone() *Stanza {
 	c := &Stanza{Type: s.Type, Name: s.Name, key: s.Key(),
 		Options: make(map[string]string, len(s.Options))}

@@ -8,9 +8,18 @@ import (
 
 // ScratchParser is implemented by dialects whose parser can reuse a
 // caller-provided Scratch across snapshots (both built-in dialects do).
-// ParseScratch must be equivalent to Parse for every input.
+//
+// ParseNext parses text as the snapshot that follows prev, a config the
+// same dialect parsed earlier (nil for a device's first snapshot). Each
+// top-level block whose bytes equal the Source of prev's stanza with the
+// same type and name, and that ends at a block boundary, is not parsed:
+// prev's immutable stanza is shared into the result. prev is only read.
+// ParseScratch is ParseNext with no previous config. For every input,
+// both must be equivalent to Parse: an Equal config, or an error with
+// the same message and line number.
 type ScratchParser interface {
 	ParseScratch(text string, sc *Scratch) (*Config, error)
+	ParseNext(prev *Config, text string, sc *Scratch) (*Config, error)
 }
 
 // Scratch holds the reusable per-worker buffers behind the zero-copy
@@ -228,4 +237,19 @@ func (sc *Scratch) Lookup(c *Config, t Type, name string) *Stanza {
 	ts := t.String()
 	sc.buf = append(append(append(sc.buf[:0], ts...), ' '), name...)
 	return c.stanzas[string(sc.buf)]
+}
+
+// Reusable returns prev's stanza (t, name) when its Source is a prefix of
+// rest, the text from the start of the block header being parsed; nil
+// otherwise (including a nil prev). The caller must still check that the
+// block ends where the Source does before sharing the stanza.
+func (sc *Scratch) Reusable(prev *Config, t Type, name, rest string) *Stanza {
+	if prev == nil {
+		return nil
+	}
+	ps := sc.Lookup(prev, t, name)
+	if ps == nil || ps.src == "" || !strings.HasPrefix(rest, ps.src) {
+		return nil
+	}
+	return ps
 }

@@ -193,3 +193,22 @@ func RandomConfig(r *rng.RNG, style Style) *confmodel.Config {
 	}
 	return c
 }
+
+// Successor returns the next snapshot of c's device: a copy with one
+// stanza changed the way a single configuration change leaves it (an
+// interface re-described, or one stanza removed). Every other stanza is
+// unchanged, so the two configs render to texts that share all their
+// other blocks byte for byte — the shape incremental parsing exploits.
+func Successor(r *rng.RNG, c *confmodel.Config) *confmodel.Config {
+	next := c.Clone()
+	all := next.Stanzas()
+	if len(all) == 0 {
+		return next
+	}
+	if s := all[r.Intn(len(all))]; s.Type == confmodel.TypeInterface {
+		s.Set("description", fmt.Sprintf("changed %d", r.Intn(1000)))
+	} else {
+		next.Remove(s.Type, s.Name)
+	}
+	return next
+}

@@ -189,15 +189,27 @@ func (d Dialect) Parse(text string) (*confmodel.Config, error) {
 // allocates a fresh one. Every string stored in the returned Config is
 // immutable (it aliases text or the interner) and safe to retain after
 // the scratch is reset or reused.
-func (Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Config, error) {
+func (d Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Config, error) {
+	return d.ParseNext(nil, text, sc)
+}
+
+// ParseNext is ParseScratch for the snapshot that follows prev (see
+// confmodel.ScratchParser). A block runs from its "header {" line through
+// its closing "}" line; any block can be shared from prev unless it
+// contains a host-name line, which sets the config's hostname rather
+// than the stanza.
+func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scratch) (*confmodel.Config, error) {
 	if sc == nil {
 		sc = confmodel.NewScratch()
 	}
 	sc.Reset()
 	c := sc.NewConfig("")
 	var cur *confmodel.Stanza
+	curStart := 0    // offset of cur's header line
+	curHost := false // cur's block contains a host-name line
 	lineNo := 0
 	for start := 0; start <= len(text); {
+		lineStart := start
 		var raw string
 		if end := strings.IndexByte(text[start:], '\n'); end < 0 {
 			raw = text[start:]
@@ -214,9 +226,13 @@ func (Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Conf
 		switch {
 		case strings.HasPrefix(line, "host-name ") && strings.HasSuffix(line, ";"):
 			c.Hostname = strings.TrimSuffix(sc.Fields(line)[1], ";")
+			curHost = true
 		case line == "}":
 			if cur == nil {
 				return nil, &ParseError{lineNo, line, "unbalanced close brace"}
+			}
+			if !curHost {
+				cur.SetSource(text[curStart:min(start, len(text))])
 			}
 			c.Upsert(cur)
 			cur = nil
@@ -225,11 +241,24 @@ func (Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Conf
 				return nil, &ParseError{lineNo, line, "nested block"}
 			}
 			header := strings.TrimSpace(strings.TrimSuffix(line, "{"))
-			s, err := stanzaFromHeader(sc, header)
+			t, name, err := headerKey(sc, header)
 			if err != nil {
 				return nil, &ParseError{lineNo, line, err.Error()}
 			}
-			cur = s
+			if ps := sc.Reusable(prev, t, name, text[lineStart:]); ps != nil {
+				// A block ends at its "}" line, so it ends where the
+				// source does whenever that is a line boundary.
+				if end := lineStart + len(ps.Source()); end == len(text) || text[end-1] == '\n' {
+					c.Upsert(ps)
+					start = end
+					lineNo += strings.Count(ps.Source(), "\n") - 1
+					continue
+				}
+			}
+			cur, curStart, curHost = sc.NewStanza(t, name), lineStart, false
+			if t == confmodel.TypeBGP {
+				cur.Set("local-as", name)
+			}
 		case strings.HasSuffix(line, ";"):
 			if cur == nil {
 				return nil, &ParseError{lineNo, line, "option outside block"}
@@ -248,54 +277,52 @@ func (Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Conf
 	return c, nil
 }
 
-// stanzaFromHeader maps a JunOS block header to a new stanza with its
-// vendor-agnostic type.
-func stanzaFromHeader(sc *confmodel.Scratch, header string) (*confmodel.Stanza, error) {
+// headerKey maps a JunOS block header to the vendor-agnostic type and
+// name of its stanza, without allocating.
+func headerKey(sc *confmodel.Scratch, header string) (confmodel.Type, string, error) {
 	fields := sc.Fields(header)
 	if len(fields) == 0 {
-		return nil, fmt.Errorf("empty block header")
+		return 0, "", fmt.Errorf("empty block header")
 	}
 	switch {
 	case fields[0] == "interfaces" && len(fields) == 2:
-		return sc.NewStanza(confmodel.TypeInterface, fields[1]), nil
+		return confmodel.TypeInterface, fields[1], nil
 	case fields[0] == "vlans" && len(fields) == 2:
-		return sc.NewStanza(confmodel.TypeVLAN, fields[1]), nil
+		return confmodel.TypeVLAN, fields[1], nil
 	case fields[0] == "firewall" && len(fields) == 3 && fields[1] == "filter":
-		return sc.NewStanza(confmodel.TypeACL, fields[2]), nil
+		return confmodel.TypeACL, fields[2], nil
 	case fields[0] == "protocols" && len(fields) == 3 && fields[1] == "bgp":
-		s := sc.NewStanza(confmodel.TypeBGP, fields[2])
-		s.Set("local-as", fields[2])
-		return s, nil
+		return confmodel.TypeBGP, fields[2], nil
 	case fields[0] == "protocols" && len(fields) == 3 && fields[1] == "ospf":
-		return sc.NewStanza(confmodel.TypeOSPF, fields[2]), nil
+		return confmodel.TypeOSPF, fields[2], nil
 	case fields[0] == "load-balancing" && len(fields) == 3 && fields[1] == "pool":
-		return sc.NewStanza(confmodel.TypePool, fields[2]), nil
+		return confmodel.TypePool, fields[2], nil
 	case fields[0] == "login" && len(fields) == 3 && fields[1] == "user":
-		return sc.NewStanza(confmodel.TypeUser, fields[2]), nil
+		return confmodel.TypeUser, fields[2], nil
 	case header == "snmp":
-		return sc.NewStanza(confmodel.TypeSNMP, "global"), nil
+		return confmodel.TypeSNMP, "global", nil
 	case header == "ntp":
-		return sc.NewStanza(confmodel.TypeNTP, "global"), nil
+		return confmodel.TypeNTP, "global", nil
 	case header == "syslog":
-		return sc.NewStanza(confmodel.TypeLogging, "global"), nil
+		return confmodel.TypeLogging, "global", nil
 	case fields[0] == "class-of-service" && len(fields) == 2:
-		return sc.NewStanza(confmodel.TypeQoS, fields[1]), nil
+		return confmodel.TypeQoS, fields[1], nil
 	case header == "sflow":
-		return sc.NewStanza(confmodel.TypeSflow, "global"), nil
+		return confmodel.TypeSflow, "global", nil
 	case header == "stp":
-		return sc.NewStanza(confmodel.TypeSTP, "global"), nil
+		return confmodel.TypeSTP, "global", nil
 	case header == "link-fault-management":
-		return sc.NewStanza(confmodel.TypeUDLD, "global"), nil
+		return confmodel.TypeUDLD, "global", nil
 	case fields[0] == "forwarding-options" && len(fields) == 3 && fields[1] == "dhcp-relay":
-		return sc.NewStanza(confmodel.TypeDHCPRelay, fields[2]), nil
+		return confmodel.TypeDHCPRelay, fields[2], nil
 	case fields[0] == "policy-options" && len(fields) == 3 && fields[1] == "prefix-list":
-		return sc.NewStanza(confmodel.TypePrefixList, fields[2]), nil
+		return confmodel.TypePrefixList, fields[2], nil
 	case fields[0] == "policy-options" && len(fields) == 3 && fields[1] == "policy-statement":
-		return sc.NewStanza(confmodel.TypeRouteMap, fields[2]), nil
+		return confmodel.TypeRouteMap, fields[2], nil
 	case fields[0] == "apply-groups" && len(fields) == 2:
-		return sc.NewStanza(confmodel.TypeOther, fields[1]), nil
+		return confmodel.TypeOther, fields[1], nil
 	default:
-		return nil, fmt.Errorf("unknown block header")
+		return 0, "", fmt.Errorf("unknown block header")
 	}
 }
 

@@ -112,9 +112,10 @@ func (e *Engine) SetObs(sp *obs.Span) { e.obs = sp }
 // SetCache stores whole per-network month analyses in a disk tier under
 // cfg.Dir (none when Dir is empty), keyed by everything a network's
 // analysis reads, so a fresh process re-analyzing unchanged inputs skips
-// all per-network work. Snapshots are
-// always parsed and diffed afresh: in a snapshot stream almost every text
-// is new, so per-snapshot memoization would cost more than it saves.
+// all per-network work. There is no per-snapshot cache: in a snapshot
+// stream almost every text is new, so the engine instead parses each
+// snapshot against the device's previous one (ParseNext), re-parsing only
+// the blocks whose bytes changed and skipping shared stanzas in the diff.
 // Caching never changes results — a cold, warm, or disabled run produces
 // byte-identical analyses.
 func (e *Engine) SetCache(cfg cache.Config) {
@@ -161,13 +162,16 @@ type netWalk struct {
 }
 
 // step consumes the next snapshot of a device's time-ordered history. It
-// parses the snapshot with the worker's scratch and, when the device
-// already has a state, diffs the two configs; a non-empty diff inside the
+// parses the snapshot with the worker's scratch as the successor of the
+// device's state, so every block unchanged since the previous snapshot
+// shares that snapshot's stanza instead of being parsed again (state is
+// nil for the device's first snapshot: a full parse), and, when the
+// device already has a state, diffs the two configs; a non-empty diff inside the
 // walk's month becomes a ChangeDetail. It returns the device's new state.
 // The diff lives in the worker's reused buffer, so step reduces it to the
 // change's types before returning and never retains it.
 func (e *Engine) step(w *netWalk, dev *netmodel.Device, state *confmodel.Config, snap *nms.Snapshot) (*confmodel.Config, error) {
-	cfg, err := e.dialect(dev).ParseScratch(snap.Text, w.ns.sc)
+	cfg, err := e.dialect(dev).ParseNext(state, snap.Text, w.ns.sc)
 	w.snaps++
 	if err != nil {
 		obs.GetCounter("inference.parse_failures").Add(1)

@@ -11,9 +11,11 @@
 # BenchmarkIngestMonth (the streaming-ingest cost of one new month; each
 # iteration ingests into a fresh framework that has never seen that
 # month, as in a real stream), the per-dialect parse/diff stage
-# benchmarks (BenchmarkParseSnapshot*, BenchmarkDiffPair*),
-# BenchmarkTable3, BenchmarkSection61, and the two heaviest analyses,
-# BenchmarkFigure8 and BenchmarkTable9, with
+# benchmarks (BenchmarkParseSnapshot*, a full parse;
+# BenchmarkParseNext*, the incremental parse of a snapshot given its
+# predecessor; BenchmarkDiffPair*), BenchmarkTable3, BenchmarkSection61,
+# the causal analyses BenchmarkTable7 and BenchmarkTable8, and the two
+# heaviest analyses, BenchmarkFigure8 and BenchmarkTable9, with
 # -count (default 10) repetitions each and writes
 # BENCH_<YYYY-MM-DD>.json in the repo root: one object per benchmark run
 # with ns/op, B/op, and allocs/op, plus the host's CPU count and the
@@ -31,7 +33,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 count="${1:-10}"
-pattern='^(BenchmarkGenerate|BenchmarkInference|BenchmarkInferenceWarmCache|BenchmarkIngestMonth|BenchmarkParseSnapshotCisco|BenchmarkParseSnapshotJunos|BenchmarkDiffPairCisco|BenchmarkDiffPairJunos|BenchmarkTable3|BenchmarkSection61|BenchmarkFigure8|BenchmarkTable9)$'
+pattern='^(BenchmarkGenerate|BenchmarkInference|BenchmarkInferenceWarmCache|BenchmarkIngestMonth|BenchmarkParseSnapshotCisco|BenchmarkParseSnapshotJunos|BenchmarkParseNextCisco|BenchmarkParseNextJunos|BenchmarkDiffPairCisco|BenchmarkDiffPairJunos|BenchmarkTable3|BenchmarkTable7|BenchmarkTable8|BenchmarkSection61|BenchmarkFigure8|BenchmarkTable9)$'
 out="${MPA_BENCH_OUT:-BENCH_$(date +%F).json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT

@@ -180,7 +180,11 @@ func TestSpliceEquivalence(t *testing.T) {
 				// process default; pin it for this replica.
 				par.SetDefaultWorkers(workers)
 				defer par.SetDefaultWorkers(0)
-				inc, ingests := buildIncremental(t, o, CacheConfig{Enabled: cached})
+				var cc CacheConfig
+				if cached {
+					cc.Dir = t.TempDir()
+				}
+				inc, ingests := buildIncremental(t, o, cc)
 				got := digestsOf(t, inc, workers)
 				if !reflect.DeepEqual(got, golden) {
 					for id, d := range got.Reports {
@@ -210,7 +214,7 @@ func TestSpliceEquivalence(t *testing.T) {
 	// then grown by ingest, must match the golden too. Ingest never reads
 	// the per-network tier, so every disk hit comes from construction.
 	t.Run("cache=disk-warm", func(t *testing.T) {
-		cc := CacheConfig{Enabled: true, Dir: t.TempDir()}
+		cc := CacheConfig{Dir: t.TempDir()}
 		buildIncremental(t, o, cc)
 		hits := obs.GetCounter("cache.practices.disk_hits")
 		before := hits.Value()
