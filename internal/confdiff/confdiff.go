@@ -103,34 +103,3 @@ func AppendDiff(dst []StanzaChange, oldCfg, newCfg *confmodel.Config) []StanzaCh
 	})
 	return dst
 }
-
-// Types returns the set of distinct vendor-agnostic stanza types touched
-// by the given changes.
-func Types(changes []StanzaChange) map[confmodel.Type]bool {
-	out := map[confmodel.Type]bool{}
-	for _, c := range changes {
-		out[c.Type] = true
-	}
-	return out
-}
-
-// Touches reports whether any change touches the given stanza type.
-func Touches(changes []StanzaChange, t confmodel.Type) bool {
-	for _, c := range changes {
-		if c.Type == t {
-			return true
-		}
-	}
-	return false
-}
-
-// TouchesRouter reports whether any change touches a routing-protocol
-// stanza (the paper's "router change" category).
-func TouchesRouter(changes []StanzaChange) bool {
-	for _, c := range changes {
-		if c.Type.IsRouter() {
-			return true
-		}
-	}
-	return false
-}

@@ -88,36 +88,6 @@ func TestDiffDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestTypesAndTouches(t *testing.T) {
-	changes := []StanzaChange{
-		{confmodel.TypeACL, "A", KindUpdate},
-		{confmodel.TypeInterface, "eth0", KindAdd},
-		{confmodel.TypeACL, "B", KindAdd},
-	}
-	types := Types(changes)
-	if len(types) != 2 || !types[confmodel.TypeACL] || !types[confmodel.TypeInterface] {
-		t.Errorf("Types = %v", types)
-	}
-	if !Touches(changes, confmodel.TypeACL) {
-		t.Error("Touches(acl) = false")
-	}
-	if Touches(changes, confmodel.TypeBGP) {
-		t.Error("Touches(bgp) = true")
-	}
-}
-
-func TestTouchesRouter(t *testing.T) {
-	if TouchesRouter([]StanzaChange{{confmodel.TypeACL, "A", KindAdd}}) {
-		t.Error("acl change flagged as router")
-	}
-	if !TouchesRouter([]StanzaChange{{confmodel.TypeOSPF, "1", KindUpdate}}) {
-		t.Error("ospf change not flagged as router")
-	}
-	if !TouchesRouter([]StanzaChange{{confmodel.TypeBGP, "65001", KindRemove}}) {
-		t.Error("bgp change not flagged as router")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if KindAdd.String() != "add" || KindRemove.String() != "remove" || KindUpdate.String() != "update" {
 		t.Error("kind names wrong")

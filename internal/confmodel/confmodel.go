@@ -336,8 +336,8 @@ func (c *Config) Equal(o *Config) bool {
 }
 
 // Fingerprint returns a cheap deterministic digest of the configuration,
-// used by the NMS to detect whether a snapshot differs from its
-// predecessor without storing full diffs. The digest is the FNV-1a hash
+// used by the synthetic generator to tell whether a mutation changed the
+// device's configuration at all. The digest is the FNV-1a hash
 // of the byte stream `key{k=v;...}` per sorted stanza (option keys
 // sorted), hashed incrementally so no intermediate string is built.
 func (c *Config) Fingerprint() string {

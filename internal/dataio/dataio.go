@@ -10,6 +10,7 @@
 package dataio
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -242,15 +243,17 @@ func ReadTickets(r io.Reader) (*ticketing.Log, error) {
 
 // ---- Snapshot archive (RANCID-style directory tree) ----
 
-// Snapshot files live at <root>/<device>/<RFC3339 time>__<login>.cfg,
+// Snapshot files live at <root>/<device>/<RFC3339Nano time>__<login>.cfg,
 // with colons in the timestamp replaced by '-' for filesystem
-// compatibility. File contents are the raw configuration text.
+// compatibility. File contents are the raw configuration text. A
+// whole-second time has no fractional part, so names written before
+// sub-second stamps existed parse unchanged.
 
 const snapshotExt = ".cfg"
 
 // snapshotFileName encodes a snapshot's metadata into its file name.
 func snapshotFileName(t time.Time, login string) string {
-	stamp := strings.ReplaceAll(t.UTC().Format(time.RFC3339), ":", "-")
+	stamp := strings.ReplaceAll(t.UTC().Format(time.RFC3339Nano), ":", "-")
 	return stamp + "__" + login + snapshotExt
 }
 
@@ -269,17 +272,45 @@ func parseSnapshotFileName(name string) (time.Time, string, error) {
 	// 2006-01-02T15:04:05Z; only the time colons were rewritten, so
 	// restore the first two dashes.
 	stamp = strings.Replace(stamp, ":", "-", 2)
-	t, err := time.Parse(time.RFC3339, stamp)
+	t, err := time.Parse(time.RFC3339Nano, stamp)
 	if err != nil {
 		return time.Time{}, "", fmt.Errorf("dataio: snapshot file %q: bad timestamp: %w", name, err)
 	}
 	return t, parts[1], nil
 }
 
+// checkPathElement rejects a name that is not exactly one path element,
+// so a device or login can never address a file outside its directory.
+func checkPathElement(what, name string) error {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/\\\x00") {
+		return fmt.Errorf("dataio: %s %q is not a single path element", what, name)
+	}
+	return nil
+}
+
 // WriteArchive stores every snapshot of the archive under root, one
-// directory per device.
+// directory per device. It writes nothing if a device name or snapshot
+// file name is not a single path element, or if two snapshots of one
+// device have the same time and login and so would share a file.
 func WriteArchive(root string, arch *nms.Archive) error {
-	for _, dev := range arch.Devices() {
+	devices := arch.Devices()
+	for _, dev := range devices {
+		if err := checkPathElement("device", dev); err != nil {
+			return err
+		}
+		names := map[string]bool{}
+		for _, s := range arch.Snapshots(dev) {
+			name := snapshotFileName(s.Time, s.Login)
+			if err := checkPathElement("snapshot file", name); err != nil {
+				return err
+			}
+			if names[name] {
+				return fmt.Errorf("dataio: device %s has two snapshots named %s", dev, name)
+			}
+			names[name] = true
+		}
+	}
+	for _, dev := range devices {
 		dir := filepath.Join(root, dev)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("dataio: %w", err)
@@ -296,8 +327,8 @@ func WriteArchive(root string, arch *nms.Archive) error {
 
 // ReadArchive loads a RANCID-style snapshot tree into an archive.
 // specialAccounts lists the logins to classify as automation accounts.
-// Fingerprints are derived from the raw text, so change detection works
-// for any configuration dialect.
+// Snapshots of one device are ordered by time; equal times keep file-name
+// order.
 func ReadArchive(root string, specialAccounts []string) (*nms.Archive, error) {
 	arch := nms.NewArchive()
 	for _, acct := range specialAccounts {
@@ -317,12 +348,7 @@ func ReadArchive(root string, specialAccounts []string) (*nms.Archive, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataio: %w", err)
 		}
-		type snap struct {
-			t     time.Time
-			login string
-			path  string
-		}
-		var snaps []snap
+		var snaps []*nms.Snapshot
 		for _, f := range files {
 			if f.IsDir() || !strings.HasSuffix(f.Name(), snapshotExt) {
 				continue
@@ -331,22 +357,15 @@ func ReadArchive(root string, specialAccounts []string) (*nms.Archive, error) {
 			if err != nil {
 				return nil, err
 			}
-			snaps = append(snaps, snap{t, login, filepath.Join(dir, f.Name())})
-		}
-		sort.Slice(snaps, func(i, j int) bool { return snaps[i].t.Before(snaps[j].t) })
-		for _, s := range snaps {
-			b, err := os.ReadFile(s.path)
+			text, err := os.ReadFile(filepath.Join(dir, f.Name()))
 			if err != nil {
 				return nil, fmt.Errorf("dataio: %w", err)
 			}
-			text := string(b)
-			if err := arch.Record(&nms.Snapshot{
-				Device:      device,
-				Time:        s.t,
-				Login:       s.login,
-				Text:        text,
-				Fingerprint: nms.Fingerprint(text),
-			}); err != nil {
+			snaps = append(snaps, &nms.Snapshot{Device: device, Time: t, Login: login, Text: string(text)})
+		}
+		sort.SliceStable(snaps, func(i, j int) bool { return snaps[i].Time.Before(snaps[j].Time) })
+		for _, s := range snaps {
+			if err := arch.Record(s); err != nil {
 				return nil, err
 			}
 		}
@@ -362,23 +381,30 @@ func SaveOrganization(dir string, inv *netmodel.Inventory, arch *nms.Archive, ti
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("dataio: %w", err)
 	}
-	invF, err := os.Create(filepath.Join(dir, "inventory.json"))
-	if err != nil {
-		return fmt.Errorf("dataio: %w", err)
-	}
-	defer invF.Close()
-	if err := WriteInventory(invF, inv); err != nil {
+	if err := writeFile(filepath.Join(dir, "inventory.json"), func(w io.Writer) error {
+		return WriteInventory(w, inv)
+	}); err != nil {
 		return err
 	}
-	tixF, err := os.Create(filepath.Join(dir, "tickets.csv"))
-	if err != nil {
-		return fmt.Errorf("dataio: %w", err)
-	}
-	defer tixF.Close()
-	if err := WriteTickets(tixF, tickets); err != nil {
+	if err := writeFile(filepath.Join(dir, "tickets.csv"), func(w io.Writer) error {
+		return WriteTickets(w, tickets)
+	}); err != nil {
 		return err
 	}
 	return WriteArchive(filepath.Join(dir, "snapshots"), arch)
+}
+
+// writeFile writes what write produces to path. os.WriteFile reports a
+// failed Close, which can mean the data never reached disk.
+func writeFile(path string, write func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return fmt.Errorf("dataio: %w", err)
+	}
+	return nil
 }
 
 // LoadOrganization reads the layout SaveOrganization writes.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -131,14 +132,24 @@ func TestTicketsReadErrors(t *testing.T) {
 }
 
 func TestSnapshotFileNameRoundTrip(t *testing.T) {
-	when := time.Date(2014, 7, 9, 13, 45, 12, 0, time.UTC)
-	name := snapshotFileName(when, "op-chen")
-	got, login, err := parseSnapshotFileName(name)
-	if err != nil {
-		t.Fatal(err)
+	for _, when := range []time.Time{
+		time.Date(2014, 7, 9, 13, 45, 12, 0, time.UTC),
+		time.Date(2014, 7, 9, 13, 45, 12, 500_000_000, time.UTC),
+		time.Date(2014, 7, 9, 13, 45, 12, 1, time.UTC),
+	} {
+		name := snapshotFileName(when, "op-chen")
+		got, login, err := parseSnapshotFileName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(when) || login != "op-chen" {
+			t.Errorf("%s: round trip = %v %q, want %v", name, got, login, when)
+		}
 	}
-	if !got.Equal(when) || login != "op-chen" {
-		t.Errorf("round trip = %v %q", got, login)
+	// Names written with whole-second stamps still parse.
+	got, login, err := parseSnapshotFileName("2014-07-09T13-45-12Z__op-chen.cfg")
+	if err != nil || !got.Equal(time.Date(2014, 7, 9, 13, 45, 12, 0, time.UTC)) || login != "op-chen" {
+		t.Errorf("second-precision name = %v %q %v", got, login, err)
 	}
 }
 
@@ -154,11 +165,11 @@ func TestArchiveRoundTrip(t *testing.T) {
 	arch := nms.NewArchive()
 	arch.MarkSpecialAccount("svc-netauto")
 	base := time.Date(2014, 2, 1, 8, 0, 0, 0, time.UTC)
-	texts := []string{"hostname d1\n!\nend\n", "hostname d1\n!\nvlan 5\n!\nend\n"}
+	texts := []string{"hostname d1\n!\nend\n", "hostname d1\n!\nvlan 5\n!\nend\n", "hostname d1\n!\nend\n"}
 	for i, text := range texts {
 		if err := arch.Record(&nms.Snapshot{
-			Device: "d1", Time: base.Add(time.Duration(i) * time.Hour),
-			Login: "svc-netauto", Text: text, Fingerprint: nms.Fingerprint(text),
+			Device: "d1", Time: base.Add(time.Duration(i) * 1234567891 * time.Nanosecond),
+			Login: "svc-netauto", Text: text,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -171,22 +182,83 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := got.Snapshots("d1")
-	if len(snaps) != 2 {
-		t.Fatalf("snapshots = %d", len(snaps))
+	if !reflect.DeepEqual(got.Snapshots("d1"), arch.Snapshots("d1")) {
+		t.Errorf("snapshots differ after round trip:\n got %+v\nwant %+v", got.Snapshots("d1"), arch.Snapshots("d1"))
 	}
-	for i, s := range snaps {
-		if s.Text != texts[i] {
-			t.Errorf("snapshot %d text differs", i)
+	if !got.IsAutomated("svc-netauto") {
+		t.Error("special account not restored")
+	}
+}
+
+func TestWriteArchiveRejectsSharedFileName(t *testing.T) {
+	arch := nms.NewArchive()
+	when := time.Date(2014, 2, 1, 8, 0, 0, 0, time.UTC)
+	for _, login := range []string{"op", "op"} {
+		if err := arch.Record(&nms.Snapshot{Device: "d1", Time: when, Login: login, Text: "x"}); err != nil {
+			t.Fatal(err)
 		}
-		if !s.Time.Equal(base.Add(time.Duration(i) * time.Hour)) {
-			t.Errorf("snapshot %d time = %v", i, s.Time)
+	}
+	dir := t.TempDir()
+	if err := WriteArchive(dir, arch); err == nil {
+		t.Fatal("two snapshots with one file name: want error")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("rejected archive left %d entries behind", len(entries))
+	}
+}
+
+func TestWriteArchiveRejectsPathEscape(t *testing.T) {
+	when := time.Date(2014, 2, 1, 8, 0, 0, 0, time.UTC)
+	for _, s := range []nms.Snapshot{
+		{Device: "..", Login: "op"},
+		{Device: ".", Login: "op"},
+		{Device: "a/b", Login: "op"},
+		{Device: `a\b`, Login: "op"},
+		{Device: "d1", Login: "../../../escaped"},
+		{Device: "d1", Login: `..\escaped`},
+		{Device: "d1", Login: "op\x00"},
+	} {
+		arch := nms.NewArchive()
+		s.Time, s.Text = when, "x"
+		if err := arch.Record(&s); err != nil {
+			t.Fatal(err)
+		}
+		root := filepath.Join(t.TempDir(), "a", "b", "root")
+		if err := WriteArchive(root, arch); err == nil {
+			t.Errorf("device %q login %q: want error", s.Device, s.Login)
+		}
+		if _, err := os.Stat(filepath.Dir(root)); !os.IsNotExist(err) {
+			t.Errorf("device %q login %q: wrote outside root", s.Device, s.Login)
 		}
 	}
-	changes := got.Changes("d1")
-	if len(changes) != 1 || !changes[0].Automated {
-		t.Errorf("changes = %+v", changes)
-	}
+}
+
+// FuzzSnapshotFileName checks that every snapshot WriteArchive accepts
+// reads back with the same time and login.
+func FuzzSnapshotFileName(f *testing.F) {
+	f.Add(int64(1391241600_000000000), "op-chen")
+	f.Add(int64(1391241600_123456789), "svc-netauto")
+	f.Add(int64(-1), "a__b.cfg")
+	f.Add(int64(0), "")
+	f.Fuzz(func(t *testing.T, unixNano int64, login string) {
+		when := time.Unix(0, unixNano).UTC()
+		arch := nms.NewArchive()
+		if err := arch.Record(&nms.Snapshot{Device: "d1", Time: when, Login: login, Text: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := WriteArchive(dir, arch); err != nil {
+			return // rejected names are fine; accepted ones must round-trip
+		}
+		got, err := ReadArchive(dir, nil)
+		if err != nil {
+			t.Fatalf("accepted name does not read back: %v", err)
+		}
+		snaps := got.Snapshots("d1")
+		if len(snaps) != 1 || !snaps[0].Time.Equal(when) || snaps[0].Login != login {
+			t.Fatalf("round trip of (%v, %q) = %+v", when, login, snaps)
+		}
+	})
 }
 
 func TestReadArchiveIgnoresStrayFiles(t *testing.T) {
@@ -222,9 +294,7 @@ func TestReadArchiveMissingRoot(t *testing.T) {
 
 // TestOrganizationRoundTripInference is the integration test: a generated
 // organization saved to disk and loaded back must yield identical
-// inference results (modulo sub-second snapshot timestamps, which the
-// on-disk format truncates; the generator spaces snapshots by whole tens
-// of seconds, so event grouping is unaffected).
+// inference results.
 func TestOrganizationRoundTripInference(t *testing.T) {
 	p := osp.Small(31)
 	p.Networks = 8
@@ -255,15 +325,7 @@ func TestOrganizationRoundTripInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mas := range orig {
-		for i, ma := range mas {
-			for _, metric := range practices.MetricNames {
-				a := ma.Metrics[metric]
-				b := loaded[name][i].Metrics[metric]
-				if diff := a - b; diff > 0.02 || diff < -0.02 {
-					t.Fatalf("%s %v %s: %v (orig) vs %v (loaded)", name, ma.Month, metric, a, b)
-				}
-			}
-		}
+	if !reflect.DeepEqual(loaded, orig) {
+		t.Fatal("analyses of the loaded organization differ from the original")
 	}
 }

@@ -80,8 +80,8 @@ func (u *Update) ParseMonth() (months.Month, error) {
 // ready to splice.
 type Compiled struct {
 	Month months.Month
-	// Snapshots holds the new records in input order, fingerprinted and
-	// validated against the archive's per-device monotonicity.
+	// Snapshots holds the new records in input order, validated against
+	// the archive's per-device monotonicity.
 	Snapshots []*nms.Snapshot
 	// Tickets holds the new tickets in input order (IDs are assigned by
 	// the log at filing time).
@@ -141,29 +141,12 @@ func (u *Update) Compile(inv *netmodel.Inventory, arch *nms.Archive) (*Compiled,
 		}
 		lastTime[s.Device] = s.Time
 		c.Snapshots = append(c.Snapshots, &nms.Snapshot{
-			Device:      s.Device,
-			Time:        s.Time,
-			Login:       s.Login,
-			Text:        s.Text,
-			Fingerprint: nms.Fingerprint(s.Text),
+			Device: s.Device,
+			Time:   s.Time,
+			Login:  s.Login,
+			Text:   s.Text,
 		})
 		touched[netName] = true
-	}
-	// An unchanged re-snapshot must keep its predecessor's fingerprint
-	// even across the fingerprint-scheme boundary (the generator digests
-	// structure, the wire path digests text): equal text, equal print.
-	prevSnap := map[string]*nms.Snapshot{}
-	for _, s := range c.Snapshots {
-		prev := prevSnap[s.Device]
-		if prev == nil {
-			if hist := arch.Snapshots(s.Device); len(hist) > 0 {
-				prev = hist[len(hist)-1]
-			}
-		}
-		if prev != nil && prev.Text == s.Text {
-			s.Fingerprint = prev.Fingerprint
-		}
-		prevSnap[s.Device] = s
 	}
 
 	for i, t := range u.Tickets {

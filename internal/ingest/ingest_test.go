@@ -106,39 +106,6 @@ func TestCompileRejectsRegressionAgainstArchive(t *testing.T) {
 	}
 }
 
-// TestCompileFingerprintCarry pins the cross-scheme fingerprint rule: a
-// re-snapshot with text identical to its predecessor (archived or within
-// the update) keeps the predecessor's fingerprint, so no spurious change
-// event appears at the generator/wire boundary.
-func TestCompileFingerprintCarry(t *testing.T) {
-	o := testOrg(t)
-	m := o.Params.End.Next()
-	dev := o.Inventory.Networks[0].Devices[0].Name
-	hist := o.Archive.Snapshots(dev)
-	last := hist[len(hist)-1]
-
-	u := Update{Month: m.String(), Snapshots: []SnapshotEntry{
-		{Device: dev, Time: m.Start().Add(time.Hour), Login: "alice", Text: last.Text},
-		{Device: dev, Time: m.Start().Add(2 * time.Hour), Login: "alice", Text: last.Text + "! drift\n"},
-		{Device: dev, Time: m.Start().Add(3 * time.Hour), Login: "alice", Text: last.Text + "! drift\n"},
-	}}
-	c, err := u.Compile(o.Inventory, o.Archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Snapshots[0].Fingerprint != last.Fingerprint {
-		t.Errorf("unchanged re-snapshot got fingerprint %q, want archived %q",
-			c.Snapshots[0].Fingerprint, last.Fingerprint)
-	}
-	if c.Snapshots[1].Fingerprint == last.Fingerprint {
-		t.Error("changed snapshot kept the archived fingerprint")
-	}
-	if c.Snapshots[2].Fingerprint != c.Snapshots[1].Fingerprint {
-		t.Errorf("unchanged in-update re-snapshot got %q, want predecessor's %q",
-			c.Snapshots[2].Fingerprint, c.Snapshots[1].Fingerprint)
-	}
-}
-
 // TestTruncateSliceRoundTrip pins the replay identity the equivalence
 // suite depends on: truncating at month j and re-applying SliceMonth for
 // j+1..k reassembles exactly the original archive and ticket log.
@@ -192,12 +159,7 @@ func TestTruncateSliceRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Identical per-device histories. Fingerprint strings legitimately
-	// differ across the boundary (the generator digests structure, the
-	// wire path digests text), so compare the payload fields exactly and
-	// the fingerprints by their equality pattern — consecutive snapshots
-	// share a fingerprint iff their texts match, which is all the change
-	// inference reads from them.
+	// Identical per-device histories, snapshot for snapshot.
 	origDevs := o.Archive.Devices()
 	if got := arch.Devices(); !reflect.DeepEqual(got, origDevs) {
 		t.Fatalf("device sets differ: %v vs %v", got, origDevs)
@@ -208,17 +170,8 @@ func TestTruncateSliceRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %d snapshots, want %d", dev, len(got), len(orig))
 		}
 		for i := range orig {
-			o, g := *orig[i], *got[i]
-			o.Fingerprint, g.Fingerprint = "", ""
-			if !reflect.DeepEqual(o, g) {
-				t.Fatalf("%s snapshot %d differs:\n got %+v\nwant %+v", dev, i, g, o)
-			}
-			if i > 0 {
-				same := got[i].Fingerprint == got[i-1].Fingerprint
-				if want := got[i].Text == got[i-1].Text; same != want {
-					t.Fatalf("%s snapshot %d: fingerprint equality %v, text equality %v",
-						dev, i, same, want)
-				}
+			if !reflect.DeepEqual(got[i], orig[i]) {
+				t.Fatalf("%s snapshot %d differs:\n got %+v\nwant %+v", dev, i, *got[i], *orig[i])
 			}
 		}
 	}

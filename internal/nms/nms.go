@@ -18,48 +18,14 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"mpa/internal/months"
 )
 
 // Snapshot is one archived device configuration.
 type Snapshot struct {
-	Device      string
-	Time        time.Time
-	Login       string // entity that made the triggering change
-	Text        string // full rendered configuration text
-	Fingerprint string // cheap digest for change detection
-}
-
-// Fingerprint digests raw snapshot text as 16 hex digits of its 64-bit
-// FNV-1a hash. Consumers only compare the fingerprints of successive
-// same-device snapshots for equality, so any deterministic text digest
-// serves; importers of raw text all use this one.
-func Fingerprint(text string) string {
-	const offset, prime = 14695981039346656037, 1099511628211
-	const digits = "0123456789abcdef"
-	var h uint64 = offset
-	for i := 0; i < len(text); i++ {
-		h ^= uint64(text[i])
-		h *= prime
-	}
-	var b [16]byte
-	for i := len(b) - 1; i >= 0; i-- {
-		b[i] = digits[h&0xf]
-		h >>= 4
-	}
-	return string(b[:])
-}
-
-// ChangeRecord is a configuration change: a pair of successive snapshots
-// of one device whose configurations differ.
-type ChangeRecord struct {
-	Device    string
-	Time      time.Time // time of the new snapshot
-	Login     string
-	Automated bool
-	Before    *Snapshot
-	After     *Snapshot
+	Device string
+	Time   time.Time
+	Login  string // entity that made the triggering change
+	Text   string // full rendered configuration text
 }
 
 // Archive stores time-ordered configuration snapshots per device.
@@ -173,55 +139,4 @@ func (a *Archive) TotalBytes() int64 {
 		}
 	}
 	return total
-}
-
-// Changes returns the device's configuration changes: successive snapshot
-// pairs with differing fingerprints, in time order.
-func (a *Archive) Changes(device string) []ChangeRecord {
-	return a.AppendChanges(nil, device)
-}
-
-// AppendChanges appends the device's configuration changes onto dst and
-// returns the extended slice, so callers scanning many devices can reuse
-// one buffer (pass dst[:0]) instead of allocating a fresh slice per call.
-func (a *Archive) AppendChanges(dst []ChangeRecord, device string) []ChangeRecord {
-	hist := a.byDevice[device]
-	for i := 1; i < len(hist); i++ {
-		if hist[i].Fingerprint == hist[i-1].Fingerprint {
-			continue
-		}
-		dst = append(dst, ChangeRecord{
-			Device:    device,
-			Time:      hist[i].Time,
-			Login:     hist[i].Login,
-			Automated: a.IsAutomated(hist[i].Login),
-			Before:    hist[i-1],
-			After:     hist[i],
-		})
-	}
-	return dst
-}
-
-// ChangesInMonth returns the device's changes whose time falls in month m.
-func (a *Archive) ChangesInMonth(device string, m months.Month) []ChangeRecord {
-	var out []ChangeRecord
-	for _, c := range a.Changes(device) {
-		if months.Of(c.Time) == m {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// ConfigAt returns the latest snapshot of the device at or before t, or
-// nil if no snapshot exists by then. MPA uses this to evaluate design
-// metrics from month-end configuration states.
-func (a *Archive) ConfigAt(device string, t time.Time) *Snapshot {
-	hist := a.byDevice[device]
-	// Binary search for the last snapshot with Time <= t.
-	idx := sort.Search(len(hist), func(i int) bool { return hist[i].Time.After(t) })
-	if idx == 0 {
-		return nil
-	}
-	return hist[idx-1]
 }

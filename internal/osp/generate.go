@@ -187,7 +187,7 @@ func generateNetwork(p Params, idx int, ns netStreams, window []months.Month, pa
 
 	// Initial import: one snapshot per device at the window start.
 	importTime := p.Start.Start()
-	lastSnap := map[string]time.Time{}
+	lastSnap := map[string]lastSnapshot{}
 	for _, dev := range st.devices {
 		recordSnapshot(res.archive, st, dev, importTime, "initial-import", lastSnap)
 	}
@@ -219,7 +219,7 @@ type plannedEvent struct {
 
 // simulateMonth applies a month of operational activity to the network,
 // archiving snapshots into a, and returns the ground-truth record.
-func simulateMonth(a *nms.Archive, st *netState, m months.Month, lastSnap map[string]time.Time) MonthTruth {
+func simulateMonth(a *nms.Archive, st *netState, m months.Month, lastSnap map[string]lastSnapshot) MonthTruth {
 	r := st.r
 	pr := st.profile
 	nEvents := r.Poisson(pr.eventRate)
@@ -358,35 +358,39 @@ func simulateMonth(a *nms.Archive, st *netState, m months.Month, lastSnap map[st
 	return mt
 }
 
+// lastSnapshot is what the generator remembers of a device's latest
+// snapshot: its time, to keep the history strictly increasing, and the
+// structural fingerprint of its configuration, to tell a real change from
+// a no-op mutation.
+type lastSnapshot struct {
+	time time.Time
+	fp   string
+}
+
 // recordSnapshot renders the device's current configuration and archives
 // it, enforcing per-device time monotonicity. It reports whether the
 // configuration actually differs from the device's previous snapshot —
 // a mutation may be a no-op (e.g. an edit that re-set an option to its
 // existing value), which the NMS would not count as a change either.
-func recordSnapshot(a *nms.Archive, st *netState, dev *netmodel.Device, t time.Time, login string, lastSnap map[string]time.Time) bool {
-	if last, ok := lastSnap[dev.Name]; ok && !t.After(last) {
-		t = last.Add(time.Second)
+func recordSnapshot(a *nms.Archive, st *netState, dev *netmodel.Device, t time.Time, login string, lastSnap map[string]lastSnapshot) bool {
+	last, seen := lastSnap[dev.Name]
+	if seen && !t.After(last.time) {
+		t = last.time.Add(time.Second)
 	}
-	lastSnap[dev.Name] = t
 	cfg := st.configs[dev.Name]
 	fp := cfg.Fingerprint()
-	changed := true
-	if hist := a.Snapshots(dev.Name); len(hist) > 0 && hist[len(hist)-1].Fingerprint == fp {
-		changed = false
-	}
-	text := dialectFor(dev.Vendor).Render(cfg)
+	lastSnap[dev.Name] = lastSnapshot{time: t, fp: fp}
 	snap := &nms.Snapshot{
-		Device:      dev.Name,
-		Time:        t,
-		Login:       login,
-		Text:        text,
-		Fingerprint: fp,
+		Device: dev.Name,
+		Time:   t,
+		Login:  login,
+		Text:   dialectFor(dev.Vendor).Render(cfg),
 	}
 	if err := a.Record(snap); err != nil {
 		// Monotonicity is enforced above; a failure here is a generator bug.
 		panic(fmt.Sprintf("osp: snapshot record failed: %v", err))
 	}
-	return changed
+	return !seen || last.fp != fp
 }
 
 var symptoms = []string{

@@ -1,11 +1,10 @@
 package osp
 
 import (
-	"mpa/internal/confmodel"
 	"strings"
 	"testing"
-	"time"
 
+	"mpa/internal/confmodel"
 	"mpa/internal/months"
 	"mpa/internal/netmodel"
 	"mpa/internal/ticketing"
@@ -120,8 +119,8 @@ func TestSnapshotsParseable(t *testing.T) {
 				if cfg.Hostname != d.Name {
 					t.Fatalf("hostname %q != device %q", cfg.Hostname, d.Name)
 				}
-				if cfg.Fingerprint() != s.Fingerprint {
-					t.Fatalf("fingerprint mismatch for %s", d.Name)
+				if text := dialectFor(d.Vendor).Render(cfg); text != s.Text {
+					t.Fatalf("snapshot of %s does not re-render to its own text", d.Name)
 				}
 				checked++
 			}
@@ -164,18 +163,28 @@ func TestSnapshotTimesMonotonicPerDevice(t *testing.T) {
 
 func TestTruthMatchesArchiveChangeCounts(t *testing.T) {
 	// The ground-truth DeviceChanges per month must equal the number of
-	// changes the NMS infers (differing successive fingerprints).
+	// changes inference sees: consecutive snapshots whose parsed
+	// configurations differ.
 	o := smallOSP
 	for _, nw := range o.Inventory.Networks[:15] {
-		for _, m := range o.Params.Months() {
-			want := o.Truth[nw.Name][m].DeviceChanges
-			got := 0
-			for _, d := range nw.Devices {
-				got += len(o.Archive.ChangesInMonth(d.Name, m))
+		got := map[months.Month]int{}
+		for _, d := range nw.Devices {
+			var prev *confmodel.Config
+			for _, s := range o.Archive.Snapshots(d.Name) {
+				cfg, err := dialectFor(d.Vendor).Parse(s.Text)
+				if err != nil {
+					t.Fatalf("unparseable snapshot for %s: %v", d.Name, err)
+				}
+				if prev != nil && !prev.Equal(cfg) {
+					got[months.Of(s.Time)]++
+				}
+				prev = cfg
 			}
-			if got != want {
+		}
+		for _, m := range o.Params.Months() {
+			if want := o.Truth[nw.Name][m].DeviceChanges; got[m] != want {
 				t.Errorf("network %s month %v: archive changes %d != truth %d",
-					nw.Name, m, got, want)
+					nw.Name, m, got[m], want)
 			}
 		}
 	}
@@ -280,21 +289,6 @@ func TestTraitsExported(t *testing.T) {
 		if tr.AutomationProp < 0 || tr.AutomationProp > 1 {
 			t.Errorf("network %s automation %v", name, tr.AutomationProp)
 		}
-	}
-}
-
-func TestEventChainsWithinGroupingWindow(t *testing.T) {
-	// Device changes within one generated event must be chainable with
-	// the 5-minute heuristic: consecutive gaps < 5 minutes.
-	o := smallOSP
-	for _, nw := range o.Inventory.Networks[:10] {
-		var times []time.Time
-		for _, d := range nw.Devices {
-			for _, c := range o.Archive.Changes(d.Name) {
-				times = append(times, c.Time)
-			}
-		}
-		_ = times // chaining is validated end-to-end in the practices tests
 	}
 }
 

@@ -1,10 +1,7 @@
 package practices
 
 import (
-	"time"
-
 	"mpa/internal/confmodel"
-	"mpa/internal/events"
 	"mpa/internal/netmodel"
 	"mpa/internal/routing"
 	"mpa/internal/stats"
@@ -142,7 +139,7 @@ func (e *Engine) operationalMetrics(m Metrics, nw *netmodel.Network, changes []C
 	}
 	m[MetricChangeTypes] = float64(len(types))
 
-	evts := GroupChanges(changes, e.delta)
+	evts := GroupChanges(changes, DefaultDelta)
 	m[MetricChangeEvents] = float64(len(evts))
 	// Per-event metrics are undefined when no events occurred (paper
 	// §5.2.2); the pipeline represents them as zero.
@@ -193,12 +190,4 @@ func (e *Engine) operationalMetrics(m Metrics, nw *netmodel.Network, changes []C
 	m[MetricFracEventsRtr] = float64(rtr) / n
 	m[MetricFracEventsMbox] = float64(mbox) / n
 	return len(evts)
-}
-
-// GroupChanges groups inferred changes into change events with the given
-// threshold, exposed for the Figure 3 sensitivity sweep.
-func GroupChanges(changes []ChangeDetail, delta time.Duration) [][]ChangeDetail {
-	return events.GroupBy(changes, delta,
-		func(c ChangeDetail) time.Time { return c.Time },
-		func(c ChangeDetail) string { return c.Device })
 }

@@ -3,13 +3,13 @@ package practices
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"time"
 
 	"mpa/internal/cache"
 	"mpa/internal/ciscoios"
 	"mpa/internal/confdiff"
 	"mpa/internal/confmodel"
-	"mpa/internal/events"
 	"mpa/internal/junos"
 	"mpa/internal/months"
 	"mpa/internal/netmodel"
@@ -76,8 +76,7 @@ type MonthAnalysis struct {
 type Engine struct {
 	inv     *netmodel.Inventory
 	arch    *nms.Archive
-	delta   time.Duration // change-event grouping threshold
-	workers int           // goroutines for Analyze; 0 = process default
+	workers int // goroutines for Analyze; 0 = process default
 
 	cisco confmodel.ScratchParser
 	junos confmodel.ScratchParser
@@ -95,15 +94,10 @@ func NewEngine(inv *netmodel.Inventory, arch *nms.Archive) *Engine {
 	return &Engine{
 		inv:   inv,
 		arch:  arch,
-		delta: events.DefaultDelta,
 		cisco: ciscoios.Dialect{},
 		junos: junos.Dialect{},
 	}
 }
-
-// SetDelta overrides the change-event grouping threshold (Figure 3's
-// sensitivity sweep). Non-positive disables grouping.
-func (e *Engine) SetDelta(d time.Duration) { e.delta = d }
 
 // SetObs attaches a parent span; subsequent Analyze runs record an
 // "inference" span with per-network (and per-month) children under it.
@@ -210,7 +204,9 @@ func (e *Engine) step(w *netWalk, dev *netmodel.Device, state *confmodel.Config,
 // time, login, and full text, and the automation-account set.
 func (e *Engine) networkKey(nw *netmodel.Network, window []months.Month) cache.Key {
 	h := cache.NewHasher("practices/v1")
-	h.Int(int64(e.delta))
+	// The threshold is a constant, but it stays in the key so that
+	// entries already on disk keep their keys.
+	h.Int(int64(DefaultDelta))
 	h.String(nw.Name)
 	h.Int(int64(len(window)))
 	for _, m := range window {
@@ -276,7 +272,11 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 	nsp := parent.Start(name)
 	defer nsp.End()
 
-	// Per-device cursor over the snapshot history.
+	// Per-device cursor over the snapshot history. Histories are
+	// time-ordered, so the snapshots before the window form a prefix, and
+	// the last of them is the device's state entering the window: each
+	// cursor starts there, as the device's baseline import, so a window's
+	// cost does not grow with the history before it.
 	type cursor struct {
 		dev   *netmodel.Device
 		hist  []*nms.Snapshot
@@ -285,7 +285,13 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 	}
 	cursors := make([]*cursor, 0, len(nw.Devices))
 	for _, dev := range nw.Devices {
-		cursors = append(cursors, &cursor{dev: dev, hist: e.arch.Snapshots(dev.Name)})
+		cu := &cursor{dev: dev, hist: e.arch.Snapshots(dev.Name)}
+		if len(window) > 0 {
+			begin := window[0].Start()
+			base := sort.Search(len(cu.hist), func(i int) bool { return !cu.hist[i].Time.Before(begin) })
+			cu.pos = max(base-1, 0)
+		}
+		cursors = append(cursors, cu)
 	}
 
 	mgmtOwner := map[string]string{}

@@ -1,11 +1,52 @@
 package practices
 
 import (
+	"sort"
 	"time"
 
 	"mpa/internal/confmodel"
-	"mpa/internal/events"
 )
+
+// DefaultDelta is the paper's change-event grouping threshold: operators
+// indicated they complete most related changes within 5 minutes.
+const DefaultDelta = 5 * time.Minute
+
+// GroupChanges partitions a network's inferred changes into change events
+// (paper §2.2, O4). Realizing one outcome — e.g. establishing a new VLAN
+// segment — often takes changes on several devices, so the heuristic
+// chains them: changes sorted by time (then device, for a deterministic
+// order) belong to one event while each gap to the previous change is at
+// most delta. A non-positive delta disables grouping and every change
+// becomes its own event (the "NA" configuration of Figure 3's sweep). The
+// input slice is left unmodified.
+func GroupChanges(changes []ChangeDetail, delta time.Duration) [][]ChangeDetail {
+	if len(changes) == 0 {
+		return nil
+	}
+	sorted := append([]ChangeDetail(nil), changes...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if !sorted[i].Time.Equal(sorted[j].Time) {
+			return sorted[i].Time.Before(sorted[j].Time)
+		}
+		return sorted[i].Device < sorted[j].Device
+	})
+	if delta <= 0 {
+		out := make([][]ChangeDetail, len(sorted))
+		for i := range sorted {
+			out[i] = sorted[i : i+1 : i+1]
+		}
+		return out
+	}
+	var out [][]ChangeDetail
+	start := 0
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].Time.Sub(sorted[i-1].Time) > delta {
+			out = append(out, sorted[start:i:i])
+			start = i
+		}
+	}
+	return append(out, sorted[start:])
+}
 
 // GroupChangesTyped implements the refinement the paper leaves as future
 // work (§2.2: "we plan to also consider the change type and affected
@@ -19,11 +60,8 @@ import (
 // differently (interface on Cisco, vlan on Juniper) because the device
 // link keeps per-device sessions attached.
 func GroupChangesTyped(changes []ChangeDetail, delta time.Duration) [][]ChangeDetail {
-	timeGroups := events.GroupBy(changes, delta,
-		func(c ChangeDetail) time.Time { return c.Time },
-		func(c ChangeDetail) string { return c.Device })
 	var out [][]ChangeDetail
-	for _, g := range timeGroups {
+	for _, g := range GroupChanges(changes, delta) {
 		out = append(out, splitByAffinity(g)...)
 	}
 	return out

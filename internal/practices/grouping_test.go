@@ -114,3 +114,89 @@ func TestTypedGroupingEmpty(t *testing.T) {
 		t.Errorf("empty input produced %v", got)
 	}
 }
+
+func TestGroupChangesEmpty(t *testing.T) {
+	if got := GroupChanges(nil, DefaultDelta); got != nil {
+		t.Errorf("GroupChanges(nil) = %v", got)
+	}
+}
+
+func TestGroupChangesChaining(t *testing.T) {
+	// Gaps: 3, 4, 30 minutes. With delta=5 the first three chain together.
+	changes := []ChangeDetail{cd("a", 0), cd("b", 3), cd("c", 7), cd("d", 37)}
+	evts := GroupChanges(changes, 5*time.Minute)
+	if len(evts) != 2 {
+		t.Fatalf("events = %d, want 2", len(evts))
+	}
+	if len(evts[0]) != 3 || len(evts[1]) != 1 {
+		t.Errorf("event sizes = %d, %d", len(evts[0]), len(evts[1]))
+	}
+	// A gap of exactly delta still chains.
+	if got := GroupChanges([]ChangeDetail{cd("a", 0), cd("b", 5)}, 5*time.Minute); len(got) != 1 {
+		t.Errorf("gap == delta: events = %d, want 1", len(got))
+	}
+}
+
+func TestGroupChangesTransitivity(t *testing.T) {
+	// Consecutive 4-minute gaps spanning 20 minutes total still form one
+	// event: the heuristic is transitive.
+	var changes []ChangeDetail
+	for i := 0; i < 6; i++ {
+		changes = append(changes, cd("d", i*4))
+	}
+	if evts := GroupChanges(changes, 5*time.Minute); len(evts) != 1 {
+		t.Errorf("events = %d, want 1 (transitive chaining)", len(evts))
+	}
+}
+
+func TestGroupChangesNADisablesGrouping(t *testing.T) {
+	changes := []ChangeDetail{cd("a", 0), cd("b", 1), cd("c", 2)}
+	for _, delta := range []time.Duration{0, -time.Minute} {
+		if evts := GroupChanges(changes, delta); len(evts) != 3 {
+			t.Errorf("delta %v: events = %d, want 3", delta, len(evts))
+		}
+	}
+}
+
+func TestGroupChangesUnsortedInput(t *testing.T) {
+	changes := []ChangeDetail{cd("c", 40), cd("a", 0), cd("b", 2)}
+	evts := GroupChanges(changes, 5*time.Minute)
+	if len(evts) != 2 {
+		t.Fatalf("events = %d, want 2", len(evts))
+	}
+	if evts[0][0].Device != "a" || evts[0][1].Device != "b" || evts[1][0].Device != "c" {
+		t.Errorf("events not in time order: %v", evts)
+	}
+}
+
+func TestGroupChangesDoesNotMutateInput(t *testing.T) {
+	changes := []ChangeDetail{cd("b", 10), cd("a", 0)}
+	for _, delta := range []time.Duration{0, time.Minute} {
+		GroupChanges(changes, delta)
+		if changes[0].Device != "b" || changes[1].Device != "a" {
+			t.Fatalf("delta %v: GroupChanges modified the caller's slice: %v", delta, changes)
+		}
+	}
+}
+
+func TestGroupChangesLargerDeltaNeverMoreEvents(t *testing.T) {
+	// Figure 3's monotone behaviour: growing delta can only merge events.
+	changes := []ChangeDetail{cd("a", 0), cd("b", 2), cd("c", 9), cd("d", 11), cd("e", 30), cd("f", 55)}
+	prev := len(changes) + 1
+	for _, mins := range []int{0, 1, 2, 5, 10, 15, 30} {
+		n := len(GroupChanges(changes, time.Duration(mins)*time.Minute))
+		if n > prev {
+			t.Errorf("delta %d min produced more events (%d) than smaller delta (%d)", mins, n, prev)
+		}
+		prev = n
+	}
+}
+
+func TestGroupChangesSameTimestampOneEvent(t *testing.T) {
+	// Simultaneous changes on different devices are one event, ordered
+	// by device.
+	evts := GroupChanges([]ChangeDetail{cd("b", 0), cd("a", 0)}, time.Minute)
+	if len(evts) != 1 || len(evts[0]) != 2 || evts[0][0].Device != "a" {
+		t.Errorf("simultaneous changes: %v", evts)
+	}
+}

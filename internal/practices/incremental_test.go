@@ -3,16 +3,20 @@ package practices
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"mpa/internal/cache"
+	"mpa/internal/months"
+	"mpa/internal/nms"
 	"mpa/internal/osp"
 )
 
 // TestIncrementalMonthEquivalence pins the contract the whole ingest
-// path stands on: AnalyzeNetworkMonth(name, m) equals the month-m row of
-// a full Analyze walk, byte for byte, for every network and month —
-// with caching off (fresh engine) and on (engine warm from the full
-// walk).
+// path stands on: AnalyzeMonth(m, {name}) equals the month-m row of a
+// full Analyze walk, byte for byte, for every network and month. It runs
+// on a fresh engine and on one whose disk tier holds the full walk's
+// entries; AnalyzeMonth never reads the tier, so the second pins that a
+// configured tier changes nothing.
 func TestIncrementalMonthEquivalence(t *testing.T) {
 	p := osp.Small(9)
 	p.Networks = 10
@@ -27,14 +31,14 @@ func TestIncrementalMonthEquivalence(t *testing.T) {
 	}
 
 	engines := map[string]*Engine{
-		"cold-uncached": NewEngine(o.Inventory, o.Archive),
+		"uncached": NewEngine(o.Inventory, o.Archive),
 	}
-	warm := NewEngine(o.Inventory, o.Archive)
-	warm.SetCache(cache.Config{Dir: t.TempDir()})
-	if _, err := warm.Analyze(window); err != nil {
-		t.Fatalf("warm analyze: %v", err)
+	filled := NewEngine(o.Inventory, o.Archive)
+	filled.SetCache(cache.Config{Dir: t.TempDir()})
+	if _, err := filled.Analyze(window); err != nil {
+		t.Fatalf("filling disk tier: %v", err)
 	}
-	engines["warm-cached"] = warm
+	engines["disk-tier-filled"] = filled
 
 	for label, e := range engines {
 		for _, nw := range o.Inventory.Networks {
@@ -43,20 +47,90 @@ func TestIncrementalMonthEquivalence(t *testing.T) {
 				t.Fatalf("%s: %d rows, want %d", nw.Name, len(rows), len(window))
 			}
 			for i, m := range window {
-				got, err := e.AnalyzeNetworkMonth(nw.Name, m)
+				got, err := e.AnalyzeMonth(m, []string{nw.Name})
 				if err != nil {
-					t.Fatalf("%s: AnalyzeNetworkMonth(%s, %s): %v", label, nw.Name, m, err)
+					t.Fatalf("%s: AnalyzeMonth(%s, %s): %v", label, m, nw.Name, err)
 				}
-				if !reflect.DeepEqual(got, rows[i]) {
+				if !reflect.DeepEqual(got[0], rows[i]) {
 					t.Errorf("%s: %s %s: incremental row differs from full walk\n got: %+v\nwant: %+v",
-						label, nw.Name, m, got, rows[i])
+						label, nw.Name, m, got[0], rows[i])
 				}
 			}
 		}
 	}
 
-	if _, err := full.AnalyzeNetworkMonth("no-such-network", window[0]); err == nil {
-		t.Fatal("AnalyzeNetworkMonth of unknown network: want error")
+	if _, err := full.AnalyzeMonth(window[0], []string{"no-such-network"}); err == nil {
+		t.Fatal("AnalyzeMonth of unknown network: want error")
+	}
+}
+
+// TestAnalyzeWindowSuffix pins the entering-snapshot rule for windows
+// longer than a month: Analyze(window[k:]) starts every device at its
+// last snapshot before window[k] and must reproduce rows [k:] of the
+// walk over the whole window.
+func TestAnalyzeWindowSuffix(t *testing.T) {
+	p := osp.Small(12)
+	p.Networks = 6
+	p.End = p.Start.Add(4)
+	o := osp.Generate(p)
+	window := p.Months()
+
+	full, err := NewEngine(o.Inventory, o.Archive).Analyze(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k < len(window); k++ {
+		got, err := NewEngine(o.Inventory, o.Archive).Analyze(window[k:])
+		if err != nil {
+			t.Fatalf("Analyze(window[%d:]): %v", k, err)
+		}
+		for name, rows := range full {
+			if !reflect.DeepEqual(got[name], rows[k:]) {
+				t.Errorf("Analyze(window[%d:]) of %s differs from rows [%d:] of the full walk", k, name, k)
+			}
+		}
+	}
+}
+
+// TestCorruptSnapshotInsideWalk pins which snapshots a window reads: a
+// corrupt snapshot inside the window, or a corrupt entering snapshot,
+// fails the walk, while one before the entering snapshot is never parsed.
+func TestCorruptSnapshotInsideWalk(t *testing.T) {
+	const good = "hostname netX-sw-01\n!\nvlan 100\n name seg-100\n!\nend\n"
+	const bad = "hostname netX-sw-01\ngarbage that is not IOS\n"
+	feb := months.Month{Year: 2014, Mon: time.February}
+	mar, apr := feb.Next(), feb.Next().Next()
+	at := func(m months.Month) time.Time { return m.Start().Add(time.Hour) }
+	for _, tc := range []struct {
+		name    string
+		texts   map[months.Month]string
+		window  []months.Month
+		wantErr bool
+	}{
+		{"corrupt in window", map[months.Month]string{feb: good, mar: bad}, []months.Month{mar}, true},
+		{"corrupt entering snapshot", map[months.Month]string{feb: bad, mar: good}, []months.Month{mar}, true},
+		{"corrupt in later month", map[months.Month]string{feb: good, mar: good, apr: bad}, []months.Month{mar, apr}, true},
+		{"corrupt before entering snapshot", map[months.Month]string{feb: bad, mar: good, apr: good}, []months.Month{apr}, false},
+	} {
+		arch := nms.NewArchive()
+		for _, m := range []months.Month{feb, mar, apr} {
+			if text, ok := tc.texts[m]; ok {
+				if err := arch.Record(&nms.Snapshot{Device: "netX-sw-01", Time: at(m), Login: "op", Text: text}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		e := NewEngine(tinyInventory(), arch)
+		_, err := e.Analyze(tc.window)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: Analyze error = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		if len(tc.window) == 1 {
+			_, err := e.AnalyzeMonth(tc.window[0], []string{"netX"})
+			if (err != nil) != tc.wantErr {
+				t.Errorf("%s: AnalyzeMonth error = %v, want error %v", tc.name, err, tc.wantErr)
+			}
+		}
 	}
 }
 
@@ -106,7 +180,7 @@ func TestSetArchiveRebind(t *testing.T) {
 
 	e := NewEngine(o.Inventory, o.Archive)
 	e.SetCache(cache.Config{Dir: t.TempDir()})
-	before, err := e.AnalyzeNetworkMonth(o.Inventory.Networks[0].Name, m)
+	before, err := e.AnalyzeMonth(m, []string{o.Inventory.Networks[0].Name})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +201,12 @@ func TestSetArchiveRebind(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetArchive(clone)
-	after, err := e.AnalyzeNetworkMonth(o.Inventory.Networks[0].Name, m)
+	after, err := e.AnalyzeMonth(m, []string{o.Inventory.Networks[0].Name})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The duplicate snapshot has an identical fingerprint and text: no
-	// new change events, identical metrics.
+	// The duplicate snapshot has identical text: no new change events,
+	// identical metrics.
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("identical-text snapshot changed the analysis:\nbefore: %+v\nafter:  %+v", before, after)
 	}

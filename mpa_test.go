@@ -1,6 +1,7 @@
 package mpa
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -253,15 +254,19 @@ func TestSaveAndLoadOrganization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Dataset().Len() != f.Dataset().Len() {
-		t.Fatalf("case counts differ: %d vs %d", loaded.Dataset().Len(), f.Dataset().Len())
+	if !reflect.DeepEqual(loaded.Dataset().Cases, f.Dataset().Cases) {
+		t.Fatal("datasets differ after a save/load round trip")
 	}
-	// Ticket-derived labels must be identical; metrics nearly so (the
-	// on-disk format truncates snapshot times to whole seconds).
-	for i := range f.Dataset().Cases {
-		if loaded.Dataset().Cases[i].Tickets != f.Dataset().Cases[i].Tickets {
-			t.Fatalf("case %d ticket count differs", i)
-		}
+	// The ML reports also read the generator seed, which is not part of
+	// the saved data, so the digests are compared against a framework
+	// built in memory from the same records.
+	o := f.environment().OSP
+	ref, err := New(o.Inventory, o.Archive, o.Tickets, start, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digestsOf(t, loaded, 0), digestsOf(t, ref, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("report digests differ after a save/load round trip:\n got %+v\nwant %+v", got, want)
 	}
 }
 
