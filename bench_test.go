@@ -5,9 +5,9 @@ package mpa
 // DESIGN.md calls out, plus pipeline-stage benchmarks.
 //
 // Benchmarks run against a shared mid-scale synthetic OSP so `go test
-// -bench=.` finishes in minutes; `cmd/mpa-experiments -scale full`
-// regenerates every result at the paper's full 850-network scale (the
-// recorded output lives in EXPERIMENTS.md).
+// -bench=.` finishes in minutes; `mpa -networks 850 -months 17 -id all
+// experiment` regenerates every result at the paper's full 850-network
+// scale (the recorded output lives in EXPERIMENTS.md).
 
 import (
 	"sync"

@@ -15,10 +15,9 @@ import (
 // Flags is the shared observability CLI surface: verbosity, live
 // progress, CPU and heap profiles, Chrome trace output, the run-manifest
 // path, and a debug HTTP server exposing net/http/pprof, expvar, and
-// Prometheus /metrics. Commands embed it, Register it on their FlagSet,
-// call Start after parsing, and Stop on the way out. Keeping the wiring
-// here is what guarantees cmd/mpa and cmd/mpa-experiments stay
-// flag-compatible.
+// Prometheus /metrics. A command embeds it, Registers it on its FlagSet,
+// calls Start after parsing, and Stop on every way out, so the profile,
+// trace and debug-server wiring stays out of the command.
 type Flags struct {
 	// Verbose raises logging to info; VeryVerbose to debug.
 	Verbose     bool

@@ -27,7 +27,7 @@ var defaultWorkers atomic.Int64
 func init() { defaultWorkers.Store(int64(runtime.NumCPU())) }
 
 // SetDefaultWorkers sets the process-wide default worker count applied
-// when a call site passes workers <= 0 (the CLIs wire their -workers flag
+// when a call site passes workers <= 0 (mpa wires its -workers flag
 // here). n <= 0 resets the default to runtime.NumCPU().
 func SetDefaultWorkers(n int) {
 	if n <= 0 {

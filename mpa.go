@@ -123,7 +123,7 @@ type Config struct {
 	// Workers bounds the goroutines each pipeline stage (generation,
 	// inference, cross-validation folds, forest trees, experiment runs)
 	// may use. Zero or negative uses the process default — all CPUs, or
-	// whatever par.SetDefaultWorkers / the CLIs' -workers flag set. Every
+	// whatever par.SetDefaultWorkers / mpa's -workers flag set. Every
 	// result is byte-identical at every worker count.
 	Workers int
 	// Cache places the on-disk cache of per-network inference. The zero

@@ -140,7 +140,7 @@ func (f *Framework) Manifest() *runinfo.Manifest {
 	return m
 }
 
-// WriteManifest writes the run manifest to path (the CLIs' -manifest
+// WriteManifest writes the run manifest to path (mpa's -manifest
 // flag).
 func (f *Framework) WriteManifest(path string) error {
 	return f.Manifest().Write(path)
@@ -149,7 +149,7 @@ func (f *Framework) WriteManifest(path string) error {
 // RecordStages records every pipeline stage span that has run directly
 // under the framework's root into the flight recorder r, one entry per
 // stage call (IDs "stage-<index>-<name>", in execution order). The
-// CLIs call it on the way out so `mpa stats` can print the slowest
+// mpa command calls it on the way out so `mpa stats` can print the slowest
 // stages of the last run, the run manifest carries a recorder snapshot,
 // and a batch run's -debug-addr serves /debug/requests over the same
 // data. Safe to call with a nil recorder or an un-instrumented
