@@ -274,7 +274,7 @@ func (f *Framework) publishIngest(env *experiments.Env, res *IngestResult) {
 		Month string               `json:"month"`
 		Rank  []PracticeDependence `json:"rank"`
 	}
-	if b, err := json.Marshal(rankEvent{Month: res.MonthName, Rank: f.rankPractices(env)}); err == nil {
+	if b, err := json.Marshal(rankEvent{Month: res.MonthName, Rank: experiments.MIRanking(env)}); err == nil {
 		evs = append(evs, IngestEvent{Type: "rank", Data: b})
 	}
 	f.hub.Publish(evs...)

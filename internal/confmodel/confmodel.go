@@ -13,7 +13,6 @@ package confmodel
 
 import (
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -209,17 +208,6 @@ func (s *Stanza) Equal(o *Stanza) bool {
 		}
 	}
 	return true
-}
-
-// SortedOptionKeys returns the stanza's option keys in sorted order, for
-// deterministic rendering.
-func (s *Stanza) SortedOptionKeys() []string {
-	keys := make([]string, 0, len(s.Options))
-	for k := range s.Options {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // OptionsWithPrefix returns the option keys sharing the given prefix (e.g.

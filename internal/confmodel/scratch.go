@@ -124,16 +124,6 @@ func (sc *Scratch) fieldsUnicode(s string) []string {
 	return sc.fields
 }
 
-// Intern returns a canonical instance of s, allocating only the first
-// time a given string is seen.
-func (sc *Scratch) Intern(s string) string {
-	if v, ok := sc.interned[s]; ok {
-		return v
-	}
-	sc.interned[s] = s
-	return s
-}
-
 // Intern2 returns a canonical instance of a+b without allocating the
 // concatenation when it was interned before (the common case for option
 // keys like "rule:"+seq, which repeat across every snapshot).

@@ -123,20 +123,16 @@ func (d *Dataset) TicketValues() []float64 {
 	return out
 }
 
-// Labels2 returns the 2-class health label per case.
-func (d *Dataset) Labels2() []int {
-	out := make([]int, len(d.Cases))
-	for i, c := range d.Cases {
-		out[i] = Class2(c.Tickets)
+// Labels returns each case's health label at a class count: Class2 for
+// 2 classes, Class5 for 5.
+func (d *Dataset) Labels(classes int) []int {
+	class := Class5
+	if classes == 2 {
+		class = Class2
 	}
-	return out
-}
-
-// Labels5 returns the 5-class health label per case.
-func (d *Dataset) Labels5() []int {
 	out := make([]int, len(d.Cases))
 	for i, c := range d.Cases {
-		out[i] = Class5(c.Tickets)
+		out[i] = class(c.Tickets)
 	}
 	return out
 }
@@ -182,6 +178,17 @@ func (b *Binned) FeatureMatrix() [][]int {
 		}
 	}
 	return rows
+}
+
+// BinRow bins one case's metrics with fitted binners — training-time
+// edges applied to later data, as prediction requires — in
+// practices.MetricNames order.
+func BinRow(binners map[string]*stats.Binner, m practices.Metrics) []int {
+	row := make([]int, len(practices.MetricNames))
+	for j, metric := range practices.MetricNames {
+		row[j] = binners[metric].Bin(m[metric])
+	}
+	return row
 }
 
 // FilterMonths returns the sub-dataset whose cases fall within [from, to]

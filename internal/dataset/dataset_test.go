@@ -87,7 +87,7 @@ func TestClassBoundaries(t *testing.T) {
 
 func TestLabels(t *testing.T) {
 	d := buildTestDataset()
-	l2, l5 := d.Labels2(), d.Labels5()
+	l2, l5 := d.Labels(2), d.Labels(5)
 	want2 := []int{0, 1, 1, 1}
 	want5 := []int{0, 1, 4, 2}
 	for i := range want2 {

@@ -10,21 +10,31 @@ import (
 	"mpa/internal/survey"
 )
 
-// causalConfig returns the paper's QED configuration: all 28 practice
-// metrics as confounders (the treatment is excluded inside qed.Run), 5
-// treatment bins, alpha 0.001.
-func causalConfig() qed.Config {
-	return qed.DefaultConfig(practices.MetricNames)
+// causalConfig returns the paper's QED configuration (§5.2), recording
+// into env's observability tree: all 28 practice metrics as confounders
+// (the treatment is excluded inside qed.Run), propensity-score matching,
+// 5 treatment bins, alpha 0.001.
+func causalConfig(env *Env) qed.Config {
+	cfg := qed.DefaultConfig(practices.MetricNames)
+	cfg.Obs = env.Obs
+	return cfg
 }
 
-// runCausal runs the matched-design analysis for one treatment.
-func runCausal(env *Env, treatment string) *qed.Result {
-	cfg := causalConfig()
-	cfg.Obs = env.Obs
-	res, err := qed.Run(env.Data, treatment, cfg)
+// Causal runs the paper's matched-design quasi-experiment for one
+// treatment practice, controlling for the other practice metrics. The
+// result is memoized on env under "causal/<treatment>", so the causal
+// reports and the framework's causal query share one run per treatment.
+func Causal(env *Env, treatment string) (*qed.Result, error) {
+	return Memoized(env, "", "causal/"+treatment, func() (*qed.Result, error) {
+		return qed.Run(env.Data, treatment, causalConfig(env))
+	})
+}
+
+// mustCausal is Causal for the reports: their dataset is non-empty by
+// construction, so an error is a programming bug, not a data condition.
+func mustCausal(env *Env, treatment string) *qed.Result {
+	res, err := Causal(env, treatment)
 	if err != nil {
-		// The dataset is non-empty by construction; an error here is a
-		// programming bug, not a data condition.
 		panic(fmt.Sprintf("experiments: causal analysis of %s failed: %v", treatment, err))
 	}
 	return res
@@ -33,7 +43,7 @@ func runCausal(env *Env, treatment string) *qed.Result {
 // Table5 reports propensity-score matching quality for number of change
 // events across the four comparison points (paper Table 5).
 func Table5(env *Env) Report {
-	res := runCausal(env, practices.MetricChangeEvents)
+	res := mustCausal(env, practices.MetricChangeEvents)
 	tb := report.NewTable("Comp. point", "Untreated", "Treated", "Pairs",
 		"Untreated matched", "|Std diff means|", "Ratio of var")
 	numbers := map[string]float64{}
@@ -66,7 +76,7 @@ func Table5(env *Env) Report {
 // Table6 reports the sign-test outcome distribution for number of change
 // events (paper Table 6).
 func Table6(env *Env) Report {
-	res := runCausal(env, practices.MetricChangeEvents)
+	res := mustCausal(env, practices.MetricChangeEvents)
 	tb := report.NewTable("Comp. point", "Fewer tickets", "No effect", "More tickets",
 		"p-value", "Causal", "Rosenbaum gamma")
 	numbers := map[string]float64{}
@@ -96,13 +106,9 @@ func Table6(env *Env) Report {
 
 // top10Metrics returns the 10 practices with the strongest MI dependence.
 func top10Metrics(env *Env) []string {
-	entries := MIRanking(env)
-	out := make([]string, 0, 10)
-	for i, e := range entries {
-		if i >= 10 {
-			break
-		}
-		out = append(out, e.Metric)
+	out := make([]string, 10)
+	for i, e := range MIRanking(env)[:10] {
+		out[i] = e.Metric
 	}
 	return out
 }
@@ -115,7 +121,7 @@ func Table7(env *Env) Report {
 	numbers := map[string]float64{}
 	causalCount := 0
 	for _, metric := range top10Metrics(env) {
-		res := runCausal(env, metric)
+		res := mustCausal(env, metric)
 		p := res.Points[0] // 1:2
 		causal := ""
 		if p.Causal {
@@ -153,7 +159,7 @@ func Table8(env *Env) Report {
 	numbers := map[string]float64{}
 	imbalanced, total := 0, 0
 	for _, metric := range top10Metrics(env) {
-		res := runCausal(env, metric)
+		res := mustCausal(env, metric)
 		cells := []string{practices.DisplayName(metric)}
 		for _, p := range res.Points[1:] {
 			total++
@@ -197,12 +203,16 @@ func AblationMatching(env *Env) Report {
 	tb := report.NewTable("Method", "Pairs (1:2)", "Pairs (total)")
 	numbers := map[string]float64{}
 	for _, method := range []qed.MatchMethod{qed.MatchPropensity, qed.MatchExact, qed.MatchMahalanobis} {
-		cfg := causalConfig()
-		cfg.Matching = method
-		cfg.Obs = env.Obs
-		res, err := qed.Run(env.Data, practices.MetricChangeEvents, cfg)
-		if err != nil {
-			panic(err)
+		var res *qed.Result
+		if method == qed.MatchPropensity {
+			res = mustCausal(env, practices.MetricChangeEvents) // Tables 5 and 6's run
+		} else {
+			cfg := causalConfig(env)
+			cfg.Matching = method
+			var err error
+			if res, err = qed.Run(env.Data, practices.MetricChangeEvents, cfg); err != nil {
+				panic(err)
+			}
 		}
 		total := 0
 		for _, p := range res.Points {

@@ -227,12 +227,8 @@ func Figure12(env *Env) Report {
 	var sizes, changeRates []float64
 	for _, name := range env.sortedNetworkNames() {
 		mas := env.Analysis[name]
-		var total float64
-		for _, ma := range mas {
-			total += ma.Metrics[practices.MetricConfigChanges]
-		}
 		sizes = append(sizes, mas[0].Metrics[practices.MetricDevices])
-		changeRates = append(changeRates, total/float64(len(mas)))
+		changeRates = append(changeRates, monthlyMean(mas, practices.MetricConfigChanges))
 	}
 	corr := stats.Pearson(sizes, changeRates)
 	b.WriteString("(a) Avg. config changes per month vs network size:\n")
@@ -274,60 +270,18 @@ func Figure12(env *Env) Report {
 	}
 	b.WriteString("(c) Fraction of changes touching a stanza type (per network):\n")
 	for _, tt := range typeTargets {
-		var fracs []float64
-		for _, name := range env.sortedNetworkNames() {
-			total, touch := 0, 0
-			for _, ma := range env.Analysis[name] {
-				for _, c := range ma.Changes {
-					total++
-					if c.HasType(tt.typ) {
-						touch++
-					}
-				}
-			}
-			if total > 0 {
-				fracs = append(fracs, float64(touch)/float64(total))
-			}
-		}
+		fracs := changeFracs(env, func(c practices.ChangeDetail) bool { return c.HasType(tt.typ) })
 		fmt.Fprintf(&b, "    %-6s %s\n", tt.label+":", report.CDFSummary(fracs))
 		numbers["type_median:"+tt.label] = stats.Median(fracs)
 	}
 	// Router changes separately (bgp or ospf).
-	var routerFracs []float64
-	for _, name := range env.sortedNetworkNames() {
-		total, touch := 0, 0
-		for _, ma := range env.Analysis[name] {
-			for _, c := range ma.Changes {
-				total++
-				if c.HasRouterType() {
-					touch++
-				}
-			}
-		}
-		if total > 0 {
-			routerFracs = append(routerFracs, float64(touch)/float64(total))
-		}
-	}
+	routerFracs := changeFracs(env, practices.ChangeDetail.HasRouterType)
 	fmt.Fprintf(&b, "    %-6s %s\n", "router:", report.CDFSummary(routerFracs))
 	numbers["type_median:router"] = stats.Median(routerFracs)
 	numbers["router_frac_heavy"] = 1 - stats.CDFAt(routerFracs, 0.5)
 
 	// (d) fraction of changes automated per month.
-	var autoFracs []float64
-	for _, name := range env.sortedNetworkNames() {
-		total, auto := 0, 0
-		for _, ma := range env.Analysis[name] {
-			for _, c := range ma.Changes {
-				total++
-				if c.Automated {
-					auto++
-				}
-			}
-		}
-		if total > 0 {
-			autoFracs = append(autoFracs, float64(auto)/float64(total))
-		}
-	}
+	autoFracs := changeFracs(env, func(c practices.ChangeDetail) bool { return c.Automated })
 	b.WriteString("(d) Fraction of changes automated (per network):\n")
 	fmt.Fprintf(&b, "    %s\n", report.CDFSummary(autoFracs))
 	halfAuto := 1 - stats.CDFAt(autoFracs, 0.5)
@@ -337,12 +291,7 @@ func Figure12(env *Env) Report {
 	// (e) avg change events per month.
 	var eventRates []float64
 	for _, name := range env.sortedNetworkNames() {
-		var total float64
-		mas := env.Analysis[name]
-		for _, ma := range mas {
-			total += ma.Metrics[practices.MetricChangeEvents]
-		}
-		eventRates = append(eventRates, total/float64(len(mas)))
+		eventRates = append(eventRates, monthlyMean(env.Analysis[name], practices.MetricChangeEvents))
 	}
 	b.WriteString("(e) Avg. change events per month (per network):\n")
 	fmt.Fprintf(&b, "    %s\n", report.CDFSummary(eventRates))
@@ -355,6 +304,36 @@ func Figure12(env *Env) Report {
 		Text:    b.String(),
 		Numbers: numbers,
 	}
+}
+
+// monthlyMean returns a network's mean of metric over its months.
+func monthlyMean(mas []practices.MonthAnalysis, metric string) float64 {
+	var total float64
+	for _, ma := range mas {
+		total += ma.Metrics[metric]
+	}
+	return total / float64(len(mas))
+}
+
+// changeFracs returns, for each network with changes in name order, the
+// fraction of its changes that satisfy pred.
+func changeFracs(env *Env, pred func(practices.ChangeDetail) bool) []float64 {
+	var out []float64
+	for _, name := range env.sortedNetworkNames() {
+		total, hit := 0, 0
+		for _, ma := range env.Analysis[name] {
+			for _, c := range ma.Changes {
+				total++
+				if pred(c) {
+					hit++
+				}
+			}
+		}
+		if total > 0 {
+			out = append(out, float64(hit)/float64(total))
+		}
+	}
+	return out
 }
 
 // Figure13 characterizes change events: devices changed per event and the

@@ -23,8 +23,8 @@ func ticketBoxesByBin(env *Env, metric string, bins int) (string, map[int]stats.
 		groups[b] = append(groups[b], tickets[i])
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s (bins anchored at [%s, %s]):\n",
-		practices.DisplayName(metric), report.F(first(binner.Bounds())), report.F(second(binner.Bounds())))
+	lo, hi := binner.Bounds()
+	fmt.Fprintf(&b, "%s (bins anchored at [%s, %s]):\n", practices.DisplayName(metric), report.F(lo), report.F(hi))
 	boxes := map[int]stats.BoxSummary{}
 	for bin := 0; bin < bins; bin++ {
 		vals, ok := groups[bin]
@@ -37,9 +37,6 @@ func ticketBoxesByBin(env *Env, metric string, bins int) (string, map[int]stats.
 	}
 	return b.String(), boxes
 }
-
-func first(a, _ float64) float64  { return a }
-func second(_, b float64) float64 { return b }
 
 // monotoneScore returns the fraction of adjacent bin pairs whose mean
 // ticket count increases — 1.0 for a strictly increasing relationship.
@@ -137,42 +134,61 @@ func Figure6(env *Env) Report {
 	}
 }
 
-// MIRanking computes each practice's average monthly mutual information
-// with network health: metrics and health are binned into 10
+// MIRanking returns each practice's average monthly mutual information
+// with network health, in decreasing order with equal-MI practices in
+// catalogue order: metrics and health are binned into 10
 // percentile-anchored bins over all cases, MI is computed per month across
-// networks, and the monthly values are averaged (paper §5.1).
+// networks, and the monthly values are averaged (paper §5.1). The ranking
+// is memoized on env under "rank"; the slice is shared, so callers must
+// not sort or edit it.
 func MIRanking(env *Env) []MIEntry {
-	sp := env.Obs.Start("mi_ranking")
-	defer sp.End()
+	r, _ := Memoized(env, "", "rank", func() ([]MIEntry, error) { return miRanking(env), nil })
+	return r
+}
+
+// monthlyCases returns the dataset binned into 10 percentile-anchored
+// bins (§5.1.1) and the case indexes of each window month with at least
+// two cases, in window order: the months MI and CMI are averaged over.
+func monthlyCases(env *Env) (*dataset.Binned, [][]int) {
 	binned := env.Data.Bin(10)
 	byMonth := map[months.Month][]int{}
 	for i, c := range env.Data.Cases {
 		byMonth[c.Month] = append(byMonth[c.Month], i)
 	}
-	window := env.Window()
+	var groups [][]int
+	for _, m := range env.Window() {
+		if idx := byMonth[m]; len(idx) >= 2 {
+			groups = append(groups, idx)
+		}
+	}
+	return binned, groups
+}
+
+// pick returns vals at the indexes idx.
+func pick(vals, idx []int) []int {
+	out := make([]int, len(idx))
+	for k, i := range idx {
+		out[k] = vals[i]
+	}
+	return out
+}
+
+// miRanking computes MIRanking.
+func miRanking(env *Env) []MIEntry {
+	sp := env.Obs.Start("mi_ranking")
+	defer sp.End()
+	binned, groups := monthlyCases(env)
 	miValues := 0
 	entries := make([]MIEntry, 0, len(practices.MetricNames))
 	for _, metric := range practices.MetricNames {
 		var sum float64
-		n := 0
-		for _, m := range window {
-			idx := byMonth[m]
-			if len(idx) < 2 {
-				continue
-			}
-			xs := make([]int, len(idx))
-			ys := make([]int, len(idx))
-			for k, i := range idx {
-				xs[k] = binned.Metrics[metric][i]
-				ys[k] = binned.Health[i]
-			}
-			sum += stats.MutualInformation(xs, ys)
-			n++
+		for _, idx := range groups {
+			sum += stats.MutualInformation(pick(binned.Metrics[metric], idx), pick(binned.Health, idx))
 		}
-		miValues += n
+		miValues += len(groups)
 		avg := 0.0
-		if n > 0 {
-			avg = sum / float64(n)
+		if len(groups) > 0 {
+			avg = sum / float64(len(groups))
 		}
 		entries = append(entries, MIEntry{Metric: metric, MI: avg})
 	}
@@ -221,12 +237,7 @@ func Table3(env *Env) Report {
 func Table4(env *Env) Report {
 	sp := env.Obs.Start("cmi_ranking")
 	defer sp.End()
-	binned := env.Data.Bin(10)
-	byMonth := map[months.Month][]int{}
-	for i, c := range env.Data.Cases {
-		byMonth[c.Month] = append(byMonth[c.Month], i)
-	}
-	window := env.Window()
+	binned, groups := monthlyCases(env)
 	type pairEntry struct {
 		a, b string
 		cmi  float64
@@ -236,25 +247,12 @@ func Table4(env *Env) Report {
 	for i := 0; i < len(names); i++ {
 		for j := i + 1; j < len(names); j++ {
 			var sum float64
-			n := 0
-			for _, m := range window {
-				idx := byMonth[m]
-				if len(idx) < 2 {
-					continue
-				}
-				x1 := make([]int, len(idx))
-				x2 := make([]int, len(idx))
-				ys := make([]int, len(idx))
-				for k, c := range idx {
-					x1[k] = binned.Metrics[names[i]][c]
-					x2[k] = binned.Metrics[names[j]][c]
-					ys[k] = binned.Health[c]
-				}
-				sum += stats.ConditionalMutualInformation(x1, x2, ys)
-				n++
+			for _, idx := range groups {
+				sum += stats.ConditionalMutualInformation(pick(binned.Metrics[names[i]], idx),
+					pick(binned.Metrics[names[j]], idx), pick(binned.Health, idx))
 			}
-			if n > 0 {
-				pairs = append(pairs, pairEntry{names[i], names[j], sum / float64(n)})
+			if len(groups) > 0 {
+				pairs = append(pairs, pairEntry{names[i], names[j], sum / float64(len(groups))})
 			}
 		}
 	}
@@ -262,12 +260,9 @@ func Table4(env *Env) Report {
 	sp.Count("pairs", float64(len(pairs)))
 	obs.GetCounter("experiments.cmi_pairs").Add(int64(len(pairs)))
 
-	top10 := MIRanking(env)
 	topSet := map[string]bool{}
-	for i, e := range top10 {
-		if i < 10 {
-			topSet[e.Metric] = true
-		}
+	for _, m := range top10Metrics(env) {
+		topSet[m] = true
 	}
 	tb := report.NewTable("Rank", "Practice pair", "CMI")
 	numbers := map[string]float64{}
@@ -298,5 +293,3 @@ func Table4(env *Env) Report {
 		Numbers: numbers,
 	}
 }
-
-var _ = dataset.Class2 // referenced by later experiments in this package

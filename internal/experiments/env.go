@@ -3,6 +3,11 @@
 // experiment consumes a shared Env — a generated OSP plus the inference
 // output and case matrix — and returns a Report holding rendered text and
 // the key numbers, so tests and benchmarks can assert on result shape.
+//
+// It holds the one implementation of each of the paper's analyses —
+// MIRanking (§5.1), Causal (§5.2), Learner (§6.1) and Online (§6.2) —
+// which the framework's queries call too. The ranking and the causal runs
+// are memoized on the Env (Memoized), so reports and queries share them.
 package experiments
 
 import (
@@ -13,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"mpa/internal/cache"
 	"mpa/internal/dataset"
@@ -35,12 +41,15 @@ type Env struct {
 	// all instrumentation degrades to no-ops.
 	Obs *obs.Span
 
-	// memo holds the answers to whole-organization queries over this
+	// memo holds the answers to whole-organization analyses over this
 	// snapshot, and netMemo each analyzed network's answers. netMemo is
-	// built with the Env and never mutated afterwards; an Env assembled
-	// by hand has neither and computes every query.
+	// built with the Env and never mutated afterwards. counts tallies
+	// every lookup in either (Memoized) and is shared by all the Envs
+	// Evolve derives from one. An Env assembled by hand has none of the
+	// three: it computes every call and counts nothing.
 	memo    *cache.Memo
 	netMemo map[string]*cache.Memo
+	counts  *memoCounts
 
 	// cases indexes Data by network and month; built on first Case.
 	casesOnce sync.Once
@@ -69,9 +78,7 @@ func (e *Env) ReportDigests() map[string]string {
 	e.digestMu.Lock()
 	defer e.digestMu.Unlock()
 	out := make(map[string]string, len(e.digests))
-	for id, d := range e.digests {
-		out[id] = d
-	}
+	maps.Copy(out, e.digests)
 	return out
 }
 
@@ -92,28 +99,34 @@ func NewEnv(p osp.Params) (*Env, error) {
 // (TestCacheEquivalence).
 func NewEnvCached(p osp.Params, cc cache.Config) (*Env, error) {
 	root := obs.NewRoot("pipeline")
-	o := osp.GenerateObs(p, root)
-	engine := practices.NewEngine(o.Inventory, o.Archive)
-	engine.SetObs(root)
-	engine.SetWorkers(p.Workers)
-	engine.SetCache(cc)
-	analysis, err := engine.Analyze(p.Months())
+	env, err := Infer(osp.GenerateObs(p, root), cc, root)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: inference failed: %w", err)
 	}
-	return Assemble(p, o, analysis, dataset.BuildObs(analysis, o.Tickets, root), root), nil
+	return env, nil
 }
 
-// Assemble wraps one snapshot's data in an Env with empty query memos.
-func Assemble(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAnalysis, data *dataset.Dataset, root *obs.Span) *Env {
-	return assemble(p, o, analysis, data, root, nil)
+// Infer runs practice inference over o's study window on up to
+// o.Params.Workers goroutines, with the per-network inference cache
+// configured by cc, builds the case matrix, and wraps both in an Env with
+// empty memos and zeroed memo counts. root records the stages.
+func Infer(o *osp.OSP, cc cache.Config, root *obs.Span) (*Env, error) {
+	engine := practices.NewEngine(o.Inventory, o.Archive)
+	engine.SetObs(root)
+	engine.SetWorkers(o.Params.Workers)
+	engine.SetCache(cc)
+	analysis, err := engine.Analyze(o.Params.Months())
+	if err != nil {
+		return nil, err
+	}
+	return assemble(o.Params, o, analysis, dataset.BuildObs(analysis, o.Tickets, root), root, nil, new(memoCounts)), nil
 }
 
-// assemble builds an Env with one query memo per analyzed network, taken
-// from carry when it holds the network and fresh otherwise.
-func assemble(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAnalysis, data *dataset.Dataset, root *obs.Span, carry map[string]*cache.Memo) *Env {
+// assemble builds an Env with one memo per analyzed network, taken from
+// carry when it holds the network and fresh otherwise.
+func assemble(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAnalysis, data *dataset.Dataset, root *obs.Span, carry map[string]*cache.Memo, counts *memoCounts) *Env {
 	e := &Env{Params: p, OSP: o, Analysis: analysis, Data: data, Obs: root,
-		memo: new(cache.Memo), netMemo: make(map[string]*cache.Memo, len(analysis))}
+		memo: new(cache.Memo), netMemo: make(map[string]*cache.Memo, len(analysis)), counts: counts}
 	for n := range analysis {
 		m := carry[n]
 		if m == nil {
@@ -124,31 +137,72 @@ func assemble(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAna
 	return e
 }
 
-// Memo returns the snapshot's whole-organization query memo.
-func (e *Env) Memo() *cache.Memo { return e.memo }
+// Process-wide memo counters ("cache.query.*" in /metrics, /debug/vars,
+// and run manifests).
+var (
+	queryHits   = obs.GetCounter("cache.query.mem_hits")
+	queryMisses = obs.GetCounter("cache.query.mem_misses")
+)
 
-// NetworkMemo returns one network's query memo, or nil (compute every
-// call) for a network the snapshot does not hold, so names from outside
-// input never grow the memo set.
-func (e *Env) NetworkMemo(network string) *cache.Memo { return e.netMemo[network] }
+// memoCounts counts memo lookups: a hit is a call that found a finished
+// or in-flight answer, a miss a call that computed one.
+type memoCounts struct{ hits, misses atomic.Int64 }
+
+// MemoCounts returns the memo lookups counted so far by e and every Env
+// it evolved from.
+func (e *Env) MemoCounts() (hits, misses int64) {
+	if e.counts == nil {
+		return 0, 0
+	}
+	return e.counts.hits.Load(), e.counts.misses.Load()
+}
+
+// Memoized returns the answer stored under key in network's memo (the
+// whole organization's for "") and computes it on a miss. Reports and the
+// framework's queries all look up through it, so an analysis runs once
+// per snapshot whoever asks first, and every lookup counts in MemoCounts
+// and cache.query.*. A network the snapshot does not hold has no memo
+// (outside input never grows the memo set) and computes every call.
+// Errors are not stored. Stored answers are shared: treat them as
+// read-only.
+func Memoized[T any](e *Env, network, key string, compute func() (T, error)) (T, error) {
+	m := e.memo
+	if network != "" {
+		m = e.netMemo[network]
+	}
+	v, hit, err := m.Do(key, func() (any, error) { return compute() })
+	if e.counts != nil {
+		n, g := &e.counts.misses, queryMisses
+		if hit {
+			n, g = &e.counts.hits, queryHits
+		}
+		n.Add(1)
+		g.Add(1)
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
+}
 
 // Evolve returns a new Env holding the given (spliced) data while
-// carrying over e's observability root and the report digests recorded
-// so far. The new snapshot starts a fresh whole-organization memo and
-// fresh memos for the touched networks; untouched networks share e's
-// memos, since their answers are unchanged. The incremental ingest path
-// builds each post-update state as a fresh Env and swaps it in
-// atomically, so in-flight queries keep reading a consistent snapshot;
-// the shared root span means pipeline stats keep accruing in one tree
-// across updates. The digest map is copied, never shared — re-run
-// experiments on the evolved Env overwrite their entries without racing
-// readers of the old one.
+// carrying over e's observability root, memo counts and the report
+// digests recorded so far. The new snapshot starts a fresh
+// whole-organization memo and fresh memos for the touched networks;
+// untouched networks share e's memos, since their answers are unchanged.
+// The incremental ingest path builds each post-update state as a fresh
+// Env and swaps it in atomically, so in-flight queries keep reading a
+// consistent snapshot; the shared root span and counts mean pipeline
+// stats and memo counts keep accruing across updates. The digest map is
+// copied, never shared — re-run experiments on the evolved Env overwrite
+// their entries without racing readers of the old one.
 func (e *Env) Evolve(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAnalysis, data *dataset.Dataset, touched []string) *Env {
 	carry := maps.Clone(e.netMemo)
 	for _, n := range touched {
 		delete(carry, n)
 	}
-	ne := assemble(p, o, analysis, data, e.Obs, carry)
+	ne := assemble(p, o, analysis, data, e.Obs, carry, e.counts)
 	e.digestMu.Lock()
 	defer e.digestMu.Unlock()
 	if len(e.digests) > 0 {

@@ -6,6 +6,8 @@ import (
 
 	"mpa/internal/dataset"
 	"mpa/internal/ml"
+	"mpa/internal/months"
+	"mpa/internal/obs"
 	"mpa/internal/practices"
 	"mpa/internal/report"
 	"mpa/internal/rng"
@@ -24,45 +26,55 @@ func features5(env *Env) [][]int {
 	return env.Data.Bin(learnBins).FeatureMatrix()
 }
 
-// trainerDT fits a plain pruned decision tree.
-func trainerDT(classes int) ml.Trainer {
-	return func(X [][]int, y []int) ml.Classifier {
-		return ml.TrainTree(X, y, nil, classes, ml.DefaultTreeConfig())
-	}
+// Learner is one of the paper's health-model learners (§6.1): a pruned
+// decision tree over Classes health classes, optionally trained on
+// minority-oversampled data and optionally boosted (AdaBoost, 15 rounds,
+// last-tree mode). Figure 8 compares the four settings at 5 classes.
+type Learner struct {
+	Classes           int
+	Boost, Oversample bool
 }
 
-// trainerDTAB fits the paper's boosted tree (15 rounds, last-tree mode).
-func trainerDTAB(classes int) ml.Trainer {
-	return func(X [][]int, y []int) ml.Classifier {
-		return ml.TrainAdaBoost(X, y, classes, ml.DefaultBoostConfig())
-	}
+// BestLearner returns the paper's best learner for a class count: a plain
+// pruned tree for 2 classes, boosting plus oversampling for 5 (§6.1,
+// Figure 8). Reports, online prediction and the framework's health models
+// all train it.
+func BestLearner(classes int) Learner {
+	return Learner{Classes: classes, Boost: classes == 5, Oversample: classes == 5}
 }
 
-// oversampler returns the paper's class-specific oversampling for the
-// given class count.
-func oversampler(classes int) func([][]int, []int) ([][]int, []int) {
-	if classes == 2 {
-		return ml.Oversample2Class
+// Name is the learner's label in Figure 8: "DT", "DT+AB", "DT+OS" or
+// "DT+AB+OS".
+func (l Learner) Name() string {
+	name := "DT"
+	if l.Boost {
+		name += "+AB"
 	}
-	return ml.Oversample5Class
+	if l.Oversample {
+		name += "+OS"
+	}
+	return name
 }
 
-// trainerDTOS fits a tree on oversampled data.
-func trainerDTOS(classes int) ml.Trainer {
-	os := oversampler(classes)
+// Trainer returns the learner as an ml.Trainer. sp, when non-nil,
+// receives the boosting rounds and tree sizes as counters.
+func (l Learner) Trainer(sp *obs.Span) ml.Trainer {
 	return func(X [][]int, y []int) ml.Classifier {
-		ox, oy := os(X, y)
-		return ml.TrainTree(ox, oy, nil, classes, ml.DefaultTreeConfig())
-	}
-}
-
-// trainerDTABOS fits the paper's best 5-class model: oversampling plus
-// AdaBoost.
-func trainerDTABOS(classes int) ml.Trainer {
-	os := oversampler(classes)
-	return func(X [][]int, y []int) ml.Classifier {
-		ox, oy := os(X, y)
-		return ml.TrainAdaBoost(ox, oy, classes, ml.DefaultBoostConfig())
+		if l.Oversample {
+			if l.Classes == 2 {
+				X, y = ml.Oversample2Class(X, y)
+			} else {
+				X, y = ml.Oversample5Class(X, y)
+			}
+		}
+		if l.Boost {
+			cfg := ml.DefaultBoostConfig()
+			cfg.Obs = sp
+			return ml.TrainAdaBoost(X, y, l.Classes, cfg)
+		}
+		t := ml.TrainTree(X, y, nil, l.Classes, ml.DefaultTreeConfig())
+		sp.Count("tree_nodes", float64(t.NodeCount()))
+		return t
 	}
 }
 
@@ -71,8 +83,8 @@ func trainerDTABOS(classes int) ml.Trainer {
 // the majority-class and SVM baselines.
 func Section61(env *Env) Report {
 	X := features5(env)
-	y := env.Data.Labels2()
-	dt := ml.CrossValidate(X, y, 2, cvFolds, trainerDT(2), rng.New(env.Params.Seed+101))
+	y := env.Data.Labels(2)
+	dt := ml.CrossValidate(X, y, 2, cvFolds, Learner{Classes: 2}.Trainer(nil), rng.New(env.Params.Seed+101))
 	maj := ml.CrossValidate(X, y, 2, cvFolds, func(_ [][]int, ty []int) ml.Classifier {
 		return ml.TrainMajority(ty, 2)
 	}, rng.New(env.Params.Seed+101))
@@ -114,19 +126,11 @@ func Section61(env *Env) Report {
 // oversampling, and both (paper Figure 8: per-class precision and recall).
 func Figure8(env *Env) Report {
 	X := features5(env)
-	y := env.Data.Labels5()
-	variants := []struct {
-		name    string
-		trainer ml.Trainer
-	}{
-		{"DT", trainerDT(5)},
-		{"DT+AB", trainerDTAB(5)},
-		{"DT+OS", trainerDTOS(5)},
-		{"DT+AB+OS", trainerDTABOS(5)},
-	}
+	y := env.Data.Labels(5)
+	variants := []Learner{{5, false, false}, {5, true, false}, {5, false, true}, {5, true, true}}
 	evals := make([]ml.Evaluation, len(variants))
 	for i, v := range variants {
-		evals[i] = ml.CrossValidate(X, y, 5, cvFolds, v.trainer, rng.New(env.Params.Seed+303))
+		evals[i] = ml.CrossValidate(X, y, 5, cvFolds, v.Trainer(nil), rng.New(env.Params.Seed+303))
 	}
 	numbers := map[string]float64{}
 	var b strings.Builder
@@ -134,18 +138,18 @@ func Figure8(env *Env) Report {
 		tb := report.NewTable(append([]string{section}, dataset.Class5Names...)...)
 		for i, v := range variants {
 			ev := evals[i]
-			cells := []string{v.name}
+			cells := []string{v.Name()}
 			for c := 0; c < 5; c++ {
 				val := ev.Precision[c]
 				if section == "Recall" {
 					val = ev.Recall[c]
 				}
 				cells = append(cells, fmt.Sprintf("%.2f", val))
-				key := fmt.Sprintf("%s:%s:%s", strings.ToLower(section), v.name, dataset.Class5Names[c])
+				key := fmt.Sprintf("%s:%s:%s", strings.ToLower(section), v.Name(), dataset.Class5Names[c])
 				numbers[key] = val
 			}
 			tb.AddRow(cells...)
-			numbers["accuracy:"+v.name] = ev.Accuracy
+			numbers["accuracy:"+v.Name()] = ev.Accuracy
 		}
 		b.WriteString(tb.String())
 		b.WriteString("\n")
@@ -162,8 +166,8 @@ func Figure8(env *Env) Report {
 // Figure9 shows the health-class distributions that cause the skew
 // problem (paper Figure 9).
 func Figure9(env *Env) Report {
-	y2 := env.Data.Labels2()
-	y5 := env.Data.Labels5()
+	y2 := env.Data.Labels(2)
+	y5 := env.Data.Labels(5)
 	count := func(y []int, classes int) []int {
 		out := make([]int, classes)
 		for _, c := range y {
@@ -208,9 +212,8 @@ func Figure10(env *Env) Report {
 	// 5-class: oversample, then a single tree for interpretability (the
 	// ensemble's vote has no single rendering; the oversampled tree shares
 	// its structure with the best model's base learners).
-	ox5, oy5 := ml.Oversample5Class(X, env.Data.Labels5())
-	t5 := ml.TrainTree(ox5, oy5, nil, 5, ml.DefaultTreeConfig())
-	t2 := ml.TrainTree(X, env.Data.Labels2(), nil, 2, ml.DefaultTreeConfig())
+	t5 := Learner{Classes: 5, Oversample: true}.Trainer(nil)(X, env.Data.Labels(5)).(*ml.Tree)
+	t2 := ml.TrainTree(X, env.Data.Labels(2), nil, 2, ml.DefaultTreeConfig())
 
 	var b strings.Builder
 	b.WriteString("(a) 5-class tree (top 3 levels):\n")
@@ -242,19 +245,50 @@ func Figure10(env *Env) Report {
 	}
 }
 
-// binnedWith bins a dataset's features using previously fitted binners
-// (training-time bin edges applied to later data, as online prediction
-// requires).
-func binnedWith(d *dataset.Dataset, binners map[string]*stats.Binner) [][]int {
-	rows := make([][]int, d.Len())
-	for i := range rows {
-		row := make([]int, len(practices.MetricNames))
-		for j, metric := range practices.MetricNames {
-			row[j] = binners[metric].Bin(d.Cases[i].Metrics[metric])
+// OnlineMonth is one month's out-of-sample result under the online
+// protocol: Accuracy[k] is the fraction of the month's Cases that the
+// k-th requested class count's model predicted correctly.
+type OnlineMonth struct {
+	Month    months.Month
+	Cases    int
+	Accuracy []float64
+}
+
+// Online runs the paper's online prediction protocol (§6.2): for each
+// month t with history earlier months in the window, it trains
+// BestLearner for each of classes on months t-history..t-1 and scores it
+// on month t, binning month t with the training window's bin edges. Each
+// training window is binned once for all class counts. Months whose
+// training or test slice is empty are skipped.
+func Online(env *Env, history int, classes ...int) []OnlineMonth {
+	window := env.Window()
+	var out []OnlineMonth
+	for ti := history; ti < len(window); ti++ {
+		train := env.Data.FilterMonths(window[ti-history], window[ti-1])
+		test := env.Data.FilterMonths(window[ti], window[ti])
+		if train.Len() == 0 || test.Len() == 0 {
+			continue
 		}
-		rows[i] = row
+		binned := train.Bin(learnBins)
+		trX := binned.FeatureMatrix()
+		teX := make([][]int, test.Len())
+		for i, c := range test.Cases {
+			teX[i] = dataset.BinRow(binned.Binners, c.Metrics)
+		}
+		om := OnlineMonth{Month: window[ti], Cases: test.Len()}
+		for _, k := range classes {
+			model := BestLearner(k).Trainer(nil)(trX, train.Labels(k))
+			correct := 0
+			for i, want := range test.Labels(k) {
+				if model.Predict(teX[i]) == want {
+					correct++
+				}
+			}
+			om.Accuracy = append(om.Accuracy, float64(correct)/float64(len(teX)))
+		}
+		out = append(out, om)
 	}
-	return rows
+	return out
 }
 
 // Table9 reproduces online prediction: train on months t-M..t-1, predict
@@ -270,39 +304,9 @@ func Table9(env *Env) Report {
 			continue
 		}
 		var acc2, acc5 []float64
-		for ti := M; ti < len(window); ti++ {
-			t := window[ti]
-			train := env.Data.FilterMonths(window[ti-M], window[ti-1])
-			test := env.Data.FilterMonths(t, t)
-			if train.Len() == 0 || test.Len() == 0 {
-				continue
-			}
-			binned := train.Bin(learnBins)
-			trX := binned.FeatureMatrix()
-			teX := binnedWith(test, binned.Binners)
-
-			// 2-class: plain pruned tree.
-			t2 := ml.TrainTree(trX, train.Labels2(), nil, 2, ml.DefaultTreeConfig())
-			correct := 0
-			y2 := test.Labels2()
-			for i := range teX {
-				if t2.Predict(teX[i]) == y2[i] {
-					correct++
-				}
-			}
-			acc2 = append(acc2, float64(correct)/float64(len(teX)))
-
-			// 5-class: the best model (oversampling + boosting).
-			ox, oy := ml.Oversample5Class(trX, train.Labels5())
-			t5 := ml.TrainAdaBoost(ox, oy, 5, ml.DefaultBoostConfig())
-			correct = 0
-			y5 := test.Labels5()
-			for i := range teX {
-				if t5.Predict(teX[i]) == y5[i] {
-					correct++
-				}
-			}
-			acc5 = append(acc5, float64(correct)/float64(len(teX)))
+		for _, om := range Online(env, M, 2, 5) {
+			acc2 = append(acc2, om.Accuracy[0])
+			acc5 = append(acc5, om.Accuracy[1])
 		}
 		if len(acc2) == 0 {
 			continue
@@ -329,14 +333,14 @@ func Table9(env *Env) Report {
 // majority baseline (paper Figure 8 + footnote 2).
 func AblationLearners(env *Env) Report {
 	X := features5(env)
-	y := env.Data.Labels5()
+	y := env.Data.Labels(5)
 	entries := []struct {
 		name    string
 		trainer ml.Trainer
 	}{
 		{"Majority", func(_ [][]int, ty []int) ml.Classifier { return ml.TrainMajority(ty, 5) }},
-		{"DT", trainerDT(5)},
-		{"DT+AB+OS", trainerDTABOS(5)},
+		{"DT", Learner{Classes: 5}.Trainer(nil)},
+		{"DT+AB+OS", BestLearner(5).Trainer(nil)},
 		{"RF-plain", func(tx [][]int, ty []int) ml.Classifier {
 			return ml.TrainForest(tx, ty, 5, ml.DefaultForestConfig(), rng.New(env.Params.Seed+404))
 		}},

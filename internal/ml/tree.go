@@ -361,9 +361,6 @@ func (t *Tree) Predict(x []int) int {
 	return n.class
 }
 
-// Classes returns the number of classes the tree was trained with.
-func (t *Tree) Classes() int { return t.classes }
-
 // Depth returns the tree's depth (a lone leaf has depth 0).
 func (t *Tree) Depth() int { return depth(t.root) }
 

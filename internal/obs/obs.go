@@ -47,17 +47,6 @@ func init() {
 // command lines).
 func Logger() *slog.Logger { return defaultLogger.Load() }
 
-// SetLogger replaces the package-level logger (tests, or embedders that
-// already have a slog setup). The verbosity gate of SetVerbosity only
-// applies to the default logger, and a replacement logger feeds the
-// flight recorder's log ring only if its handler wraps
-// Recorder.LogHandler.
-func SetLogger(l *slog.Logger) {
-	if l != nil {
-		defaultLogger.Store(l)
-	}
-}
-
 // SetVerbosity maps a command-line verbosity count onto the default
 // logger's level: 0 = warnings only (quiet), 1 = info (`-v`),
 // 2+ = debug (`-vv`).

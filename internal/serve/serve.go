@@ -531,15 +531,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	window := sh.f.Window()
+	st := sh.f.State()
+	window := st.Window
 	writeJSON(w, http.StatusOK, healthzResponse{
 		Status:        "ok",
 		Org:           sh.name,
-		Networks:      len(sh.f.Dataset().Networks()),
+		Networks:      len(st.Dataset.Networks()),
 		WindowStart:   window[0].String(),
 		WindowEnd:     window[len(window)-1].String(),
 		Months:        len(window),
-		Cases:         sh.f.Dataset().Len(),
+		Cases:         st.Dataset.Len(),
 		Experiments:   len(mpa.ExperimentIDs()),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	})

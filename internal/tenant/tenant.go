@@ -267,12 +267,14 @@ type RankPartial struct {
 }
 
 // RankPartialOf computes one org's partial from its warm query layer
-// (no pipeline stage re-runs when the ranking is already memoized).
+// (no pipeline stage re-runs when the ranking is already memoized). The
+// ranking and its case count come from one snapshot.
 func RankPartialOf(o *Org) RankPartial {
+	st := o.F.State()
 	return RankPartial{
 		Org:   o.Name,
-		Cases: o.F.Dataset().Len(),
-		Rank:  o.F.RankPractices(),
+		Cases: st.Dataset.Len(),
+		Rank:  st.RankPractices(),
 	}
 }
 
@@ -383,15 +385,17 @@ type HealthPartial struct {
 	WindowEnd   string `json:"window_end"`
 }
 
-// HealthPartialOf summarizes one org's loaded state.
+// HealthPartialOf summarizes one org's loaded state, read from one
+// snapshot.
 func HealthPartialOf(o *Org) HealthPartial {
-	window := o.F.Window()
+	st := o.F.State()
+	window := st.Window
 	return HealthPartial{
 		Org:         o.Name,
-		Networks:    len(o.F.Dataset().Networks()),
+		Networks:    len(st.Dataset.Networks()),
 		Months:      len(window),
-		Cases:       o.F.Dataset().Len(),
-		Tickets:     len(o.F.Tickets().All()),
+		Cases:       st.Dataset.Len(),
+		Tickets:     st.Tickets.Len(),
 		WindowStart: window[0].String(),
 		WindowEnd:   window[len(window)-1].String(),
 	}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mpa"
@@ -228,5 +230,78 @@ func TestMergeHealth(t *testing.T) {
 
 	if _, err := tenant.MergeHealth(nil); err == nil {
 		t.Error("MergeHealth(nil) succeeded, want error")
+	}
+}
+
+// TestPartialsReadOneSnapshot pins that each partial is read from one
+// environment snapshot while ingests of the next months land
+// concurrently: every HealthPartialOf has as many cases as networks ×
+// months, and every RankPartialOf pairs a ranking with its own
+// snapshot's case count — the pre- or the post-ingest one.
+func TestPartialsReadOneSnapshot(t *testing.T) {
+	base := mpa.SmallConfig(1)
+	specs, err := tenant.ParseOrgs("acme=1:8:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := tenant.Load(specs, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, _ := reg.Get("acme")
+	ups, err := mpa.NextMonths(o.Cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range ups {
+		pre := tenant.RankPartialOf(o)
+		var (
+			wg     sync.WaitGroup
+			done   atomic.Bool
+			mu     sync.Mutex
+			ranks  []tenant.RankPartial
+			health []tenant.HealthPartial
+		)
+		for i := 0; i < 2; i++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for !done.Load() {
+					p := tenant.RankPartialOf(o)
+					mu.Lock()
+					ranks = append(ranks, p)
+					mu.Unlock()
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for !done.Load() {
+					p := tenant.HealthPartialOf(o)
+					mu.Lock()
+					health = append(health, p)
+					mu.Unlock()
+				}
+			}()
+		}
+		_, err := o.F.Ingest(u)
+		done.Store(true)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		post := tenant.RankPartialOf(o)
+		if post.Cases == pre.Cases {
+			t.Fatalf("ingest of %s left %d cases", u.Month, post.Cases)
+		}
+		for _, p := range health {
+			if p.Cases != p.Networks*p.Months {
+				t.Errorf("%s: health partial %d cases over %d networks × %d months", u.Month, p.Cases, p.Networks, p.Months)
+			}
+		}
+		for _, p := range ranks {
+			if !reflect.DeepEqual(p, pre) && !reflect.DeepEqual(p, post) {
+				t.Errorf("%s: rank partial over %d cases matches neither snapshot (%d or %d cases)", u.Month, p.Cases, pre.Cases, post.Cases)
+			}
+		}
 	}
 }

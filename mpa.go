@@ -197,9 +197,6 @@ type Framework struct {
 	// while Manifest reads the whole struct.
 	cfgMu sync.Mutex
 	cfg   Config // the run's settings, recorded in manifests
-	// memoHits and memoMisses count query memo lookups (query.go); the
-	// memos themselves live on each environment snapshot.
-	memoHits, memoMisses atomic.Int64
 	// ingestMu serializes updates.
 	ingestMu sync.Mutex
 	// hub fans applied updates out to stream subscribers.
@@ -251,18 +248,11 @@ func NewCached(inv *Inventory, arch *Archive, tickets *TicketLog, start, end Mon
 	if end.Before(start) {
 		return nil, fmt.Errorf("mpa: end month %v precedes start %v", end, start)
 	}
-	root := obs.NewRoot("pipeline")
-	engine := practices.NewEngine(inv, arch)
-	engine.SetObs(root)
-	engine.SetCache(cc)
-	window := months.Range(start, end)
-	analysis, err := engine.Analyze(window)
+	o := &osp.OSP{Params: osp.Params{Start: start, End: end}, Inventory: inv, Archive: arch, Tickets: tickets}
+	env, err := experiments.Infer(o, cc, obs.NewRoot("pipeline"))
 	if err != nil {
 		return nil, err
 	}
-	params := osp.Params{Start: start, End: end}
-	o := &osp.OSP{Params: params, Inventory: inv, Archive: arch, Tickets: tickets}
-	env := experiments.Assemble(params, o, analysis, dataset.BuildObs(analysis, tickets, root), root)
 	return newFramework(env, Config{
 		Networks: len(inv.Networks),
 		Start:    start,
@@ -270,6 +260,26 @@ func NewCached(inv *Inventory, arch *Archive, tickets *TicketLog, start, end Mon
 		Cache:    cc,
 	}), nil
 }
+
+// State is one consistent read of a framework: every field, and the
+// ranking, comes from the same environment snapshot, so an ingest landing
+// mid-read cannot pair one window's months with another window's cases,
+// or one snapshot's ranking with another's case count.
+type State struct {
+	Dataset *Dataset
+	Window  []Month
+	Tickets *TicketLog
+	env     *experiments.Env
+}
+
+// State returns the framework's current snapshot.
+func (f *Framework) State() State {
+	env := f.environment()
+	return State{Dataset: env.Data, Window: env.Window(), Tickets: env.OSP.Tickets, env: env}
+}
+
+// RankPractices is Framework.RankPractices over the snapshot.
+func (s State) RankPractices() []PracticeDependence { return experiments.MIRanking(s.env) }
 
 // Dataset returns the case matrix (one case per network-month).
 func (f *Framework) Dataset() *Dataset { return f.environment().Data }

@@ -1,11 +1,14 @@
 package mpa
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"mpa/internal/experiments"
+	"mpa/internal/stats"
 	"mpa/internal/ticketing"
 )
 
@@ -164,6 +167,96 @@ func TestPredictOnline(t *testing.T) {
 	}
 	if _, err := testFramework.PredictOnline(TwoClass, 0); err == nil {
 		t.Error("zero history should error")
+	}
+	if _, err := testFramework.PredictOnline(Granularity(3), 2); err == nil {
+		t.Error("bad granularity should error")
+	}
+}
+
+// TestPredictOnlineMatchesTable9 pins that PredictOnline and Table 9 are
+// one protocol: for every history Table 9 reports, the mean of
+// PredictOnline's per-month accuracies is Table 9's number exactly.
+func TestPredictOnlineMatchesTable9(t *testing.T) {
+	cfg := SmallConfig(5)
+	cfg.Networks = 30
+	cfg.End = cfg.Start.Add(7)
+	f, err := NewSynthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := f.Experiment("table9")
+	compared := 0
+	for _, g := range []Granularity{TwoClass, FiveClass} {
+		for _, m := range []int{1, 3, 6, 9} {
+			preds, err := f.PredictOnline(g, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ok := r.Numbers[fmt.Sprintf("acc%d:M%d", g, m)]
+			if !ok {
+				if len(preds) != 0 {
+					t.Errorf("%d-class M=%d: %d predictions, but Table 9 skips the history", g, m, len(preds))
+				}
+				continue
+			}
+			compared++
+			accs := make([]float64, len(preds))
+			for i, p := range preds {
+				accs[i] = p.Accuracy
+			}
+			if got := stats.Mean(accs); got != want {
+				t.Errorf("%d-class M=%d: PredictOnline mean %v, Table 9 %v", g, m, got, want)
+			}
+		}
+	}
+	if compared != 6 { // M = 1, 3, 6 fit an 8-month window
+		t.Errorf("compared %d histories, want 6", compared)
+	}
+}
+
+// TestReportsShareAnalyses replays the cold set of the benchmark's
+// cold_start workload — the ranking, one prediction, the top three
+// causal analyses, then tables 3, 7 and 8, figure 8 and table 9 — on one
+// framework over its organization (seed 77, 60 networks × 8 months).
+// Reports and queries share the MI ranking and the causal runs, so the
+// ten distinct treatments run once each and the ranking once. Each
+// report still equals experiments.Run on a memo-less Env, the kept
+// reference path.
+func TestReportsShareAnalyses(t *testing.T) {
+	cfg := SmallConfig(77)
+	cfg.Networks = 60
+	cfg.End = cfg.Start.Add(7)
+	f, err := NewSynthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank := f.RankPractices()
+	if _, err := f.PredictNetworkMonth(f.Dataset().Networks()[0], cfg.End); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range rank[:3] {
+		if _, err := f.AnalyzeCausal(e.Metric); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := []string{"table3", "table7", "table8", "figure8", "table9"}
+	got := map[string]Report{}
+	for _, id := range ids {
+		got[id], _ = f.Experiment(id)
+	}
+	if n := f.StageCalls("causal"); n != 10 {
+		t.Errorf("causal stage ran %d times, want 10 (one per distinct treatment)", n)
+	}
+	if n := f.StageCalls("mi_ranking"); n != 1 {
+		t.Errorf("mi_ranking stage ran %d times, want 1", n)
+	}
+	env := f.environment()
+	bare := &experiments.Env{Params: env.Params, OSP: env.OSP, Analysis: env.Analysis, Data: env.Data}
+	for _, id := range ids {
+		want, _ := experiments.Run(bare, id)
+		if got[id].Digest() != want.Digest() {
+			t.Errorf("%s: memoized report differs from the memo-less run", id)
+		}
 	}
 }
 

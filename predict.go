@@ -2,11 +2,12 @@ package mpa
 
 import (
 	"fmt"
+	"maps"
 
 	"mpa/internal/dataset"
+	"mpa/internal/experiments"
 	"mpa/internal/ml"
 	"mpa/internal/obs"
-	"mpa/internal/practices"
 	"mpa/internal/rng"
 	"mpa/internal/stats"
 )
@@ -42,13 +43,12 @@ type ModelOptions struct {
 	Seed uint64
 }
 
-// BestOptions returns the paper's best configuration for the granularity:
-// a plain pruned tree for 2 classes, boosting + oversampling for 5.
+// BestOptions returns the paper's best configuration for the granularity
+// (experiments.BestLearner): a plain pruned tree for 2 classes, boosting +
+// oversampling for 5.
 func BestOptions(g Granularity) ModelOptions {
-	if g == TwoClass {
-		return ModelOptions{Folds: 5, Seed: 1}
-	}
-	return ModelOptions{Boost: true, Oversample: true, Folds: 5, Seed: 1}
+	l := experiments.BestLearner(int(g))
+	return ModelOptions{Boost: l.Boost, Oversample: l.Oversample, Folds: 5, Seed: 1}
 }
 
 // ModelQuality reports cross-validated model quality (paper §6.1).
@@ -78,11 +78,7 @@ func (m *HealthModel) Quality() ModelQuality { return m.quality }
 // Predict returns the predicted health class for a network-month's
 // practice metrics.
 func (m *HealthModel) Predict(metrics Metrics) int {
-	row := make([]int, len(practices.MetricNames))
-	for j, name := range practices.MetricNames {
-		row[j] = m.binners[name].Bin(metrics[name])
-	}
-	return m.classifier.Predict(row)
+	return m.classifier.Predict(dataset.BinRow(m.binners, metrics))
 }
 
 // PredictClassName returns the predicted class label.
@@ -112,29 +108,9 @@ func (f *Framework) TrainHealthModelOn(d *Dataset, g Granularity, opts ModelOpti
 	sp.Count("cv_folds", float64(opts.Folds))
 	binned := d.Bin(5)
 	X := binned.FeatureMatrix()
-	y := d.Labels2()
-	if g == FiveClass {
-		y = d.Labels5()
-	}
 	classes := int(g)
-
-	trainer := func(tx [][]int, ty []int) ml.Classifier {
-		if opts.Oversample {
-			if g == TwoClass {
-				tx, ty = ml.Oversample2Class(tx, ty)
-			} else {
-				tx, ty = ml.Oversample5Class(tx, ty)
-			}
-		}
-		if opts.Boost {
-			bcfg := ml.DefaultBoostConfig()
-			bcfg.Obs = sp
-			return ml.TrainAdaBoost(tx, ty, classes, bcfg)
-		}
-		t := ml.TrainTree(tx, ty, nil, classes, ml.DefaultTreeConfig())
-		sp.Count("tree_nodes", float64(t.NodeCount()))
-		return t
-	}
+	y := d.Labels(classes)
+	trainer := experiments.Learner{Classes: classes, Boost: opts.Boost, Oversample: opts.Oversample}.Trainer(sp)
 
 	ev := ml.CrossValidate(X, y, classes, opts.Folds, trainer, rng.New(opts.Seed))
 	maj := ml.CrossValidate(X, y, classes, opts.Folds, func(_ [][]int, ty []int) ml.Classifier {
@@ -163,42 +139,21 @@ type OnlinePrediction struct {
 	Cases    int
 }
 
-// PredictOnline reproduces the paper's online protocol (§6.2, Table 9):
-// for each month t with at least history prior months available, train on
-// months t-history..t-1 and predict month t. It returns per-month
-// accuracies.
+// PredictOnline reproduces the paper's online protocol (§6.2, Table 9)
+// with the granularity's best learner: for each month t with at least
+// history prior months available, train on months t-history..t-1 and
+// predict month t. It returns per-month accuracies; Table 9 reports their
+// mean.
 func (f *Framework) PredictOnline(g Granularity, history int) ([]OnlinePrediction, error) {
 	if history < 1 {
 		return nil, fmt.Errorf("mpa: history must be >= 1")
 	}
-	env := f.environment() // one snapshot for the whole protocol
-	window := env.Window()
+	if g != TwoClass && g != FiveClass {
+		return nil, fmt.Errorf("mpa: unsupported granularity %d", g)
+	}
 	var out []OnlinePrediction
-	for ti := history; ti < len(window); ti++ {
-		train := env.Data.FilterMonths(window[ti-history], window[ti-1])
-		test := env.Data.FilterMonths(window[ti], window[ti])
-		if train.Len() == 0 || test.Len() == 0 {
-			continue
-		}
-		model, err := f.TrainHealthModelOn(train, g, BestOptions(g))
-		if err != nil {
-			return nil, err
-		}
-		correct := 0
-		for _, c := range test.Cases {
-			want := dataset.Class2(c.Tickets)
-			if g == FiveClass {
-				want = dataset.Class5(c.Tickets)
-			}
-			if model.Predict(c.Metrics) == want {
-				correct++
-			}
-		}
-		out = append(out, OnlinePrediction{
-			Month:    window[ti],
-			Accuracy: float64(correct) / float64(test.Len()),
-			Cases:    test.Len(),
-		})
+	for _, om := range experiments.Online(f.environment(), history, int(g)) {
+		out = append(out, OnlinePrediction{Month: om.Month, Accuracy: om.Accuracy[0], Cases: om.Cases})
 	}
 	return out, nil
 }
@@ -222,12 +177,8 @@ func (r WhatIfResult) Improved() bool { return r.Adjusted < r.Baseline }
 // both predictions.
 func (m *HealthModel) WhatIf(metrics Metrics, adjustments Metrics) WhatIfResult {
 	adjusted := Metrics{}
-	for k, v := range metrics {
-		adjusted[k] = v
-	}
-	for k, v := range adjustments {
-		adjusted[k] = v
-	}
+	maps.Copy(adjusted, metrics)
+	maps.Copy(adjusted, adjustments)
 	names := m.granularity.ClassNames()
 	base := m.Predict(metrics)
 	adj := m.Predict(adjusted)

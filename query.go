@@ -5,12 +5,9 @@ import (
 	"slices"
 	"strconv"
 
-	"mpa/internal/cache"
 	"mpa/internal/dataset"
 	"mpa/internal/experiments"
-	"mpa/internal/obs"
 	"mpa/internal/practices"
-	"mpa/internal/qed"
 )
 
 // This file is the framework's query API: the paper's operator workflow
@@ -22,25 +19,25 @@ import (
 // as read-only), and a long-lived process never re-runs inference or an
 // analysis for a repeated question.
 //
+// The analyses live once each in internal/experiments and memoize on the
+// environment snapshot under keys the reports share — "rank"
+// (experiments.MIRanking) and "causal/<metric>" (experiments.Causal) — so
+// a report reuses the runs a query made and vice versa. Models
+// ("model/<g>"), reports ("experiment/<id>") and per-network answers
+// ("health/<month>") go through the same experiments.Memoized, which
+// counts every lookup (QueryCacheStats, cache.query.*).
+//
 // Each query loads the environment snapshot once and answers from it
-// alone, so the memo lives on the snapshot: whole-organization queries
-// (ranking, causal analyses, models, and reports read every network) use
-// Env.Memo, per-network ones Env.NetworkMemo. An applied ingest evolves
-// the Env, giving the new snapshot a fresh whole-organization memo and
-// fresh memos for exactly the touched networks, while untouched networks
-// share theirs and stay warm (pinned by
-// TestIngestCacheInvalidationPrecision). An answer can therefore never
+// alone, so the memo lives on the snapshot: whole-organization answers
+// in its whole-organization memo, per-network ones in that network's
+// memo. An applied ingest evolves the Env, giving the new snapshot a
+// fresh whole-organization memo and fresh memos for exactly the touched
+// networks, while untouched networks share theirs and stay warm (pinned
+// by TestIngestCacheInvalidationPrecision). An answer can therefore never
 // name data it was not computed from, and an old snapshot's answers are
 // freed with it. The memo is single-flight per key (cache.Memo):
 // concurrent callers of one key compute once, distinct keys compute in
 // parallel, and a compute may call another memoized query.
-
-// Process-wide query memo counters ("cache.query.*" in /metrics,
-// /debug/vars, and run manifests).
-var (
-	queryHits   = obs.GetCounter("cache.query.mem_hits")
-	queryMisses = obs.GetCounter("cache.query.mem_misses")
-)
 
 // CacheStats counts one framework's query memo activity: a hit is a call
 // that found a finished or in-flight answer, a miss a call that computed
@@ -50,57 +47,24 @@ type CacheStats struct {
 	MemMisses int64
 }
 
-// QueryCacheStats returns the framework's query memo counts so far; the
+// QueryCacheStats returns the framework's memo counts so far, across
+// ingests, counting the lookups reports make as well as the queries'; the
 // invalidation-precision tests assert on deltas of them around an ingest.
 func (f *Framework) QueryCacheStats() CacheStats {
-	return CacheStats{MemHits: f.memoHits.Load(), MemMisses: f.memoMisses.Load()}
-}
-
-// memoized returns the answer stored in m under key, computing it on a
-// miss. Errors are returned without being stored; a nil m computes every
-// call.
-func memoized[T any](f *Framework, m *cache.Memo, key string, compute func() (T, error)) (T, error) {
-	v, hit, err := m.Do(key, func() (any, error) { return compute() })
-	if hit {
-		f.memoHits.Add(1)
-		queryHits.Add(1)
-	} else {
-		f.memoMisses.Add(1)
-		queryMisses.Add(1)
-	}
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return v.(T), nil
+	h, m := f.environment().MemoCounts()
+	return CacheStats{MemHits: h, MemMisses: m}
 }
 
 // PracticeDependence is one practice's statistical dependence with
-// network health.
-type PracticeDependence struct {
-	Metric string
-	// MI is the average monthly mutual information with health, in bits.
-	MI float64
-}
+// network health: Metric, and MI, its average monthly mutual information
+// with health in bits.
+type PracticeDependence = experiments.MIEntry
 
 // RankPractices returns every practice ordered by decreasing statistical
 // dependence with network health (paper Table 3 generalized to all 28),
 // equal-MI practices in catalogue order.
 func (f *Framework) RankPractices() []PracticeDependence {
-	return f.rankPractices(f.environment())
-}
-
-// rankPractices is RankPractices over one snapshot.
-func (f *Framework) rankPractices(env *experiments.Env) []PracticeDependence {
-	out, _ := memoized(f, env.Memo(), "rank", func() ([]PracticeDependence, error) {
-		entries := experiments.MIRanking(env)
-		out := make([]PracticeDependence, len(entries))
-		for i, e := range entries {
-			out[i] = PracticeDependence{Metric: e.Metric, MI: e.MI}
-		}
-		return out, nil
-	})
-	return out
+	return experiments.MIRanking(f.environment())
 }
 
 // RankPracticesCached is RankPractices.
@@ -118,12 +82,7 @@ func (f *Framework) AnalyzeCausal(metric string) (*CausalResult, error) {
 	if !KnownMetric(metric) {
 		return nil, fmt.Errorf("mpa: unknown practice metric %q", metric)
 	}
-	env := f.environment()
-	return memoized(f, env.Memo(), "causal/"+metric, func() (*CausalResult, error) {
-		cfg := qed.DefaultConfig(practices.MetricNames)
-		cfg.Obs = env.Obs
-		return qed.Run(env.Data, metric, cfg)
-	})
+	return experiments.Causal(f.environment(), metric)
 }
 
 // TrainHealthModel trains a health model on the framework's full dataset
@@ -136,7 +95,7 @@ func (f *Framework) TrainHealthModel(g Granularity) (*HealthModel, error) {
 
 // healthModel is TrainHealthModel over one snapshot.
 func (f *Framework) healthModel(env *experiments.Env, g Granularity) (*HealthModel, error) {
-	return memoized(f, env.Memo(), "model/"+strconv.Itoa(int(g)), func() (*HealthModel, error) {
+	return experiments.Memoized(env, "", "model/"+strconv.Itoa(int(g)), func() (*HealthModel, error) {
 		return f.TrainHealthModelOn(env.Data, g, BestOptions(g))
 	})
 }
@@ -149,7 +108,7 @@ func (f *Framework) Experiment(id string) (Report, bool) {
 		return Report{}, false
 	}
 	env := f.environment()
-	r, _ := memoized(f, env.Memo(), "experiment/"+id, func() (Report, error) {
+	r, _ := experiments.Memoized(env, "", "experiment/"+id, func() (Report, error) {
 		r, _ := experiments.Run(env, id)
 		return r, nil
 	})
@@ -211,7 +170,7 @@ func networkHealth(env *experiments.Env, network string, m Month) (*NetworkHealt
 // cached.
 func (f *Framework) NetworkHealthCached(network string, m Month) (*NetworkHealth, error) {
 	env := f.environment()
-	return memoized(f, env.NetworkMemo(network), "health/"+m.String(), func() (*NetworkHealth, error) {
+	return experiments.Memoized(env, network, "health/"+m.String(), func() (*NetworkHealth, error) {
 		return networkHealth(env, network, m)
 	})
 }

@@ -51,21 +51,21 @@ echo "loadgen-smoke: SLO gate passed"
 
 # The daemon's own view must agree: per-endpoint series on /metrics and
 # a populated /debug/slo summary.
-curl -fsS "http://127.0.0.1:$PORT/metrics" >/tmp/loadgen-metrics.txt
+curl -fsS "http://127.0.0.1:$PORT/metrics" >"$BINDIR/loadgen-metrics.txt"
 for series in \
     'mpa_serve_latency_ns_rank_bucket{le=' \
     'mpa_serve_latency_ns_rank_count ' \
     'mpa_serve_status_rank_2xx_total ' \
     'mpa_serve_streams_open '; do
-    grep -qF "$series" /tmp/loadgen-metrics.txt || {
+    grep -qF "$series" "$BINDIR/loadgen-metrics.txt" || {
         echo "loadgen-smoke: /metrics missing $series" >&2
         exit 1
     }
 done
-curl -fsS "http://127.0.0.1:$PORT/debug/slo" >/tmp/loadgen-slo.json
-grep -q '"p99"' /tmp/loadgen-slo.json && grep -q '"rank"' /tmp/loadgen-slo.json || {
+curl -fsS "http://127.0.0.1:$PORT/debug/slo" >"$BINDIR/loadgen-slo.json"
+grep -q '"p99"' "$BINDIR/loadgen-slo.json" && grep -q '"rank"' "$BINDIR/loadgen-slo.json" || {
     echo "loadgen-smoke: /debug/slo missing per-endpoint percentiles:" >&2
-    cat /tmp/loadgen-slo.json >&2
+    cat "$BINDIR/loadgen-slo.json" >&2
     exit 1
 }
 echo "loadgen-smoke: daemon-side series ok"
@@ -108,20 +108,20 @@ echo "loadgen-smoke: sharded SLO gate passed"
 
 # Tenant traffic must land in per-org series alongside the fleet-wide
 # ones, and /debug/slo must carry the per-tenant breakdown.
-curl -fsS "http://127.0.0.1:$PORT2/metrics" >/tmp/loadgen-fleet-metrics.txt
+curl -fsS "http://127.0.0.1:$PORT2/metrics" >"$BINDIR/loadgen-fleet-metrics.txt"
 for series in \
     'mpa_serve_latency_ns_rank_count ' \
     'mpa_serve_tenant_acme_latency_ns_rank_count ' \
     'mpa_serve_tenant_globex_latency_ns_rank_count '; do
-    grep -qF "$series" /tmp/loadgen-fleet-metrics.txt || {
+    grep -qF "$series" "$BINDIR/loadgen-fleet-metrics.txt" || {
         echo "loadgen-smoke: /metrics missing $series" >&2
         exit 1
     }
 done
-curl -fsS "http://127.0.0.1:$PORT2/debug/slo" >/tmp/loadgen-fleet-slo.json
-grep -q '"tenants"' /tmp/loadgen-fleet-slo.json || {
+curl -fsS "http://127.0.0.1:$PORT2/debug/slo" >"$BINDIR/loadgen-fleet-slo.json"
+grep -q '"tenants"' "$BINDIR/loadgen-fleet-slo.json" || {
     echo "loadgen-smoke: /debug/slo missing per-tenant breakdown:" >&2
-    cat /tmp/loadgen-fleet-slo.json >&2
+    cat "$BINDIR/loadgen-fleet-slo.json" >&2
     exit 1
 }
 echo "loadgen-smoke: per-tenant series ok"

@@ -15,18 +15,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PORT="${1:-18080}"
-BIN="$(mktemp -d)/mpa"
-trap 'rm -rf "$(dirname "$BIN")"' EXIT
+TMP="$(mktemp -d)" # the binary and every capture; removed on exit
+BIN="$TMP/mpa"
+trap 'rm -rf "$TMP"' EXIT
 
 go build -o "$BIN" ./cmd/mpa
 
 "$BIN" -networks 12 -months 3 -addr "127.0.0.1:$PORT" serve &
 PID=$!
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$(dirname "$BIN")"' EXIT
+trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 # Wait for the daemon to load and listen (generation + inference).
 for i in $(seq 1 120); do
-    if curl -fsS "http://127.0.0.1:$PORT/healthz" >/tmp/healthz.json 2>/dev/null; then
+    if curl -fsS "http://127.0.0.1:$PORT/healthz" >"$TMP/healthz.json" 2>/dev/null; then
         break
     fi
     if ! kill -0 "$PID" 2>/dev/null; then
@@ -36,17 +37,17 @@ for i in $(seq 1 120); do
     sleep 0.5
 done
 
-grep -q '"status": "ok"' /tmp/healthz.json || {
+grep -q '"status": "ok"' "$TMP/healthz.json" || {
     echo "serve-smoke: /healthz did not report ok:" >&2
-    cat /tmp/healthz.json >&2
+    cat "$TMP/healthz.json" >&2
     exit 1
 }
 echo "serve-smoke: /healthz ok"
 
 # Fetch to a file first: `curl | grep -q` races SIGPIPE when grep
 # matches inside the first chunk of a multi-chunk body.
-curl -fsS "http://127.0.0.1:$PORT/v1/rank" >/tmp/rank.json
-grep -q '"metric"' /tmp/rank.json || {
+curl -fsS "http://127.0.0.1:$PORT/v1/rank" >"$TMP/rank.json"
+grep -q '"metric"' "$TMP/rank.json" || {
     echo "serve-smoke: /v1/rank missing ranked metrics" >&2
     exit 1
 }
@@ -55,22 +56,22 @@ echo "serve-smoke: /v1/rank ok"
 # Per-endpoint observability: the rank request above must show up in
 # its own latency histogram and status-class counter on /metrics, and
 # /debug/slo must summarize it with percentiles.
-curl -fsS "http://127.0.0.1:$PORT/metrics" >/tmp/metrics.txt
+curl -fsS "http://127.0.0.1:$PORT/metrics" >"$TMP/metrics.txt"
 for series in \
     'mpa_serve_latency_ns_rank_bucket{le=' \
     'mpa_serve_latency_ns_rank_count ' \
     'mpa_serve_tenant_default_latency_ns_rank_count ' \
     'mpa_serve_status_rank_2xx_total ' \
     'mpa_serve_streams_open '; do
-    grep -qF "$series" /tmp/metrics.txt || {
+    grep -qF "$series" "$TMP/metrics.txt" || {
         echo "serve-smoke: /metrics missing $series" >&2
         exit 1
     }
 done
-curl -fsS "http://127.0.0.1:$PORT/debug/slo" >/tmp/slo.json
-grep -q '"rank"' /tmp/slo.json && grep -q '"p99"' /tmp/slo.json || {
+curl -fsS "http://127.0.0.1:$PORT/debug/slo" >"$TMP/slo.json"
+grep -q '"rank"' "$TMP/slo.json" && grep -q '"p99"' "$TMP/slo.json" || {
     echo "serve-smoke: /debug/slo missing rank percentiles:" >&2
-    cat /tmp/slo.json >&2
+    cat "$TMP/slo.json" >&2
     exit 1
 }
 echo "serve-smoke: per-endpoint metrics and /debug/slo ok"
@@ -96,10 +97,10 @@ fi
 echo "serve-smoke: X-Request-ID round-trip ok"
 
 # The request must be findable in the recorder's ring by that ID.
-curl -fsS "http://127.0.0.1:$PORT/debug/requests" >/tmp/debug-requests.json
-grep -q "\"$REQ_ID\"" /tmp/debug-requests.json || {
+curl -fsS "http://127.0.0.1:$PORT/debug/requests" >"$TMP/debug-requests.json"
+grep -q "\"$REQ_ID\"" "$TMP/debug-requests.json" || {
     echo "serve-smoke: request $REQ_ID missing from /debug/requests:" >&2
-    cat /tmp/debug-requests.json >&2
+    cat "$TMP/debug-requests.json" >&2
     exit 1
 }
 echo "serve-smoke: /debug/requests ok"
@@ -107,10 +108,10 @@ echo "serve-smoke: /debug/requests ok"
 # And its per-request Chrome trace must be a well-formed trace file
 # (traces of the slowest requests are always retained, and the first few
 # requests trivially rank among the slowest).
-curl -fsS "http://127.0.0.1:$PORT/debug/requests/$REQ_ID/trace" >/tmp/request-trace.json
-grep -q '"traceEvents"' /tmp/request-trace.json && grep -q '"serve:causal"' /tmp/request-trace.json || {
+curl -fsS "http://127.0.0.1:$PORT/debug/requests/$REQ_ID/trace" >"$TMP/request-trace.json"
+grep -q '"traceEvents"' "$TMP/request-trace.json" && grep -q '"serve:causal"' "$TMP/request-trace.json" || {
     echo "serve-smoke: per-request trace malformed:" >&2
-    cat /tmp/request-trace.json >&2
+    cat "$TMP/request-trace.json" >&2
     exit 1
 }
 echo "serve-smoke: per-request trace ok"
@@ -119,56 +120,56 @@ echo "serve-smoke: per-request trace ok"
 # with `mpa nextmonth` (prefix-stable, so it matches the daemon's
 # organization), POST it, and assert the update both streamed out and
 # became queryable in place.
-curl -sN --max-time 30 "http://127.0.0.1:$PORT/v1/stream" >/tmp/stream.log &
+curl -sN --max-time 30 "http://127.0.0.1:$PORT/v1/stream" >"$TMP/stream.log" &
 CURL_PID=$!
 for i in $(seq 1 40); do
-    grep -q 'mpa ingest stream' /tmp/stream.log 2>/dev/null && break
+    grep -q 'mpa ingest stream' "$TMP/stream.log" 2>/dev/null && break
     sleep 0.25
 done
-grep -q 'mpa ingest stream' /tmp/stream.log || {
+grep -q 'mpa ingest stream' "$TMP/stream.log" || {
     echo "serve-smoke: SSE stream never opened" >&2
     exit 1
 }
 
-"$BIN" -networks 12 -months 3 nextmonth >/tmp/update.json
-curl -fsS -X POST --data-binary @/tmp/update.json \
-    "http://127.0.0.1:$PORT/v1/ingest" >/tmp/ingest.json
-grep -q '"new_month": true' /tmp/ingest.json || {
+"$BIN" -networks 12 -months 3 nextmonth >"$TMP/update.json"
+curl -fsS -X POST --data-binary @"$TMP/update.json" \
+    "http://127.0.0.1:$PORT/v1/ingest" >"$TMP/ingest.json"
+grep -q '"new_month": true' "$TMP/ingest.json" || {
     echo "serve-smoke: ingest did not extend the window:" >&2
-    cat /tmp/ingest.json >&2
+    cat "$TMP/ingest.json" >&2
     exit 1
 }
-NEW_MONTH="$(sed -n 's/.*"month": "\([0-9-]*\)".*/\1/p' /tmp/ingest.json | head -1)"
+NEW_MONTH="$(sed -n 's/.*"month": "\([0-9-]*\)".*/\1/p' "$TMP/ingest.json" | head -1)"
 echo "serve-smoke: /v1/ingest applied $NEW_MONTH"
 
 # The SSE subscriber must receive the per-network deltas and the
 # refreshed ranking for that month.
 for i in $(seq 1 40); do
-    grep -q '^event: rank' /tmp/stream.log 2>/dev/null && break
+    grep -q '^event: rank' "$TMP/stream.log" 2>/dev/null && break
     sleep 0.25
 done
-grep -q '^event: delta' /tmp/stream.log || {
+grep -q '^event: delta' "$TMP/stream.log" || {
     echo "serve-smoke: no delta events on /v1/stream:" >&2
-    cat /tmp/stream.log >&2
+    cat "$TMP/stream.log" >&2
     exit 1
 }
-grep -q '^event: rank' /tmp/stream.log || {
+grep -q '^event: rank' "$TMP/stream.log" || {
     echo "serve-smoke: no rank event on /v1/stream:" >&2
-    cat /tmp/stream.log >&2
+    cat "$TMP/stream.log" >&2
     exit 1
 }
 kill "$CURL_PID" 2>/dev/null || true
-echo "serve-smoke: /v1/stream deltas ok ($(grep -c '^event: delta' /tmp/stream.log) networks)"
+echo "serve-smoke: /v1/stream deltas ok ($(grep -c '^event: delta' "$TMP/stream.log") networks)"
 
 # The daemon must answer for the new month without restarting.
-curl -fsS "http://127.0.0.1:$PORT/healthz" >/tmp/healthz2.json
-grep -q "\"window_end\": \"$NEW_MONTH\"" /tmp/healthz2.json || {
+curl -fsS "http://127.0.0.1:$PORT/healthz" >"$TMP/healthz2.json"
+grep -q "\"window_end\": \"$NEW_MONTH\"" "$TMP/healthz2.json" || {
     echo "serve-smoke: window did not advance to $NEW_MONTH:" >&2
-    cat /tmp/healthz2.json >&2
+    cat "$TMP/healthz2.json" >&2
     exit 1
 }
-curl -fsS "http://127.0.0.1:$PORT/v1/rank" >/tmp/rank2.json
-grep -q '"metric"' /tmp/rank2.json || {
+curl -fsS "http://127.0.0.1:$PORT/v1/rank" >"$TMP/rank2.json"
+grep -q '"metric"' "$TMP/rank2.json" || {
     echo "serve-smoke: /v1/rank broken after ingest" >&2
     exit 1
 }
@@ -189,10 +190,10 @@ fi
 PORT2=$((PORT + 1))
 "$BIN" -addr "127.0.0.1:$PORT2" -orgs "acme=1:6:2,globex=2:5:2" serve &
 PID2=$!
-trap 'kill "$PID2" 2>/dev/null || true; rm -rf "$(dirname "$BIN")"' EXIT
+trap 'kill "$PID2" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 for i in $(seq 1 120); do
-    if curl -fsS "http://127.0.0.1:$PORT2/healthz" >/tmp/fleet-healthz.json 2>/dev/null; then
+    if curl -fsS "http://127.0.0.1:$PORT2/healthz" >"$TMP/fleet-healthz.json" 2>/dev/null; then
         break
     fi
     if ! kill -0 "$PID2" 2>/dev/null; then
@@ -201,22 +202,22 @@ for i in $(seq 1 120); do
     fi
     sleep 0.5
 done
-grep -q '"status": "ok"' /tmp/fleet-healthz.json && grep -q '"acme"' /tmp/fleet-healthz.json || {
+grep -q '"status": "ok"' "$TMP/fleet-healthz.json" && grep -q '"acme"' "$TMP/fleet-healthz.json" || {
     echo "serve-smoke: fleet /healthz did not report ok with orgs:" >&2
-    cat /tmp/fleet-healthz.json >&2
+    cat "$TMP/fleet-healthz.json" >&2
     exit 1
 }
 echo "serve-smoke: sharded daemon up (2 orgs)"
 
 # Path-segment routing: each org answers under /v1/orgs/<name>/.
-curl -fsS "http://127.0.0.1:$PORT2/v1/orgs/acme/healthz" >/tmp/acme-healthz.json
-grep -q '"org": "acme"' /tmp/acme-healthz.json && grep -q '"networks": 6' /tmp/acme-healthz.json || {
+curl -fsS "http://127.0.0.1:$PORT2/v1/orgs/acme/healthz" >"$TMP/acme-healthz.json"
+grep -q '"org": "acme"' "$TMP/acme-healthz.json" && grep -q '"networks": 6' "$TMP/acme-healthz.json" || {
     echo "serve-smoke: /v1/orgs/acme/healthz wrong:" >&2
-    cat /tmp/acme-healthz.json >&2
+    cat "$TMP/acme-healthz.json" >&2
     exit 1
 }
-curl -fsS "http://127.0.0.1:$PORT2/v1/orgs/acme/rank" >/tmp/acme-rank.json
-grep -q '"metric"' /tmp/acme-rank.json || {
+curl -fsS "http://127.0.0.1:$PORT2/v1/orgs/acme/rank" >"$TMP/acme-rank.json"
+grep -q '"metric"' "$TMP/acme-rank.json" || {
     echo "serve-smoke: /v1/orgs/acme/rank missing ranked metrics" >&2
     exit 1
 }
@@ -224,9 +225,9 @@ echo "serve-smoke: path-segment routing ok"
 
 # Header routing: X-MPA-Org selects the shard on the bare /v1 routes
 # and must agree byte-for-byte with the path form.
-curl -fsS -H 'X-MPA-Org: globex' "http://127.0.0.1:$PORT2/v1/rank" >/tmp/globex-rank-hdr.json
-curl -fsS "http://127.0.0.1:$PORT2/v1/orgs/globex/rank" >/tmp/globex-rank-path.json
-cmp -s /tmp/globex-rank-hdr.json /tmp/globex-rank-path.json || {
+curl -fsS -H 'X-MPA-Org: globex' "http://127.0.0.1:$PORT2/v1/rank" >"$TMP/globex-rank-hdr.json"
+curl -fsS "http://127.0.0.1:$PORT2/v1/orgs/globex/rank" >"$TMP/globex-rank-path.json"
+cmp -s "$TMP/globex-rank-hdr.json" "$TMP/globex-rank-path.json" || {
     echo "serve-smoke: header- and path-routed /v1/rank differ for globex" >&2
     exit 1
 }
@@ -248,14 +249,14 @@ echo "serve-smoke: cross-tenant 404 and org-less 400 ok"
 
 # Fleet aggregates: totals must span both orgs (6+5 networks) and the
 # merged ranking must cover all 28 practice metrics.
-curl -fsS "http://127.0.0.1:$PORT2/v1/fleet/health" >/tmp/fleet-health.json
-grep -q '"orgs": 2' /tmp/fleet-health.json && grep -q '"networks": 11' /tmp/fleet-health.json || {
+curl -fsS "http://127.0.0.1:$PORT2/v1/fleet/health" >"$TMP/fleet-health.json"
+grep -q '"orgs": 2' "$TMP/fleet-health.json" && grep -q '"networks": 11' "$TMP/fleet-health.json" || {
     echo "serve-smoke: /v1/fleet/health totals wrong:" >&2
-    cat /tmp/fleet-health.json >&2
+    cat "$TMP/fleet-health.json" >&2
     exit 1
 }
-curl -fsS "http://127.0.0.1:$PORT2/v1/fleet/rank" >/tmp/fleet-rank.json
-RANKED="$(grep -c '"metric"' /tmp/fleet-rank.json)"
+curl -fsS "http://127.0.0.1:$PORT2/v1/fleet/rank" >"$TMP/fleet-rank.json"
+RANKED="$(grep -c '"metric"' "$TMP/fleet-rank.json")"
 [ "$RANKED" = 28 ] || {
     echo "serve-smoke: /v1/fleet/rank has $RANKED metric rows, want 28" >&2
     exit 1
@@ -265,20 +266,20 @@ echo "serve-smoke: fleet aggregates ok (11 networks, 28 metrics)"
 # Per-tenant observability: the acme queries above must appear in
 # tenant-prefixed series next to the fleet-wide ones, and /debug/slo
 # must break endpoints down per org.
-curl -fsS "http://127.0.0.1:$PORT2/metrics" >/tmp/fleet-metrics.txt
+curl -fsS "http://127.0.0.1:$PORT2/metrics" >"$TMP/fleet-metrics.txt"
 for series in \
     'mpa_serve_latency_ns_rank_count ' \
     'mpa_serve_tenant_acme_latency_ns_rank_count ' \
     'mpa_serve_tenant_globex_status_rank_2xx_total '; do
-    grep -qF "$series" /tmp/fleet-metrics.txt || {
+    grep -qF "$series" "$TMP/fleet-metrics.txt" || {
         echo "serve-smoke: /metrics missing $series" >&2
         exit 1
     }
 done
-curl -fsS "http://127.0.0.1:$PORT2/debug/slo" >/tmp/fleet-slo.json
-grep -q '"tenants"' /tmp/fleet-slo.json && grep -q '"acme"' /tmp/fleet-slo.json || {
+curl -fsS "http://127.0.0.1:$PORT2/debug/slo" >"$TMP/fleet-slo.json"
+grep -q '"tenants"' "$TMP/fleet-slo.json" && grep -q '"acme"' "$TMP/fleet-slo.json" || {
     echo "serve-smoke: /debug/slo missing per-tenant breakdown:" >&2
-    cat /tmp/fleet-slo.json >&2
+    cat "$TMP/fleet-slo.json" >&2
     exit 1
 }
 echo "serve-smoke: per-tenant metrics and /debug/slo ok"
