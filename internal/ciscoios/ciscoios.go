@@ -321,7 +321,7 @@ func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scra
 			global(confmodel.TypeUDLD).Set("enable", "true")
 		case strings.HasPrefix(line, "ip prefix-list ") && len(fields) >= 5 && fields[3] == "seq":
 			name := fields[2]
-			s := sc.Lookup(c, confmodel.TypePrefixList, name)
+			s := c.Get(confmodel.TypePrefixList, name)
 			if s == nil {
 				s = sc.NewStanza(confmodel.TypePrefixList, name)
 				c.Upsert(s)

@@ -220,3 +220,50 @@ func TestDiffAfterEditIsTyped(t *testing.T) {
 		t.Error("unedited parse mismatch")
 	}
 }
+
+// TestParseNextOutOfOrderAndRepeatedHeaders parses, as the successor of
+// a rendered snapshot, hand-ordered text: the same blocks in reverse key
+// order, then a repeated interface header. Reused blocks are found by
+// the lookup's binary-search fallback (rendered text never goes
+// backwards), the repeated header's last block wins as in a full parse,
+// and prev is left as it was.
+func TestParseNextOutOfOrderAndRepeatedHeaders(t *testing.T) {
+	var d Dialect
+	acl := "ip access-list extended A\n 10 permit ip any any\n!\n"
+	gi1 := "interface Gi0/1\n description one\n!\n"
+	gi2 := "interface Gi0/2\n description two\n!\n"
+	vlan := "vlan 10\n name ten\n!\n"
+	sc := confmodel.NewScratch()
+	prev, err := d.ParseScratch("hostname r1\n!\n"+acl+gi1+gi2+vlan+"end\n", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.Render(prev)
+	next := "hostname r1\n!\n" + vlan + gi2 + gi1 + acl +
+		"interface Gi0/2\n description again\n!\nend\n"
+	got, err := d.ParseNext(prev, next, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.Parse(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("ParseNext differs from Parse:\n%s\nwant\n%s", d.Render(got), d.Render(want))
+	}
+	if s := got.Get(confmodel.TypeInterface, "Gi0/2"); s.Get("description") != "again" {
+		t.Errorf("repeated header: description %q, want the last block's %q", s.Get("description"), "again")
+	}
+	for _, k := range []struct {
+		t    confmodel.Type
+		name string
+	}{{confmodel.TypeACL, "A"}, {confmodel.TypeInterface, "Gi0/1"}} {
+		if got.Get(k.t, k.name) != prev.Get(k.t, k.name) {
+			t.Errorf("%v %s was parsed again instead of shared from prev", k.t, k.name)
+		}
+	}
+	if d.Render(prev) != before {
+		t.Error("ParseNext modified its prev config")
+	}
+}

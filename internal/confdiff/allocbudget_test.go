@@ -8,8 +8,7 @@ import (
 )
 
 // TestAllocBudgetDiffPair pins the hot-path diff at zero allocations:
-// AppendDiff into a pre-grown buffer over configs with warm sorted views
-// must not allocate at all — the merge walk has no maps and the caller
+// AppendDiff into a pre-grown buffer over two configs must not allocate at all — the merge walk has no maps and the caller
 // owns the output memory. CI fails the build when exceeded.
 func TestAllocBudgetDiffPair(t *testing.T) {
 	mk := func(n int, drift bool) *confmodel.Config {
@@ -29,7 +28,7 @@ func TestAllocBudgetDiffPair(t *testing.T) {
 	}
 	oldCfg, newCfg := mk(120, false), mk(120, true)
 	var buf []StanzaChange
-	buf = AppendDiff(buf[:0], oldCfg, newCfg) // grow buffer, warm sorted views
+	buf = AppendDiff(buf[:0], oldCfg, newCfg) // grow buffer
 	if len(buf) == 0 {
 		t.Fatal("fixture produced an empty diff")
 	}

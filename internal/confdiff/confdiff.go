@@ -51,8 +51,8 @@ func Diff(oldCfg, newCfg *confmodel.Config) []StanzaChange {
 }
 
 // AppendDiff appends the stanza-level changes from old to new onto dst
-// and returns the extended slice. It merge-walks the two configs' cached
-// key-sorted stanza views, so a diff allocates nothing beyond growing dst
+// and returns the extended slice. It merge-walks the two configs'
+// key-sorted stanza slices, so a diff allocates nothing beyond growing dst
 // (no per-call maps). The appended region is sorted like Diff's result;
 // entries already in dst are left untouched. Callers on the hot path pass
 // dst[:0] of a reused buffer.

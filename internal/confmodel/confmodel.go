@@ -14,7 +14,6 @@ package confmodel
 import (
 	"slices"
 	"strings"
-	"sync/atomic"
 )
 
 // Type is a vendor-agnostic stanza type (paper §2.2: "we manually identify
@@ -210,8 +209,9 @@ func (s *Stanza) Equal(o *Stanza) bool {
 	return true
 }
 
-// OptionsWithPrefix returns the option keys sharing the given prefix (e.g.
-// "neighbor:"), sorted, with the prefix stripped, mapped to their values.
+// OptionsWithPrefix returns the options whose keys share the given prefix
+// (e.g. "neighbor:") as a new map from the key with the prefix stripped to
+// the value. A map has no order: callers that need one sort its keys.
 func (s *Stanza) OptionsWithPrefix(prefix string) map[string]string {
 	out := map[string]string{}
 	for k, v := range s.Options {
@@ -222,101 +222,134 @@ func (s *Stanza) OptionsWithPrefix(prefix string) map[string]string {
 	return out
 }
 
-// Config is a device's configuration state: an unordered set of stanzas
-// keyed by identity, plus the device hostname.
+// Config is a device's configuration state: a set of stanzas with unique
+// identities, plus the device hostname. The stanzas are held in one slice
+// sorted by Key, which is the order Stanzas hands out.
 type Config struct {
 	Hostname string
-	stanzas  map[string]*Stanza
-
-	// sorted caches the key-sorted stanza view handed out by Stanzas and
-	// OfType; it is invalidated (set to nil) by Upsert and Remove. The
-	// pointer is atomic so a parsed config stays safe to share read-only
-	// across goroutines: two readers may rebuild the view concurrently,
-	// and both builds are identical, so racing Stores are benign.
-	sorted atomic.Pointer[[]*Stanza]
+	stanzas  []*Stanza // ascending by Key, keys unique
 }
 
 // NewConfig returns an empty configuration for the given hostname.
 func NewConfig(hostname string) *Config {
-	return &Config{Hostname: hostname, stanzas: map[string]*Stanza{}}
+	return &Config{Hostname: hostname}
 }
 
-// Upsert inserts or replaces a stanza.
+// cmp compares s's key with the key of a stanza of type identifier ts
+// named name, without building either key. Comparing the type identifier
+// first and the name second is the same order as comparing the keys:
+// the identifier is followed by a space in the key, and a space sorts
+// before every identifier character.
+func (s *Stanza) cmp(ts, name string) int {
+	if c := strings.Compare(s.Type.String(), ts); c != 0 {
+		return c
+	}
+	return strings.Compare(s.Name, name)
+}
+
+// searchStanzas returns the index of the first stanza in the key-sorted
+// ss whose key is not below the key of (ts, name).
+func searchStanzas(ss []*Stanza, ts, name string) int {
+	lo, hi := 0, len(ss)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ss[m].cmp(ts, name) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// index returns the position of the stanza with type identifier ts and
+// the given name, or where it would be inserted, and whether it is there.
+func (c *Config) index(ts, name string) (int, bool) {
+	i := searchStanzas(c.stanzas, ts, name)
+	return i, i < len(c.stanzas) && c.stanzas[i].cmp(ts, name) == 0
+}
+
+// Upsert inserts or replaces a stanza: a stanza with the same key is
+// replaced, so the last one upserted wins. Parsers upsert in text order,
+// which is key order for rendered text, so the common case appends.
 func (c *Config) Upsert(s *Stanza) {
-	c.stanzas[s.Key()] = s
-	c.sorted.Store(nil)
+	ts := s.Type.String()
+	if n := len(c.stanzas); n == 0 || c.stanzas[n-1].cmp(ts, s.Name) < 0 {
+		c.stanzas = append(c.stanzas, s)
+		return
+	}
+	i, ok := c.index(ts, s.Name)
+	if ok {
+		c.stanzas[i] = s
+		return
+	}
+	c.stanzas = slices.Insert(c.stanzas, i, s)
 }
 
-// Get returns the stanza with the given type and name, or nil.
+// Get returns the stanza with the given type and name, or nil. It
+// allocates nothing.
 func (c *Config) Get(t Type, name string) *Stanza {
-	return c.stanzas[t.String()+" "+name]
+	if i, ok := c.index(t.String(), name); ok {
+		return c.stanzas[i]
+	}
+	return nil
 }
 
 // Remove deletes the stanza with the given type and name; it reports
 // whether a stanza was removed.
 func (c *Config) Remove(t Type, name string) bool {
-	key := t.String() + " " + name
-	if _, ok := c.stanzas[key]; !ok {
-		return false
+	i, ok := c.index(t.String(), name)
+	if ok {
+		c.stanzas = slices.Delete(c.stanzas, i, i+1)
 	}
-	delete(c.stanzas, key)
-	c.sorted.Store(nil)
-	return true
+	return ok
 }
 
 // Len returns the number of stanzas.
 func (c *Config) Len() int { return len(c.stanzas) }
 
 // Stanzas returns all stanzas in deterministic (key-sorted) order. The
-// returned slice is a shared cached view: callers must not modify it.
+// result is the config's own slice, not a copy: callers must not modify
+// it, and an Upsert or Remove on the config invalidates it.
 func (c *Config) Stanzas() []*Stanza {
-	if p := c.sorted.Load(); p != nil {
-		return *p
-	}
-	out := make([]*Stanza, 0, len(c.stanzas))
-	for _, s := range c.stanzas {
-		out = append(out, s)
-	}
-	slices.SortFunc(out, func(a, b *Stanza) int { return strings.Compare(a.Key(), b.Key()) })
-	c.sorted.Store(&out)
-	return out
+	return c.stanzas[:len(c.stanzas):len(c.stanzas)]
 }
 
 // OfType returns all stanzas of the given type in deterministic order.
-// The result is a sub-slice of the cached sorted view (stanzas of one
-// type are contiguous there, because every key starts with the type
-// identifier and a space, which sorts before any identifier character):
-// callers must not modify it.
+// The result is a sub-slice of Stanzas (stanzas of one type are
+// contiguous there, because every key starts with the type identifier
+// and a space, which sorts before any identifier character), with the
+// same rules: callers must not modify it, and an Upsert or Remove on the
+// config invalidates it.
 func (c *Config) OfType(t Type) []*Stanza {
-	all := c.Stanzas()
-	lo := 0
-	for lo < len(all) && all[lo].Type != t {
-		lo++
-	}
+	ts := t.String()
+	lo := searchStanzas(c.stanzas, ts, "")
 	hi := lo
-	for hi < len(all) && all[hi].Type == t {
+	for hi < len(c.stanzas) && c.stanzas[hi].Type.String() == ts {
 		hi++
 	}
-	return all[lo:hi:hi]
+	return c.stanzas[lo:hi:hi]
 }
 
 // Clone returns a deep copy of the configuration.
 func (c *Config) Clone() *Config {
-	out := &Config{Hostname: c.Hostname, stanzas: make(map[string]*Stanza, len(c.stanzas))}
-	for _, s := range c.stanzas {
-		out.Upsert(s.Clone())
+	out := &Config{Hostname: c.Hostname, stanzas: make([]*Stanza, len(c.stanzas))}
+	for i, s := range c.stanzas {
+		out.stanzas[i] = s.Clone()
 	}
 	return out
 }
 
 // Equal reports whether two configurations contain identical stanzas.
+// Both are key-sorted, so they are compared position by position; a
+// stanza shared between the two (see ScratchParser) is equal to itself
+// without comparing its options.
 func (c *Config) Equal(o *Config) bool {
 	if c.Hostname != o.Hostname || len(c.stanzas) != len(o.stanzas) {
 		return false
 	}
-	for k, s := range c.stanzas {
-		os, ok := o.stanzas[k]
-		if !ok || !s.Equal(os) {
+	for i, s := range c.stanzas {
+		if os := o.stanzas[i]; s != os && !s.Equal(os) {
 			return false
 		}
 	}

@@ -47,11 +47,16 @@ type Scratch struct {
 
 	// Sizing hints recorded by FinishConfig: successive snapshots of one
 	// device are nearly identical, so the previous parse's stanza count
-	// and per-stanza option counts pre-size the next parse's maps exactly,
-	// avoiding incremental map growth (which allocates ~2x the final
-	// bucket space). Hints only size maps — they never change contents.
+	// and per-stanza option counts pre-size the next parse's stanza slice
+	// and option maps exactly, avoiding incremental growth (which
+	// allocates ~2x the final space). Hints only size storage — they never
+	// change contents.
 	cfgHint int
 	optHint map[string]int
+
+	// cur is Reusable's cursor into the previous config's key-sorted
+	// stanzas: the index just past its last answer. NewConfig rewinds it.
+	cur int
 }
 
 // NewScratch returns an empty scratch ready for use.
@@ -202,11 +207,13 @@ func (sc *Scratch) NewStanza(t Type, name string) *Stanza {
 	return s
 }
 
-// NewConfig is confmodel.NewConfig with the stanza map pre-sized to the
-// last FinishConfig'd parse, so re-parsing a near-identical snapshot
-// never grows the map.
+// NewConfig is confmodel.NewConfig with the stanza slice pre-sized to
+// the last FinishConfig'd parse, so re-parsing a near-identical snapshot
+// never grows it. It also rewinds Reusable's cursor: a parser calls it
+// once at the start of each parse.
 func (sc *Scratch) NewConfig(hostname string) *Config {
-	return &Config{Hostname: hostname, stanzas: make(map[string]*Stanza, sc.cfgHint)}
+	sc.cur = 0
+	return &Config{Hostname: hostname, stanzas: make([]*Stanza, 0, sc.cfgHint)}
 }
 
 // FinishConfig records sizing hints from a completed parse (stanza count
@@ -214,31 +221,55 @@ func (sc *Scratch) NewConfig(hostname string) *Config {
 // call it just before returning a successfully parsed config.
 func (sc *Scratch) FinishConfig(c *Config) {
 	sc.cfgHint = len(c.stanzas)
-	for key, s := range c.stanzas {
+	for _, s := range c.stanzas {
 		if n := len(s.Options); n > 0 {
-			sc.optHint[key] = n
+			sc.optHint[s.Key()] = n
 		}
 	}
-}
-
-// Lookup is c.Get(t, name) with the lookup key built in the scratch
-// buffer, so no key string is allocated.
-func (sc *Scratch) Lookup(c *Config, t Type, name string) *Stanza {
-	ts := t.String()
-	sc.buf = append(append(append(sc.buf[:0], ts...), ' '), name...)
-	return c.stanzas[string(sc.buf)]
 }
 
 // Reusable returns prev's stanza (t, name) when its Source is a prefix of
 // rest, the text from the start of the block header being parsed; nil
 // otherwise (including a nil prev). The caller must still check that the
-// block ends where the Source does before sharing the stanza.
+// block ends where the Source does before sharing the stanza. It
+// allocates nothing.
+//
+// Block headers normally arrive in key order (rendered text lists
+// stanzas in key order), so the stanza is looked up from a cursor that
+// moves forward through prev's sorted stanzas: the stanza at the cursor
+// is checked first and the rest of prev is binary-searched only past it.
+// A header that sorts at or before the previous answer (hand-ordered
+// text, a repeated header) searches all of prev.
 func (sc *Scratch) Reusable(prev *Config, t Type, name, rest string) *Stanza {
 	if prev == nil {
 		return nil
 	}
-	ps := sc.Lookup(prev, t, name)
-	if ps == nil || ps.src == "" || !strings.HasPrefix(rest, ps.src) {
+	ts, all := t.String(), prev.stanzas
+	lo := min(sc.cur, len(all))
+	if lo > 0 && all[lo-1].cmp(ts, name) >= 0 {
+		lo = 0
+	}
+	// cmpAt compares prev's i-th stanza with the header; past the end
+	// sorts after everything.
+	cmpAt := func(i int) int {
+		if i == len(all) {
+			return 1
+		}
+		return all[i].cmp(ts, name)
+	}
+	i := lo
+	c := cmpAt(i)
+	if c < 0 {
+		i += 1 + searchStanzas(all[i+1:], ts, name)
+		c = cmpAt(i)
+	}
+	sc.cur = i
+	if c != 0 {
+		return nil
+	}
+	sc.cur = i + 1
+	ps := all[i]
+	if ps.src == "" || !strings.HasPrefix(rest, ps.src) {
 		return nil
 	}
 	return ps

@@ -36,7 +36,8 @@ func TestAllocBudgetParseSnapshot(t *testing.T) {
 	})
 	perStanza := avg / (float64(stanzas) / float64(len(texts)))
 	t.Logf("parse: %.1f allocs/snapshot, %.2f allocs/stanza", avg, perStanza)
-	const budget = 5.0
+	// Budget: reads ~3.1; see the ciscoios budget.
+	const budget = 4.7
 	if perStanza > budget {
 		t.Errorf("parse allocations %.2f/stanza exceed budget %.1f", perStanza, budget)
 	}

@@ -198,3 +198,50 @@ func TestCrossVendorAgnosticTypesAgree(t *testing.T) {
 		t.Error("firewall filter did not map to acl type")
 	}
 }
+
+// TestParseNextOutOfOrderAndRepeatedHeaders parses, as the successor of
+// a rendered snapshot, hand-ordered text: the same blocks in reverse key
+// order, then a repeated interfaces header. Reused blocks are found by
+// the lookup's binary-search fallback (rendered text never goes
+// backwards), the repeated header's last block wins as in a full parse,
+// and prev is left as it was.
+func TestParseNextOutOfOrderAndRepeatedHeaders(t *testing.T) {
+	var d Dialect
+	acl := "firewall filter A {\n    term 10 \"accept\";\n}\n"
+	ge1 := "interfaces ge-0/0/1 {\n    description \"one\";\n}\n"
+	ge2 := "interfaces ge-0/0/2 {\n    description \"two\";\n}\n"
+	vlan := "vlans ten {\n    vlan-id 10;\n}\n"
+	sc := confmodel.NewScratch()
+	prev, err := d.ParseScratch("host-name r1;\n"+acl+ge1+ge2+vlan, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.Render(prev)
+	next := "host-name r1;\n" + vlan + ge2 + ge1 + acl +
+		"interfaces ge-0/0/2 {\n    description \"again\";\n}\n"
+	got, err := d.ParseNext(prev, next, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.Parse(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("ParseNext differs from Parse:\n%s\nwant\n%s", d.Render(got), d.Render(want))
+	}
+	if s := got.Get(confmodel.TypeInterface, "ge-0/0/2"); s.Get("description") != "again" {
+		t.Errorf("repeated header: description %q, want the last block's %q", s.Get("description"), "again")
+	}
+	for _, k := range []struct {
+		t    confmodel.Type
+		name string
+	}{{confmodel.TypeACL, "A"}, {confmodel.TypeInterface, "ge-0/0/1"}, {confmodel.TypeVLAN, "ten"}} {
+		if got.Get(k.t, k.name) != prev.Get(k.t, k.name) {
+			t.Errorf("%v %s was parsed again instead of shared from prev", k.t, k.name)
+		}
+	}
+	if d.Render(prev) != before {
+		t.Error("ParseNext modified its prev config")
+	}
+}

@@ -39,12 +39,12 @@ func TestAllocBudgetInferNetwork(t *testing.T) {
 	})
 	perSnap := avg / float64(snaps)
 	t.Logf("inference: %.0f allocs/network (%d snapshots, %.1f allocs/snapshot)", avg, snaps, perSnap)
-	// Budget: a snapshot's changed blocks are parsed (~3.4 allocs per
+	// Budget: a snapshot's changed blocks are parsed (~3.1 allocs per
 	// stanza) and its unchanged ones shared from the device's previous
 	// snapshot, plus the config itself and engine bookkeeping; this reads
-	// ~52. Parsing every stanza of every snapshot read ~120, and
+	// ~46. Parsing every stanza of every snapshot read ~120, and
 	// pre-optimization this path sat near 900 allocs/snapshot.
-	const budget = 80.0
+	const budget = 75.0
 	if perSnap > budget {
 		t.Errorf("inference allocations %.1f/snapshot exceed budget %.0f", perSnap, budget)
 	}
@@ -86,8 +86,8 @@ func TestAllocBudgetAnalyzeMonth(t *testing.T) {
 	t.Logf("month inference: %.0f allocs/month (%d snapshots, %.1f allocs/snapshot)", avg, snaps, perSnap)
 	// Budget: each device's month-entering baseline is a full parse and
 	// the month's own snapshots share their unchanged blocks with it;
-	// this reads ~110 (~164 when every snapshot was parsed in full).
-	const budget = 140.0
+	// this reads ~105 (~164 when every snapshot was parsed in full).
+	const budget = 135.0
 	if perSnap > budget {
 		t.Errorf("month inference allocations %.1f/snapshot exceed budget %.0f", perSnap, budget)
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // designMetrics fills the design-practice metrics (D1-D6) from inventory
-// records and the end-of-month configuration states.
-func (e *Engine) designMetrics(m Metrics, nw *netmodel.Network, configs []*confmodel.Config, mgmtOwner map[string]string) {
+// records and the end-of-month configuration states; intra is the sum of
+// the states' IntraDeviceRefs.
+func (e *Engine) designMetrics(m Metrics, nw *netmodel.Network, configs []*confmodel.Config, intra int, mgmtOwner map[string]string) {
 	// D2: physical composition from inventory.
 	m[MetricDevices] = float64(len(nw.Devices))
 	m[MetricVendors] = float64(len(nw.Vendors()))
@@ -86,10 +87,6 @@ func (e *Engine) designMetrics(m Metrics, nw *netmodel.Network, configs []*confm
 	// D6: configuration complexity — mean intra- and inter-device
 	// reference counts (Benson et al.'s metrics).
 	if len(configs) > 0 {
-		intra := 0
-		for _, c := range configs {
-			intra += confmodel.IntraDeviceRefs(c)
-		}
 		m[MetricIntraComplexity] = float64(intra) / float64(len(configs))
 		inter := confmodel.NetworkInterRefs(configs, mgmtOwner)
 		total := 0

@@ -282,6 +282,12 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 		hist  []*nms.Snapshot
 		pos   int               // next snapshot to consume
 		state *confmodel.Config // config as of consumed snapshots
+
+		// refs is IntraDeviceRefs of refsOf, the device's config at the
+		// end of the previous month. A device with no snapshot in a month
+		// keeps the same (immutable) config, so its count carries over.
+		refsOf *confmodel.Config
+		refs   int
 	}
 	cursors := make([]*cursor, 0, len(nw.Devices))
 	for _, dev := range nw.Devices {
@@ -322,14 +328,19 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 
 		// Assemble end-of-month configuration states.
 		var configs []*confmodel.Config
+		intra := 0
 		for _, cu := range cursors {
 			if cu.state != nil {
 				configs = append(configs, cu.state)
+				if cu.refsOf != cu.state {
+					cu.refsOf, cu.refs = cu.state, confmodel.IntraDeviceRefs(cu.state)
+				}
+				intra += cu.refs
 			}
 		}
 
 		metrics := Metrics{}
-		e.designMetrics(metrics, nw, configs, mgmtOwner)
+		e.designMetrics(metrics, nw, configs, intra, mgmtOwner)
 		nEvents := e.operationalMetrics(metrics, nw, changes)
 		out = append(out, MonthAnalysis{Network: name, Month: m, Metrics: metrics, Changes: changes})
 
