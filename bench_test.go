@@ -10,6 +10,8 @@ package mpa
 // scale (the recorded output lives in EXPERIMENTS.md).
 
 import (
+	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -270,6 +272,28 @@ func BenchmarkAblationBinning(b *testing.B)  { benchExperiment(b, "ablation-binn
 func BenchmarkAblationMatching(b *testing.B) { benchExperiment(b, "ablation-matching") }
 func BenchmarkAblationLearners(b *testing.B) { benchExperiment(b, "ablation-learners") }
 func BenchmarkAblationGrouping(b *testing.B) { benchExperiment(b, "ablation-grouping") }
+
+// BenchmarkIngestDecode measures decoding one month's update body, the
+// step BenchmarkIngestMonth leaves out: the body perfbench's cold_start
+// workload posts (seed 77, 60 networks, the month after an eight-month
+// window; ~9.3 MB, nearly all of it escaped config text).
+func BenchmarkIngestDecode(b *testing.B) {
+	p := osp.Small(77)
+	p.Networks = 60
+	p.End = p.Start.Add(8)
+	o := osp.Generate(p)
+	body, err := json.Marshal(ingest.SliceMonth(o.Archive, o.Tickets, p.End))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ingest.Decode(bytes.NewReader(body)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkIngestMonth measures splicing one new month into a warm
 // 20-network framework — the steady-state cost of `mpa watch`, against

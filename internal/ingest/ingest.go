@@ -13,9 +13,7 @@
 package ingest
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -52,19 +50,6 @@ type TicketEntry struct {
 	Resolved time.Time `json:"resolved,omitempty"`
 	Symptom  string    `json:"symptom,omitempty"`
 	Notes    string    `json:"notes,omitempty"`
-}
-
-// Decode parses an Update from JSON, rejecting unknown fields (a typo'd
-// field name on a monitoring feed should fail loudly, not silently drop
-// data).
-func Decode(r io.Reader) (*Update, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	u := &Update{}
-	if err := dec.Decode(u); err != nil {
-		return nil, fmt.Errorf("ingest: decoding update: %w", err)
-	}
-	return u, nil
 }
 
 // ParseMonth parses the update's month field.

@@ -70,14 +70,14 @@ func (w *Watcher) Scan() (applied int, err error) {
 	return applied, err
 }
 
-// applyFile decodes and applies one update file.
+// applyFile decodes and applies one update file, read whole into a
+// buffer sized from the file's size.
 func (w *Watcher) applyFile(path string) error {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	u, err := Decode(f)
+	u, err := parseUpdate(b)
 	if err != nil {
 		return err
 	}

@@ -116,9 +116,17 @@ func TestIngestEndpointRejects(t *testing.T) {
 	f, u, o := ingestFixture(t)
 	s := oneOrgServer(t, f, serve.Config{})
 
+	valid, err := json.Marshal(u)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := [][]byte{
 		[]byte(`{nope`), // malformed JSON
 		[]byte(`{"month":"2014-03","snapshotz":[]}`), // unknown field
+		// A valid update followed by a second one, or by garbage: the
+		// trailing data is rejected, not silently dropped.
+		append(append([]byte{}, valid...), `{"month":"2014-08","tickets":[]}`...),
+		append(append([]byte{}, valid...), ` garbage`...),
 	}
 	if b, err := json.Marshal(ingest.Update{Month: o.Params.End.Add(2).String(),
 		Snapshots: u.Snapshots[:0], Tickets: nil}); err == nil {

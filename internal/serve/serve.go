@@ -767,11 +767,14 @@ const maxIngestBytes = 256 << 20
 // warm caches are untouched by construction. Malformed or
 // non-appendable updates are 400s and change nothing; an oversized body
 // is a 413; a 200 response means the update is fully applied and
-// visible to every subsequent query against this org.
+// visible to every subsequent query against this org. The body is read
+// into one buffer sized from its Content-Length, clamped to the body
+// bound.
 func (s *Server) handleIngest(sh *shard, w http.ResponseWriter, r *http.Request) {
 	sp := obs.SpanFrom(r.Context())
 	c := sp.Start("decode")
-	u, err := ingest.Decode(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes))
+	size := min(r.ContentLength, s.cfg.MaxIngestBytes)
+	u, err := ingest.DecodeSize(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes), size)
 	c.End()
 	if err != nil {
 		var tooBig *http.MaxBytesError

@@ -8,7 +8,9 @@
 # Runs BenchmarkGenerate, BenchmarkInference, BenchmarkInferenceWarmCache
 # (the restart path: a fresh engine reading every per-network analysis
 # from a filled disk cache tier, ~7x faster than BenchmarkInference),
-# BenchmarkIngestMonth (the streaming-ingest cost of one new month; each
+# BenchmarkIngestDecode (decoding one month's ~9.3 MB update body, the
+# body perfbench's cold_start workload posts), BenchmarkIngestMonth (the
+# streaming-ingest cost of one new month, decode excluded; each
 # iteration ingests into a fresh framework that has never seen that
 # month, as in a real stream), the per-dialect parse/diff stage
 # benchmarks (BenchmarkParseSnapshot*, a full parse;
@@ -33,7 +35,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 count="${1:-10}"
-pattern='^(BenchmarkGenerate|BenchmarkInference|BenchmarkInferenceWarmCache|BenchmarkIngestMonth|BenchmarkParseSnapshotCisco|BenchmarkParseSnapshotJunos|BenchmarkParseNextCisco|BenchmarkParseNextJunos|BenchmarkDiffPairCisco|BenchmarkDiffPairJunos|BenchmarkTable3|BenchmarkTable7|BenchmarkTable8|BenchmarkSection61|BenchmarkFigure8|BenchmarkTable9)$'
+pattern='^(BenchmarkGenerate|BenchmarkInference|BenchmarkInferenceWarmCache|BenchmarkIngestDecode|BenchmarkIngestMonth|BenchmarkParseSnapshotCisco|BenchmarkParseSnapshotJunos|BenchmarkParseNextCisco|BenchmarkParseNextJunos|BenchmarkDiffPairCisco|BenchmarkDiffPairJunos|BenchmarkTable3|BenchmarkTable7|BenchmarkTable8|BenchmarkSection61|BenchmarkFigure8|BenchmarkTable9)$'
 out="${MPA_BENCH_OUT:-BENCH_$(date +%F).json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
