@@ -132,7 +132,7 @@ func run(cfg runConfig) (*loadgen.Manifest, error) {
 		}
 		tenants = append(tenants, loadgen.OrgTargets{Org: org, Targets: targets})
 	}
-	plan, err := loadgen.BuildPlanTenants(cfg.rate, cfg.duration, cfg.seed, mix, tenants)
+	plan, err := loadgen.BuildPlan(cfg.rate, cfg.duration, cfg.seed, mix, tenants)
 	if err != nil {
 		return nil, err
 	}

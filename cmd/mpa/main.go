@@ -65,7 +65,6 @@ import (
 	"mpa"
 	"mpa/internal/ingest"
 	"mpa/internal/obs"
-	"mpa/internal/par"
 	"mpa/internal/serve"
 	"mpa/internal/tenant"
 )
@@ -167,7 +166,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := o.obs.Start(); err != nil {
 		return fail(stderr, err)
 	}
-	par.SetDefaultWorkers(o.workers)
+	mpa.SetWorkers(o.workers)
 	f, err := o.execute(ctx, cmd, ids, stdout)
 	var writeTrace func(io.Writer) error
 	if f != nil {
@@ -231,7 +230,7 @@ func (o *options) validate(cmd string) ([]string, error) {
 // caller can write its trace on success and failure alike.
 func (o *options) execute(ctx context.Context, cmd string, ids []string, stdout io.Writer) (*mpa.Framework, error) {
 	cfg := mpa.DefaultConfig(o.seed)
-	cfg.Networks, cfg.Workers = o.networks, o.workers
+	cfg.Networks = o.networks
 	cfg.Cache = mpa.CacheConfig{Dir: o.cacheDir}
 	cfg.Start, _ = mpa.StudyWindow()
 	cfg.End = cfg.Start.Add(o.months - 1)
@@ -271,7 +270,7 @@ func (o *options) analyze(f *mpa.Framework, cmd string, ids []string, stdout io.
 	case "summary", "characterize", "experiment":
 		// Results come back in input order, so the output is identical
 		// at any worker count.
-		for _, res := range f.RunExperiments(ids, o.workers) {
+		for _, res := range f.RunExperiments(ids) {
 			r := res.Report
 			fmt.Fprintln(stdout, r.Title)
 			fmt.Fprintln(stdout, strings.Repeat("=", len(r.Title)))

@@ -41,7 +41,7 @@ func reports(t *testing.T, ids ...string) string {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	for _, res := range f.RunExperiments(ids, 0) {
+	for _, res := range f.RunExperiments(ids) {
 		if !res.OK {
 			t.Fatalf("experiment %q unknown", res.ID)
 		}

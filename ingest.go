@@ -122,7 +122,6 @@ func (f *Framework) Ingest(u *IngestUpdate) (*IngestResult, error) {
 
 	// Infer exactly the affected network-months.
 	engine := practices.NewEngine(env.OSP.Inventory, arch)
-	engine.SetWorkers(f.cfg.Workers)
 	engine.SetObs(sp)
 	var names []string
 	if newMonth {

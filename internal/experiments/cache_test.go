@@ -20,7 +20,7 @@ func TestCacheEquivalence(t *testing.T) {
 	p := osp.Small(33)
 	p.Networks = 12
 	for _, workers := range []int{1, 8} {
-		p.Workers = workers
+		setWorkers(t, workers)
 		dir := t.TempDir()
 		cc := cache.Config{Enabled: true, Dir: dir}
 
@@ -43,9 +43,9 @@ func TestCacheEquivalence(t *testing.T) {
 				workers, hits, p.Networks)
 		}
 
-		base := RunAll(plain, nil, workers)
+		base := RunAll(plain, nil)
 		for name, env := range map[string]*Env{"cold": cold, "warm": warm} {
-			got := RunAll(env, nil, workers)
+			got := RunAll(env, nil)
 			if len(got) != len(base) {
 				t.Fatalf("workers=%d %s: %d results, want %d", workers, name, len(got), len(base))
 			}

@@ -87,8 +87,8 @@ func (e *Env) ReportDigests() map[string]string {
 // root observability span covering all three stages.
 //
 // Generation and inference run their per-network loops on up to
-// p.Workers goroutines (0 = process default); the Env is byte-identical
-// at every worker count.
+// par.Workers goroutines; the Env is byte-identical at every worker
+// count.
 func NewEnv(p osp.Params) (*Env, error) {
 	return NewEnvCached(p, cache.Config{})
 }
@@ -107,13 +107,12 @@ func NewEnvCached(p osp.Params, cc cache.Config) (*Env, error) {
 }
 
 // Infer runs practice inference over o's study window on up to
-// o.Params.Workers goroutines, with the per-network inference cache
+// par.Workers goroutines, with the per-network inference cache
 // configured by cc, builds the case matrix, and wraps both in an Env with
 // empty memos and zeroed memo counts. root records the stages.
 func Infer(o *osp.OSP, cc cache.Config, root *obs.Span) (*Env, error) {
 	engine := practices.NewEngine(o.Inventory, o.Archive)
 	engine.SetObs(root)
-	engine.SetWorkers(o.Params.Workers)
 	engine.SetCache(cc)
 	analysis, err := engine.Analyze(o.Params.Months())
 	if err != nil {
@@ -339,16 +338,16 @@ type RunResult struct {
 }
 
 // RunAll executes the given experiments (nil = every registered one, in
-// paper order) on up to workers goroutines (0 = process default) and
-// returns the results in input order. Experiments only read the Env, and
-// each one is internally deterministic — every stochastic step reseeds
-// from Params.Seed — so the reports are identical at any worker count.
-func RunAll(env *Env, ids []string, workers int) []RunResult {
+// paper order) on up to par.Workers goroutines and returns the results
+// in input order. Experiments only read the Env, and each one is
+// internally deterministic — every stochastic step reseeds from
+// Params.Seed — so the reports are identical at any worker count.
+func RunAll(env *Env, ids []string) []RunResult {
 	if ids == nil {
 		ids = IDs()
 	}
 	pt := obs.StartProgress("experiments", int64(len(ids)))
-	out, _ := par.Map(workers, ids, func(_ int, id string) (RunResult, error) {
+	out, _ := par.Map(ids, func(_ int, id string) (RunResult, error) {
 		r, ok := Run(env, id)
 		pt.Add(1)
 		return RunResult{ID: id, Report: r, OK: ok}, nil

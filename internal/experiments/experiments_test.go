@@ -7,6 +7,7 @@ import (
 
 	"mpa/internal/months"
 	"mpa/internal/osp"
+	"mpa/internal/par"
 	"mpa/internal/practices"
 )
 
@@ -416,28 +417,36 @@ func TestEnvDeterministic(t *testing.T) {
 	}
 }
 
+// setWorkers sets the process-wide pool width for the rest of the test.
+func setWorkers(t *testing.T, n int) {
+	t.Helper()
+	orig := par.Workers()
+	par.SetWorkers(n)
+	t.Cleanup(func() { par.SetWorkers(orig) })
+}
+
 // TestWorkerCountInvariance is the parallelism regression gate: an Env
-// built with one worker and an Env built with eight must agree on every
-// registered experiment, byte for byte. Any scheduling-order dependence
-// in generation, inference, or an experiment shows up here.
+// built and run with every pool inline (one worker) and one built and run
+// eight wide must agree on every registered experiment, byte for byte.
+// Any scheduling-order dependence in generation, inference, a
+// cross-validation fold, a forest, or an experiment shows up here.
 func TestWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two full envs")
 	}
 	p := osp.Small(33)
 	p.Networks = 12
-	p.Workers = 1
-	seq, err := NewEnv(p)
-	if err != nil {
-		t.Fatal(err)
+	// Envs compute lazily, so each side builds and runs at its width.
+	run := func(workers int) []RunResult {
+		setWorkers(t, workers)
+		env, err := NewEnv(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RunAll(env, nil)
 	}
-	p.Workers = 8
-	parEnv, err := NewEnv(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := RunAll(parEnv, nil, 8)
-	want := RunAll(seq, nil, 1)
+	want := run(1)
+	got := run(8)
 	if len(got) != len(want) {
 		t.Fatalf("RunAll lengths differ: %d vs %d", len(got), len(want))
 	}

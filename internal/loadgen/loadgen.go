@@ -189,19 +189,13 @@ func (t Targets) pathFor(endpoint string, r *rng.RNG) (string, error) {
 
 // BuildPlan draws the full open-loop request schedule: exponential
 // inter-arrivals at rate req/s (a Poisson arrival process) until
-// duration is exhausted, each request assigned a mix-weighted endpoint
-// and concrete target parameters. Pure in (rate, duration, seed, mix,
-// targets) — identical inputs produce the identical plan.
-func BuildPlan(rate float64, duration time.Duration, seed uint64, mix Mix, targets Targets) ([]Request, error) {
-	return BuildPlanTenants(rate, duration, seed, mix, []OrgTargets{{Targets: targets}})
-}
-
-// BuildPlanTenants is BuildPlan against a multi-tenant daemon: each
-// request additionally draws its org uniformly from tenants, with that
-// org's own target pools. With exactly one tenant no org draw happens,
-// so a single-tenant plan is identical to BuildPlan's — the SLO
-// baseline's request sequence is unchanged by the plumbing.
-func BuildPlanTenants(rate float64, duration time.Duration, seed uint64, mix Mix, tenants []OrgTargets) ([]Request, error) {
+// duration is exhausted, each request assigned a mix-weighted endpoint,
+// an org drawn uniformly from tenants, and concrete target parameters
+// from that org's pools. With exactly one tenant no org draw happens, so
+// a single-tenant plan's request sequence does not depend on the
+// tenant's name. Pure in (rate, duration, seed, mix, tenants) — identical
+// inputs produce the identical plan.
+func BuildPlan(rate float64, duration time.Duration, seed uint64, mix Mix, tenants []OrgTargets) ([]Request, error) {
 	if rate <= 0 {
 		return nil, fmt.Errorf("loadgen: rate %v, want > 0", rate)
 	}

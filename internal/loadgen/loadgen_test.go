@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,6 +18,9 @@ func testTargets() Targets {
 		Reports:   []string{"table2", "table3"},
 	}
 }
+
+// oneTenant is the target list of a single-org daemon.
+func oneTenant(t Targets) []OrgTargets { return []OrgTargets{{Targets: t}} }
 
 func TestParseMix(t *testing.T) {
 	mix, err := ParseMix("rank=3, network=2,manifest=1")
@@ -42,11 +47,11 @@ func TestParseMix(t *testing.T) {
 
 func TestBuildPlanDeterministic(t *testing.T) {
 	mix, _ := ParseMix(DefaultMix)
-	a, err := BuildPlan(200, 2*time.Second, 42, mix, testTargets())
+	a, err := BuildPlan(200, 2*time.Second, 42, mix, oneTenant(testTargets()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := BuildPlan(200, 2*time.Second, 42, mix, testTargets())
+	b, _ := BuildPlan(200, 2*time.Second, 42, mix, oneTenant(testTargets()))
 	if len(a) == 0 {
 		t.Fatal("empty plan")
 	}
@@ -59,7 +64,7 @@ func TestBuildPlanDeterministic(t *testing.T) {
 		}
 	}
 	// A different seed must yield a different schedule.
-	c, _ := BuildPlan(200, 2*time.Second, 43, mix, testTargets())
+	c, _ := BuildPlan(200, 2*time.Second, 43, mix, oneTenant(testTargets()))
 	same := len(a) == len(c)
 	if same {
 		for i := range a {
@@ -76,7 +81,7 @@ func TestBuildPlanDeterministic(t *testing.T) {
 
 func TestBuildPlanShape(t *testing.T) {
 	mix, _ := ParseMix("rank=1,predict=1,causal=1,report=1")
-	plan, err := BuildPlan(500, time.Second, 7, mix, testTargets())
+	plan, err := BuildPlan(500, time.Second, 7, mix, oneTenant(testTargets()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +130,11 @@ func TestBuildPlanShape(t *testing.T) {
 
 func TestBuildPlanMissingTargets(t *testing.T) {
 	mix, _ := ParseMix("causal=1")
-	if _, err := BuildPlan(100, time.Second, 1, mix, Targets{}); err == nil {
+	if _, err := BuildPlan(100, time.Second, 1, mix, oneTenant(Targets{})); err == nil {
 		t.Fatal("causal mix without practices accepted")
 	}
 	mix, _ = ParseMix("predict=1")
-	if _, err := BuildPlan(100, time.Second, 1, mix, Targets{Months: []string{"2014-01"}}); err == nil {
+	if _, err := BuildPlan(100, time.Second, 1, mix, oneTenant(Targets{Months: []string{"2014-01"}})); err == nil {
 		t.Fatal("predict mix without networks accepted")
 	}
 }
@@ -254,33 +259,44 @@ func TestManifestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestBuildPlanTenants: a single anonymous tenant must reproduce
-// BuildPlan exactly (same draws, empty Org), and a multi-org plan must
-// tag every request with a registered org and visit each one.
+// TestBuildPlanTenants: a one-tenant plan makes no org draw — its
+// requests carry no org, and its sequence is the one pinned below for
+// seed 42 whatever the tenant is named, so the SLO baseline's requests
+// stay put — and a multi-org plan must tag every request with a
+// registered org and visit each one.
 func TestBuildPlanTenants(t *testing.T) {
 	mix, _ := ParseMix(DefaultMix)
-	single, err := BuildPlanTenants(200, 2*time.Second, 42, mix, []OrgTargets{{Targets: testTargets()}})
+	single, err := BuildPlan(200, 2*time.Second, 42, mix, oneTenant(testTargets()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, _ := BuildPlan(200, 2*time.Second, 42, mix, testTargets())
-	if len(single) != len(legacy) {
-		t.Fatalf("plan lengths differ: %d vs %d", len(single), len(legacy))
+	named, _ := BuildPlan(200, 2*time.Second, 42, mix, []OrgTargets{{Org: "acme", Targets: testTargets()}})
+	if len(single) != len(named) {
+		t.Fatalf("plan lengths differ: %d vs %d", len(single), len(named))
 	}
-	for i := range single {
-		if single[i] != legacy[i] {
-			t.Fatalf("single-tenant plan diverges from BuildPlan at %d: %+v vs %+v", i, single[i], legacy[i])
+	h := sha256.New()
+	for i, req := range single {
+		if req.Org != "" {
+			t.Fatalf("anonymous tenant tagged request %d with org %q", i, req.Org)
 		}
-		if single[i].Org != "" {
-			t.Fatalf("anonymous tenant tagged request %d with org %q", i, single[i].Org)
+		if named[i].Org != "acme" {
+			t.Fatalf("named tenant's request %d has org %q", i, named[i].Org)
 		}
+		if named[i].At != req.At || named[i].Path != req.Path {
+			t.Fatalf("tenant name moved request %d: %+v vs %+v", i, named[i], req)
+		}
+		fmt.Fprintf(h, "%d %s %s\n", req.At, req.Endpoint, req.Path)
+	}
+	const want = "2f7b4829cd038ba2955bff6995a1e99a5a184e0500207d915e81fcf22624e774"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); len(single) != 413 || got != want {
+		t.Errorf("one-tenant seed-42 plan: %d requests, digest %s; want 413, %s", len(single), got, want)
 	}
 
 	tenants := []OrgTargets{
 		{Org: "acme", Targets: testTargets()},
 		{Org: "globex", Targets: testTargets()},
 	}
-	multi, err := BuildPlanTenants(200, 2*time.Second, 42, mix, tenants)
+	multi, err := BuildPlan(200, 2*time.Second, 42, mix, tenants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +313,7 @@ func TestBuildPlanTenants(t *testing.T) {
 		t.Errorf("%d requests left untagged in a multi-org plan", seen[""])
 	}
 
-	if _, err := BuildPlanTenants(200, time.Second, 1, mix, nil); err == nil {
-		t.Error("BuildPlanTenants accepted an empty tenant list")
+	if _, err := BuildPlan(200, time.Second, 1, mix, nil); err == nil {
+		t.Error("BuildPlan accepted an empty tenant list")
 	}
 }

@@ -28,7 +28,7 @@ func CrossValidate(X [][]int, y []int, classes, k int, train Trainer, r *rng.RNG
 		ok bool
 	}
 	pt := obs.StartProgress("cv", int64(k))
-	evals, _ := par.Map(0, make([]struct{}, k), func(f int, _ struct{}) (foldEval, error) {
+	evals, _ := par.Map(make([]struct{}, k), func(f int, _ struct{}) (foldEval, error) {
 		var trX, teX [][]int
 		var trY, teY []int
 		for i := range y {

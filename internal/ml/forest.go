@@ -29,10 +29,6 @@ type ForestConfig struct {
 	Variant  ForestVariant
 	Tree     TreeConfig
 	Features int // features sampled per tree; 0 = sqrt(d)
-	// Workers bounds the goroutines used for tree training; 0 uses the
-	// process default (par.SetDefaultWorkers). Every random draw happens
-	// before the fan-out, so the forest is identical at any worker count.
-	Workers int
 }
 
 // DefaultForestConfig returns a 50-tree plain forest.
@@ -110,7 +106,7 @@ func TrainForest(X [][]int, y []int, classes int, cfg ForestConfig, r *rng.RNG) 
 
 	f.trees = make([]*Tree, cfg.Trees)
 	f.masks = make([][]int, cfg.Trees)
-	par.ForEach(cfg.Workers, plans, func(t int, plan treePlan) error {
+	par.ForEach(plans, func(t int, plan treePlan) error {
 		subX := make([][]int, len(plan.sample))
 		subY := make([]int, len(plan.sample))
 		subW := make([]float64, len(plan.sample))

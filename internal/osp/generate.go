@@ -91,9 +91,9 @@ type netResult struct {
 // "generate" span (a child per network) and maintains the osp.* counter
 // family. A nil parent skips the span tree but keeps the counters.
 //
-// Networks are generated on up to p.Workers goroutines (0 = process
-// default) and merged in network-index order; the resulting OSP is
-// byte-identical at every worker count.
+// Networks are generated on up to par.Workers goroutines and merged in
+// network-index order; the resulting OSP is byte-identical at every
+// worker count.
 func GenerateObs(p Params, parent *obs.Span) *OSP {
 	sp := parent.Start("generate")
 	defer sp.End()
@@ -119,7 +119,7 @@ func GenerateObs(p Params, parent *obs.Span) *OSP {
 	}
 
 	pt := obs.StartProgress("generate", int64(p.Networks))
-	results, _ := par.Map(p.Workers, streams, func(idx int, ns netStreams) (*netResult, error) {
+	results, _ := par.Map(streams, func(idx int, ns netStreams) (*netResult, error) {
 		res := generateNetwork(p, idx, ns, window, sp, log)
 		pt.Add(1)
 		return res, nil

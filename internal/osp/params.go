@@ -35,11 +35,6 @@ type Params struct {
 	// MeanEventsPerMonth scales the log-normal monthly change-event rate
 	// (median of the per-network rate distribution).
 	MeanEventsPerMonth float64
-	// Workers bounds the goroutines used for per-network generation (and,
-	// via experiments.NewEnv, per-network inference). Zero or negative
-	// uses the process default (par.SetDefaultWorkers, initially all
-	// CPUs). Output is byte-identical at every worker count.
-	Workers int
 }
 
 // Default returns the paper-scale parameters: 850 networks over the

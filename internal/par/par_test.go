@@ -8,13 +8,25 @@ import (
 	"testing"
 )
 
+// withWorkers sets the pool width for the rest of the test.
+func withWorkers(t *testing.T, n int) {
+	t.Helper()
+	orig := Workers()
+	SetWorkers(n)
+	t.Cleanup(func() { SetWorkers(orig) })
+}
+
+// indexes returns n empty items for tests that only use the index.
+func indexes(n int) []struct{} { return make([]struct{}, n) }
+
 func TestMapOrdered(t *testing.T) {
 	items := make([]int, 100)
 	for i := range items {
 		items[i] = i
 	}
 	for _, workers := range []int{1, 2, 7, 64} {
-		out, err := Map(workers, items, func(i, v int) (int, error) {
+		withWorkers(t, workers)
+		out, err := Map(items, func(i, v int) (int, error) {
 			return v * v, nil
 		})
 		if err != nil {
@@ -32,7 +44,8 @@ func TestMapOrdered(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(4, []string(nil), func(i int, s string) (int, error) { return 0, nil })
+	withWorkers(t, 4)
+	out, err := Map([]string(nil), func(i int, s string) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("Map(nil) = %v, %v", out, err)
 	}
@@ -42,8 +55,9 @@ func TestFirstErrorByIndex(t *testing.T) {
 	// Several items fail; the reported error must always be the one with
 	// the lowest index, regardless of worker count or scheduling.
 	for _, workers := range []int{1, 2, 8} {
+		withWorkers(t, workers)
 		for trial := 0; trial < 20; trial++ {
-			err := ForEachN(workers, 50, func(i int) error {
+			err := ForEach(indexes(50), func(i int, _ struct{}) error {
 				if i == 7 || i == 8 || i == 33 {
 					return fmt.Errorf("item %d failed", i)
 				}
@@ -57,11 +71,12 @@ func TestFirstErrorByIndex(t *testing.T) {
 }
 
 func TestSequentialStopsAtFirstError(t *testing.T) {
-	// workers=1 must behave exactly like a plain loop: nothing after the
+	// One worker must behave exactly like a plain loop: nothing after the
 	// first error runs.
+	withWorkers(t, 1)
 	var ran atomic.Int64
 	boom := errors.New("boom")
-	err := ForEachN(1, 10, func(i int) error {
+	err := ForEach(indexes(10), func(i int, _ struct{}) error {
 		ran.Add(1)
 		if i == 3 {
 			return boom
@@ -79,8 +94,9 @@ func TestSequentialStopsAtFirstError(t *testing.T) {
 func TestErrorSkipsLaterItems(t *testing.T) {
 	// After a failure, not-yet-dispatched indexes are skipped: with an
 	// early error the pool should not run all 10000 items.
+	withWorkers(t, 4)
 	var ran atomic.Int64
-	err := ForEachN(4, 10000, func(i int) error {
+	err := ForEach(indexes(10000), func(i int, _ struct{}) error {
 		ran.Add(1)
 		if i == 0 {
 			return errors.New("early")
@@ -97,8 +113,9 @@ func TestErrorSkipsLaterItems(t *testing.T) {
 
 func TestBoundedConcurrency(t *testing.T) {
 	const workers = 3
+	withWorkers(t, workers)
 	var cur, peak atomic.Int64
-	err := ForEachN(workers, 200, func(i int) error {
+	err := ForEach(indexes(200), func(i int, _ struct{}) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -121,7 +138,8 @@ func TestBoundedConcurrency(t *testing.T) {
 func TestForEachPassesItems(t *testing.T) {
 	items := []string{"a", "b", "c"}
 	got := make([]string, len(items))
-	if err := ForEach(2, items, func(i int, s string) error {
+	withWorkers(t, 2)
+	if err := ForEach(items, func(i int, s string) error {
 		got[i] = s
 		return nil
 	}); err != nil {
@@ -135,20 +153,38 @@ func TestForEachPassesItems(t *testing.T) {
 }
 
 func TestDefaultWorkers(t *testing.T) {
-	orig := DefaultWorkers()
-	defer SetDefaultWorkers(orig)
+	orig := Workers()
+	defer SetWorkers(orig)
 	if orig != runtime.NumCPU() {
 		t.Errorf("initial default = %d, want NumCPU %d", orig, runtime.NumCPU())
 	}
-	SetDefaultWorkers(5)
-	if DefaultWorkers() != 5 || Resolve(0) != 5 || Resolve(-1) != 5 {
-		t.Errorf("default not applied: %d", DefaultWorkers())
+	SetWorkers(5)
+	if Workers() != 5 {
+		t.Errorf("SetWorkers(5) not applied: %d", Workers())
 	}
-	if Resolve(3) != 3 {
-		t.Errorf("Resolve(3) = %d", Resolve(3))
+	SetWorkers(0)
+	if Workers() != runtime.NumCPU() {
+		t.Errorf("reset default = %d, want NumCPU", Workers())
 	}
-	SetDefaultWorkers(0)
-	if DefaultWorkers() != runtime.NumCPU() {
-		t.Errorf("reset default = %d, want NumCPU", DefaultWorkers())
+	SetWorkers(-1)
+	if Workers() != runtime.NumCPU() {
+		t.Errorf("SetWorkers(-1) = %d, want NumCPU", Workers())
+	}
+}
+
+func TestMapLocalOnePerWorker(t *testing.T) {
+	// newLocal runs once per worker goroutine: with one worker a single
+	// local serves every item.
+	for _, workers := range []int{1, 3} {
+		withWorkers(t, workers)
+		var made atomic.Int64
+		out, err := MapLocal(indexes(50), func() *int { made.Add(1); return new(int) },
+			func(local *int, i int, _ struct{}) (int, error) { *local++; return i, nil })
+		if err != nil || len(out) != 50 || out[49] != 49 {
+			t.Fatalf("workers=%d: out = %v, err = %v", workers, out, err)
+		}
+		if m := made.Load(); m != int64(workers) {
+			t.Errorf("workers=%d: %d locals built", workers, m)
+		}
 	}
 }

@@ -74,9 +74,8 @@ type MonthAnalysis struct {
 // archive. It is the analytics-side counterpart of the generator: it sees
 // only raw data, never ground truth.
 type Engine struct {
-	inv     *netmodel.Inventory
-	arch    *nms.Archive
-	workers int // goroutines for Analyze; 0 = process default
+	inv  *netmodel.Inventory
+	arch *nms.Archive
 
 	cisco confmodel.ScratchParser
 	junos confmodel.ScratchParser
@@ -115,14 +114,6 @@ func (e *Engine) SetObs(sp *obs.Span) { e.obs = sp }
 func (e *Engine) SetCache(cfg cache.Config) {
 	e.netCache = cache.New("practices", cfg)
 }
-
-// SetWorkers bounds the goroutines Analyze uses to process networks
-// concurrently. Zero or negative uses the process default
-// (par.SetDefaultWorkers, initially all CPUs). The analysis output is
-// identical at every worker count: each network's inference is
-// independent and the per-network results are collected in inventory
-// order.
-func (e *Engine) SetWorkers(n int) { e.workers = n }
 
 // dialect returns the device's vendor dialect.
 func (e *Engine) dialect(dev *netmodel.Device) confmodel.ScratchParser {
@@ -369,7 +360,7 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 
 // Analyze runs AnalyzeNetwork for every network in the inventory, under
 // one "inference" span when a parent was attached with SetObs. Networks
-// are analyzed on up to SetWorkers goroutines (snapshot parsing is the
+// are analyzed on up to par.Workers goroutines (snapshot parsing is the
 // pipeline's dominant cost); the inventory and archive are only read, and
 // results are collected in inventory order, so the output is identical at
 // every worker count. On failure the lowest-inventory-index error is
@@ -379,7 +370,7 @@ func (e *Engine) Analyze(window []months.Month) (map[string][]MonthAnalysis, err
 	defer sp.End()
 	start := time.Now()
 	pt := obs.StartProgress("inference", int64(len(e.inv.Networks)))
-	results, err := par.MapLocal(e.workers, e.inv.Networks, newNetScratch,
+	results, err := par.MapLocal(e.inv.Networks, newNetScratch,
 		func(ns *netScratch, _ int, nw *netmodel.Network) ([]MonthAnalysis, error) {
 			ma, err := e.analyzeNetwork(nw.Name, window, sp, ns)
 			pt.Add(1)

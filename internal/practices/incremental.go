@@ -32,7 +32,7 @@ import (
 func (e *Engine) SetArchive(a *nms.Archive) { e.arch = a }
 
 // AnalyzeMonth computes the given networks' analyses for one month, in
-// input order, on up to SetWorkers goroutines. Each row equals the
+// input order, on up to par.Workers goroutines. Each row equals the
 // month's row of a full Analyze over any window containing the month.
 // Like Analyze, the output is identical at every worker count and the
 // lowest-index error wins. It always walks the snapshots and never reads
@@ -45,7 +45,7 @@ func (e *Engine) AnalyzeMonth(m months.Month, names []string) ([]MonthAnalysis, 
 	defer sp.End()
 	start := time.Now()
 	window := []months.Month{m}
-	out, err := par.MapLocal(e.workers, names, newNetScratch,
+	out, err := par.MapLocal(names, newNetScratch,
 		func(ns *netScratch, _ int, name string) (MonthAnalysis, error) {
 			nw := e.inv.Network(name)
 			if nw == nil {

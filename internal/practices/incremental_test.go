@@ -9,6 +9,7 @@ import (
 	"mpa/internal/months"
 	"mpa/internal/nms"
 	"mpa/internal/osp"
+	"mpa/internal/par"
 )
 
 // TestIncrementalMonthEquivalence pins the contract the whole ingest
@@ -149,9 +150,10 @@ func TestAnalyzeMonthOrderAndWorkers(t *testing.T) {
 	}
 
 	var ref []MonthAnalysis
+	defer par.SetWorkers(par.Workers())
 	for _, w := range []int{1, 8} {
+		par.SetWorkers(w)
 		e := NewEngine(o.Inventory, o.Archive)
-		e.SetWorkers(w)
 		rows, err := e.AnalyzeMonth(m, names)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)

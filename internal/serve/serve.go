@@ -652,21 +652,35 @@ type predictResponse struct {
 	Accuracy5      float64 `json:"model5_cv_accuracy"`
 }
 
-func (s *Server) handlePredict(sh *shard, w http.ResponseWriter, r *http.Request) {
-	network := r.URL.Query().Get("network")
+// networkMonth parses the query of /v1/predict and /v1/network: a
+// required network and an optional YYYY-MM month that defaults to the
+// last window month. On a bad query it writes the 400 and reports false;
+// an unknown network or a month outside the window is left to the
+// framework call, which the handler answers with a 404.
+func networkMonth(f *mpa.Framework, w http.ResponseWriter, r *http.Request) (string, mpa.Month, bool) {
+	q := r.URL.Query()
+	network := q.Get("network")
 	if network == "" {
 		writeError(w, http.StatusBadRequest, "missing required query parameter 'network'")
-		return
+		return "", mpa.Month{}, false
 	}
-	window := sh.f.Window()
+	window := f.Window()
 	month := window[len(window)-1]
-	if ms := r.URL.Query().Get("month"); ms != "" {
+	if ms := q.Get("month"); ms != "" {
 		t, err := time.Parse("2006-01", ms)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad month %q, want YYYY-MM", ms)
-			return
+			return "", mpa.Month{}, false
 		}
 		month = mpa.MonthOf(t)
+	}
+	return network, month, true
+}
+
+func (s *Server) handlePredict(sh *shard, w http.ResponseWriter, r *http.Request) {
+	network, month, ok := networkMonth(sh.f, w, r)
+	if !ok {
+		return
 	}
 	sp := obs.SpanFrom(r.Context())
 	c := sp.Start("predict")
@@ -729,20 +743,9 @@ func (s *Server) handleReport(sh *shard, w http.ResponseWriter, r *http.Request)
 // the heavy-traffic per-network dashboard path that stays warm across
 // ingests touching other networks — or, under sharding, other orgs.
 func (s *Server) handleNetwork(sh *shard, w http.ResponseWriter, r *http.Request) {
-	network := r.URL.Query().Get("network")
-	if network == "" {
-		writeError(w, http.StatusBadRequest, "missing required query parameter 'network'")
+	network, month, ok := networkMonth(sh.f, w, r)
+	if !ok {
 		return
-	}
-	window := sh.f.Window()
-	month := window[len(window)-1]
-	if ms := r.URL.Query().Get("month"); ms != "" {
-		t, err := time.Parse("2006-01", ms)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad month %q, want YYYY-MM", ms)
-			return
-		}
-		month = mpa.MonthOf(t)
 	}
 	sp := obs.SpanFrom(r.Context())
 	c := sp.Start("network_health")
@@ -878,7 +881,7 @@ func (s *Server) handleManifest(sh *shard, w http.ResponseWriter, r *http.Reques
 func (s *Server) handleFleetRank(w http.ResponseWriter, r *http.Request) {
 	sp := obs.SpanFrom(r.Context())
 	c := sp.Start("fleet_rank")
-	parts, err := par.Map(0, s.reg.Orgs(), func(_ int, o *tenant.Org) (tenant.RankPartial, error) {
+	parts, err := par.Map(s.reg.Orgs(), func(_ int, o *tenant.Org) (tenant.RankPartial, error) {
 		return tenant.RankPartialOf(o), nil
 	})
 	c.End()
@@ -902,7 +905,7 @@ func (s *Server) handleFleetRank(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFleetHealth(w http.ResponseWriter, r *http.Request) {
 	sp := obs.SpanFrom(r.Context())
 	c := sp.Start("fleet_health")
-	parts, err := par.Map(0, s.reg.Orgs(), func(_ int, o *tenant.Org) (tenant.HealthPartial, error) {
+	parts, err := par.Map(s.reg.Orgs(), func(_ int, o *tenant.Org) (tenant.HealthPartial, error) {
 		return tenant.HealthPartialOf(o), nil
 	})
 	c.End()

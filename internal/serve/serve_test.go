@@ -187,17 +187,28 @@ func TestPredict(t *testing.T) {
 		t.Errorf("default month = %s, want 2014-06", body.Month)
 	}
 
-	res = get(t, s, "/v1/predict", nil)
-	wantStatus(t, res, "/v1/predict (no network)", http.StatusBadRequest)
+}
 
-	res = get(t, s, "/v1/predict?network=no-such-network", nil)
-	wantStatus(t, res, "/v1/predict (unknown network)", http.StatusNotFound)
-
-	res = get(t, s, "/v1/predict?network="+network+"&month=January", nil)
-	wantStatus(t, res, "/v1/predict (bad month)", http.StatusBadRequest)
-
-	res = get(t, s, "/v1/predict?network="+network+"&month=2019-12", nil)
-	wantStatus(t, res, "/v1/predict (month out of window)", http.StatusNotFound)
+// TestNetworkMonthQueryErrors pins the error answers of the two
+// endpoints that take a network and a month: a malformed query is a 400,
+// a well-formed one naming data the org lacks is a 404.
+func TestNetworkMonthQueryErrors(t *testing.T) {
+	s := testServer(t)
+	network := testFramework(t).Dataset().Networks()[0]
+	for _, endpoint := range []string{"/v1/predict", "/v1/network"} {
+		for _, c := range []struct {
+			name, query string
+			want        int
+		}{
+			{"no network", "", http.StatusBadRequest},
+			{"bad month", "?network=" + network + "&month=January", http.StatusBadRequest},
+			{"month out of window", "?network=" + network + "&month=2019-12", http.StatusNotFound},
+			{"unknown network", "?network=no-such-network", http.StatusNotFound},
+		} {
+			path := endpoint + c.query
+			wantStatus(t, get(t, s, path, nil), endpoint+" ("+c.name+")", c.want)
+		}
+	}
 }
 
 func TestReport(t *testing.T) {

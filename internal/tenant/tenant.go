@@ -200,16 +200,16 @@ func New(orgs []*Org) (*Registry, error) {
 // Load builds and infers one synthetic framework per spec, fanning the
 // org loads out over the worker pool (cross-org loads share no state).
 // base supplies the settings a spec does not override: networks and the
-// study window (via base.Start/base.End), the change-event rate,
-// workers, and caching. Each org's disk cache tier — when one is
-// configured — lives in its own subdirectory (<dir>/orgs/<name>), so
-// tenants never share cache files even though the content-addressed
-// keys would already keep their entries distinct.
+// study window (via base.Start/base.End), the change-event rate, and
+// caching. Each org's disk cache tier — when one is configured — lives
+// in its own subdirectory (<dir>/orgs/<name>), so tenants never share
+// cache files even though the content-addressed keys would already keep
+// their entries distinct.
 func Load(specs []OrgSpec, base mpa.Config) (*Registry, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("tenant: no orgs to load")
 	}
-	orgs, err := par.Map(base.Workers, specs, func(_ int, s OrgSpec) (*Org, error) {
+	orgs, err := par.Map(specs, func(_ int, s OrgSpec) (*Org, error) {
 		if !ValidName(s.Name) {
 			return nil, fmt.Errorf("tenant: invalid org name %q", s.Name)
 		}

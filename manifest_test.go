@@ -2,6 +2,7 @@ package mpa
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mpa/internal/runinfo"
@@ -33,6 +34,9 @@ func TestManifestContents(t *testing.T) {
 	}
 	if m.Config.Seed != 5 || m.Config.Networks != 12 {
 		t.Errorf("config not recorded: %+v", m.Config)
+	}
+	if m.Config.Workers != runtime.NumCPU() {
+		t.Errorf("config.workers = %d, want the default %d", m.Config.Workers, runtime.NumCPU())
 	}
 	if m.TotalWallNS <= 0 {
 		t.Errorf("total_wall_ns = %d, want > 0", m.TotalWallNS)
@@ -101,6 +105,9 @@ func TestManifestDigestsStable(t *testing.T) {
 }
 
 func TestWriteManifest(t *testing.T) {
+	// config.workers records the width the pools ran at.
+	SetWorkers(3)
+	defer SetWorkers(0)
 	f := smallManifestFramework(t, 7)
 	path := filepath.Join(t.TempDir(), "run.json")
 	if err := f.WriteManifest(path); err != nil {
@@ -112,6 +119,9 @@ func TestWriteManifest(t *testing.T) {
 	}
 	if len(m.Stages) < 4 {
 		t.Errorf("written manifest has %d stages, want >= 4", len(m.Stages))
+	}
+	if m.Config.Workers != 3 {
+		t.Errorf("written config.workers = %d after SetWorkers(3), want 3", m.Config.Workers)
 	}
 	if m.Build.GoVersion == "" {
 		t.Error("build info missing from written manifest")

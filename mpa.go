@@ -41,6 +41,7 @@ import (
 	"mpa/internal/nms"
 	"mpa/internal/obs"
 	"mpa/internal/osp"
+	"mpa/internal/par"
 	"mpa/internal/practices"
 	"mpa/internal/qed"
 	"mpa/internal/ticketing"
@@ -120,17 +121,17 @@ type Config struct {
 	// Health overrides the ground-truth health model (zero value = use
 	// the calibrated defaults).
 	Health *HealthWeights
-	// Workers bounds the goroutines each pipeline stage (generation,
-	// inference, cross-validation folds, forest trees, experiment runs)
-	// may use. Zero or negative uses the process default — all CPUs, or
-	// whatever par.SetDefaultWorkers / mpa's -workers flag set. Every
-	// result is byte-identical at every worker count.
-	Workers int
 	// Cache places the on-disk cache of per-network inference. The zero
 	// value disables it. Results are byte-identical with the cache cold,
 	// warm, or disabled.
 	Cache CacheConfig
 }
+
+// SetWorkers sets the one process-wide worker count that every parallel
+// stage (generation, inference, cross-validation folds, forest trees,
+// experiment runs, fleet fan-out) runs at; n <= 0 resets it to all CPUs.
+// Every result is byte-identical at every worker count.
+func SetWorkers(n int) { par.SetWorkers(n) }
 
 // DefaultConfig returns the paper-scale configuration: 850 networks over
 // the 17-month study window (Aug 2013 - Dec 2014).
@@ -167,7 +168,6 @@ func (c Config) params() osp.Params {
 		End:                c.End,
 		Health:             osp.DefaultHealthWeights(),
 		MeanEventsPerMonth: c.MeanEventsPerMonth,
-		Workers:            c.Workers,
 	}
 	if c.Health != nil {
 		p.Health = *c.Health
@@ -298,10 +298,10 @@ func (f *Framework) Window() []Month { return f.environment().Window() }
 type ExperimentResult = experiments.RunResult
 
 // RunExperiments executes the given experiments (nil = all, in paper
-// order) on up to workers goroutines (0 = process default) and returns
-// the results in input order. Reports are identical at any worker count.
-func (f *Framework) RunExperiments(ids []string, workers int) []ExperimentResult {
-	return experiments.RunAll(f.environment(), ids, workers)
+// order) on up to SetWorkers goroutines and returns the results in
+// input order. Reports are identical at any worker count.
+func (f *Framework) RunExperiments(ids []string) []ExperimentResult {
+	return experiments.RunAll(f.environment(), ids)
 }
 
 // ExperimentIDs lists the reproducible tables and figures in paper order.

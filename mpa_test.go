@@ -358,7 +358,7 @@ func TestSaveAndLoadOrganization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := digestsOf(t, loaded, 0), digestsOf(t, ref, 0); !reflect.DeepEqual(got, want) {
+	if got, want := digestsOf(t, loaded), digestsOf(t, ref); !reflect.DeepEqual(got, want) {
 		t.Fatalf("report digests differ after a save/load round trip:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mpa/internal/obs"
+	"mpa/internal/par"
 	"mpa/internal/report"
 	"mpa/internal/runinfo"
 )
@@ -118,7 +119,7 @@ func (f *Framework) Manifest() *runinfo.Manifest {
 		Networks:     cfg.Networks,
 		WindowStart:  cfg.Start.String(),
 		WindowEnd:    cfg.End.String(),
-		Workers:      cfg.Workers,
+		Workers:      par.Workers(),
 		CacheEnabled: cfg.Cache.Dir != "",
 		CacheDir:     cfg.Cache.Dir,
 	}

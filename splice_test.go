@@ -27,7 +27,6 @@ import (
 	"mpa/internal/ingest"
 	"mpa/internal/obs"
 	"mpa/internal/osp"
-	"mpa/internal/par"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/splice-golden.json")
@@ -50,10 +49,10 @@ type spliceDigests struct {
 	Rank    string            `json:"rank"`
 }
 
-func digestsOf(t *testing.T, f *Framework, workers int) spliceDigests {
+func digestsOf(t *testing.T, f *Framework) spliceDigests {
 	t.Helper()
 	d := spliceDigests{Reports: map[string]string{}}
-	for _, r := range f.RunExperiments(nil, workers) {
+	for _, r := range f.RunExperiments(nil) {
 		if !r.OK {
 			t.Fatalf("experiment %s failed", r.ID)
 		}
@@ -147,7 +146,7 @@ func TestSpliceEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullDigests := digestsOf(t, full, 1)
+	fullDigests := digestsOf(t, full)
 
 	if *update {
 		b, err := json.MarshalIndent(fullDigests, "", "  ")
@@ -176,16 +175,16 @@ func TestSpliceEquivalence(t *testing.T) {
 		for _, cached := range []bool{false, true} {
 			name := fmt.Sprintf("workers=%d/cache=%v", workers, cached)
 			t.Run(name, func(t *testing.T) {
-				// NewCached and Ingest size their worker pools from the
-				// process default; pin it for this replica.
-				par.SetDefaultWorkers(workers)
-				defer par.SetDefaultWorkers(0)
+				// Every pool of the build, the ingests and the reports
+				// runs at this replica's width.
+				SetWorkers(workers)
+				defer SetWorkers(0)
 				var cc CacheConfig
 				if cached {
 					cc.Dir = t.TempDir()
 				}
 				inc, ingests := buildIncremental(t, o, cc)
-				got := digestsOf(t, inc, workers)
+				got := digestsOf(t, inc)
 				if !reflect.DeepEqual(got, golden) {
 					for id, d := range got.Reports {
 						if d != golden.Reports[id] {
@@ -222,7 +221,7 @@ func TestSpliceEquivalence(t *testing.T) {
 		if got := hits.Value() - before; got < int64(len(o.Inventory.Networks)) {
 			t.Errorf("disk-warm build took %d per-network disk hits, want >= %d", got, len(o.Inventory.Networks))
 		}
-		if got := digestsOf(t, inc, 1); !reflect.DeepEqual(got, golden) {
+		if got := digestsOf(t, inc); !reflect.DeepEqual(got, golden) {
 			t.Fatalf("disk-warm incremental framework diverged from full rebuild:\n got %+v\nwant %+v", got, golden)
 		}
 		if calls := inc.StageCalls("inference"); calls != 1 {

@@ -17,12 +17,13 @@ import (
 func TestWriteTraceParallelValidity(t *testing.T) {
 	cfg := SmallConfig(17)
 	cfg.Networks = 16
-	cfg.Workers = 8
+	SetWorkers(8)
+	defer SetWorkers(0)
 	f, err := NewSynthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range f.RunExperiments([]string{"table2", "table3", "figure2", "figure3"}, 8) {
+	for _, res := range f.RunExperiments([]string{"table2", "table3", "figure2", "figure3"}) {
 		if !res.OK {
 			t.Fatalf("experiment %s failed", res.ID)
 		}
