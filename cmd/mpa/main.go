@@ -167,12 +167,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	mpa.SetWorkers(o.workers)
-	f, err := o.execute(ctx, cmd, ids, stdout)
-	var writeTrace func(io.Writer) error
-	if f != nil {
-		writeTrace = f.WriteTrace
-	}
-	if stopErr := o.obs.Stop(writeTrace); err == nil {
+	err = o.execute(ctx, cmd, ids, stdout)
+	if stopErr := o.obs.Stop(); err == nil {
 		err = stopErr
 	}
 	if err != nil {
@@ -226,9 +222,8 @@ func (o *options) validate(cmd string) ([]string, error) {
 	return ids, nil
 }
 
-// execute runs cmd and returns the framework it built, if any, so the
-// caller can write its trace on success and failure alike.
-func (o *options) execute(ctx context.Context, cmd string, ids []string, stdout io.Writer) (*mpa.Framework, error) {
+// execute runs the subcommand cmd.
+func (o *options) execute(ctx context.Context, cmd string, ids []string, stdout io.Writer) error {
 	cfg := mpa.DefaultConfig(o.seed)
 	cfg.Networks = o.networks
 	cfg.Cache = mpa.CacheConfig{Dir: o.cacheDir}
@@ -240,14 +235,14 @@ func (o *options) execute(ctx context.Context, cmd string, ids []string, stdout 
 		for _, id := range mpa.ExperimentIDs() {
 			fmt.Fprintln(stdout, "  "+id)
 		}
-		return nil, nil
+		return nil
 	case cmd == "nextmonth":
 		// nextmonth only generates the update feed; no framework needed.
 		ups, err := mpa.NextMonths(cfg, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return nil, json.NewEncoder(stdout).Encode(ups[0])
+		return json.NewEncoder(stdout).Encode(ups[0])
 	case cmd == "serve" || cmd == "watch":
 		return o.daemon(ctx, cmd, cfg, stdout)
 	}
@@ -256,12 +251,12 @@ func (o *options) execute(ctx context.Context, cmd string, ids []string, stdout 
 		"networks", cfg.Networks, "months", o.months, "seed", cfg.Seed)
 	f, err := mpa.NewSynthetic(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := o.analyze(f, cmd, ids, stdout); err != nil {
-		return f, err
+		return err
 	}
-	return f, o.finish(cmd, f, stdout)
+	return o.finish(cmd, f)
 }
 
 // analyze runs a batch subcommand on a loaded framework.
@@ -348,7 +343,8 @@ func (o *options) analyze(f *mpa.Framework, cmd string, ids []string, stdout io.
 		fmt.Fprintln(stdout, out)
 	case "stats":
 		// Exercise the analysis stages beyond generation/inference/dataset
-		// (which ran in NewSynthetic), then print the per-stage breakdown.
+		// (which ran in NewSynthetic), then print the per-stage breakdown
+		// and the slowest stages the flight recorder holds.
 		_ = f.RankPractices()
 		if _, err := f.AnalyzeCausal(o.practice); err != nil {
 			return err
@@ -357,14 +353,18 @@ func (o *options) analyze(f *mpa.Framework, cmd string, ids []string, stdout io.
 			return err
 		}
 		fmt.Fprint(stdout, f.PipelineStats().Table())
+		fmt.Fprintln(stdout, "\nFlight recorder — slowest stages of this run:")
+		for _, s := range obs.DefaultRecorder().Slowest(10) {
+			fmt.Fprintf(stdout, "  %-28s %12s  %s\n", s.Name, time.Duration(s.DurationNS).Round(10*time.Microsecond), s.ID)
+		}
 	}
 	return nil
 }
 
 // daemon runs serve or watch over an org registry: the -orgs /
-// -orgs-config fleet, or else a registry of one default org. It returns
-// the first org's framework, whose run record the daemon reports.
-func (o *options) daemon(ctx context.Context, cmd string, cfg mpa.Config, stdout io.Writer) (*mpa.Framework, error) {
+// -orgs-config fleet, or else a registry of one default org. The first
+// org's framework is the one whose run record the daemon reports.
+func (o *options) daemon(ctx context.Context, cmd string, cfg mpa.Config, stdout io.Writer) error {
 	var mu sync.Mutex // the watcher and the replay loop print concurrently
 	printf := func(format string, a ...any) {
 		mu.Lock()
@@ -380,13 +380,13 @@ func (o *options) daemon(ctx context.Context, cmd string, cfg mpa.Config, stdout
 		specs, err = tenant.ReadConfig(o.orgsConfig)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	obs.Logger().Info("generating orgs", "orgs", len(specs),
 		"networks", cfg.Networks, "months", o.months, "seed", cfg.Seed)
 	reg, err := tenant.Load(specs, cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	srv := serve.NewSharded(reg, serve.Config{
 		Addr:          o.addr,
@@ -397,12 +397,12 @@ func (o *options) daemon(ctx context.Context, cmd string, cfg mpa.Config, stdout
 	var ups []*mpa.IngestUpdate
 	if cmd == "watch" && o.replay > 0 {
 		if ups, err = mpa.NextMonths(org.Cfg, o.replay); err != nil {
-			return org.F, err
+			return err
 		}
 	}
 	bound, err := srv.Listen()
 	if err != nil {
-		return org.F, err
+		return err
 	}
 	printf("mpa: serving %s on http://%s (SIGINT/SIGTERM to stop)\n",
 		strings.Join(reg.Names(), ", "), bound)
@@ -455,22 +455,14 @@ func (o *options) daemon(ctx context.Context, cmd string, cfg mpa.Config, stdout
 	stop()
 	wg.Wait()
 	if err != nil {
-		return org.F, err
+		return err
 	}
-	return org.F, o.finish(cmd, org.F, stdout)
+	return o.finish(cmd, org.F)
 }
 
-// finish closes a successful run: it records the framework's stage roots
-// in the flight recorder (`mpa stats` prints the slowest) and writes the
-// run manifest -manifest asked for.
-func (o *options) finish(cmd string, f *mpa.Framework, stdout io.Writer) error {
-	f.RecordStages(obs.DefaultRecorder())
-	if cmd == "stats" {
-		fmt.Fprintln(stdout, "\nFlight recorder — slowest stages of this run:")
-		for _, s := range obs.DefaultRecorder().Slowest(10) {
-			fmt.Fprintf(stdout, "  %-28s %12s  %s\n", s.Name, time.Duration(s.DurationNS).Round(10*time.Microsecond), s.ID)
-		}
-	}
+// finish closes a successful run: it writes the run manifest -manifest
+// asked for.
+func (o *options) finish(cmd string, f *mpa.Framework) error {
 	if o.obs.ManifestPath == "" {
 		return nil
 	}

@@ -35,10 +35,10 @@ type Env struct {
 	OSP      *osp.OSP
 	Analysis map[string][]practices.MonthAnalysis
 	Data     *dataset.Dataset
-	// Obs is the root span of the pipeline's observability tree; the
-	// generation/inference/dataset stages hang off it, and every
-	// experiment run adds its own child. Nil on hand-assembled Envs —
-	// all instrumentation degrades to no-ops.
+	// Obs is the pipeline's stage table (obs.NewStageTable): the
+	// generation/inference/dataset stages, every experiment run and every
+	// cold analysis fold into its per-stage rows as they end. Nil on
+	// hand-assembled Envs — all instrumentation degrades to no-ops.
 	Obs *obs.Span
 
 	// memo holds the answers to whole-organization analyses over this
@@ -84,7 +84,7 @@ func (e *Env) ReportDigests() map[string]string {
 
 // NewEnv generates an OSP, runs practice inference over the full study
 // window, and assembles the case matrix. The returned Env carries the
-// root observability span covering all three stages.
+// stage table that all three stages folded into.
 //
 // Generation and inference run their per-network loops on up to
 // par.Workers goroutines; the Env is byte-identical at every worker
@@ -98,7 +98,7 @@ func NewEnv(p osp.Params) (*Env, error) {
 // contents — cold, warm, and disabled runs are byte-identical
 // (TestCacheEquivalence).
 func NewEnvCached(p osp.Params, cc cache.Config) (*Env, error) {
-	root := obs.NewRoot("pipeline")
+	root := obs.NewStageTable("pipeline")
 	env, err := Infer(osp.GenerateObs(p, root), cc, root)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: inference failed: %w", err)
@@ -186,13 +186,13 @@ func Memoized[T any](e *Env, network, key string, compute func() (T, error)) (T,
 }
 
 // Evolve returns a new Env holding the given (spliced) data while
-// carrying over e's observability root, memo counts and the report
+// carrying over e's stage table, memo counts and the report
 // digests recorded so far. The new snapshot starts a fresh
 // whole-organization memo and fresh memos for the touched networks;
 // untouched networks share e's memos, since their answers are unchanged.
 // The incremental ingest path builds each post-update state as a fresh
 // Env and swaps it in atomically, so in-flight queries keep reading a
-// consistent snapshot; the shared root span and counts mean pipeline
+// consistent snapshot; the shared stage table and counts mean pipeline
 // stats and memo counts keep accruing across updates. The digest map is
 // copied, never shared — re-run experiments on the evolved Env overwrite
 // their entries without racing readers of the old one.
@@ -313,7 +313,7 @@ func Registry() []struct {
 }
 
 // Run executes the experiment with the given ID, or returns false. Each
-// run is recorded as an "experiment:<id>" span under the Env's root.
+// run is recorded as an "experiment:<id>" stage on the Env's stage table.
 func Run(env *Env, id string) (Report, bool) {
 	for _, entry := range Registry() {
 		if entry.ID == id {

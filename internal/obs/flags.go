@@ -52,11 +52,11 @@ func (p *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&p.DebugAddr, "debug-addr", "", "serve /debug/pprof, /debug/vars, and /metrics on `addr` (e.g. localhost:6060)")
 }
 
-// Start applies the verbosity, begins CPU profiling, and launches the
-// debug server on the shared DebugMux (never the default mux, so
-// embedders and repeated Starts cannot hit a duplicate-registration
-// panic). It returns an error when a profile file cannot be created or
-// the debug address cannot be bound.
+// Start applies the verbosity, begins CPU profiling and the trace, and
+// launches the debug server on the shared DebugMux (never the default
+// mux, so embedders and repeated Starts cannot hit a duplicate-
+// registration panic). It returns an error when a profile file cannot be
+// created or the debug address cannot be bound.
 func (p *Flags) Start() error {
 	switch {
 	case p.VeryVerbose:
@@ -66,6 +66,9 @@ func (p *Flags) Start() error {
 	}
 	if p.Progress {
 		EnableProgress()
+	}
+	if p.TracePath != "" {
+		StartTrace()
 	}
 	if p.CPUProfile != "" {
 		f, err := os.Create(p.CPUProfile)
@@ -99,12 +102,12 @@ func (p *Flags) Start() error {
 // debug server was requested.
 func (p *Flags) BoundDebugAddr() string { return p.boundAddr }
 
-// Stop finishes CPU profiling and writes the heap profile and the span
-// trace, when requested. writeTrace renders the program's span tree (e.g.
-// Framework.WriteTrace) and may be nil when no tree exists. Both outputs
-// are written atomically (temp file + rename): a failed write leaves no
-// truncated file behind.
-func (p *Flags) Stop(writeTrace func(io.Writer) error) error {
+// Stop finishes CPU profiling and writes the heap profile and the trace,
+// when requested. The trace holds every stage tree that ended on a stage
+// table since Start; when none did (no pipeline ran), no trace file is
+// written. Both outputs are written atomically (temp file + rename): a
+// failed write leaves no truncated file behind.
+func (p *Flags) Stop() error {
 	var firstErr error
 	keep := func(err error) {
 		if err != nil && firstErr == nil {
@@ -122,8 +125,12 @@ func (p *Flags) Stop(writeTrace func(io.Writer) error) error {
 			return pprof.WriteHeapProfile(w)
 		}))
 	}
-	if p.TracePath != "" && writeTrace != nil {
-		keep(writeFileAtomic(p.TracePath, "trace", writeTrace))
+	if p.TracePath != "" {
+		if roots := StopTrace(); len(roots) > 0 {
+			keep(writeFileAtomic(p.TracePath, "trace", func(w io.Writer) error {
+				return WriteChromeTrace(w, roots...)
+			}))
+		}
 	}
 	return firstErr
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,43 +14,67 @@ import (
 // TestStopTraceWriteAtomic pins the regression where a failing trace
 // export left a truncated -trace file behind: the write goes through a
 // temp file, so on failure the destination must not exist and no temp
-// files may linger.
+// files may linger. On success the file holds the stage trees that
+// ended between Start and Stop, and with no stage there is no file.
 func TestStopTraceWriteAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.json")
 	boom := errors.New("exporter failed midway")
 
-	p := &Flags{TracePath: path}
-	err := p.Stop(func(w io.Writer) error {
-		// Partial output before the failure — exactly the shape that used
-		// to leave a truncated file.
+	// Partial output before the failure — exactly the shape that used to
+	// leave a truncated file.
+	err := writeFileAtomic(path, "trace", func(w io.Writer) error {
 		fmt.Fprint(w, `{"traceEvents":[`)
 		return boom
 	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("Stop error = %v, want wrapped %v", err, boom)
+		t.Fatalf("write error = %v, want wrapped %v", err, boom)
 	}
 	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
 		t.Errorf("failed trace write left %s behind", path)
 	}
 	assertNoLeftovers(t, dir)
 
-	// Success path: the file appears with the full content.
-	p = &Flags{TracePath: path}
-	if err := p.Stop(func(w io.Writer) error {
-		_, err := io.WriteString(w, `{"traceEvents":[]}`)
-		return err
-	}); err != nil {
+	stopAfterStage := func(p *Flags) error {
+		t.Helper()
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		NewStageTable("pipeline").Start("generate").End()
+		return p.Stop()
+	}
+	if err := stopAfterStage(&Flags{TracePath: filepath.Join(dir, "no-such-subdir", "trace.json")}); err == nil {
+		t.Error("Stop succeeded writing into a missing directory")
+	}
+	assertNoLeftovers(t, dir)
+
+	// Success path: the file appears with the stage's event.
+	if err := stopAfterStage(&Flags{TracePath: path}); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != `{"traceEvents":[]}` {
-		t.Errorf("trace content = %q", data)
+	var tf traceFile
+	if err := json.Unmarshal(data, &tf); err != nil || len(tf.TraceEvents) != 1 ||
+		tf.TraceEvents[0].Name != "generate" || tf.TraceEvents[0].Ts != 0 {
+		t.Errorf("trace = %s (err %v), want the one generate stage at ts 0", data, err)
 	}
 	assertNoLeftovers(t, dir, "trace.json")
+
+	// No stage ended: no trace file.
+	empty := filepath.Join(dir, "empty.json")
+	p := &Flags{TracePath: empty}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	if _, statErr := os.Stat(empty); !os.IsNotExist(statErr) {
+		t.Error("trace written with no stage")
+	}
 }
 
 // TestStopMemProfileAtomic covers the same invariant for -memprofile:
@@ -58,7 +83,7 @@ func TestStopMemProfileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "mem.pprof")
 	p := &Flags{MemProfile: path}
-	if err := p.Stop(nil); err != nil {
+	if err := p.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
 	fi, err := os.Stat(path)
@@ -71,7 +96,7 @@ func TestStopMemProfileAtomic(t *testing.T) {
 	assertNoLeftovers(t, dir, "mem.pprof")
 
 	p = &Flags{MemProfile: filepath.Join(dir, "no-such-subdir", "mem.pprof")}
-	if err := p.Stop(nil); err == nil {
+	if err := p.Stop(); err == nil {
 		t.Error("Stop succeeded writing into a missing directory")
 	}
 }

@@ -6,16 +6,18 @@
 // unconditionally, but every primitive is engineered to cost a few
 // atomic operations (or nothing at all — all Span methods are no-ops on a
 // nil receiver), so the pipeline's hot paths pay effectively zero when no
-// span tree is wired in.
+// span is wired in.
 //
-// Three consumers sit on top:
-//
-//   - mpa.Framework.PipelineStats renders the span tree as a per-stage
-//     table (duration, allocation delta, stage counters);
-//   - WriteChromeTrace exports the tree as Chrome trace-event JSON for
-//     about:tracing / Perfetto;
-//   - expvar exposes the process-wide counter registry under the "mpa"
-//     variable for `-debug-addr` long-run monitoring.
+// A framework's lifetime root is a stage table (NewStageTable): one row
+// per stage name (calls, duration, allocation delta, summed counters)
+// and no child span, so it stays the same size however long a daemon
+// runs. mpa.Framework.PipelineStats, StageCalls and Manifest read it
+// through Span.Stages, the one fold-by-name. Each stage's finished span
+// tree is handed, as it ends, to the flight recorder (DefaultRecorder)
+// and, while a trace is on (StartTrace, the -trace flag), to the trace
+// that WriteChromeTrace exports for about:tracing / Perfetto. expvar
+// exposes the process-wide counter registry under the "mpa" variable for
+// `-debug-addr` long-run monitoring.
 package obs
 
 import (

@@ -43,13 +43,7 @@ var progressSink atomic.Pointer[ProgressSink]
 
 // SetProgressSink installs s as the process-wide progress sink; nil
 // disables progress reporting.
-func SetProgressSink(s *ProgressSink) {
-	if s == nil {
-		progressSink.Store((*ProgressSink)(nil))
-		return
-	}
-	progressSink.Store(s)
-}
+func SetProgressSink(s *ProgressSink) { progressSink.Store(s) }
 
 // EnableProgress installs a stderr sink, TTY-aware and rate-limited to
 // ten renders a second (the -progress flag).

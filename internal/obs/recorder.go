@@ -115,15 +115,6 @@ type RequestMeta struct {
 	Tenant string
 }
 
-// StageBreakdown is one row of an entry's per-stage time split: the
-// span's direct children merged by name.
-type StageBreakdown struct {
-	Name       string `json:"name"`
-	Calls      int    `json:"calls"`
-	DurationNS int64  `json:"duration_ns"`
-	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
-}
-
 // RequestSummary is one completed entry as kept in the recorder ring.
 type RequestSummary struct {
 	ID         string    `json:"id"`
@@ -138,8 +129,8 @@ type RequestSummary struct {
 	// TraceRetained reports whether the full span tree is still held
 	// (slowest / recent-error sets); filled at read time, since retention
 	// changes as later entries arrive.
-	TraceRetained bool             `json:"trace_retained"`
-	Stages        []StageBreakdown `json:"stages,omitempty"`
+	TraceRetained bool        `json:"trace_retained"`
+	Stages        []StageStat `json:"stages,omitempty"`
 }
 
 // maxStageRows caps the per-entry breakdown: the top rows by duration.
@@ -167,7 +158,11 @@ func (r *Recorder) Record(sp *Span, meta RequestMeta) RequestSummary {
 		Err:        meta.Err,
 		Slow:       meta.Slow,
 		Tenant:     meta.Tenant,
-		Stages:     stageBreakdown(sp),
+		Stages:     sp.Stages(),
+	}
+	sort.SliceStable(sum.Stages, func(i, j int) bool { return sum.Stages[i].Duration > sum.Stages[j].Duration })
+	if len(sum.Stages) > maxStageRows {
+		sum.Stages = sum.Stages[:maxStageRows]
 	}
 
 	r.mu.Lock()
@@ -250,33 +245,6 @@ func (r *Recorder) dropUnreferenced(id string, t *retainedTree) {
 	if !t.slow && !t.err {
 		delete(r.trees, id)
 	}
-}
-
-// stageBreakdown merges a span's direct children by name and returns
-// the top rows by total duration.
-func stageBreakdown(sp *Span) []StageBreakdown {
-	children := sp.Children()
-	if len(children) == 0 {
-		return nil
-	}
-	index := map[string]int{}
-	rows := make([]StageBreakdown, 0, len(children))
-	for _, c := range children {
-		i, ok := index[c.Name()]
-		if !ok {
-			i = len(rows)
-			index[c.Name()] = i
-			rows = append(rows, StageBreakdown{Name: c.Name()})
-		}
-		rows[i].Calls++
-		rows[i].DurationNS += c.Duration().Nanoseconds()
-		rows[i].AllocBytes += c.AllocBytes()
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].DurationNS > rows[j].DurationNS })
-	if len(rows) > maxStageRows {
-		rows = rows[:maxStageRows]
-	}
-	return rows
 }
 
 // Summaries returns the recorded entries, newest first, with

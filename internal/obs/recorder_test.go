@@ -107,7 +107,7 @@ func TestRecorderStageBreakdownMergedSorted(t *testing.T) {
 		t.Errorf("stage 0 = %+v, want analyze first (longest)", sum.Stages[0])
 	}
 	if sum.Stages[1].Name != "parse" || sum.Stages[1].Calls != 2 ||
-		sum.Stages[1].DurationNS != 120*int64(time.Microsecond) ||
+		sum.Stages[1].Duration != 120*time.Microsecond ||
 		sum.Stages[1].AllocBytes != 15 {
 		t.Errorf("parse rows not merged: %+v", sum.Stages[1])
 	}

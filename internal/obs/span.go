@@ -2,8 +2,9 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"runtime/metrics"
-	"sort"
 	"sync"
 	"time"
 )
@@ -18,9 +19,12 @@ import (
 // use, benchmarks) pass nil spans and pay only the nil check.
 //
 // Spans are safe for concurrent use: children may be started and counters
-// added from multiple goroutines.
+// added from multiple goroutines. A stage table (NewStageTable) is a root
+// that keeps per-stage rows instead of children.
 type Span struct {
-	name string
+	name  string
+	table *stageTable // a stage table's rows
+	owner *Span       // the stage table this stage was opened on
 
 	mu         sync.Mutex
 	start      time.Time
@@ -32,8 +36,8 @@ type Span struct {
 	children   []*Span
 }
 
-// NewRoot starts a root span. The root is the handle the rest of the tree
-// grows from; it is usually left open for the lifetime of a Framework.
+// NewRoot starts a root span that keeps its whole tree, such as one serve
+// request's span.
 func NewRoot(name string) *Span {
 	return &Span{
 		name:       name,
@@ -66,26 +70,46 @@ func (s *Span) Start(name string) *Span {
 	}
 	s.mu.Lock()
 	child.start = time.Now()
-	s.children = append(s.children, child)
+	if s.table != nil {
+		child.owner = s
+		s.table.open(name)
+	} else {
+		s.children = append(s.children, child)
+	}
 	s.mu.Unlock()
 	return child
 }
 
 // End closes the span, fixing its duration and allocation delta. Ending
-// twice keeps the first measurement.
+// twice keeps the first measurement. A stage of a stage table is then
+// folded into its row and its tree handed on (NewStageTable).
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.ended {
+		s.mu.Unlock()
 		return
 	}
 	s.ended = true
 	s.dur = time.Since(s.start)
 	if a := heapAllocBytes(); a > s.startAlloc {
 		s.alloc = a - s.startAlloc
+	}
+	dur, alloc := s.dur, s.alloc
+	s.mu.Unlock()
+	if t := s.owner; t != nil {
+		counters := s.Counters()
+		t.mu.Lock()
+		t.table.rows[t.table.index[s.name]].fold(dur, alloc, counters)
+		t.mu.Unlock()
+		DefaultRecorder().Record(s, RequestMeta{ID: fmt.Sprintf("stage-%03d-%s", stageSeq.Add(1)-1, s.name)})
+		if c := tracing.Load(); c != nil {
+			c.mu.Lock()
+			c.children = append(c.children, s)
+			c.mu.Unlock()
+		}
 	}
 }
 
@@ -158,29 +182,11 @@ func (s *Span) Counters() map[string]float64 {
 	if len(s.counters) == 0 {
 		return nil
 	}
-	out := make(map[string]float64, len(s.counters))
-	for k, v := range s.counters {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.counters)
 }
 
-// CounterNames returns the span's counter names in sorted order.
-func (s *Span) CounterNames() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	names := make([]string, 0, len(s.counters))
-	for k := range s.counters {
-		names = append(names, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	return names
-}
-
-// Children returns a copy of the span's direct children, in start order.
+// Children returns a copy of the span's direct children, in start order
+// (none on a stage table, which keeps no children).
 func (s *Span) Children() []*Span {
 	if s == nil {
 		return nil

@@ -82,7 +82,7 @@ func TestNilSpanIsSafe(t *testing.T) {
 	if s.Duration() != 0 || s.AllocBytes() != 0 || s.Counter("x") != 0 {
 		t.Fatal("nil span reported non-zero state")
 	}
-	if s.Children() != nil || s.Counters() != nil || s.CounterNames() != nil {
+	if s.Children() != nil || s.Counters() != nil {
 		t.Fatal("nil span reported non-nil collections")
 	}
 	if s.Name() != "" || s.Ended() {
@@ -116,7 +116,6 @@ func TestSpanConcurrentChildren(t *testing.T) {
 					_ = c.Duration()
 					_ = c.Ended()
 					_ = c.Counters()
-					_ = c.CounterNames()
 					_ = c.Counter("months")
 					_ = c.AllocBytes()
 					_ = c.Children()

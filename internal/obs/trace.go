@@ -4,7 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"sync/atomic"
 )
+
+// tracing keeps, as children, the stage trees that end while on (nil = off).
+var tracing atomic.Pointer[Span]
+
+// StartTrace starts keeping every stage that ends on a stage table, for
+// the trace (the -trace flag), dropping any trace already started.
+func StartTrace() { tracing.Store(NewRoot("trace")) }
+
+// StopTrace ends the trace and returns its stage trees in end order.
+func StopTrace() []*Span { return tracing.Swap(nil).Children() }
 
 // traceEvent is one Chrome trace-event ("X" = complete event). Times are
 // microseconds relative to the trace origin, per the trace-event format
@@ -26,25 +38,19 @@ type traceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace exports the span trees as Chrome trace-event JSON.
-// Every span becomes a complete ("X") event; nesting is conveyed by time
+// WriteChromeTrace exports the span trees as Chrome trace-event JSON,
+// the trees in start order and the earliest start at ts 0. Every span
+// becomes a complete ("X") event; nesting is conveyed by time
 // containment, which the viewers render as stacked slices. Span counters
 // and the allocation delta appear in the event's args (visible when a
 // slice is selected).
 func WriteChromeTrace(w io.Writer, roots ...*Span) error {
-	var origin int64
-	seen := false
-	for _, r := range roots {
-		if r == nil {
-			continue
-		}
-		if t := r.StartTime().UnixMicro(); !seen || t < origin {
-			origin, seen = t, true
-		}
-	}
-	if !seen {
+	roots = slices.DeleteFunc(slices.Clone(roots), func(r *Span) bool { return r == nil })
+	if len(roots) == 0 {
 		return fmt.Errorf("obs: no spans to trace")
 	}
+	slices.SortStableFunc(roots, func(a, b *Span) int { return a.StartTime().Compare(b.StartTime()) })
+	origin := roots[0].StartTime().UnixMicro()
 	tf := traceFile{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
 	for _, r := range roots {
 		appendEvents(&tf.TraceEvents, r, origin)

@@ -101,8 +101,8 @@ type RunConfig struct {
 	Extra        map[string]string `json:"extra,omitempty"`
 }
 
-// Stage is one pipeline stage's rollup: the per-name merge of the spans
-// directly under the root (mpa.PipelineStats).
+// Stage is one pipeline stage's rollup: one row of the framework's stage
+// table (mpa.PipelineStats).
 type Stage struct {
 	Name       string             `json:"name"`
 	Calls      int                `json:"calls"`

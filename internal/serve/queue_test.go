@@ -1,0 +1,65 @@
+package serve
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"mpa/internal/obs"
+)
+
+// TestQueueWaitRecorded: with the only slot held, a second request
+// waits for it, and the wait is part of the request: its recorder entry
+// has a queue_wait stage at least as long as the slot was held after the
+// wait began, and the entry's duration includes it.
+func TestQueueWaitRecorded(t *testing.T) {
+	rec := obs.NewRecorder(obs.RecorderConfig{})
+	s := newServer(Config{Recorder: rec, MaxInFlight: 1})
+	s.def = &shard{name: "bare"}
+	entered, release := make(chan struct{}), make(chan struct{})
+	hold := s.query("hold", func(*shard, http.ResponseWriter, *http.Request) {
+		close(entered)
+		<-release
+	})
+	quick := s.query("quick", func(_ *shard, w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, "ok")
+	})
+
+	go hold.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/hold", nil))
+	<-entered
+	done := make(chan *httptest.ResponseRecorder)
+	go func() {
+		w := httptest.NewRecorder()
+		quick.ServeHTTP(w, httptest.NewRequest("GET", "/v1/quick", nil))
+		done <- w
+	}()
+	time.Sleep(50 * time.Millisecond)
+	released := time.Now()
+	close(release)
+	w := <-done
+
+	id := w.Header().Get("X-Request-ID")
+	sum, ok := rec.Get(id)
+	if w.Code != http.StatusOK || !ok {
+		t.Fatalf("queued request: status %d, recorded %v", w.Code, ok)
+	}
+	tree := rec.Tree(id)
+	if tree == nil || len(tree.Children()) == 0 || tree.Children()[0].Name() != "queue_wait" {
+		t.Fatalf("queued request's tree lacks a leading queue_wait span")
+	}
+	held := released.Sub(tree.Children()[0].StartTime())
+	if held <= 0 {
+		t.Fatalf("the queued request began waiting after the slot was released (%v)", held)
+	}
+	var wait time.Duration
+	for _, st := range sum.Stages {
+		if st.Name == "queue_wait" {
+			wait = st.Duration
+		}
+	}
+	if wait < held || time.Duration(sum.DurationNS) < wait {
+		t.Errorf("queue_wait = %v, request = %v; want queue_wait >= the %v hold and within the request",
+			wait, time.Duration(sum.DurationNS), held)
+	}
+}

@@ -354,18 +354,25 @@ type instrumented func(w http.ResponseWriter, r *http.Request) (tenantName strin
 // resolved to a tenant, that tenant's), a request-scoped span
 // (passed down via the request context for handlers to hang stage spans
 // on), the request ID (honoring X-Request-ID / traceparent, echoed back
-// as X-Request-ID), and the tenant-labeled flight-recorder entry. A
+// as X-Request-ID), and the tenant-labeled flight-recorder entry. The
+// span starts before the request takes a slot, so queue time counts in
+// the latency histograms, /debug/slo and the recorder; a request that
+// finds every slot taken records its wait as a "queue_wait" stage. A
 // handler panic is recovered into a 500 JSON error — latency, counters,
-// and the recorder entry are still recorded. Request spans are
-// deliberately roots, not children of the framework's pipeline span:
-// attaching them to a long-lived parent would grow its child list
-// without bound under sustained traffic.
+// and the recorder entry are still recorded.
 func (s *Server) instrument(name string, h instrumented) http.Handler {
 	perEndpoint := obs.GetCounter("serve.requests." + name)
 	em := newEndpointMetrics("serve.", name)
 	s.ep[name] = em
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.sem <- struct{}{}
+		sp := obs.NewRoot("serve:" + name)
+		select {
+		case s.sem <- struct{}{}:
+		default:
+			queued := sp.Start("queue_wait")
+			s.sem <- struct{}{}
+			queued.End()
+		}
 		s.inflight.Add(1)
 		defer func() {
 			<-s.sem
@@ -373,7 +380,6 @@ func (s *Server) instrument(name string, h instrumented) http.Handler {
 		}()
 		id := obs.RequestIDFrom(r.Header.Get("traceparent"), r.Header.Get("X-Request-ID"))
 		w.Header().Set("X-Request-ID", id)
-		sp := obs.NewRoot("serve:" + name)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		var tenantName string
 		var tem *endpointMetrics
@@ -450,13 +456,13 @@ func (s *Server) fleet(name string, h http.HandlerFunc) http.Handler {
 
 // stageString renders a recorder stage breakdown for the slow-request
 // log line, e.g. "causal_analysis=41ms encode=210µs".
-func stageString(stages []obs.StageBreakdown) string {
+func stageString(stages []obs.StageStat) string {
 	if len(stages) == 0 {
 		return "-"
 	}
 	parts := make([]string, len(stages))
 	for i, st := range stages {
-		parts[i] = fmt.Sprintf("%s=%s", st.Name, time.Duration(st.DurationNS))
+		parts[i] = fmt.Sprintf("%s=%s", st.Name, st.Duration)
 	}
 	return strings.Join(parts, " ")
 }

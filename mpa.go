@@ -249,7 +249,7 @@ func NewCached(inv *Inventory, arch *Archive, tickets *TicketLog, start, end Mon
 		return nil, fmt.Errorf("mpa: end month %v precedes start %v", end, start)
 	}
 	o := &osp.OSP{Params: osp.Params{Start: start, End: end}, Inventory: inv, Archive: arch, Tickets: tickets}
-	env, err := experiments.Infer(o, cc, obs.NewRoot("pipeline"))
+	env, err := experiments.Infer(o, cc, obs.NewStageTable("pipeline"))
 	if err != nil {
 		return nil, err
 	}

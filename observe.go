@@ -2,7 +2,6 @@ package mpa
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -13,21 +12,9 @@ import (
 	"mpa/internal/runinfo"
 )
 
-// StageStat aggregates one pipeline stage's observability data. Stages
-// that ran more than once (e.g. repeated MI rankings or model trainings)
-// are merged: durations, allocations, and counters sum across calls.
-type StageStat struct {
-	// Name is the span name, e.g. "generate" or "mi_ranking".
-	Name string
-	// Calls is how many spans with this name ran directly under the root.
-	Calls int
-	// Duration is the total wall-clock time across calls.
-	Duration time.Duration
-	// AllocBytes is the total heap allocation across calls.
-	AllocBytes uint64
-	// Counters holds the stage's counters summed across calls.
-	Counters map[string]float64
-}
+// StageStat is one pipeline stage's row: every call of the stage (e.g.
+// repeated MI rankings or model trainings) merged.
+type StageStat = obs.StageStat
 
 // PipelineStats is the per-stage breakdown of everything the framework has
 // run so far.
@@ -39,36 +26,12 @@ type PipelineStats struct {
 	Stages []StageStat
 }
 
-// PipelineStats summarizes the framework's observability tree: one row
-// per pipeline stage with total time, allocation, and counters. Stages
+// PipelineStats returns the framework's stage table: one row per
+// pipeline stage with total time, allocation, and counters. Stages
 // accrue as the framework runs, so call it after the work of interest.
 func (f *Framework) PipelineStats() PipelineStats {
-	ps := PipelineStats{}
 	root := f.environment().Obs
-	if root == nil {
-		return ps
-	}
-	ps.Total = root.Duration()
-	index := map[string]int{}
-	for _, c := range root.Children() {
-		i, ok := index[c.Name()]
-		if !ok {
-			i = len(ps.Stages)
-			index[c.Name()] = i
-			ps.Stages = append(ps.Stages, StageStat{
-				Name:     c.Name(),
-				Counters: map[string]float64{},
-			})
-		}
-		st := &ps.Stages[i]
-		st.Calls++
-		st.Duration += c.Duration()
-		st.AllocBytes += c.AllocBytes()
-		for k, v := range c.Counters() {
-			st.Counters[k] += v
-		}
-	}
-	return ps
+	return PipelineStats{Total: root.Duration(), Stages: root.Stages()}
 }
 
 // Table renders the stats as a fixed-width table: one row per stage with
@@ -87,22 +50,17 @@ func (ps PipelineStats) Table() string {
 	return b.String()
 }
 
-// StageCalls returns how many spans named stage have run directly under
-// the framework's root — e.g. StageCalls("inference") is 1 after
-// construction and must stay 1 however many warm queries run. Serve-mode
-// tests pin the no-recomputation guarantee with it.
+// StageCalls returns how many stages named stage the framework has
+// started — e.g. StageCalls("inference") is 1 after construction and
+// must stay 1 however many warm queries run. Serve-mode tests pin the
+// no-recomputation guarantee with it.
 func (f *Framework) StageCalls(stage string) int {
-	root := f.environment().Obs
-	if root == nil {
-		return 0
-	}
-	n := 0
-	for _, c := range root.Children() {
-		if c.Name() == stage {
-			n++
+	for _, st := range f.environment().Obs.Stages() {
+		if st.Name == stage {
+			return st.Calls
 		}
 	}
-	return n
+	return 0
 }
 
 // Manifest builds the run manifest for everything the framework has run
@@ -145,35 +103,6 @@ func (f *Framework) Manifest() *runinfo.Manifest {
 // flag).
 func (f *Framework) WriteManifest(path string) error {
 	return f.Manifest().Write(path)
-}
-
-// RecordStages records every pipeline stage span that has run directly
-// under the framework's root into the flight recorder r, one entry per
-// stage call (IDs "stage-<index>-<name>", in execution order). The
-// mpa command calls it on the way out so `mpa stats` can print the slowest
-// stages of the last run, the run manifest carries a recorder snapshot,
-// and a batch run's -debug-addr serves /debug/requests over the same
-// data. Safe to call with a nil recorder or an un-instrumented
-// framework (no-op).
-func (f *Framework) RecordStages(r *obs.Recorder) {
-	root := f.environment().Obs
-	if root == nil || r == nil {
-		return
-	}
-	for i, c := range root.Children() {
-		r.Record(c, obs.RequestMeta{ID: fmt.Sprintf("stage-%03d-%s", i, c.Name())})
-	}
-}
-
-// WriteTrace writes the framework's span tree as Chrome trace-event JSON,
-// loadable in about:tracing or Perfetto. Open spans (the root) are
-// rendered with their elapsed-so-far duration.
-func (f *Framework) WriteTrace(w io.Writer) error {
-	root := f.environment().Obs
-	if root == nil {
-		return fmt.Errorf("mpa: framework has no observability tree")
-	}
-	return obs.WriteChromeTrace(w, root)
 }
 
 // formatDuration rounds to a human scale: microseconds under 1ms,

@@ -3,34 +3,42 @@ package mpa
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"mpa/internal/obs"
 )
 
-// TestWriteTraceParallelValidity pins the trace-export contract under a
-// fully parallel run (workers=8 across generation, inference, and the
-// experiment fan-out): the output is well-formed Chrome trace-event
-// JSON, every event is a complete ("X") event with sane timestamps, and
-// sibling spans appear in monotone start-time order — the property
-// Span.Start guarantees by timestamping under the parent's lock.
+// TestWriteTraceParallelValidity pins the -trace contract under a fully
+// parallel run (workers=8 across generation, inference, and the
+// experiment fan-out), on the path -trace takes: the process-wide
+// collector keeps every stage tree as it ends, and the trees are written
+// as one Chrome trace. The output is well-formed trace-event JSON, every
+// event is a complete ("X") event with sane timestamps, the first event
+// is the earliest stage at the origin, and sibling spans appear in
+// monotone start-time order — the property Span.Start guarantees by
+// timestamping under the parent's lock.
 func TestWriteTraceParallelValidity(t *testing.T) {
 	cfg := SmallConfig(17)
 	cfg.Networks = 16
 	SetWorkers(8)
 	defer SetWorkers(0)
+	obs.StartTrace()
+	defer obs.StopTrace() // on a failure path; after the StopTrace below it is a no-op
 	f, err := NewSynthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range f.RunExperiments([]string{"table2", "table3", "figure2", "figure3"}) {
+	results := f.RunExperiments([]string{"table2", "table3", "figure2", "figure3"})
+	roots := obs.StopTrace()
+	for _, res := range results {
 		if !res.OK {
 			t.Fatalf("experiment %s failed", res.ID)
 		}
 	}
 
 	var buf bytes.Buffer
-	if err := f.WriteTrace(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf, roots...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -47,11 +55,11 @@ func TestWriteTraceParallelValidity(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
 		t.Fatalf("trace is not well-formed JSON: %v", err)
 	}
-	if len(tf.TraceEvents) < 1+16+16+4 { // root + per-network generate + inference + experiments
-		t.Fatalf("trace has %d events, want at least %d", len(tf.TraceEvents), 1+16+16+4)
+	if len(tf.TraceEvents) < 3+16+16+4 { // stages + per-network generate + inference + experiments
+		t.Fatalf("trace has %d events, want at least %d", len(tf.TraceEvents), 3+16+16+4)
 	}
-	if tf.TraceEvents[0].Name != "pipeline" || tf.TraceEvents[0].Ts != 0 {
-		t.Errorf("first event = %q ts=%d, want the pipeline root at the origin",
+	if tf.TraceEvents[0].Name != "generate" || tf.TraceEvents[0].Ts != 0 {
+		t.Errorf("first event = %q ts=%d, want the generate stage at the origin",
 			tf.TraceEvents[0].Name, tf.TraceEvents[0].Ts)
 	}
 	for i, ev := range tf.TraceEvents {
@@ -63,7 +71,29 @@ func TestWriteTraceParallelValidity(t *testing.T) {
 		}
 	}
 
-	// Walk the span tree itself: children sorted by start time even
+	// The stages are written in start order, whatever order they ended in.
+	origin := roots[0].StartTime().UnixMicro()
+	for _, r := range roots {
+		origin = min(origin, r.StartTime().UnixMicro())
+	}
+	stageTs := map[string]bool{}
+	for _, r := range roots {
+		stageTs[fmt.Sprint(r.Name(), r.StartTime().UnixMicro()-origin)] = true
+	}
+	if len(roots) != len(stageTs) {
+		t.Fatalf("%d stages share a name and start", len(roots)-len(stageTs))
+	}
+	last := int64(-1)
+	for _, ev := range tf.TraceEvents {
+		if stageTs[fmt.Sprint(ev.Name, ev.Ts)] {
+			if ev.Ts < last {
+				t.Errorf("stage %s at ts %d written after a stage at ts %d", ev.Name, ev.Ts, last)
+			}
+			last = ev.Ts
+		}
+	}
+
+	// Walk the span trees themselves: children sorted by start time even
 	// though 8 workers opened them concurrently, and no child starts
 	// before its parent.
 	var walk func(s *obs.Span)
@@ -80,5 +110,7 @@ func TestWriteTraceParallelValidity(t *testing.T) {
 			walk(c)
 		}
 	}
-	walk(f.environment().Obs)
+	for _, r := range roots {
+		walk(r)
+	}
 }
