@@ -461,12 +461,12 @@ func (o *options) daemon(ctx context.Context, cmd string, cfg mpa.Config, stdout
 }
 
 // finish closes a successful run: it writes the run manifest -manifest
-// asked for.
+// asked for, process sections included.
 func (o *options) finish(cmd string, f *mpa.Framework) error {
 	if o.obs.ManifestPath == "" {
 		return nil
 	}
-	m := f.Manifest()
+	m := f.Manifest().AddProcess()
 	m.Config.Extra = map[string]string{"command": "mpa " + cmd}
 	return m.Write(o.obs.ManifestPath)
 }

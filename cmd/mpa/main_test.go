@@ -233,6 +233,18 @@ func TestManifest(t *testing.T) {
 	if _, ok := m.Reports["table3"]; !ok {
 		t.Errorf("manifest reports %v lack table3", m.Reports)
 	}
+	// The run artifact carries the process sections: the registry
+	// snapshot (with the query memo's hit/miss counters), runtime state
+	// and the flight recorder the run's stages landed in.
+	if m.Metrics == nil || m.Runtime == nil || m.Recorder == nil {
+		t.Fatalf("manifest lacks process sections: metrics %v, runtime %v, recorder %v",
+			m.Metrics != nil, m.Runtime != nil, m.Recorder != nil)
+	}
+	for _, name := range []string{"cache.query.mem_hits", "cache.query.mem_misses"} {
+		if _, ok := m.Metrics.Counters[name]; !ok {
+			t.Errorf("counter %q missing from the manifest metrics snapshot", name)
+		}
+	}
 }
 
 func TestServe(t *testing.T) {

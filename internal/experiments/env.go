@@ -244,6 +244,10 @@ type Report struct {
 	Text string
 	// Numbers carries the key quantities for programmatic assertions.
 	Numbers map[string]float64
+
+	// digest is Digest's value, filled by Run so that a memoized report
+	// is hashed once however often it is served.
+	digest string
 }
 
 // Digest returns the SHA-256 hex digest of the report's full content —
@@ -251,8 +255,12 @@ type Report struct {
 // are length-framed so no two distinct reports collide by field
 // shifting. A deterministic pipeline must produce byte-identical
 // digests for identical configs; run manifests record them so two runs
-// can be diffed.
+// can be diffed. A report Run returned was hashed when it ran, and is
+// read-only like every memoized answer.
 func (r Report) Digest() string {
+	if r.digest != "" {
+		return r.digest
+	}
 	h := sha256.New()
 	frame := func(s string) {
 		fmt.Fprintf(h, "%d:", len(s))
@@ -320,6 +328,7 @@ func Run(env *Env, id string) (Report, bool) {
 			sp := env.Obs.Start("experiment:" + id)
 			r := entry.Run(env)
 			sp.End()
+			r.digest = r.Digest()
 			env.recordDigest(id, r)
 			obs.GetCounter("experiments.runs").Add(1)
 			obs.Logger().Debug("experiment complete", "id", id, "elapsed", sp.Duration())

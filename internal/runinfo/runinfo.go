@@ -3,11 +3,19 @@
 // the exact code and configuration that produced it — build info (VCS
 // revision, Go version), the run's config (seed, window, workers, cache
 // settings), the per-stage span rollup (wall time, allocation,
-// counters, cache hits/misses), a snapshot of the whole metric
-// registry, runtime/GC statistics, and a SHA-256 digest of every
+// counters, cache hits/misses) and a SHA-256 digest of every
 // experiment report the run produced. Two runs of the same revision and
 // config must produce byte-identical report digests; anything else is a
 // determinism bug.
+//
+// New builds the per-organization description: everything above, and
+// nothing that belongs to the process. AddProcess adds the
+// process-wide sections — the whole metric registry, runtime/GC state
+// and the flight recorder — for a run artifact (mpa's -manifest file).
+// A daemon serves the per-org description at /v1/manifest and the
+// process sections live at /metrics, /debug/slo and /debug/requests, so
+// one org's manifest never shows another org's requests or series and
+// does not grow with traffic.
 //
 // # Schema (mpa.run-manifest/v1)
 //
@@ -19,19 +27,20 @@
 //	                 cache_enabled, cache_dir?, extra?},
 //	  "total_wall_ns": root-span age in nanoseconds,
 //	  "stages":     [{name, calls, wall_ns, alloc_bytes, counters?}, ...],
-//	  "metrics":    {counters, gauges, log_histograms?} —
+//	  "metrics":    {counters, gauges, log_histograms?}? — process only:
 //	                the obs registry,
 //	  "runtime":    {gomaxprocs, num_cpu, heap_objects_bytes,
 //	                 heap_sys_bytes, total_alloc_bytes, gc_cycles,
-//	                 gc_pause_total_ns},
+//	                 gc_pause_total_ns}? — process only,
 //	  "report_digests": {experiment-id: sha256-hex, ...},
-//	  "recorder":   {requests, retained_traces, logs}? — the process
-//	                flight recorder (obs.RecorderSnapshot): recent
-//	                request/stage summaries, the IDs whose span trees
-//	                are retained, and recent Warn/Error log records
+//	  "recorder":   {requests, retained_traces, logs}? — process only:
+//	                the process flight recorder (obs.RecorderSnapshot):
+//	                recent request/stage summaries, the IDs whose span
+//	                trees are retained, and recent Warn/Error log records
 //	}
 //
-// Optional fields marked ? are omitted when empty. Validate enforces the
+// Optional fields marked ? are omitted when empty; the three marked
+// process only appear only after AddProcess. Validate enforces the
 // invariants the schema promises; cmd/mpa-benchdiff consumes manifests
 // (stage wall times) interchangeably with bench.sh baselines.
 package runinfo
@@ -43,6 +52,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"mpa/internal/obs"
@@ -52,24 +62,27 @@ import (
 const Schema = "mpa.run-manifest/v1"
 
 // Manifest is one run's record. Build a skeleton with New, fill Config,
-// Stages, TotalWallNS, and Reports from the pipeline that ran, then
-// Write it.
+// Stages, TotalWallNS, and Reports from the pipeline that ran, add the
+// process sections with AddProcess for a run artifact, then Write it.
 type Manifest struct {
-	Schema      string              `json:"schema"`
-	CreatedAt   time.Time           `json:"created_at"`
-	Build       BuildInfo           `json:"build"`
-	Config      RunConfig           `json:"config"`
-	TotalWallNS int64               `json:"total_wall_ns"`
-	Stages      []Stage             `json:"stages"`
-	Metrics     obs.MetricsSnapshot `json:"metrics"`
-	Runtime     RuntimeSnapshot     `json:"runtime"`
+	Schema      string    `json:"schema"`
+	CreatedAt   time.Time `json:"created_at"`
+	Build       BuildInfo `json:"build"`
+	Config      RunConfig `json:"config"`
+	TotalWallNS int64     `json:"total_wall_ns"`
+	Stages      []Stage   `json:"stages"`
+	// Metrics snapshots the whole obs registry (AddProcess only).
+	Metrics *obs.MetricsSnapshot `json:"metrics,omitempty"`
+	// Runtime records process memory and GC state (AddProcess only).
+	Runtime *RuntimeSnapshot `json:"runtime,omitempty"`
 	// Reports maps experiment IDs to the SHA-256 hex digest of the
 	// rendered report (experiments.Report.Digest). Digests are
 	// byte-stable across identical runs.
 	Reports map[string]string `json:"report_digests,omitempty"`
 	// Recorder snapshots the process flight recorder — recent
 	// request/stage summaries, retained-trace IDs, and recent Warn/Error
-	// log records — when anything was recorded; absent otherwise.
+	// log records — when AddProcess found anything recorded; absent
+	// otherwise.
 	Recorder *obs.RecorderSnapshot `json:"recorder,omitempty"`
 }
 
@@ -125,27 +138,37 @@ type RuntimeSnapshot struct {
 	GCPauseTotalNS   uint64 `json:"gc_pause_total_ns"`
 }
 
-// New returns a manifest stamped with the current time, build info,
-// runtime state, and a snapshot of the whole obs metric registry (which
-// carries the cache hit/miss counters among everything else). The
-// caller fills Config, TotalWallNS, Stages, and Reports.
+// New returns a manifest stamped with the current time and build info.
+// The caller fills Config, TotalWallNS, Stages, and Reports.
 func New() *Manifest {
-	m := &Manifest{
+	return &Manifest{
 		Schema:    Schema,
 		CreatedAt: time.Now().UTC(),
 		Build:     CollectBuild(),
-		Metrics:   obs.SnapshotMetrics(),
-		Runtime:   CollectRuntime(),
 	}
+}
+
+// AddProcess adds the process-wide sections a run artifact carries: a
+// snapshot of the whole obs metric registry (the cache hit/miss counters
+// among everything else), runtime/GC state (a stop-the-world
+// ReadMemStats), and the flight recorder when it holds anything. It
+// returns m.
+func (m *Manifest) AddProcess() *Manifest {
+	metrics := obs.SnapshotMetrics()
+	rt := CollectRuntime()
+	m.Metrics, m.Runtime = &metrics, &rt
 	if snap := obs.DefaultRecorder().Snapshot(); len(snap.Requests) > 0 || len(snap.Logs) > 0 {
 		m.Recorder = &snap
 	}
 	return m
 }
 
-// CollectBuild reads the binary's build information. Absent VCS stamps
-// (test binaries, go run) leave the revision fields empty.
-func CollectBuild() BuildInfo {
+// CollectBuild returns the binary's build information, read once per
+// process. Absent VCS stamps (test binaries, go run) leave the revision
+// fields empty.
+func CollectBuild() BuildInfo { return buildInfo() }
+
+var buildInfo = sync.OnceValue(func() BuildInfo {
 	b := BuildInfo{GoVersion: runtime.Version()}
 	info, ok := debug.ReadBuildInfo()
 	if !ok {
@@ -163,7 +186,7 @@ func CollectBuild() BuildInfo {
 		}
 	}
 	return b
-}
+})
 
 // CollectRuntime snapshots memory and GC statistics.
 func CollectRuntime() RuntimeSnapshot {

@@ -38,17 +38,27 @@ func TestNewFillsProvenance(t *testing.T) {
 	if m.Build.GoVersion == "" {
 		t.Error("Build.GoVersion is empty")
 	}
-	if m.Runtime.GoMaxProcs < 1 || m.Runtime.NumCPU < 1 {
+	// New describes the run, not the process: the process-wide sections
+	// appear only after AddProcess.
+	if m.Metrics != nil || m.Runtime != nil || m.Recorder != nil {
+		t.Errorf("New captured process sections: metrics %v, runtime %v, recorder %v",
+			m.Metrics != nil, m.Runtime != nil, m.Recorder != nil)
+	}
+	if m.AddProcess() != m {
+		t.Fatal("AddProcess does not return its manifest")
+	}
+	if m.Runtime == nil || m.Runtime.GoMaxProcs < 1 || m.Runtime.NumCPU < 1 {
 		t.Errorf("Runtime = %+v, want populated", m.Runtime)
 	}
-	if m.Metrics.Counters == nil {
+	if m.Metrics == nil || m.Metrics.Counters == nil {
 		t.Error("Metrics snapshot not taken")
 	}
 }
 
+// TestNewSnapshotsRegistry: AddProcess snapshots the whole registry.
 func TestNewSnapshotsRegistry(t *testing.T) {
 	obs.GetCounter("runinfo_test.events").Add(5)
-	m := New()
+	m := New().AddProcess()
 	if got := m.Metrics.Counters["runinfo_test.events"]; got != 5 {
 		t.Errorf("manifest counter = %d, want 5", got)
 	}
@@ -137,7 +147,7 @@ func TestReadRejectsTruncated(t *testing.T) {
 }
 
 // TestRecorderSection: once anything lands in the process flight
-// recorder, New embeds a snapshot under "recorder", it round-trips
+// recorder, AddProcess embeds a snapshot under "recorder", it round-trips
 // through Write/Read, and Validate rejects malformed entries.
 func TestRecorderSection(t *testing.T) {
 	sp := obs.NewRoot("runinfo_test_stage")
@@ -146,7 +156,10 @@ func TestRecorderSection(t *testing.T) {
 
 	m := sample()
 	m.Recorder = nil // sample() may or may not have seen the record above
-	m2 := New()
+	if New().Recorder != nil {
+		t.Fatal("New embedded the process recorder")
+	}
+	m2 := New().AddProcess()
 	if m2.Recorder == nil {
 		t.Fatal("manifest missing recorder section after a recorded stage")
 	}
@@ -187,7 +200,7 @@ func TestRecorderSection(t *testing.T) {
 // TestSchemaFieldNames pins the documented wire names: renames are
 // schema breaks and must bump the version.
 func TestSchemaFieldNames(t *testing.T) {
-	data, err := json.Marshal(sample())
+	data, err := json.Marshal(sample().AddProcess())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@
 //	GET /v1/predict?network=N&month=M  health prediction for one network-month
 //	GET /v1/network?network=N&month=M  per-network-month health summary (warm per-network memo)
 //	GET /v1/report/{name}              one of the 24 experiment reports, digest-stamped
-//	GET /v1/manifest                   run manifest for the loaded state
+//	GET /v1/manifest                   the org's run manifest: build, config, stages, report digests
 //	POST /v1/ingest                    apply one month of new snapshots/tickets in place
 //	GET /v1/stream                     SSE feed of per-network deltas + refreshed rankings
 //	GET /v1/fleet/rank                 cross-org merged practice ranking
@@ -467,13 +467,23 @@ func stageString(stages []obs.StageStat) string {
 	return strings.Join(parts, " ")
 }
 
-// writeJSON renders one response body.
+// writeJSON renders one response body: v marshaled, then indented by
+// two spaces and newline-terminated, as json.Encoder with
+// SetIndent("", "  ") writes it. v is marshaled before the status line
+// goes out, so a value that cannot be encoded (a NaN or ±Inf float)
+// answers a 500 JSON error rather than a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		obs.Logger().Error("serve: encode response", "err", err)
+		code = http.StatusInternalServerError
+		b, _ = json.Marshal(errorResponse{Error: "encode response: " + err.Error()})
+	}
+	out := appendIndent(make([]byte, 0, len(b)+len(b)/2+1), b)
+	out = append(out, '\n')
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(out)
 }
 
 // errorResponse is the uniform error body.

@@ -25,7 +25,7 @@ var (
 	framework     *mpa.Framework
 )
 
-func testFramework(t *testing.T) *mpa.Framework {
+func testFramework(t testing.TB) *mpa.Framework {
 	t.Helper()
 	frameworkOnce.Do(func() {
 		cfg := mpa.SmallConfig(5)
@@ -45,7 +45,7 @@ const testOrg = "default"
 
 // oneOrgServer serves f as a registry of one org: the shape of every
 // single-org daemon.
-func oneOrgServer(t *testing.T, f *mpa.Framework, cfg serve.Config) *serve.Server {
+func oneOrgServer(t testing.TB, f *mpa.Framework, cfg serve.Config) *serve.Server {
 	t.Helper()
 	reg, err := tenant.New([]*tenant.Org{{Name: testOrg, F: f}})
 	if err != nil {

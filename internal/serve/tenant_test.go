@@ -549,3 +549,65 @@ func TestOneOrgDaemon(t *testing.T) {
 		t.Errorf("recorder tenant = %q, want %s", sum.Tenant, testOrg)
 	}
 }
+
+// TestManifestIsPerOrg: an org's /v1/manifest describes that org and
+// nothing process-wide. On a 2-org daemon recording into the process
+// flight recorder, as `mpa serve` does, org a's manifest names no
+// request ID and no serve.tenant.<b> series, carries no metrics,
+// recorder or runtime section, and does not grow with traffic.
+func TestManifestIsPerOrg(t *testing.T) {
+	reg := loadShardedRegistry(t, "north=31:4:2,south=32:4:2", 3)
+	s := serve.NewSharded(reg, serve.Config{})
+	traffic := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			org := []string{"north", "south"}[i%2]
+			id := fmt.Sprintf("per-org-%s-%d", org, i)
+			if code, body := raw(t, s, http.MethodGet, "/v1/orgs/"+org+"/rank",
+				map[string]string{"X-Request-ID": id}, nil); code != http.StatusOK {
+				t.Fatalf("%s rank: %d (%s)", org, code, body)
+			}
+		}
+	}
+	// manifest checks north's manifest and returns its size: its length
+	// less its two clock readings, whose widths vary by a digit or so
+	// between any two calls.
+	manifest := func() int {
+		t.Helper()
+		code, body := raw(t, s, http.MethodGet, "/v1/orgs/north/manifest", nil, nil)
+		if code != http.StatusOK {
+			t.Fatalf("manifest: %d (%s)", code, body)
+		}
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(body, &top); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"metrics", "recorder", "runtime"} {
+			if _, ok := top[key]; ok {
+				t.Errorf("org manifest carries the process section %q", key)
+			}
+		}
+		if bytes.Contains(body, []byte("per-org-")) {
+			t.Error("org manifest names request IDs")
+		}
+		if bytes.Contains(body, []byte("serve.tenant.south")) {
+			t.Error("north's manifest exposes south's serve.tenant.south series")
+		}
+		var cfg struct {
+			Config struct {
+				Seed uint64 `json:"seed"`
+			} `json:"config"`
+		}
+		if err := json.Unmarshal(body, &cfg); err != nil || cfg.Config.Seed != 31 {
+			t.Errorf("manifest config seed = %d (%v), want north's 31", cfg.Config.Seed, err)
+		}
+		return len(body) - len(top["created_at"]) - len(top["total_wall_ns"])
+	}
+
+	traffic(0, 10)
+	after10 := manifest()
+	traffic(10, 1010)
+	if after1010 := manifest(); after1010 != after10 {
+		t.Errorf("manifest size %d after 1,010 requests, %d after 10: it grows with traffic", after1010, after10)
+	}
+}

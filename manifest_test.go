@@ -65,12 +65,12 @@ func TestManifestContents(t *testing.T) {
 		t.Errorf("generate counters not rolled up: %+v", st.Counters)
 	}
 
-	// The registry snapshot must include the query memo's hit/miss
-	// counters.
-	for _, name := range []string{"cache.query.mem_hits", "cache.query.mem_misses"} {
-		if _, ok := m.Metrics.Counters[name]; !ok {
-			t.Errorf("counter %q missing from the manifest metrics snapshot", name)
-		}
+	// The manifest describes this framework only: the process-wide
+	// registry, runtime and recorder go to the written -manifest file
+	// (cmd/mpa's TestManifest pins them there).
+	if m.Metrics != nil || m.Runtime != nil || m.Recorder != nil {
+		t.Errorf("manifest carries process sections: metrics %v, runtime %v, recorder %v",
+			m.Metrics != nil, m.Runtime != nil, m.Recorder != nil)
 	}
 
 	if len(m.Reports) != 3 {

@@ -65,10 +65,12 @@ func (f *Framework) StageCalls(stage string) int {
 
 // Manifest builds the run manifest for everything the framework has run
 // so far: build info, the run's config, the per-stage rollup of
-// PipelineStats, a snapshot of the process metric registry (including
-// the cache hit/miss counters), runtime/GC state, and the SHA-256
-// digest of every experiment report produced. Like PipelineStats, it
-// reflects the work done up to the call — build it last.
+// PipelineStats, and the SHA-256 digest of every experiment report
+// produced. It describes this framework (one org of a daemon) and
+// nothing process-wide; AddProcess adds the metric registry, runtime/GC
+// state and flight recorder for a run artifact, as WriteManifest does.
+// Like PipelineStats, it reflects the work done up to the call — build
+// it last.
 func (f *Framework) Manifest() *runinfo.Manifest {
 	m := runinfo.New()
 	cfg := f.config() // snapshot: Ingest advances the window end
@@ -99,10 +101,10 @@ func (f *Framework) Manifest() *runinfo.Manifest {
 	return m
 }
 
-// WriteManifest writes the run manifest to path (mpa's -manifest
-// flag).
+// WriteManifest writes the run manifest, with its process sections, to
+// path (mpa's -manifest flag).
 func (f *Framework) WriteManifest(path string) error {
-	return f.Manifest().Write(path)
+	return f.Manifest().AddProcess().Write(path)
 }
 
 // formatDuration rounds to a human scale: microseconds under 1ms,

@@ -16,9 +16,12 @@
 # benchmarks (BenchmarkParseSnapshot*, a full parse;
 # BenchmarkParseNext*, the incremental parse of a snapshot given its
 # predecessor; BenchmarkDiffPair*), BenchmarkTable3, BenchmarkSection61,
-# the causal analyses BenchmarkTable7 and BenchmarkTable8, and the two
-# heaviest analyses, BenchmarkFigure8 and BenchmarkTable9, with
-# -count (default 10) repetitions each and writes
+# the causal analyses BenchmarkTable7 and BenchmarkTable8, the two
+# heaviest analyses, BenchmarkFigure8 and BenchmarkTable9, and
+# BenchmarkServeWarm/<endpoint> in internal/serve (one warm /v1 read of
+# rank, network, predict, causal, report and manifest through the
+# daemon's handler: instrumentation, routing, memo hit, JSON encoding),
+# with -count (default 10) repetitions each and writes
 # BENCH_<YYYY-MM-DD>.json in the repo root: one object per benchmark run
 # with ns/op, B/op, and allocs/op, plus the host's CPU count and the
 # GOMAXPROCS/worker setting in effect. Compare two baselines with e.g.
@@ -27,7 +30,8 @@
 #
 # Benchmarks run at the process-default worker count (all CPUs). Set
 # MPA_BENCH_ARGS to pass extra go-test flags, e.g.
-# MPA_BENCH_ARGS='-cpuprofile cpu.out'. Set MPA_BENCH_OUT to override
+# MPA_BENCH_ARGS='-cpuprofile cpu.out' (written by each package's run
+# in turn, so the internal/serve profile is the one left). Set MPA_BENCH_OUT to override
 # the output path (CI writes to a scratch file and gates it against
 # testdata/bench-baseline.json with cmd/mpa-benchdiff).
 set -euo pipefail
@@ -35,15 +39,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 count="${1:-10}"
-pattern='^(BenchmarkGenerate|BenchmarkInference|BenchmarkInferenceWarmCache|BenchmarkIngestDecode|BenchmarkIngestMonth|BenchmarkParseSnapshotCisco|BenchmarkParseSnapshotJunos|BenchmarkParseNextCisco|BenchmarkParseNextJunos|BenchmarkDiffPairCisco|BenchmarkDiffPairJunos|BenchmarkTable3|BenchmarkTable7|BenchmarkTable8|BenchmarkSection61|BenchmarkFigure8|BenchmarkTable9)$'
+pattern='^(BenchmarkGenerate|BenchmarkInference|BenchmarkInferenceWarmCache|BenchmarkIngestDecode|BenchmarkIngestMonth|BenchmarkParseSnapshotCisco|BenchmarkParseSnapshotJunos|BenchmarkParseNextCisco|BenchmarkParseNextJunos|BenchmarkDiffPairCisco|BenchmarkDiffPairJunos|BenchmarkTable3|BenchmarkTable7|BenchmarkTable8|BenchmarkSection61|BenchmarkFigure8|BenchmarkTable9|BenchmarkServeWarm)$'
 out="${MPA_BENCH_OUT:-BENCH_$(date +%F).json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 echo "running stage benchmarks (count=$count) ..." >&2
-# shellcheck disable=SC2086  # MPA_BENCH_ARGS is intentionally word-split
-go test -run '^$' -bench "$pattern" -benchmem -count="$count" \
-    ${MPA_BENCH_ARGS:-} . | tee "$raw" >&2
+# One go test run per package, so that profile flags stay usable.
+for pkg in . ./internal/serve; do
+    # shellcheck disable=SC2086  # MPA_BENCH_ARGS is intentionally word-split
+    go test -run '^$' -bench "$pattern" -benchmem -count="$count" \
+        ${MPA_BENCH_ARGS:-} "$pkg" | tee -a "$raw" >&2
+done
 
 awk -v date="$(date -u +%FT%TZ)" '
   /^Benchmark/ {
