@@ -36,7 +36,7 @@ func main() {
 
 	// Fine-grained model: skew makes plain trees overfit the majority
 	// class; compare plain vs the paper's oversampling+boosting remedy.
-	plain, err := f.TrainHealthModelOn(f.Dataset(), mpa.FiveClass, mpa.ModelOptions{Folds: 5, Seed: 1})
+	plain, err := f.TrainHealthModelOn(f.Dataset(), mpa.FiveClass, mpa.ModelOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -183,11 +183,6 @@ func (f *Framework) Ingest(u *IngestUpdate) (*IngestResult, error) {
 	env2 := env.Evolve(params, &o, analysis, data, comp.Networks)
 
 	f.env.Store(env2)
-	if newMonth {
-		f.cfgMu.Lock()
-		f.cfg.End = comp.Month
-		f.cfgMu.Unlock()
-	}
 	ssp.End()
 
 	res := &IngestResult{
@@ -230,7 +225,10 @@ func NextMonths(cfg Config, extra int) ([]*IngestUpdate, error) {
 	if extra < 1 {
 		return nil, fmt.Errorf("mpa: NextMonths needs extra >= 1, got %d", extra)
 	}
-	p := cfg.params()
+	p, err := cfg.params()
+	if err != nil {
+		return nil, err
+	}
 	base := p.End
 	p.End = base.Add(extra)
 	o := osp.Generate(p)
@@ -247,7 +245,7 @@ func NextMonths(cfg Config, extra int) ([]*IngestUpdate, error) {
 // ranking. The returned cancel must be called to release the
 // subscription; the channel closes after cancel.
 func (f *Framework) Subscribe() (<-chan IngestEvent, func()) {
-	return f.hub.Subscribe(0)
+	return f.hub.Subscribe()
 }
 
 // publishIngest encodes and publishes the update's events: per-network

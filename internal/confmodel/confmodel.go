@@ -89,17 +89,6 @@ func (t Type) String() string {
 	}
 }
 
-// TypeFromString is the inverse of Type.String. Unknown identifiers map to
-// TypeOther.
-func TypeFromString(s string) Type {
-	for t := Type(0); t < numTypes; t++ {
-		if t.String() == s {
-			return t
-		}
-	}
-	return TypeOther
-}
-
 // IsRouter reports whether the stanza type configures a routing protocol
 // (the paper's "router stanza" change category).
 func (t Type) IsRouter() bool { return t == TypeBGP || t == TypeOSPF }

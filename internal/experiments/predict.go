@@ -18,8 +18,8 @@ import (
 // 10, because the data is insufficient for fine-grained models).
 const learnBins = 5
 
-// cvFolds is the paper's cross-validation fold count.
-const cvFolds = 5
+// CVFolds is the paper's cross-validation fold count.
+const CVFolds = 5
 
 // features5 returns the binned feature matrix with 5 bins per metric.
 func features5(env *Env) [][]int {
@@ -84,12 +84,12 @@ func (l Learner) Trainer(sp *obs.Span) ml.Trainer {
 func Section61(env *Env) Report {
 	X := features5(env)
 	y := env.Data.Labels(2)
-	dt := ml.CrossValidate(X, y, 2, cvFolds, Learner{Classes: 2}.Trainer(nil), rng.New(env.Params.Seed+101))
-	maj := ml.CrossValidate(X, y, 2, cvFolds, func(_ [][]int, ty []int) ml.Classifier {
+	dt := ml.CrossValidate(X, y, 2, CVFolds, Learner{Classes: 2}.Trainer(nil), rng.New(env.Params.Seed+101))
+	maj := ml.CrossValidate(X, y, 2, CVFolds, func(_ [][]int, ty []int) ml.Classifier {
 		return ml.TrainMajority(ty, 2)
 	}, rng.New(env.Params.Seed+101))
-	svm := ml.CrossValidate(X, y, 2, cvFolds, func(tx [][]int, ty []int) ml.Classifier {
-		return ml.TrainSVM(tx, ty, 2, ml.DefaultSVMConfig(), rng.New(env.Params.Seed+202))
+	svm := ml.CrossValidate(X, y, 2, CVFolds, func(tx [][]int, ty []int) ml.Classifier {
+		return ml.TrainSVM(tx, ty, 2, rng.New(env.Params.Seed+202))
 	}, rng.New(env.Params.Seed+101))
 
 	tb := report.NewTable("Model", "Accuracy",
@@ -130,7 +130,7 @@ func Figure8(env *Env) Report {
 	variants := []Learner{{5, false, false}, {5, true, false}, {5, false, true}, {5, true, true}}
 	evals := make([]ml.Evaluation, len(variants))
 	for i, v := range variants {
-		evals[i] = ml.CrossValidate(X, y, 5, cvFolds, v.Trainer(nil), rng.New(env.Params.Seed+303))
+		evals[i] = ml.CrossValidate(X, y, 5, CVFolds, v.Trainer(nil), rng.New(env.Params.Seed+303))
 	}
 	numbers := map[string]float64{}
 	var b strings.Builder
@@ -355,13 +355,13 @@ func AblationLearners(env *Env) Report {
 			return ml.TrainForest(tx, ty, 5, cfg, rng.New(env.Params.Seed+404))
 		}},
 		{"SVM", func(tx [][]int, ty []int) ml.Classifier {
-			return ml.TrainSVM(tx, ty, 5, ml.DefaultSVMConfig(), rng.New(env.Params.Seed+505))
+			return ml.TrainSVM(tx, ty, 5, rng.New(env.Params.Seed+505))
 		}},
 	}
 	tb := report.NewTable("Learner", "Accuracy", "Min class recall", "Mean class recall")
 	numbers := map[string]float64{}
 	for _, e := range entries {
-		ev := ml.CrossValidate(X, y, 5, cvFolds, e.trainer, rng.New(env.Params.Seed+606))
+		ev := ml.CrossValidate(X, y, 5, CVFolds, e.trainer, rng.New(env.Params.Seed+606))
 		minRec, sumRec := 1.0, 0.0
 		present := 0
 		for c := 0; c < 5; c++ {

@@ -29,15 +29,17 @@ type Hub struct {
 // NewHub returns an empty hub.
 func NewHub() *Hub { return &Hub{subs: map[int]chan Event{}} }
 
-// Subscribe registers a subscriber with the given channel buffer
-// (non-positive means 64) and returns its event channel plus a cancel
-// function. Cancel is idempotent and closes the channel, so range loops
-// over it terminate.
-func (h *Hub) Subscribe(buf int) (<-chan Event, func()) {
-	if buf <= 0 {
-		buf = 64
-	}
-	ch := make(chan Event, buf)
+// subscriberBuffer is each subscriber's channel buffer. It bounds the
+// events a slow subscriber can hold back, while one update to a
+// 60-network org (a delta per touched network plus the rank event) still
+// fits whole; beyond it events drop (ingest.stream_dropped).
+const subscriberBuffer = 64
+
+// Subscribe registers a subscriber and returns its event channel plus a
+// cancel function. Cancel is idempotent and closes the channel, so range
+// loops over it terminate.
+func (h *Hub) Subscribe() (<-chan Event, func()) {
+	ch := make(chan Event, subscriberBuffer)
 	h.mu.Lock()
 	id := h.next
 	h.next++

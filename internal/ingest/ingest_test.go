@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -191,8 +192,8 @@ func TestTruncateSliceRoundTrip(t *testing.T) {
 
 func TestHubOrderingAndCancel(t *testing.T) {
 	h := NewHub()
-	ch1, cancel1 := h.Subscribe(8)
-	ch2, cancel2 := h.Subscribe(8)
+	ch1, cancel1 := h.Subscribe()
+	ch2, cancel2 := h.Subscribe()
 	defer cancel2()
 	if h.Subscribers() != 2 {
 		t.Fatalf("subscribers=%d, want 2", h.Subscribers())
@@ -225,11 +226,17 @@ func TestHubOrderingAndCancel(t *testing.T) {
 
 func TestHubDropsSlowSubscriber(t *testing.T) {
 	h := NewHub()
-	ch, cancel := h.Subscribe(1)
+	ch, cancel := h.Subscribe()
 	defer cancel()
-	h.Publish(Event{Data: []byte(`1`)}, Event{Data: []byte(`2`)}, Event{Data: []byte(`3`)})
-	if got := <-ch; string(got.Data) != "1" {
-		t.Fatalf("got %s, want the first event", got.Data)
+	evs := make([]Event, subscriberBuffer+2)
+	for i := range evs {
+		evs[i] = Event{Data: []byte(strconv.Itoa(i))}
+	}
+	h.Publish(evs...)
+	for i := 0; i < subscriberBuffer; i++ {
+		if got := <-ch; string(got.Data) != strconv.Itoa(i) {
+			t.Fatalf("event %d: got %s, want the buffered events in order", i, got.Data)
+		}
 	}
 	select {
 	case ev := <-ch:

@@ -6,24 +6,23 @@ import (
 	"mpa/internal/obs"
 )
 
-// LogRegConfig controls logistic-regression training.
-type LogRegConfig struct {
-	// Iterations bounds the IRLS (Newton) steps; convergence is usually
-	// reached well before the bound.
-	Iterations int
-	// L2 is the ridge penalty, which also keeps the Newton system
-	// well-conditioned under collinear confounders.
-	L2 float64
-	// Tolerance stops iteration when the max coefficient update falls
-	// below it.
-	Tolerance float64
-}
-
-// DefaultLogRegConfig returns settings sufficient for propensity-score
+// Logistic-regression training, sufficient for propensity-score
 // estimation over ~30 standardized, often collinear features.
-func DefaultLogRegConfig() LogRegConfig {
-	return LogRegConfig{Iterations: 50, L2: 1e-4, Tolerance: 1e-8}
-}
+const (
+	// logRegIterations bounds the IRLS (Newton) steps; convergence is
+	// usually reached well before the bound.
+	logRegIterations = 50
+	// logRegL2 is the ridge penalty. Operational confounders can nearly
+	// determine operational treatments (e.g. config changes vs change
+	// events); without meaningful shrinkage the propensity model
+	// separates the groups perfectly, scores saturate at 0/1, and common
+	// support vanishes. A moderate ridge keeps the score distributions
+	// overlapping and the Newton system well-conditioned.
+	logRegL2 = 0.05
+	// logRegTolerance stops iteration when the max coefficient update
+	// falls below it.
+	logRegTolerance = 1e-8
+)
 
 // LogReg is a binary logistic-regression model over float features. MPA
 // uses it to estimate propensity scores: the probability a case received
@@ -45,15 +44,9 @@ func (m *LogReg) Iterations() int { return m.iters }
 // of iterations even when confounders are strongly collinear — the regime
 // propensity-score estimation lives in (paper §5.1.2: many practices are
 // statistically dependent on each other). Training is deterministic.
-func TrainLogReg(X [][]float64, y []int, cfg LogRegConfig) *LogReg {
+func TrainLogReg(X [][]float64, y []int) *LogReg {
 	if len(X) == 0 {
 		panic("ml: TrainLogReg with no data")
-	}
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = 50
-	}
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = 1e-8
 	}
 	d := len(X[0])
 	m := &LogReg{
@@ -96,7 +89,7 @@ func TrainLogReg(X [][]float64, y []int, cfg LogRegConfig) *LogReg {
 		hess[j] = make([]float64, dim)
 	}
 	grad := make([]float64, dim)
-	for it := 0; it < cfg.Iterations; it++ {
+	for it := 0; it < logRegIterations; it++ {
 		m.iters++
 		for j := 0; j < dim; j++ {
 			grad[j] = 0
@@ -125,8 +118,8 @@ func TrainLogReg(X [][]float64, y []int, cfg LogRegConfig) *LogReg {
 				hess[j][k] = hess[k][j]
 			}
 			if j < d {
-				grad[j] += cfg.L2 * n * m.weights[j]
-				hess[j][j] += cfg.L2 * n
+				grad[j] += logRegL2 * n * m.weights[j]
+				hess[j][j] += logRegL2 * n
 			}
 			hess[j][j] += 1e-9 // numeric floor
 		}
@@ -138,7 +131,7 @@ func TrainLogReg(X [][]float64, y []int, cfg LogRegConfig) *LogReg {
 				maxStep = s
 			}
 		}
-		if maxStep < cfg.Tolerance {
+		if maxStep < logRegTolerance {
 			break
 		}
 	}

@@ -126,8 +126,7 @@ func TestLogRegConvergesFast(t *testing.T) {
 		X = append(X, []float64{x1, x2})
 		y = append(y, label)
 	}
-	cfg := DefaultLogRegConfig()
-	m := TrainLogReg(X, y, cfg)
+	m := TrainLogReg(X, y)
 	// Probability must be monotone in z despite collinearity.
 	if m.Prob([]float64{0.9, 0.9}) <= m.Prob([]float64{0.1, 0.1}) {
 		t.Error("collinear fit not monotone in the underlying signal")
@@ -137,8 +136,8 @@ func TestLogRegConvergesFast(t *testing.T) {
 func TestLogRegDeterministic(t *testing.T) {
 	X := [][]float64{{1, 2}, {2, 1}, {3, 4}, {4, 3}}
 	y := []int{0, 0, 1, 1}
-	a := TrainLogReg(X, y, DefaultLogRegConfig())
-	b := TrainLogReg(X, y, DefaultLogRegConfig())
+	a := TrainLogReg(X, y)
+	b := TrainLogReg(X, y)
 	for i := range a.weights {
 		if a.weights[i] != b.weights[i] {
 			t.Fatal("training not deterministic")

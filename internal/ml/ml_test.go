@@ -162,7 +162,7 @@ func TestSVMSeparable(t *testing.T) {
 			y = append(y, label)
 		}
 	}
-	svm := TrainSVM(X, y, 2, DefaultSVMConfig(), rng.New(6))
+	svm := TrainSVM(X, y, 2, rng.New(6))
 	correct := 0
 	for i := range X {
 		if svm.Predict(X[i]) == y[i] {
@@ -177,8 +177,8 @@ func TestSVMSeparable(t *testing.T) {
 func TestSVMDeterministicGivenSeed(t *testing.T) {
 	X := [][]int{{0}, {1}, {2}, {3}}
 	y := []int{0, 0, 1, 1}
-	a := TrainSVM(X, y, 2, DefaultSVMConfig(), rng.New(7))
-	b := TrainSVM(X, y, 2, DefaultSVMConfig(), rng.New(7))
+	a := TrainSVM(X, y, 2, rng.New(7))
+	b := TrainSVM(X, y, 2, rng.New(7))
 	for i := range a.weights {
 		for j := range a.weights[i] {
 			if a.weights[i][j] != b.weights[i][j] {
@@ -280,7 +280,7 @@ func TestLogRegSeparable(t *testing.T) {
 		}
 		y = append(y, label)
 	}
-	m := TrainLogReg(X, y, DefaultLogRegConfig())
+	m := TrainLogReg(X, y)
 	if p := m.Prob([]float64{9, 3}); p < 0.8 {
 		t.Errorf("P(high) = %v", p)
 	}
@@ -301,7 +301,7 @@ func TestLogRegSeparable(t *testing.T) {
 func TestLogRegConstantFeatureHarmless(t *testing.T) {
 	X := [][]float64{{1, 7}, {2, 7}, {3, 7}, {4, 7}}
 	y := []int{0, 0, 1, 1}
-	m := TrainLogReg(X, y, DefaultLogRegConfig())
+	m := TrainLogReg(X, y)
 	if p := m.Prob([]float64{4, 7}); math.IsNaN(p) || p < 0.5 {
 		t.Errorf("prob with constant feature = %v", p)
 	}
@@ -311,7 +311,7 @@ func TestLogRegBalancedPriorGivesHalf(t *testing.T) {
 	// Pure noise with balanced labels: probabilities near 0.5.
 	X := [][]float64{{1}, {1}, {1}, {1}}
 	y := []int{0, 1, 0, 1}
-	m := TrainLogReg(X, y, DefaultLogRegConfig())
+	m := TrainLogReg(X, y)
 	if p := m.Prob([]float64{1}); math.Abs(p-0.5) > 0.05 {
 		t.Errorf("noise prob = %v, want ~0.5", p)
 	}

@@ -2,14 +2,11 @@ package ml
 
 import "mpa/internal/rng"
 
-// SVMConfig controls linear-SVM training.
-type SVMConfig struct {
-	Lambda float64 // L2 regularization strength
-	Epochs int     // passes over the data
-}
-
-// DefaultSVMConfig returns reasonable Pegasos hyperparameters.
-func DefaultSVMConfig() SVMConfig { return SVMConfig{Lambda: 1e-4, Epochs: 20} }
+// Pegasos hyperparameters.
+const (
+	svmLambda = 1e-4 // L2 regularization strength
+	svmEpochs = 20   // passes over the data
+)
 
 // SVM is a linear multiclass (one-vs-rest) support vector machine trained
 // with Pegasos-style stochastic subgradient descent on hinge loss. The
@@ -23,7 +20,7 @@ type SVM struct {
 
 // TrainSVM fits one linear separator per class (one-vs-rest) over the
 // binned features (treated as numeric values).
-func TrainSVM(X [][]int, y []int, classes int, cfg SVMConfig, r *rng.RNG) *SVM {
+func TrainSVM(X [][]int, y []int, classes int, r *rng.RNG) *SVM {
 	if len(X) == 0 {
 		panic("ml: TrainSVM with no data")
 	}
@@ -32,18 +29,18 @@ func TrainSVM(X [][]int, y []int, classes int, cfg SVMConfig, r *rng.RNG) *SVM {
 	for c := 0; c < classes; c++ {
 		w := make([]float64, d+1)
 		t := 0
-		for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		for epoch := 0; epoch < svmEpochs; epoch++ {
 			order := r.Perm(len(X))
 			for _, i := range order {
 				t++
-				eta := 1 / (cfg.Lambda * float64(t))
+				eta := 1 / (svmLambda * float64(t))
 				label := -1.0
 				if y[i] == c {
 					label = 1
 				}
 				margin := dotBias(w, X[i]) * label
 				for j := 0; j < d; j++ {
-					w[j] *= 1 - eta*cfg.Lambda
+					w[j] *= 1 - eta*svmLambda
 				}
 				if margin < 1 {
 					for j := 0; j < d; j++ {

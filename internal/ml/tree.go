@@ -28,8 +28,6 @@ type TreeConfig struct {
 	// replaced by a majority leaf. The paper sets alpha to 1% of all
 	// data.
 	MinLeafFrac float64
-	// MaxDepth bounds tree depth (0 = unlimited).
-	MaxDepth int
 }
 
 // DefaultTreeConfig returns the paper's settings (alpha = 1%).
@@ -108,7 +106,7 @@ func (s *binnedSet) train(w []float64, classes int, cfg TreeConfig) *Tree {
 	for i := range idx {
 		idx[i] = i
 	}
-	t := &Tree{classes: classes, root: tr.build(idx, 0)}
+	t := &Tree{classes: classes, root: tr.build(idx)}
 	obs.GetCounter("ml.tree_nodes").Add(int64(t.NodeCount()))
 	obs.GetCounter("ml.trees_trained").Add(1)
 	return t
@@ -131,7 +129,6 @@ func (s *binnedSet) newTrainer(w []float64, classes int, cfg TreeConfig) *traine
 		w:         w,
 		classes:   classes,
 		minWeight: cfg.MinLeafFrac * total,
-		maxDepth:  cfg.MaxDepth,
 		used:      make([]bool, len(s.codes)),
 		counts:    make([]float64, s.bins*classes),
 		binW:      make([]float64, s.bins),
@@ -152,7 +149,6 @@ type trainer struct {
 	w         []float64
 	classes   int
 	minWeight float64
-	maxDepth  int
 	used      []bool
 
 	// Scratch. counts[b*classes+c] is the weight of class c in bin b and
@@ -171,9 +167,9 @@ type trainer struct {
 // build recursively constructs the tree over the samples in idx. It
 // reorders idx in place: each child's samples end up contiguous, in
 // their original relative order.
-func (tr *trainer) build(idx []int, depth int) *treeNode {
+func (tr *trainer) build(idx []int) *treeNode {
 	majority, pure, weight := tr.classStats(idx)
-	if pure || weight < tr.minWeight || (tr.maxDepth > 0 && depth >= tr.maxDepth) {
+	if pure || weight < tr.minWeight {
 		return &treeNode{leaf: true, class: majority}
 	}
 	feature, _, ok := tr.bestSplit(idx, weight)
@@ -192,7 +188,7 @@ func (tr *trainer) build(idx []int, depth int) *treeNode {
 			node.children[k.value] = &treeNode{leaf: true, class: m}
 			continue
 		}
-		node.children[k.value] = tr.build(child, depth+1)
+		node.children[k.value] = tr.build(child)
 	}
 	tr.used[feature] = false
 	return node

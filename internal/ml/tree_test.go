@@ -94,14 +94,6 @@ func TestTreePruningCollapsesRareBranches(t *testing.T) {
 	}
 }
 
-func TestTreeMaxDepth(t *testing.T) {
-	X, y := xorData()
-	tree := TrainTree(X, y, nil, 2, TreeConfig{MinLeafFrac: 0, MaxDepth: 1})
-	if tree.Depth() > 1 {
-		t.Errorf("depth = %d with MaxDepth 1", tree.Depth())
-	}
-}
-
 func TestTreeWeightsInfluenceSplits(t *testing.T) {
 	// Two features both partially predictive; weighting flips which
 	// matters. y mostly follows x0, but samples where x1 matters get
@@ -317,13 +309,13 @@ func refTrainTree(X [][]int, y []int, w []float64, classes int, cfg TreeConfig) 
 		idx[i] = i
 	}
 	used := make([]bool, len(X[0]))
-	root := refBuild(X, y, w, idx, used, classes, cfg.MinLeafFrac*total, cfg.MaxDepth, 0)
+	root := refBuild(X, y, w, idx, used, classes, cfg.MinLeafFrac*total)
 	return &Tree{root: root, classes: classes}
 }
 
-func refBuild(X [][]int, y []int, w []float64, idx []int, used []bool, classes int, minWeight float64, maxDepth, depth int) *treeNode {
+func refBuild(X [][]int, y []int, w []float64, idx []int, used []bool, classes int, minWeight float64) *treeNode {
 	majority, pure, weight := refClassStats(y, w, idx, classes)
-	if pure || weight < minWeight || (maxDepth > 0 && depth >= maxDepth) {
+	if pure || weight < minWeight {
 		return &treeNode{leaf: true, class: majority}
 	}
 	feature, _, groups, ok := refBestSplit(X, y, w, idx, used, classes)
@@ -344,7 +336,7 @@ func refBuild(X [][]int, y []int, w []float64, idx []int, used []bool, classes i
 			node.children[v] = &treeNode{leaf: true, class: m}
 			continue
 		}
-		node.children[v] = refBuild(X, y, w, child, used, classes, minWeight, maxDepth, depth+1)
+		node.children[v] = refBuild(X, y, w, child, used, classes, minWeight)
 	}
 	used[feature] = false
 	return node
@@ -548,7 +540,7 @@ func boostedWeights(X [][]int, y []int, classes, rounds int) []float64 {
 		w[i] = 1 / float64(n)
 	}
 	for round := 0; round < rounds; round++ {
-		tree := refTrainTree(X, y, w, classes, TreeConfig{MinLeafFrac: 0.05, MaxDepth: 2})
+		tree := refTrainTree(X, y, w, classes, TreeConfig{MinLeafFrac: 0.05})
 		var err float64
 		miss := make([]bool, n)
 		for i := range y {
@@ -634,7 +626,7 @@ func TestSplitKernelMatchesReference(t *testing.T) {
 // with the reference and requires identical structure and predictions,
 // including on feature values never seen in training.
 func TestTreeKernelMatchesReference(t *testing.T) {
-	cfgs := []TreeConfig{{}, DefaultTreeConfig(), {MinLeafFrac: 0.05}, {MinLeafFrac: 0.01, MaxDepth: 3}}
+	cfgs := []TreeConfig{{}, DefaultTreeConfig(), {MinLeafFrac: 0.05}}
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, tc := range splitCases(seed) {
 			for _, cfg := range cfgs {

@@ -87,6 +87,3 @@ func Range(from, to Month) []Month {
 	}
 	return out
 }
-
-// Study returns the paper's 17-month window.
-func Study() []Month { return Range(StudyStart, StudyEnd) }

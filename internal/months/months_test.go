@@ -90,7 +90,7 @@ func TestRange(t *testing.T) {
 }
 
 func TestStudyWindow(t *testing.T) {
-	ms := Study()
+	ms := Range(StudyStart, StudyEnd)
 	if len(ms) != 17 {
 		t.Fatalf("study window has %d months, want 17", len(ms))
 	}

@@ -30,48 +30,30 @@ import (
 // receiver (no-ops / zero values), matching the rest of the package.
 type Recorder struct {
 	mu       sync.Mutex
-	cfg      RecorderConfig
 	ring     []RequestSummary // circular; next is the write cursor
 	next     int
 	count    int // total ever recorded
 	trees    map[string]*retainedTree
-	slowIDs  []string    // ids retained as slowest; unordered, bounded by KeepSlowest
-	errIDs   []string    // ids retained as recent errors; FIFO, bounded by KeepErrors
+	slowIDs  []string    // ids retained as slowest; unordered, bounded by keepSlowest
+	errIDs   []string    // ids retained as recent errors; FIFO, bounded by keepErrors
 	logs     []LogRecord // circular
 	logNext  int
 	logCount int
 }
 
-// RecorderConfig bounds a Recorder. Zero fields take the defaults.
-type RecorderConfig struct {
-	// Ring is how many completed-entry summaries are kept (default 256).
-	Ring int
-	// KeepSlowest is how many full span trees are retained for the
-	// slowest entries seen so far (default 8).
-	KeepSlowest int
-	// KeepErrors is how many full span trees are retained for the most
-	// recent errored entries (default 8).
-	KeepErrors int
-	// LogRing is how many recent Warn/Error log records are kept
-	// (default 64).
-	LogRing int
-}
-
-func (c RecorderConfig) withDefaults() RecorderConfig {
-	if c.Ring <= 0 {
-		c.Ring = 256
-	}
-	if c.KeepSlowest <= 0 {
-		c.KeepSlowest = 8
-	}
-	if c.KeepErrors <= 0 {
-		c.KeepErrors = 8
-	}
-	if c.LogRing <= 0 {
-		c.LogRing = 64
-	}
-	return c
-}
+// A Recorder's bounds.
+const (
+	// ringSize is how many completed-entry summaries are kept.
+	ringSize = 256
+	// keepSlowest is how many full span trees are retained for the
+	// slowest entries seen so far.
+	keepSlowest = 8
+	// keepErrors is how many full span trees are retained for the most
+	// recent errored entries.
+	keepErrors = 8
+	// logRingSize is how many recent Warn/Error log records are kept.
+	logRingSize = 64
+)
 
 // retainedTree is one span tree held beyond its summary, kept while it
 // is referenced as a slowest entry, a recent error, or both.
@@ -82,18 +64,16 @@ type retainedTree struct {
 	err   bool // referenced from errIDs
 }
 
-// NewRecorder builds a recorder with the given bounds.
-func NewRecorder(cfg RecorderConfig) *Recorder {
-	cfg = cfg.withDefaults()
+// NewRecorder builds an empty recorder.
+func NewRecorder() *Recorder {
 	return &Recorder{
-		cfg:   cfg,
-		ring:  make([]RequestSummary, cfg.Ring),
+		ring:  make([]RequestSummary, ringSize),
 		trees: map[string]*retainedTree{},
-		logs:  make([]LogRecord, cfg.LogRing),
+		logs:  make([]LogRecord, logRingSize),
 	}
 }
 
-var defaultRecorder = NewRecorder(RecorderConfig{})
+var defaultRecorder = NewRecorder()
 
 // DefaultRecorder returns the process-wide flight recorder: the one the
 // shared debug mux serves, run manifests snapshot, and the default
@@ -138,7 +118,7 @@ const maxStageRows = 8
 
 // Record captures one completed root span: a compact summary enters the
 // ring, and the full tree is retained while the entry ranks among the
-// KeepSlowest slowest or the KeepErrors most recent errors. It returns
+// keepSlowest slowest or the keepErrors most recent errors. It returns
 // the stored summary (with the assigned ID). Recording a nil span or on
 // a nil recorder is a no-op.
 func (r *Recorder) Record(sp *Span, meta RequestMeta) RequestSummary {
@@ -179,7 +159,7 @@ func (r *Recorder) Record(sp *Span, meta RequestMeta) RequestSummary {
 }
 
 // retainError adds id to the recent-error set, evicting the oldest
-// error beyond KeepErrors. Caller holds r.mu.
+// error beyond keepErrors. Caller holds r.mu.
 func (r *Recorder) retainError(id string, sp *Span, durNS int64) {
 	t := r.ensureTree(id, sp, durNS)
 	if t.err {
@@ -187,7 +167,7 @@ func (r *Recorder) retainError(id string, sp *Span, durNS int64) {
 	}
 	t.err = true
 	r.errIDs = append(r.errIDs, id)
-	if len(r.errIDs) > r.cfg.KeepErrors {
+	if len(r.errIDs) > keepErrors {
 		old := r.errIDs[0]
 		r.errIDs = r.errIDs[1:]
 		if ot := r.trees[old]; ot != nil {
@@ -197,7 +177,7 @@ func (r *Recorder) retainError(id string, sp *Span, durNS int64) {
 	}
 }
 
-// retainSlow keeps id's tree if it ranks among the KeepSlowest slowest
+// retainSlow keeps id's tree if it ranks among the keepSlowest slowest
 // entries seen so far, evicting the fastest member when full. Caller
 // holds r.mu.
 func (r *Recorder) retainSlow(id string, sp *Span, durNS int64) {
@@ -208,7 +188,7 @@ func (r *Recorder) retainSlow(id string, sp *Span, durNS int64) {
 		}
 		return
 	}
-	if len(r.slowIDs) < r.cfg.KeepSlowest {
+	if len(r.slowIDs) < keepSlowest {
 		r.ensureTree(id, sp, durNS).slow = true
 		r.slowIDs = append(r.slowIDs, id)
 		return

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,76 +20,88 @@ func recSpan(name string, durMicro int64, children ...*Span) *Span {
 }
 
 func TestRecorderRingBoundedNewestFirst(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Ring: 4})
-	for i := 0; i < 7; i++ {
+	r := NewRecorder()
+	const n = ringSize + 3
+	for i := 0; i < n; i++ {
 		r.Record(recSpan("q", 100), RequestMeta{ID: fmt.Sprintf("id-%d", i)})
 	}
-	if r.Count() != 7 {
-		t.Errorf("Count = %d, want 7", r.Count())
+	if r.Count() != n {
+		t.Errorf("Count = %d, want %d", r.Count(), n)
 	}
 	sums := r.Summaries()
-	if len(sums) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(sums))
+	if len(sums) != ringSize {
+		t.Fatalf("ring holds %d, want %d", len(sums), ringSize)
 	}
-	for i, want := range []string{"id-6", "id-5", "id-4", "id-3"} {
-		if sums[i].ID != want {
-			t.Errorf("summary %d = %s, want %s (newest first)", i, sums[i].ID, want)
+	for i := range sums {
+		if want := fmt.Sprintf("id-%d", n-1-i); sums[i].ID != want {
+			t.Fatalf("summary %d = %s, want %s (newest first)", i, sums[i].ID, want)
 		}
 	}
-	if _, ok := r.Get("id-0"); ok {
-		t.Error("evicted ring entry still retrievable")
+	for i := 0; i < n-ringSize; i++ {
+		if _, ok := r.Get(fmt.Sprintf("id-%d", i)); ok {
+			t.Errorf("evicted ring entry id-%d still retrievable", i)
+		}
 	}
-	if s, ok := r.Get("id-6"); !ok || s.Name != "q" {
-		t.Errorf("Get(id-6) = %+v, %v", s, ok)
+	last := fmt.Sprintf("id-%d", n-1)
+	if s, ok := r.Get(last); !ok || s.Name != "q" {
+		t.Errorf("Get(%s) = %+v, %v", last, s, ok)
 	}
 }
 
 func TestRecorderRetainsSlowest(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Ring: 64, KeepSlowest: 2, KeepErrors: 1})
-	durs := []int64{100, 900, 300, 50, 700}
-	for i, d := range durs {
-		r.Record(recSpan("q", d), RequestMeta{ID: fmt.Sprintf("id-%d", i)})
+	r := NewRecorder()
+	// Distinct durations in shuffled order (7 is coprime with n): entry
+	// i takes rank (7i mod n), so the keepSlowest slowest are the ranks
+	// at or above n-keepSlowest, wherever they arrive.
+	const n = keepSlowest + 3
+	slowest := map[string]bool{}
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("id-%d", i)
+		slowest[id] = (7*i)%n >= n-keepSlowest
+		r.Record(recSpan("q", int64(100*(1+(7*i)%n))), RequestMeta{ID: id})
 	}
-	// The two slowest are id-1 (900µs) and id-4 (700µs).
-	for _, id := range []string{"id-1", "id-4"} {
-		if r.Tree(id) == nil {
-			t.Errorf("tree for %s (among the 2 slowest) not retained", id)
-		}
-	}
-	for _, id := range []string{"id-0", "id-2", "id-3"} {
-		if r.Tree(id) != nil {
-			t.Errorf("tree for %s retained, want evicted", id)
+	for id, want := range slowest {
+		if got := r.Tree(id) != nil; got != want {
+			t.Errorf("tree for %s retained = %v, want %v (among the %d slowest)", id, got, want, keepSlowest)
 		}
 	}
 	// TraceRetained must reflect retention at read time.
 	for _, s := range r.Summaries() {
-		want := s.ID == "id-1" || s.ID == "id-4"
-		if s.TraceRetained != want {
-			t.Errorf("%s TraceRetained = %v, want %v", s.ID, s.TraceRetained, want)
+		if s.TraceRetained != slowest[s.ID] {
+			t.Errorf("%s TraceRetained = %v, want %v", s.ID, s.TraceRetained, slowest[s.ID])
 		}
 	}
 }
 
 func TestRecorderRetainsRecentErrors(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Ring: 64, KeepSlowest: 1, KeepErrors: 2})
-	// A fast errored request must be retained even though it would never
-	// make the slowest set.
-	r.Record(recSpan("big", 10_000), RequestMeta{ID: "slowest"})
-	r.Record(recSpan("e", 1), RequestMeta{ID: "err-0", Status: 500, Err: true})
-	r.Record(recSpan("e", 1), RequestMeta{ID: "err-1", Status: 500, Err: true})
-	if r.Tree("err-0") == nil || r.Tree("err-1") == nil {
-		t.Fatal("errored trees not retained")
+	r := NewRecorder()
+	// Fill the slowest set first, so a fast errored request can be
+	// retained only as a recent error.
+	for i := 0; i < keepSlowest; i++ {
+		r.Record(recSpan("big", int64(10_000+i)), RequestMeta{ID: fmt.Sprintf("slow-%d", i)})
 	}
-	// A third error evicts the oldest (FIFO), not the slowest.
-	r.Record(recSpan("e", 1), RequestMeta{ID: "err-2", Status: 404, Err: true})
+	for i := 0; i < keepErrors; i++ {
+		r.Record(recSpan("e", 1), RequestMeta{ID: fmt.Sprintf("err-%d", i), Status: 500, Err: true})
+	}
+	for i := 0; i < keepErrors; i++ {
+		if r.Tree(fmt.Sprintf("err-%d", i)) == nil {
+			t.Fatalf("errored tree err-%d not retained", i)
+		}
+	}
+	// One more error evicts the oldest (FIFO), not the slowest.
+	r.Record(recSpan("e", 1), RequestMeta{ID: fmt.Sprintf("err-%d", keepErrors), Status: 404, Err: true})
 	if r.Tree("err-0") != nil {
-		t.Error("oldest error tree not evicted at KeepErrors=2")
+		t.Errorf("oldest error tree not evicted at keepErrors=%d", keepErrors)
 	}
-	if r.Tree("err-1") == nil || r.Tree("err-2") == nil {
-		t.Error("recent error trees evicted prematurely")
+	for i := 1; i <= keepErrors; i++ {
+		if r.Tree(fmt.Sprintf("err-%d", i)) == nil {
+			t.Errorf("recent error tree err-%d evicted prematurely", i)
+		}
 	}
-	if r.Tree("slowest") == nil {
-		t.Error("slowest tree evicted by error retention")
+	for i := 0; i < keepSlowest; i++ {
+		if r.Tree(fmt.Sprintf("slow-%d", i)) == nil {
+			t.Errorf("slowest tree slow-%d evicted by error retention", i)
+		}
 	}
 }
 
@@ -98,7 +111,7 @@ func TestRecorderStageBreakdownMergedSorted(t *testing.T) {
 		fixedSpan("analyze", 1_000_100, 600, 20, nil),
 		fixedSpan("parse", 1_000_800, 70, 5, nil),
 	)
-	r := NewRecorder(RecorderConfig{})
+	r := NewRecorder()
 	sum := r.Record(root, RequestMeta{ID: "x"})
 	if len(sum.Stages) != 2 {
 		t.Fatalf("stages = %+v, want parse+analyze merged", sum.Stages)
@@ -114,7 +127,7 @@ func TestRecorderStageBreakdownMergedSorted(t *testing.T) {
 }
 
 func TestRecorderSlowestOrder(t *testing.T) {
-	r := NewRecorder(RecorderConfig{})
+	r := NewRecorder()
 	r.Record(recSpan("a", 100), RequestMeta{ID: "a"})
 	r.Record(recSpan("b", 500), RequestMeta{ID: "b"})
 	r.Record(recSpan("c", 300), RequestMeta{ID: "c"})
@@ -130,14 +143,14 @@ func TestRecorderNilSafe(t *testing.T) {
 	if r.Summaries() != nil || r.Tree("x") != nil || r.Count() != 0 || r.Logs() != nil {
 		t.Error("nil recorder not inert")
 	}
-	live := NewRecorder(RecorderConfig{})
+	live := NewRecorder()
 	if got := live.Record(nil, RequestMeta{ID: "n"}); got.ID != "" || live.Count() != 0 {
 		t.Error("nil span recorded")
 	}
 }
 
 func TestLogHandlerTee(t *testing.T) {
-	r := NewRecorder(RecorderConfig{LogRing: 2})
+	r := NewRecorder()
 	var sink strings.Builder
 	// The inner handler only passes Error, proving Warn is captured by
 	// the tee even when the destination drops it.
@@ -145,12 +158,20 @@ func TestLogHandlerTee(t *testing.T) {
 	lg := slog.New(r.LogHandler(inner)).With("component", "test")
 	lg.Info("quiet", "k", "v")
 	lg.Warn("first warn", "req", "abc")
+	for i := 0; i < logRingSize-2; i++ {
+		lg.Warn("filler warn")
+	}
 	lg.Error("boom", "err", io.ErrUnexpectedEOF)
 	lg.Warn("second warn")
 
 	logs := r.Logs()
-	if len(logs) != 2 {
-		t.Fatalf("log ring holds %d, want 2 (bounded, Warn+ only)", len(logs))
+	if len(logs) != logRingSize {
+		t.Fatalf("log ring holds %d, want %d (bounded, Warn+ only)", len(logs), logRingSize)
+	}
+	for _, l := range logs {
+		if l.Msg == "first warn" {
+			t.Error("oldest record not evicted from the full log ring")
+		}
 	}
 	if logs[0].Msg != "second warn" || logs[1].Msg != "boom" {
 		t.Errorf("logs = %+v, want newest first", logs)
@@ -245,7 +266,7 @@ func TestTreeOfMarksOpenSpans(t *testing.T) {
 }
 
 func TestRecorderDebugEndpoints(t *testing.T) {
-	r := NewRecorder(RecorderConfig{})
+	r := NewRecorder()
 	mux := http.NewServeMux()
 	RegisterRecorderDebug(mux, r)
 
@@ -330,16 +351,23 @@ func TestRecorderDebugEndpoints(t *testing.T) {
 }
 
 func TestRecorderSnapshot(t *testing.T) {
-	r := NewRecorder(RecorderConfig{KeepSlowest: 1})
-	r.Record(recSpan("fast", 10), RequestMeta{ID: "fast"})
-	r.Record(recSpan("slow", 100), RequestMeta{ID: "slow"})
+	r := NewRecorder()
+	var slow []string
+	for i := 0; i < keepSlowest; i++ {
+		r.Record(recSpan("fast", 10), RequestMeta{ID: fmt.Sprintf("fast-%d", i)})
+	}
+	for i := 0; i < keepSlowest; i++ {
+		id := fmt.Sprintf("slow-%d", i)
+		r.Record(recSpan("slow", 100), RequestMeta{ID: id})
+		slow = append(slow, id)
+	}
 	slog.New(r.LogHandler(slog.NewTextHandler(io.Discard, nil))).Warn("note")
 	snap := r.Snapshot()
-	if len(snap.Requests) != 2 || snap.Requests[0].ID != "slow" {
+	if len(snap.Requests) != 2*keepSlowest || snap.Requests[0].ID != slow[keepSlowest-1] {
 		t.Errorf("snapshot requests = %+v", snap.Requests)
 	}
-	if len(snap.RetainedTraces) != 1 || snap.RetainedTraces[0] != "slow" {
-		t.Errorf("retained traces = %v, want [slow]", snap.RetainedTraces)
+	if !slices.Equal(snap.RetainedTraces, slow) {
+		t.Errorf("retained traces = %v, want %v", snap.RetainedTraces, slow)
 	}
 	if len(snap.Logs) != 1 || snap.Logs[0].Msg != "note" {
 		t.Errorf("snapshot logs = %+v", snap.Logs)

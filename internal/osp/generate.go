@@ -160,7 +160,7 @@ func GenerateObs(p Params, parent *obs.Span) *OSP {
 // RNG streams into private archive and ticket logs.
 func generateNetwork(p Params, idx int, ns netStreams, window []months.Month, parent *obs.Span, log *slog.Logger) *netResult {
 	r := ns.r
-	pr := newProfile(idx, p, r)
+	pr := newProfile(idx, r)
 	nsp := parent.Start(pr.name)
 	defer nsp.End()
 	st := buildNetwork(pr, r)
@@ -196,7 +196,7 @@ func generateNetwork(p Params, idx int, ns netStreams, window []months.Month, pa
 		mt := simulateMonth(res.archive, st, m, lastSnap)
 		res.truth[m] = mt
 		res.events += mt.Events
-		emitTickets(res.tickets, p.Health, st, m, mt, ns.tickets)
+		emitTickets(res.tickets, st, m, mt, ns.tickets)
 	}
 
 	nsp.Count("devices", float64(res.devices))
@@ -398,12 +398,13 @@ var symptoms = []string{
 	"bgp-flap", "vip-unhealthy", "config-push-failed", "cpu-high",
 }
 
-// emitTickets draws the month's tickets from the ground-truth health model
-// w and files them into log.
-func emitTickets(log *ticketing.Log, w HealthWeights, st *netState, m months.Month, mt MonthTruth, r *rng.RNG) {
+// emitTickets draws the month's tickets from the calibrated ground-truth
+// health model and files them into log.
+func emitTickets(log *ticketing.Log, st *netState, m months.Month, mt MonthTruth, r *rng.RNG) {
 	pr := st.profile
 	models := len(st.network.Models())
 	roles := len(st.network.Roles())
+	w := DefaultHealthWeights()
 	lambda := w.Lambda(len(st.devices), len(st.vlanIDs), models, roles, mt, r)
 	n := r.Poisson(lambda)
 	monthStart := m.Start()

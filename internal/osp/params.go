@@ -30,23 +30,16 @@ type Params struct {
 	// Start and End bound the study window, inclusive (paper: Aug 2013 -
 	// Dec 2014).
 	Start, End months.Month
-	// Health is the ground-truth ticket model.
-	Health HealthWeights
-	// MeanEventsPerMonth scales the log-normal monthly change-event rate
-	// (median of the per-network rate distribution).
-	MeanEventsPerMonth float64
 }
 
 // Default returns the paper-scale parameters: 850 networks over the
 // 17-month study window.
 func Default(seed uint64) Params {
 	return Params{
-		Seed:               seed,
-		Networks:           850,
-		Start:              months.StudyStart,
-		End:                months.StudyEnd,
-		Health:             DefaultHealthWeights(),
-		MeanEventsPerMonth: 6,
+		Seed:     seed,
+		Networks: 850,
+		Start:    months.StudyStart,
+		End:      months.StudyEnd,
 	}
 }
 
@@ -55,12 +48,10 @@ func Default(seed uint64) Params {
 // at a fraction of the cost.
 func Small(seed uint64) Params {
 	return Params{
-		Seed:               seed,
-		Networks:           60,
-		Start:              months.Month{Year: 2014, Mon: time.January},
-		End:                months.Month{Year: 2014, Mon: time.June},
-		Health:             DefaultHealthWeights(),
-		MeanEventsPerMonth: 6,
+		Seed:     seed,
+		Networks: 60,
+		Start:    months.Month{Year: 2014, Mon: time.January},
+		End:      months.Month{Year: 2014, Mon: time.June},
 	}
 }
 

@@ -36,6 +36,11 @@ func serviceName(i int) string { return fmt.Sprintf("svc-%03d", i) }
 
 const serviceCount = 120
 
+// meanEventsPerMonth is the median of the per-network monthly
+// change-event rate distribution (Figure 12's 10th/90th percentiles near
+// 3/34 events).
+const meanEventsPerMonth = 6
+
 // changeKind enumerates the generator's event templates; each maps to one
 // or more stanza mutations of a characteristic vendor-agnostic type.
 type changeKind int
@@ -105,7 +110,7 @@ type profile struct {
 
 // newProfile draws a network profile. r must be the network's private
 // stream.
-func newProfile(idx int, p Params, r *rng.RNG) *profile {
+func newProfile(idx int, r *rng.RNG) *profile {
 	pr := &profile{
 		index: idx,
 		name:  fmt.Sprintf("net%03d", idx),
@@ -171,7 +176,7 @@ func newProfile(idx int, p Params, r *rng.RNG) *profile {
 	// and device count), though several large networks change rarely and
 	// some small ones churn, via the independent noise term.
 	sizeFactor := 0.45 * math.Log(float64(pr.deviceCount)/12.0)
-	pr.eventRate = r.LogNormal(math.Log(p.MeanEventsPerMonth)+sizeFactor, 1.0)
+	pr.eventRate = r.LogNormal(math.Log(meanEventsPerMonth)+sizeFactor, 1.0)
 	if pr.eventRate > 150 {
 		pr.eventRate = 150
 	}

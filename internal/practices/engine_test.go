@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mpa/internal/confmodel"
-	"mpa/internal/months"
 	"mpa/internal/osp"
 )
 
@@ -424,5 +423,3 @@ func TestMonthsAlignment(t *testing.T) {
 		}
 	}
 }
-
-var _ = months.Study // keep import used if assertions change

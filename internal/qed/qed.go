@@ -29,35 +29,6 @@ type Config struct {
 	// Confounders are the practice metrics to control for. The paper
 	// includes all practice metrics except the treatment (§5.2.3).
 	Confounders []string
-	// Bins is the number of treatment bins (paper: 5), yielding Bins-1
-	// comparison points.
-	Bins int
-	// Alpha is the significance threshold for rejecting the null (paper:
-	// a moderately conservative 0.001).
-	Alpha float64
-	// MinCases is the minimum group size for a comparison point to be
-	// attempted.
-	MinCases int
-	// MaxImbalancedFrac is the fraction of confounders allowed to miss
-	// the balance thresholds before the whole matching is declared
-	// imbalanced. With ~30 covariates and modest samples some marginal
-	// misses are expected; the propensity score itself must always
-	// balance, and no confounder may be severely imbalanced
-	// (|standardized difference| >= 2).
-	MaxImbalancedFrac float64
-	// Caliper is the maximum allowed propensity-score distance within a
-	// matched pair, in pooled-score standard deviations (Rosenbaum &
-	// Rubin's caliper; 0 = use the 0.2 default).
-	Caliper float64
-	// MaxReuse bounds how many treated cases may share one untreated
-	// case when matching with replacement (0 = unlimited). Unbounded
-	// reuse lets a handful of untreated cases stand in for the whole
-	// treated group, collapsing the matched-set variance and voiding the
-	// balance diagnostics; a small cap keeps replacement's benefit
-	// (better pairings than one-shot matching) without the degeneracy.
-	MaxReuse int
-	// LogReg configures propensity-score estimation.
-	LogReg ml.LogRegConfig
 	// Matching selects the pairing method; the default is propensity
 	// scores (the paper's choice); exact and Mahalanobis matching are
 	// provided as the baselines the paper rejects.
@@ -67,6 +38,37 @@ type Config struct {
 	// counters (pairs, fit iterations, balance rejections).
 	Obs *obs.Span
 }
+
+// The paper's analysis parameters (§5.2).
+const (
+	// bins is the number of treatment bins, yielding bins-1 comparison
+	// points.
+	bins = 5
+	// alpha is the significance threshold for rejecting the null (a
+	// moderately conservative 0.001).
+	alpha = 0.001
+	// minCases is the minimum group size for a comparison point to be
+	// attempted.
+	minCases = 20
+	// maxImbalancedFrac is the fraction of confounders allowed to miss
+	// the balance thresholds before the whole matching is declared
+	// imbalanced. With ~30 covariates and modest samples some marginal
+	// misses are expected; the propensity score itself must always
+	// balance, and no confounder may be severely imbalanced
+	// (|standardized difference| >= 2).
+	maxImbalancedFrac = 0.34
+	// caliperSD is the maximum allowed propensity-score distance within
+	// a matched pair, in pooled-score standard deviations (Rosenbaum &
+	// Rubin's standard caliper).
+	caliperSD = 0.2
+	// maxReuse bounds how many treated cases may share one untreated
+	// case when matching with replacement. Unbounded reuse lets a
+	// handful of untreated cases stand in for the whole treated group,
+	// collapsing the matched-set variance and voiding the balance
+	// diagnostics; a small cap keeps replacement's benefit (better
+	// pairings than one-shot matching) without the degeneracy.
+	maxReuse = 4
+)
 
 // MatchMethod selects the pairing method.
 type MatchMethod int
@@ -93,26 +95,9 @@ func (m MatchMethod) String() string {
 }
 
 // DefaultConfig returns the paper's settings for the given confounder
-// set.
+// set: propensity-score matching.
 func DefaultConfig(confounders []string) Config {
-	lr := ml.DefaultLogRegConfig()
-	// Operational confounders can nearly determine operational treatments
-	// (e.g. config changes vs change events); without meaningful
-	// shrinkage the propensity model separates the groups perfectly,
-	// scores saturate at 0/1, and common support vanishes. A moderate
-	// ridge keeps the score distributions overlapping.
-	lr.L2 = 0.05
-	return Config{
-		Confounders:       confounders,
-		Bins:              5,
-		Alpha:             0.001,
-		MinCases:          20,
-		MaxImbalancedFrac: 0.34,
-		Caliper:           0.2,
-		MaxReuse:          4,
-		LogReg:            lr,
-		Matching:          MatchPropensity,
-	}
+	return Config{Confounders: confounders, Matching: MatchPropensity}
 }
 
 // BalanceStat summarizes match quality for one variable (a confounder or
@@ -169,9 +154,6 @@ func Run(d *dataset.Dataset, treatment string, cfg Config) (*Result, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("qed: empty dataset")
 	}
-	if cfg.Bins < 2 {
-		return nil, fmt.Errorf("qed: need at least 2 treatment bins")
-	}
 	// Confounder matrix and outcome vector, in case order.
 	conf := make([][]float64, d.Len())
 	for i := range conf {
@@ -187,8 +169,8 @@ func Run(d *dataset.Dataset, treatment string, cfg Config) (*Result, error) {
 	outcome := d.TicketValues()
 
 	// Bin the treatment metric (5/95-percentile-anchored equal width).
-	binned, _ := stats.BinValues(d.Values(treatment), cfg.Bins)
-	byBin := make([][]int, cfg.Bins)
+	binned, _ := stats.BinValues(d.Values(treatment), bins)
+	byBin := make([][]int, bins)
 	for i, b := range binned {
 		byBin[b] = append(byBin[b], i)
 	}
@@ -204,7 +186,7 @@ func Run(d *dataset.Dataset, treatment string, cfg Config) (*Result, error) {
 	sp := cfg.Obs.Start("causal")
 	defer sp.End()
 	res := &Result{Treatment: treatment}
-	for b := 0; b+1 < cfg.Bins; b++ {
+	for b := 0; b+1 < bins; b++ {
 		comparison := fmt.Sprintf("%d:%d", b+1, b+2)
 		psp := sp.Start(comparison)
 		point := comparePoint(byBin[b], byBin[b+1], conf, confNames, outcome, cfg, psp)
@@ -234,7 +216,7 @@ func comparePoint(untreated, treated []int, conf [][]float64, confNames []string
 		UntreatedCases: len(untreated),
 		TreatedCases:   len(treated),
 	}
-	if len(untreated) < cfg.MinCases || len(treated) < cfg.MinCases {
+	if len(untreated) < minCases || len(treated) < minCases {
 		pr.Skipped = true
 		pr.PValue = 1
 		return pr
@@ -247,7 +229,7 @@ func comparePoint(untreated, treated []int, conf [][]float64, confNames []string
 	case MatchMahalanobis:
 		pairs = matchMahalanobis(untreated, treated, conf)
 	default:
-		pairs = matchPropensity(untreated, treated, conf, cfg.LogReg, cfg.MaxReuse, cfg.Caliper, sp)
+		pairs = matchPropensity(untreated, treated, conf, sp)
 	}
 	sp.Count("pairs", float64(len(pairs)))
 	pr.Pairs = len(pairs)
@@ -293,7 +275,7 @@ func comparePoint(untreated, treated []int, conf [][]float64, confNames []string
 			severe = true
 		}
 	}
-	maxImbal := int(cfg.MaxImbalancedFrac * float64(len(pr.ConfounderBalance)))
+	maxImbal := int(maxImbalancedFrac * float64(len(pr.ConfounderBalance)))
 	pr.Balanced = pr.PropensityBalance.OK() && !severe && len(pr.Imbalanced) <= maxImbal
 
 	// Outcome analysis: sign test over matched-pair ticket differences.
@@ -306,8 +288,8 @@ func comparePoint(untreated, treated []int, conf [][]float64, confNames []string
 	pr.FewerTickets = st.Negative
 	pr.NoEffect = st.Ties
 	pr.PValue = st.PValue
-	pr.Causal = pr.Balanced && st.SignificantAt(cfg.Alpha)
-	pr.SensitivityGamma = SensitivityGamma(st.Positive, st.Negative, cfg.Alpha, 10)
+	pr.Causal = pr.Balanced && st.SignificantAt(alpha)
+	pr.SensitivityGamma = SensitivityGamma(st.Positive, st.Negative, alpha, 10)
 	return pr
 }
 
@@ -338,8 +320,9 @@ func propensityBalance(pairs []pair) BalanceStat {
 // treatment assignment on the confounders yields each case's propensity
 // score; treated cases outside the untreated score range (and vice versa)
 // are discarded (common support); each remaining treated case pairs with
-// the untreated case of nearest score, with replacement.
-func matchPropensity(untreated, treated []int, conf [][]float64, lrCfg ml.LogRegConfig, maxReuse int, caliperSD float64, sp *obs.Span) []pair {
+// the untreated case of nearest score, with replacement (each untreated
+// case at most maxReuse times), within the caliper.
+func matchPropensity(untreated, treated []int, conf [][]float64, sp *obs.Span) []pair {
 	// Train on the union: label 1 = treated.
 	var X [][]float64
 	var y []int
@@ -351,7 +334,7 @@ func matchPropensity(untreated, treated []int, conf [][]float64, lrCfg ml.LogReg
 		X = append(X, conf[i])
 		y = append(y, 1)
 	}
-	model := ml.TrainLogReg(X, y, lrCfg)
+	model := ml.TrainLogReg(X, y)
 	sp.Count("fit_iterations", float64(model.Iterations()))
 	obs.GetCounter("qed.fit_iterations").Add(int64(model.Iterations()))
 	scoreOf := func(i int) float64 { return model.Prob(conf[i]) }
@@ -380,19 +363,15 @@ func matchPropensity(untreated, treated []int, conf [][]float64, lrCfg ml.LogReg
 		ts = append(ts, scored{i, s})
 	}
 
-	// Caliper: reject pairs whose scores differ by more than 0.2 standard
-	// deviations of the pooled score distribution (Rosenbaum & Rubin's
-	// standard caliper), so poor nearest neighbors do not contaminate the
-	// outcome analysis.
+	// Caliper: reject pairs whose scores differ by more than caliperSD
+	// standard deviations of the pooled score distribution, so poor
+	// nearest neighbors do not contaminate the outcome analysis.
 	var all []float64
 	for _, s := range us {
 		all = append(all, s.score)
 	}
 	for _, s := range ts {
 		all = append(all, s.score)
-	}
-	if caliperSD <= 0 {
-		caliperSD = 0.2
 	}
 	caliper := caliperSD * stats.StdDev(all)
 	if caliper <= 0 {
@@ -408,7 +387,7 @@ func matchPropensity(untreated, treated []int, conf [][]float64, lrCfg ml.LogReg
 		if us[k].score < tMin || us[k].score > tMax {
 			return false
 		}
-		return maxReuse <= 0 || uses[k] < maxReuse
+		return uses[k] < maxReuse
 	}
 	for seq, t := range ts {
 		// Common support: discard treated cases whose score falls outside

@@ -167,9 +167,7 @@ func TestMatchingWithReplacement(t *testing.T) {
 
 func TestSkippedOnTinyGroups(t *testing.T) {
 	d := synthDataset(30, 6)
-	cfg := DefaultConfig(confounders())
-	cfg.MinCases = 25
-	res, err := Run(d, "metric_x", cfg)
+	res, err := Run(d, "metric_x", DefaultConfig(confounders()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +188,6 @@ func TestSkippedOnTinyGroups(t *testing.T) {
 func TestErrors(t *testing.T) {
 	if _, err := Run(&dataset.Dataset{}, "metric_x", DefaultConfig(confounders())); err == nil {
 		t.Error("empty dataset should error")
-	}
-	d := synthDataset(100, 7)
-	cfg := DefaultConfig(confounders())
-	cfg.Bins = 1
-	if _, err := Run(d, "metric_x", cfg); err == nil {
-		t.Error("single bin should error")
 	}
 }
 

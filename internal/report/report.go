@@ -33,12 +33,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, cells ...interface{}) {
-	parts := strings.Split(fmt.Sprintf(format, cells...), "\t")
-	t.AddRow(parts...)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.header))

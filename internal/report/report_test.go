@@ -37,14 +37,6 @@ func TestTableRowPadding(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tb := NewTable("K", "V")
-	tb.AddRowf("%s\t%.2f", "pi", 3.14159)
-	if !strings.Contains(tb.String(), "3.14") {
-		t.Error("AddRowf formatting lost")
-	}
-}
-
 func TestF(t *testing.T) {
 	cases := map[float64]string{
 		1.5: "1.5", 2: "2", 0.125: "0.125", 0.1001: "0.1", 10.0: "10",

@@ -74,7 +74,7 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 		}
 	}
 
-	s := bareServer(obs.NewRecorder(obs.RecorderConfig{}))
+	s := bareServer(obs.NewRecorder())
 	h := s.query("nan_body", func(_ *shard, w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, struct{ X float64 }{math.NaN()})
 	})

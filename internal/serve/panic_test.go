@@ -24,7 +24,7 @@ func bareServer(rec *obs.Recorder) *Server {
 // 500 JSON error, bump serve.panics and serve.errors, still observe
 // latency, and record the request in the flight recorder as errored.
 func TestQueryPanicRecovered(t *testing.T) {
-	rec := obs.NewRecorder(obs.RecorderConfig{})
+	rec := obs.NewRecorder()
 	s := bareServer(rec)
 
 	panicsBefore := s.panics.Value()
@@ -79,7 +79,7 @@ func TestQueryPanicRecovered(t *testing.T) {
 // a second body, but the failure must still be counted and recorded as
 // a 500 internally.
 func TestQueryPanicAfterWrite(t *testing.T) {
-	rec := obs.NewRecorder(obs.RecorderConfig{})
+	rec := obs.NewRecorder()
 	s := bareServer(rec)
 
 	h := s.query("halfway", func(_ *shard, w http.ResponseWriter, _ *http.Request) {
@@ -111,7 +111,7 @@ func TestQueryPanicAfterWrite(t *testing.T) {
 // TestQueryRequestIDPropagation: a client-supplied X-Request-ID echoes
 // back and keys the recorder entry; a traceparent supplies the trace-id.
 func TestQueryRequestIDPropagation(t *testing.T) {
-	rec := obs.NewRecorder(obs.RecorderConfig{})
+	rec := obs.NewRecorder()
 	s := bareServer(rec)
 	h := s.query("ok", func(_ *shard, w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"ok": "true"})

@@ -14,7 +14,7 @@ import (
 // has a queue_wait stage at least as long as the slot was held after the
 // wait began, and the entry's duration includes it.
 func TestQueueWaitRecorded(t *testing.T) {
-	rec := obs.NewRecorder(obs.RecorderConfig{})
+	rec := obs.NewRecorder()
 	s := newServer(Config{Recorder: rec, MaxInFlight: 1})
 	s.def = &shard{name: "bare"}
 	entered, release := make(chan struct{}), make(chan struct{})

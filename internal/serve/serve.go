@@ -76,6 +76,10 @@ import (
 	"mpa/internal/tenant"
 )
 
+// drainTimeout bounds graceful shutdown: how long Serve waits for
+// in-flight requests after its context is canceled.
+const drainTimeout = 30 * time.Second
+
 // OrgHeader is the request header naming the tenant when the path does
 // not (/v1/rank with X-MPA-Org: acme ≡ /v1/orgs/acme/rank).
 const OrgHeader = "X-MPA-Org"
@@ -88,9 +92,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing /v1 queries; excess
 	// requests queue. Zero means 2×GOMAXPROCS.
 	MaxInFlight int
-	// DrainTimeout bounds graceful shutdown: how long Serve waits for
-	// in-flight requests after its context is canceled. Zero means 30s.
-	DrainTimeout time.Duration
 	// SlowThreshold classifies queries at least this slow as slow: they
 	// are logged at Warn with a per-stage breakdown and pinned in the
 	// flight recorder (the `mpa serve -slow-ms` flag). Zero disables
@@ -171,9 +172,6 @@ type Server struct {
 func newServer(cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 30 * time.Second
 	}
 	if cfg.MaxIngestBytes <= 0 {
 		cfg.MaxIngestBytes = maxIngestBytes
@@ -266,7 +264,7 @@ func (s *Server) Listen() (net.Addr, error) {
 
 // Serve accepts connections until ctx is canceled, then shuts down
 // gracefully: the listener closes, in-flight requests drain (bounded by
-// DrainTimeout), and only then does Serve return. A clean drain returns
+// drainTimeout), and only then does Serve return. A clean drain returns
 // nil. Every exit path closes the server's closing channel, so attached
 // SSE streams learn the server is gone even when hs.Serve fails before
 // the context is canceled (e.g. the listener is yanked).
@@ -285,9 +283,9 @@ func (s *Server) Serve(ctx context.Context) error {
 		return fmt.Errorf("serve: %w", err)
 	case <-ctx.Done():
 	}
-	obs.Logger().Info("serve: draining in-flight requests", "timeout", s.cfg.DrainTimeout)
+	obs.Logger().Info("serve: draining in-flight requests", "timeout", drainTimeout)
 	s.closeOnce.Do(func() { close(s.closing) })
-	sctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(sctx); err != nil {
 		return fmt.Errorf("serve: shutdown: %w", err)

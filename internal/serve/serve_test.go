@@ -343,7 +343,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 func TestFlightRecorderEndToEnd(t *testing.T) {
 	// A dedicated recorder keeps other tests' requests out, and a 1ns
 	// threshold classifies every real request as slow.
-	rec := obs.NewRecorder(obs.RecorderConfig{})
+	rec := obs.NewRecorder()
 	s := oneOrgServer(t, testFramework(t), serve.Config{
 		SlowThreshold: time.Nanosecond,
 		Recorder:      rec,
@@ -482,10 +482,7 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 // asserts the request completes successfully and Serve returns nil
 // (clean drain).
 func TestGracefulShutdownDrains(t *testing.T) {
-	s := oneOrgServer(t, testFramework(t), serve.Config{
-		Addr:         "127.0.0.1:0",
-		DrainTimeout: 10 * time.Second,
-	})
+	s := oneOrgServer(t, testFramework(t), serve.Config{Addr: "127.0.0.1:0"})
 	addr, err := s.Listen()
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func shardedServer(t *testing.T) (*serve.Server, *tenant.Registry) {
 	t.Helper()
 	shardedOnce.Do(func() {
 		shardedReg = loadShardedRegistry(t, "acme=11:8:2,globex=12:6:2", 1)
-		shardedRec = obs.NewRecorder(obs.RecorderConfig{})
+		shardedRec = obs.NewRecorder()
 		shardedSrv = serve.NewSharded(shardedReg, serve.Config{Recorder: shardedRec})
 	})
 	return shardedSrv, shardedReg
@@ -475,7 +475,7 @@ func TestIngestOversizedBodyIs413(t *testing.T) {
 // ranking does (MI ties broken by name), and every request lands in the per-tenant series and the
 // flight recorder's tenant column.
 func TestOneOrgDaemon(t *testing.T) {
-	rec := obs.NewRecorder(obs.RecorderConfig{})
+	rec := obs.NewRecorder()
 	s := oneOrgServer(t, testFramework(t), serve.Config{Recorder: rec})
 	tenantRank := obs.GetLogHistogram("serve.tenant." + testOrg + ".latency_ns.rank")
 	tenantOK := obs.GetCounter("serve.tenant." + testOrg + ".status.rank.2xx")

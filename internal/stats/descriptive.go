@@ -180,32 +180,6 @@ func Box(xs []float64) BoxSummary {
 	return b
 }
 
-// CDFPoint is a single point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64 // fraction of samples <= Value
-}
-
-// CDF returns the empirical cumulative distribution of xs evaluated at each
-// distinct sample value, in ascending order.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var pts []CDFPoint
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); i++ {
-		// Emit one point per distinct value, at its last occurrence.
-		if i+1 < len(sorted) && sorted[i+1] == sorted[i] {
-			continue
-		}
-		pts = append(pts, CDFPoint{Value: sorted[i], Fraction: float64(i+1) / n})
-	}
-	return pts
-}
-
 // CDFAt returns the empirical CDF of xs evaluated at v: the fraction of
 // samples <= v.
 func CDFAt(xs []float64, v float64) float64 {

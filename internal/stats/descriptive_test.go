@@ -173,22 +173,6 @@ func TestBoxWhiskerOrdering(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{1, 1, 2, 3})
-	want := []CDFPoint{{1, 0.5}, {2, 0.75}, {3, 1}}
-	if len(pts) != len(want) {
-		t.Fatalf("CDF = %v", pts)
-	}
-	for i := range want {
-		if pts[i].Value != want[i].Value || !almostEq(pts[i].Fraction, want[i].Fraction, 1e-12) {
-			t.Errorf("CDF[%d] = %v, want %v", i, pts[i], want[i])
-		}
-	}
-	if CDF(nil) != nil {
-		t.Error("CDF(nil) should be nil")
-	}
-}
-
 func TestCDFAt(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if got := CDFAt(xs, 2.5); !almostEq(got, 0.5, 1e-12) {

@@ -83,17 +83,6 @@ func (p PracticeOpinion) MajorityOpinion() Opinion {
 	return best
 }
 
-// HighVsLowSplit reports whether low-impact and high-impact answers are
-// within 3 responses of each other — the paper's "roughly the same"
-// diversity observation.
-func (p PracticeOpinion) HighVsLowSplit() bool {
-	diff := p.Counts[HighImpact] - p.Counts[LowImpact]
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff <= 3
-}
-
 // Results returns the Figure 2 dataset.
 func Results() []PracticeOpinion {
 	return []PracticeOpinion{

@@ -39,7 +39,8 @@ func TestChangeEventsConsensus(t *testing.T) {
 
 func TestDiversityNarrative(t *testing.T) {
 	// Network size, models, and inter-device complexity split roughly
-	// evenly between low and high impact.
+	// evenly between low and high impact: the two answer counts are
+	// within 3 responses of each other.
 	for _, metric := range []string{
 		practices.MetricDevices, practices.MetricModels, practices.MetricInterComplexity,
 	} {
@@ -47,7 +48,7 @@ func TestDiversityNarrative(t *testing.T) {
 		if !ok {
 			t.Fatalf("metric %s not surveyed", metric)
 		}
-		if !p.HighVsLowSplit() {
+		if diff := p.Counts[HighImpact] - p.Counts[LowImpact]; diff < -3 || diff > 3 {
 			t.Errorf("%s: low=%d high=%d, expected a rough split",
 				p.Practice, p.Counts[LowImpact], p.Counts[HighImpact])
 		}

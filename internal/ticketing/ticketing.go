@@ -122,25 +122,6 @@ func (l *Log) HealthCount(network string, m months.Month) int {
 	return count
 }
 
-// MonthlyHealth returns the per-month non-maintenance ticket counts for a
-// network over the given months.
-func (l *Log) MonthlyHealth(network string, ms []months.Month) []int {
-	idx := map[months.Month]int{}
-	for i, m := range ms {
-		idx[m] = i
-	}
-	out := make([]int, len(ms))
-	for _, t := range l.tickets {
-		if t.Network != network || t.Origin == OriginMaintenance {
-			continue
-		}
-		if i, ok := idx[months.Of(t.Opened)]; ok {
-			out[i]++
-		}
-	}
-	return out
-}
-
 // Networks returns the sorted set of networks with at least one ticket.
 func (l *Log) Networks() []string {
 	seen := map[string]bool{}
@@ -153,24 +134,4 @@ func (l *Log) Networks() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// MeanTimeToResolve returns the mean resolution latency of the network's
-// resolved non-maintenance tickets. The paper notes this metric is less
-// reliable than ticket counts because tickets are sometimes not marked
-// resolved until well after the fix; it is provided for completeness.
-func (l *Log) MeanTimeToResolve(network string) time.Duration {
-	var total time.Duration
-	n := 0
-	for _, t := range l.ForNetwork(network) {
-		if t.Origin == OriginMaintenance || t.Resolved.IsZero() {
-			continue
-		}
-		total += t.Resolved.Sub(t.Opened)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return total / time.Duration(n)
 }

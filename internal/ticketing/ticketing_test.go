@@ -36,18 +36,6 @@ func TestHealthCountExcludesMaintenance(t *testing.T) {
 	}
 }
 
-func TestMonthlyHealth(t *testing.T) {
-	l := NewLog()
-	l.File(Ticket{Network: "n1", Origin: OriginAlarm, Opened: at(2014, 3, 1)})
-	l.File(Ticket{Network: "n1", Origin: OriginAlarm, Opened: at(2014, 3, 2)})
-	l.File(Ticket{Network: "n1", Origin: OriginAlarm, Opened: at(2014, 5, 1)})
-	ms := months.Range(months.Month{Year: 2014, Mon: time.March}, months.Month{Year: 2014, Mon: time.May})
-	got := l.MonthlyHealth("n1", ms)
-	if len(got) != 3 || got[0] != 2 || got[1] != 0 || got[2] != 1 {
-		t.Errorf("MonthlyHealth = %v", got)
-	}
-}
-
 func TestForNetworkAndNetworks(t *testing.T) {
 	l := NewLog()
 	l.File(Ticket{Network: "b", Opened: at(2014, 1, 1)})
@@ -59,21 +47,6 @@ func TestForNetworkAndNetworks(t *testing.T) {
 	nets := l.Networks()
 	if len(nets) != 2 || nets[0] != "a" || nets[1] != "b" {
 		t.Errorf("Networks = %v", nets)
-	}
-}
-
-func TestMeanTimeToResolve(t *testing.T) {
-	l := NewLog()
-	open := at(2014, 3, 1)
-	l.File(Ticket{Network: "n1", Origin: OriginAlarm, Opened: open, Resolved: open.Add(2 * time.Hour)})
-	l.File(Ticket{Network: "n1", Origin: OriginAlarm, Opened: open, Resolved: open.Add(4 * time.Hour)})
-	l.File(Ticket{Network: "n1", Origin: OriginAlarm, Opened: open}) // unresolved: skipped
-	l.File(Ticket{Network: "n1", Origin: OriginMaintenance, Opened: open, Resolved: open.Add(100 * time.Hour)})
-	if got := l.MeanTimeToResolve("n1"); got != 3*time.Hour {
-		t.Errorf("MTTR = %v, want 3h", got)
-	}
-	if got := l.MeanTimeToResolve("empty"); got != 0 {
-		t.Errorf("MTTR of empty = %v", got)
 	}
 }
 

@@ -3,7 +3,9 @@ package mpa
 import (
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"mpa/internal/runinfo"
 )
@@ -75,6 +77,102 @@ func TestManifestContents(t *testing.T) {
 
 	if len(m.Reports) != 3 {
 		t.Errorf("report digests = %d, want 3: %v", len(m.Reports), m.Reports)
+	}
+}
+
+// TestManifestReadsOneSnapshot pins that a manifest's config comes from
+// the snapshot its report digests come from: the generated network count
+// (not the zero the config asked for), and a window and digests that
+// advance together while months are ingested under concurrent reads.
+func TestManifestReadsOneSnapshot(t *testing.T) {
+	cfg := Config{Seed: 1, Start: Month{Year: 2014, Mon: time.January}, End: Month{Year: 2014, Mon: time.February}}
+	f, err := NewSynthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := f.Manifest()
+	if m.Config.Seed != 1 || m.Config.Networks != 60 || m.Config.WindowStart != "2014-01" || m.Config.WindowEnd != "2014-02" {
+		t.Fatalf("manifest config = %+v, want seed 1, 60 networks, 2014-01..2014-02", m.Config)
+	}
+
+	const extra = 2
+	ups, err := NextMonths(cfg, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ends[k] is the window end after k ingests; digestAt maps each
+	// table2 digest to the first snapshot that produced it.
+	ends := []string{"2014-02"}
+	digestAt := map[string]int{}
+	digest := func() {
+		r, _ := f.Experiment("table2")
+		if _, ok := digestAt[r.Digest()]; !ok {
+			digestAt[r.Digest()] = len(ends) - 1
+		}
+	}
+	digest()
+
+	type seen struct{ end, digest string }
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	reads := make([][]seen, 4)
+	for i := range reads {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for {
+				m := f.Manifest()
+				reads[i] = append(reads[i], seen{m.Config.WindowEnd, m.Reports["table2"]})
+				if m.Config.Networks != 60 || m.Config.Seed != 1 {
+					t.Errorf("manifest config = %+v mid-ingest", m.Config)
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(i)
+	}
+	for _, u := range ups {
+		res, err := f.Ingest(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, res.WindowEnd)
+		digest()
+	}
+	close(done)
+	wg.Wait()
+
+	at := map[string]int{}
+	for k, e := range ends {
+		at[e] = k
+	}
+	for _, rs := range reads {
+		last := 0
+		for _, r := range rs {
+			k, ok := at[r.end]
+			if !ok {
+				t.Fatalf("manifest window end %q is none of %v", r.end, ends)
+			}
+			if k < last {
+				t.Errorf("window end went back from %s to %s", ends[last], r.end)
+			}
+			last = k
+			// A snapshot carries the digests of itself and its
+			// predecessors, never of a later snapshot.
+			d, ok := digestAt[r.digest]
+			if !ok {
+				t.Fatalf("window end %s paired with an unknown table2 digest %q", r.end, r.digest)
+			}
+			if d > k {
+				t.Errorf("window end %s paired with the table2 digest of window end %s", r.end, ends[d])
+			}
+		}
+	}
+	if got := f.Manifest().Config.WindowEnd; got != ends[extra] {
+		t.Errorf("final window end %s, want %s", got, ends[extra])
 	}
 }
 

@@ -79,10 +79,6 @@ type (
 	CausalPoint = qed.PointResult
 	// Report is a rendered experiment result.
 	Report = experiments.Report
-	// SyntheticParams are the synthetic-OSP generator parameters.
-	SyntheticParams = osp.Params
-	// HealthWeights is the synthetic ground-truth health model.
-	HealthWeights = osp.HealthWeights
 	// CacheConfig places the content-addressed per-network inference
 	// cache (Config.Cache): with Dir set, analyses are stored on disk
 	// under it, so re-runs and restarts skip all unchanged per-network
@@ -111,16 +107,12 @@ type Config struct {
 	// Seed drives all generation; identical seeds reproduce identical
 	// organizations and analyses.
 	Seed uint64
-	// Networks is the number of networks (the paper's OSP has 850+).
+	// Networks is the number of networks (the paper's OSP has 850+);
+	// zero means 60.
 	Networks int
-	// Start and End bound the study window, inclusive.
+	// Start and End bound the study window, inclusive; if either is
+	// zero, the window is the paper's 17 months.
 	Start, End Month
-	// MeanEventsPerMonth is the median of the per-network change-event
-	// rate distribution.
-	MeanEventsPerMonth float64
-	// Health overrides the ground-truth health model (zero value = use
-	// the calibrated defaults).
-	Health *HealthWeights
 	// Cache places the on-disk cache of per-network inference. The zero
 	// value disables it. Results are byte-identical with the cache cold,
 	// warm, or disabled.
@@ -137,52 +129,33 @@ func SetWorkers(n int) { par.SetWorkers(n) }
 // the 17-month study window (Aug 2013 - Dec 2014).
 func DefaultConfig(seed uint64) Config {
 	p := osp.Default(seed)
-	return Config{
-		Seed:               p.Seed,
-		Networks:           p.Networks,
-		Start:              p.Start,
-		End:                p.End,
-		MeanEventsPerMonth: p.MeanEventsPerMonth,
-	}
+	return Config{Seed: p.Seed, Networks: p.Networks, Start: p.Start, End: p.End}
 }
 
 // SmallConfig returns a laptop-scale configuration suitable for tests,
 // examples, and exploration.
 func SmallConfig(seed uint64) Config {
 	p := osp.Small(seed)
-	return Config{
-		Seed:               p.Seed,
-		Networks:           p.Networks,
-		Start:              p.Start,
-		End:                p.End,
-		MeanEventsPerMonth: p.MeanEventsPerMonth,
-	}
+	return Config{Seed: p.Seed, Networks: p.Networks, Start: p.Start, End: p.End}
 }
 
-// params converts a Config to generator parameters.
-func (c Config) params() osp.Params {
-	p := osp.Params{
-		Seed:               c.Seed,
-		Networks:           c.Networks,
-		Start:              c.Start,
-		End:                c.End,
-		Health:             osp.DefaultHealthWeights(),
-		MeanEventsPerMonth: c.MeanEventsPerMonth,
+// params converts a Config to generator parameters, applying the zero
+// value defaults; a negative Networks or an End before Start is an error.
+func (c Config) params() (osp.Params, error) {
+	if c.Networks < 0 {
+		return osp.Params{}, fmt.Errorf("mpa: negative network count %d", c.Networks)
 	}
-	if c.Health != nil {
-		p.Health = *c.Health
-	}
-	if p.Networks <= 0 {
+	p := osp.Params{Seed: c.Seed, Networks: c.Networks, Start: c.Start, End: c.End}
+	if p.Networks == 0 {
 		p.Networks = 60
 	}
-	if p.MeanEventsPerMonth <= 0 {
-		p.MeanEventsPerMonth = 6
-	}
 	var zero Month
-	if p.Start == zero || p.End == zero || p.End.Before(p.Start) {
+	if p.Start == zero || p.End == zero {
 		p.Start, p.End = months.StudyStart, months.StudyEnd
+	} else if p.End.Before(p.Start) {
+		return osp.Params{}, fmt.Errorf("mpa: end month %v precedes start %v", p.End, p.Start)
 	}
-	return p
+	return p, nil
 }
 
 // Framework is an MPA instance bound to one organization's data.
@@ -193,10 +166,9 @@ func (c Config) params() osp.Params {
 // or the new state — never a torn mix.
 type Framework struct {
 	env atomic.Pointer[experiments.Env]
-	// cfgMu guards cfg: Ingest advances cfg.End when the window grows
-	// while Manifest reads the whole struct.
-	cfgMu sync.Mutex
-	cfg   Config // the run's settings, recorded in manifests
+	// cacheDir is the on-disk inference cache directory, recorded in
+	// manifests; empty when the cache is off.
+	cacheDir string
 	// ingestMu serializes updates.
 	ingestMu sync.Mutex
 	// hub fans applied updates out to stream subscribers.
@@ -206,16 +178,9 @@ type Framework struct {
 // environment returns the framework's current immutable state.
 func (f *Framework) environment() *experiments.Env { return f.env.Load() }
 
-// config returns a snapshot of the run's settings.
-func (f *Framework) config() Config {
-	f.cfgMu.Lock()
-	defer f.cfgMu.Unlock()
-	return f.cfg
-}
-
-// newFramework wraps an Env and config in a Framework.
-func newFramework(env *experiments.Env, cfg Config) *Framework {
-	f := &Framework{cfg: cfg, hub: ingest.NewHub()}
+// newFramework wraps an Env in a Framework.
+func newFramework(env *experiments.Env, cc CacheConfig) *Framework {
+	f := &Framework{cacheDir: cc.Dir, hub: ingest.NewHub()}
 	f.env.Store(env)
 	return f
 }
@@ -223,11 +188,15 @@ func newFramework(env *experiments.Env, cfg Config) *Framework {
 // NewSynthetic generates a synthetic organization and runs inference over
 // it. Identical configs produce identical frameworks.
 func NewSynthetic(cfg Config) (*Framework, error) {
-	env, err := experiments.NewEnvCached(cfg.params(), cfg.Cache)
+	p, err := cfg.params()
 	if err != nil {
 		return nil, err
 	}
-	return newFramework(env, cfg), nil
+	env, err := experiments.NewEnvCached(p, cfg.Cache)
+	if err != nil {
+		return nil, err
+	}
+	return newFramework(env, cfg.Cache), nil
 }
 
 // New builds a framework over an organization's own data sources,
@@ -253,12 +222,7 @@ func NewCached(inv *Inventory, arch *Archive, tickets *TicketLog, start, end Mon
 	if err != nil {
 		return nil, err
 	}
-	return newFramework(env, Config{
-		Networks: len(inv.Networks),
-		Start:    start,
-		End:      end,
-		Cache:    cc,
-	}), nil
+	return newFramework(env, cc), nil
 }
 
 // State is one consistent read of a framework: every field, and the

@@ -59,6 +59,22 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+func TestConfigRejected(t *testing.T) {
+	jan, feb := Month{Year: 2014, Mon: time.January}, Month{Year: 2014, Mon: time.February}
+	for name, cfg := range map[string]Config{
+		"end before start":   {Seed: 1, Networks: 3, Start: feb, End: jan},
+		"negative networks":  {Seed: 1, Networks: -1, Start: jan, End: feb},
+		"negative, defaults": {Seed: 1, Networks: -5},
+	} {
+		if _, err := NewSynthetic(cfg); err == nil {
+			t.Errorf("%s: NewSynthetic(%+v) succeeded, want an error", name, cfg)
+		}
+		if _, err := NextMonths(cfg, 1); err == nil {
+			t.Errorf("%s: NextMonths(%+v) succeeded, want an error", name, cfg)
+		}
+	}
+}
+
 func TestDefaultConfigPaperScale(t *testing.T) {
 	cfg := DefaultConfig(1)
 	if cfg.Networks != 850 {

@@ -73,15 +73,15 @@ func (f *Framework) StageCalls(stage string) int {
 // it last.
 func (f *Framework) Manifest() *runinfo.Manifest {
 	m := runinfo.New()
-	cfg := f.config() // snapshot: Ingest advances the window end
+	env := f.environment() // one snapshot: config and digests must agree
 	m.Config = runinfo.RunConfig{
-		Seed:         cfg.Seed,
-		Networks:     cfg.Networks,
-		WindowStart:  cfg.Start.String(),
-		WindowEnd:    cfg.End.String(),
+		Seed:         env.Params.Seed,
+		Networks:     len(env.OSP.Inventory.Networks),
+		WindowStart:  env.Params.Start.String(),
+		WindowEnd:    env.Params.End.String(),
 		Workers:      par.Workers(),
-		CacheEnabled: cfg.Cache.Dir != "",
-		CacheDir:     cfg.Cache.Dir,
+		CacheEnabled: f.cacheDir != "",
+		CacheDir:     f.cacheDir,
 	}
 	ps := f.PipelineStats()
 	m.TotalWallNS = int64(ps.Total)
@@ -95,7 +95,7 @@ func (f *Framework) Manifest() *runinfo.Manifest {
 			Counters:   st.Counters,
 		})
 	}
-	if digests := f.environment().ReportDigests(); len(digests) > 0 {
+	if digests := env.ReportDigests(); len(digests) > 0 {
 		m.Reports = digests
 	}
 	return m

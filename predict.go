@@ -37,18 +37,18 @@ type ModelOptions struct {
 	Boost bool
 	// Oversample enables the paper's minority-class oversampling.
 	Oversample bool
-	// Folds is the cross-validation fold count (default 5).
-	Folds int
-	// Seed drives fold assignment (default: dataset-independent 1).
-	Seed uint64
 }
+
+// modelFoldSeed drives TrainHealthModelOn's fold assignment: fixed and
+// dataset-independent, so a model's quality is reproducible.
+const modelFoldSeed = 1
 
 // BestOptions returns the paper's best configuration for the granularity
 // (experiments.BestLearner): a plain pruned tree for 2 classes, boosting +
 // oversampling for 5.
 func BestOptions(g Granularity) ModelOptions {
 	l := experiments.BestLearner(int(g))
-	return ModelOptions{Boost: l.Boost, Oversample: l.Oversample, Folds: 5, Seed: 1}
+	return ModelOptions{Boost: l.Boost, Oversample: l.Oversample}
 }
 
 // ModelQuality reports cross-validated model quality (paper §6.1).
@@ -88,7 +88,7 @@ func (m *HealthModel) PredictClassName(metrics Metrics) string {
 
 // TrainHealthModelOn trains a health model on an explicit dataset slice
 // (e.g. a FilterMonths window for online prediction) with the given
-// options.
+// options, reporting its 5-fold cross-validated quality.
 func (f *Framework) TrainHealthModelOn(d *Dataset, g Granularity, opts ModelOptions) (*HealthModel, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("mpa: empty training dataset")
@@ -96,26 +96,20 @@ func (f *Framework) TrainHealthModelOn(d *Dataset, g Granularity, opts ModelOpti
 	if g != TwoClass && g != FiveClass {
 		return nil, fmt.Errorf("mpa: unsupported granularity %d", g)
 	}
-	if opts.Folds <= 1 {
-		opts.Folds = 5
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 	sp := f.environment().Obs.Start("train_model")
 	defer sp.End()
 	sp.Count("cases", float64(d.Len()))
-	sp.Count("cv_folds", float64(opts.Folds))
+	sp.Count("cv_folds", experiments.CVFolds)
 	binned := d.Bin(5)
 	X := binned.FeatureMatrix()
 	classes := int(g)
 	y := d.Labels(classes)
 	trainer := experiments.Learner{Classes: classes, Boost: opts.Boost, Oversample: opts.Oversample}.Trainer(sp)
 
-	ev := ml.CrossValidate(X, y, classes, opts.Folds, trainer, rng.New(opts.Seed))
-	maj := ml.CrossValidate(X, y, classes, opts.Folds, func(_ [][]int, ty []int) ml.Classifier {
+	ev := ml.CrossValidate(X, y, classes, experiments.CVFolds, trainer, rng.New(modelFoldSeed))
+	maj := ml.CrossValidate(X, y, classes, experiments.CVFolds, func(_ [][]int, ty []int) ml.Classifier {
 		return ml.TrainMajority(ty, classes)
-	}, rng.New(opts.Seed))
+	}, rng.New(modelFoldSeed))
 	obs.Logger().Debug("health model trained",
 		"classes", classes, "cases", d.Len(), "accuracy", ev.Accuracy)
 

@@ -403,7 +403,10 @@ func TestQueriesNeverMixSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cfg.params()
+	p, err := cfg.params()
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.End = p.End.Add(extra)
 	o := osp.Generate(p)
 	var names []string
