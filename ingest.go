@@ -240,11 +240,13 @@ func NextMonths(cfg Config, extra int) ([]*IngestUpdate, error) {
 }
 
 // Subscribe registers a stream subscriber: after every applied update it
-// receives one "delta" event per touched network (in sorted network
-// order) followed by one "rank" event with the refreshed practice
-// ranking. The returned cancel must be called to release the
-// subscription; the channel closes after cancel.
-func (f *Framework) Subscribe() (<-chan IngestEvent, func()) {
+// receives that update's events in one slice, one "delta" event per
+// touched network (in sorted network order) followed by one "rank" event
+// with the refreshed practice ranking. A subscriber too slow to drain its
+// buffer loses whole updates, never part of one. The returned cancel
+// must be called to release the subscription; the channel closes after
+// cancel.
+func (f *Framework) Subscribe() (<-chan []IngestEvent, func()) {
 	return f.hub.Subscribe()
 }
 

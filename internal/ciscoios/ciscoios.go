@@ -210,44 +210,59 @@ func (d Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Co
 }
 
 // ParseNext is ParseScratch for the snapshot that follows prev (see
-// confmodel.ScratchParser). A block is a header line plus every line up
-// to the next line that flushes it (non-indented and not blank, "!" or
-// "end") or the end of the text, and only the block kinds are shared
-// from prev. The single-line families (hostname, username, snmp-server,
-// ntp, logging, sflow, spanning-tree, udld, ip prefix-list) are always
-// parsed: their stanzas are built up line by line, so they are never
-// shared, and their types are disjoint from the block types, so no
-// shared stanza is ever written to.
+// confmodel.ScratchParser and confmodel.Window). A top-level block is a
+// non-indented line that is not blank, "!" or "end", with every line up
+// to the next such line; the single-line families (snmp-server, ntp,
+// logging, sflow, spanning-tree, udld, ip prefix-list) build one stanza
+// up over several blocks, so the window never ends next to one of them.
 func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scratch) (*confmodel.Config, error) {
-	if sc == nil {
-		sc = confmodel.NewScratch()
-	}
-	sc.Reset()
-	c := sc.NewConfig("")
-	var cur *confmodel.Stanza
-	curStart := 0 // offset of cur's header line
-	flush := func(end int) {
+	return confmodel.ParseNext(prev, text, sc, &grammar, parse)
+}
+
+// grammar is the block structure ParseNext's window relies on.
+var grammar = confmodel.Grammar{
+	Opens: func(rest string) bool {
+		line, _, _ := strings.Cut(rest, "\n")
+		line = strings.TrimRight(line, " \t")
+		return !skipped(line) && !strings.HasPrefix(line, " ")
+	},
+	Merged: confmodel.TypesOf(confmodel.TypeSNMP, confmodel.TypeNTP, confmodel.TypeLogging,
+		confmodel.TypeSflow, confmodel.TypeSTP, confmodel.TypeUDLD, confmodel.TypePrefixList),
+}
+
+// parse parses the part of text the window plans into its config,
+// reporting each top-level block to it.
+func parse(w *confmodel.Window, text string, sc *confmodel.Scratch) (*confmodel.Config, error) {
+	c := w.Config()
+	var cur *confmodel.Stanza // the open block's stanza, upserted when it ends
+	// made is the stanza the open top-level block produces, and sets
+	// whether it sets the hostname.
+	var made *confmodel.Stanza
+	sets := false
+	closeBlock := func(at int) {
 		if cur != nil {
-			cur.SetSource(text[curStart:end])
 			c.Upsert(cur)
 			cur = nil
 		}
+		w.Block(at, made, sets)
+		made, sets = nil, false
 	}
 	// globals holds the singleton stanza of each global command family
 	// for this parse; they are only ever created here, so the array is
 	// equivalent to (and cheaper than) looking the stanza up by key.
 	var globals [confmodel.NumTypes]*confmodel.Stanza
 	global := func(t confmodel.Type) *confmodel.Stanza {
-		if s := globals[t]; s != nil {
-			return s
+		s := globals[t]
+		if s == nil {
+			s = sc.NewStanza(t, "global")
+			c.Upsert(s)
+			globals[t] = s
 		}
-		s := sc.NewStanza(t, "global")
-		c.Upsert(s)
-		globals[t] = s
+		made = s
 		return s
 	}
-	lineNo := 0
-	for start := 0; start <= len(text); {
+	start, lineNo := w.Start()
+	for start <= len(text) {
 		lineStart := start
 		var raw string
 		if end := strings.IndexByte(text[start:], '\n'); end < 0 {
@@ -271,17 +286,14 @@ func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scra
 			}
 			continue
 		}
-		flush(lineStart)
+		closeBlock(lineStart)
+		if w.Resume(lineStart) {
+			return c, nil
+		}
 		fields := sc.Fields(line)
 		if t, name, ok := blockHeader(line, fields); ok {
-			if ps := sc.Reusable(prev, t, name, text[lineStart:]); ps != nil &&
-				blockEnds(text, lineStart+len(ps.Source())) {
-				c.Upsert(ps)
-				start = lineStart + len(ps.Source())
-				lineNo += strings.Count(ps.Source(), "\n") - 1
-				continue
-			}
-			cur, curStart = sc.NewStanza(t, name), lineStart
+			cur = sc.NewStanza(t, name)
+			made = cur
 			switch t {
 			case confmodel.TypeVLAN:
 				cur.Set("vlan-id", name)
@@ -293,10 +305,11 @@ func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scra
 		switch {
 		case fields[0] == "hostname" && len(fields) == 2:
 			c.Hostname = fields[1]
+			sets = true
 		case fields[0] == "username" && len(fields) == 7:
-			s := sc.NewStanza(confmodel.TypeUser, fields[1])
-			s.Set("role", fields[3]).Set("hash", fields[6])
-			c.Upsert(s)
+			made = sc.NewStanza(confmodel.TypeUser, fields[1])
+			made.Set("role", fields[3]).Set("hash", fields[6])
+			c.Upsert(made)
 		case strings.HasPrefix(line, "snmp-server community ") && len(fields) == 4:
 			global(confmodel.TypeSNMP).Set("community", fields[2])
 		case strings.HasPrefix(line, "snmp-server host ") && len(fields) == 3:
@@ -321,18 +334,17 @@ func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scra
 			global(confmodel.TypeUDLD).Set("enable", "true")
 		case strings.HasPrefix(line, "ip prefix-list ") && len(fields) >= 5 && fields[3] == "seq":
 			name := fields[2]
-			s := c.Get(confmodel.TypePrefixList, name)
-			if s == nil {
-				s = sc.NewStanza(confmodel.TypePrefixList, name)
-				c.Upsert(s)
+			made = c.Get(confmodel.TypePrefixList, name)
+			if made == nil {
+				made = sc.NewStanza(confmodel.TypePrefixList, name)
+				c.Upsert(made)
 			}
-			s.Set(sc.Intern2("rule:", fields[4]), sc.InternJoin(fields[5:]))
+			made.Set(sc.Intern2("rule:", fields[4]), sc.InternJoin(fields[5:]))
 		default:
 			return nil, &ParseError{lineNo, line, "unrecognized top-level line"}
 		}
 	}
-	flush(len(text))
-	sc.FinishConfig(c)
+	closeBlock(len(text))
 	return c, nil
 }
 
@@ -340,24 +352,6 @@ func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scra
 // trimmed): it is blank, "!" or "end".
 func skipped(line string) bool {
 	return strings.TrimSpace(line) == "" || line == "!" || line == "end"
-}
-
-// blockEnds reports whether a block ending at offset pos of text ends
-// there in a full parse too: pos is the end of the text, or the start of
-// a line that flushes.
-func blockEnds(text string, pos int) bool {
-	if pos == len(text) {
-		return true
-	}
-	if text[pos-1] != '\n' {
-		return false
-	}
-	line := text[pos:]
-	if i := strings.IndexByte(line, '\n'); i >= 0 {
-		line = line[:i]
-	}
-	line = strings.TrimRight(line, " \t")
-	return !skipped(line) && !strings.HasPrefix(line, " ")
 }
 
 // blockHeader maps a top-level line that opens a block to its stanza

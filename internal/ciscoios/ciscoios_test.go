@@ -223,24 +223,26 @@ func TestDiffAfterEditIsTyped(t *testing.T) {
 
 // TestParseNextOutOfOrderAndRepeatedHeaders parses, as the successor of
 // a rendered snapshot, hand-ordered text: the same blocks in reverse key
-// order, then a repeated interface header. Reused blocks are found by
-// the lookup's binary-search fallback (rendered text never goes
-// backwards), the repeated header's last block wins as in a full parse,
-// and prev is left as it was.
+// order, then a repeated interface header, then a block both texts end
+// with. The reordered blocks all lie in the window; the repeated header's
+// last block wins as in a full parse; the block after the window is
+// shared from prev; and prev is left as it was. The result repeats a key,
+// so it has no layout, and the snapshot after it is parsed in full.
 func TestParseNextOutOfOrderAndRepeatedHeaders(t *testing.T) {
 	var d Dialect
 	acl := "ip access-list extended A\n 10 permit ip any any\n!\n"
 	gi1 := "interface Gi0/1\n description one\n!\n"
 	gi2 := "interface Gi0/2\n description two\n!\n"
 	vlan := "vlan 10\n name ten\n!\n"
+	tail := "vlan 20\n name twenty\n!\nend\n"
 	sc := confmodel.NewScratch()
-	prev, err := d.ParseScratch("hostname r1\n!\n"+acl+gi1+gi2+vlan+"end\n", sc)
+	prev, err := d.ParseScratch("hostname r1\n!\n"+acl+gi1+gi2+vlan+tail, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := d.Render(prev)
 	next := "hostname r1\n!\n" + vlan + gi2 + gi1 + acl +
-		"interface Gi0/2\n description again\n!\nend\n"
+		"interface Gi0/2\n description again\n!\n" + tail
 	got, err := d.ParseNext(prev, next, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -255,15 +257,52 @@ func TestParseNextOutOfOrderAndRepeatedHeaders(t *testing.T) {
 	if s := got.Get(confmodel.TypeInterface, "Gi0/2"); s.Get("description") != "again" {
 		t.Errorf("repeated header: description %q, want the last block's %q", s.Get("description"), "again")
 	}
-	for _, k := range []struct {
-		t    confmodel.Type
-		name string
-	}{{confmodel.TypeACL, "A"}, {confmodel.TypeInterface, "Gi0/1"}} {
-		if got.Get(k.t, k.name) != prev.Get(k.t, k.name) {
-			t.Errorf("%v %s was parsed again instead of shared from prev", k.t, k.name)
-		}
+	if got.Get(confmodel.TypeVLAN, "20") != prev.Get(confmodel.TypeVLAN, "20") {
+		t.Error("vlan 20, after the window, was parsed again instead of shared from prev")
 	}
 	if d.Render(prev) != before {
 		t.Error("ParseNext modified its prev config")
+	}
+	again := strings.Replace(next, "name twenty", "name twenty-one", 1)
+	if got, err = d.ParseNext(got, again, sc); err != nil {
+		t.Fatal(err)
+	}
+	if want, err = d.Parse(again); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("ParseNext after a repeated key differs from Parse:\n%s\nwant\n%s", d.Render(got), d.Render(want))
+	}
+}
+
+// TestParseNextAfterPrevModified checks that a parsed config modified
+// after parsing no longer vouches for its text: ParseNext against it
+// must parse the whole successor rather than share the modified
+// config's stanzas.
+func TestParseNextAfterPrevModified(t *testing.T) {
+	var d Dialect
+	text := "hostname r1\n!\nvlan 10\n name ten\n!\nvlan 20\n name twenty\n!\nend\n"
+	next := strings.Replace(text, "name twenty", "name twenty-one", 1)
+	want, err := d.Parse(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, modify := range map[string]func(*confmodel.Config){
+		"upsert": func(c *confmodel.Config) { c.Upsert(confmodel.NewStanza(confmodel.TypeVLAN, "99")) },
+		"remove": func(c *confmodel.Config) { c.Remove(confmodel.TypeVLAN, "10") },
+	} {
+		sc := confmodel.NewScratch()
+		prev, err := d.ParseScratch(text, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modify(prev)
+		got, err := d.ParseNext(prev, next, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: ParseNext after modifying prev differs from Parse:\n%s\nwant\n%s", name, d.Render(got), d.Render(want))
+		}
 	}
 }

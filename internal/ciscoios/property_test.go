@@ -1,9 +1,11 @@
 package ciscoios
 
 import (
+	"strings"
 	"testing"
 
 	"mpa/internal/confdiff"
+	"mpa/internal/confmodel"
 	"mpa/internal/conftest"
 	"mpa/internal/rng"
 )
@@ -59,5 +61,34 @@ func TestDiffProperty(t *testing.T) {
 		if len(diff) == 1 && diff[0].Type != s.Type {
 			t.Fatalf("iteration %d: change typed %v, want %v", i, diff[0].Type, s.Type)
 		}
+	}
+}
+
+// TestParseNextLineEditsProperty chains ParseNext over random line edits
+// of rendered configs (conftest.EditLines): each text is parsed as the
+// successor of the last one that parsed, whose config is itself a
+// ParseNext result, and must agree with a full parse, errors included.
+func TestParseNextLineEditsProperty(t *testing.T) {
+	var d Dialect
+	r := rng.New(29)
+	sc := confmodel.NewScratch()
+	parsed := 0
+	for i := 0; i < 600; i++ {
+		text := d.Render(conftest.RandomConfig(r, conftest.StyleCisco))
+		pool := strings.SplitAfter(d.Render(conftest.RandomConfig(r, conftest.StyleCisco)), "\n")
+		prev, err := d.ParseScratch(text, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 6; step++ {
+			next := conftest.EditLines(r, text, pool)
+			if c := checkParseNext(t, prev, next, sc); c != nil {
+				text, prev = next, c
+				parsed++
+			}
+		}
+	}
+	if parsed < 500 {
+		t.Fatalf("only %d edited texts parsed: the edits exercise little", parsed)
 	}
 }

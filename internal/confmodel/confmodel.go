@@ -123,12 +123,6 @@ type Stanza struct {
 	// readers of a shared parsed config are race-free. Type and Name are
 	// set at construction and must not be reassigned.
 	key string
-
-	// src is the exact block of text the stanza was parsed from, set by
-	// the parser (SetSource) before the config is returned and never
-	// written afterwards, like key. It is empty unless that block alone
-	// determines the stanza; see Source.
-	src string
 }
 
 // NewStanza returns an empty stanza of the given type and name.
@@ -148,17 +142,6 @@ func (s *Stanza) Key() string {
 	return s.Type.String() + " " + s.Name
 }
 
-// Source returns the block of text the stanza was parsed from, or "" when
-// the stanza was built in code or the block alone does not determine it.
-// A dialect's ParseNext reuses a previous snapshot's stanza in place of
-// parsing when its source reappears verbatim at a block boundary.
-func (s *Stanza) Source() string { return s.src }
-
-// SetSource records the block of text the stanza was parsed from. Only a
-// parser calls it, on a stanza it has just built, before returning the
-// config; the block must determine every field of the stanza.
-func (s *Stanza) SetSource(src string) { s.src = src }
-
 // Set sets an option and returns the stanza for chaining.
 func (s *Stanza) Set(key, value string) *Stanza {
 	if s.Options == nil {
@@ -174,8 +157,7 @@ func (s *Stanza) Get(key string) string { return s.Options[key] }
 // Delete removes an option.
 func (s *Stanza) Delete(key string) { delete(s.Options, key) }
 
-// Clone returns a deep copy of the stanza. The copy has no Source: it is
-// built to be modified, so it no longer matches the text it came from.
+// Clone returns a deep copy of the stanza.
 func (s *Stanza) Clone() *Stanza {
 	c := &Stanza{Type: s.Type, Name: s.Name, key: s.Key(),
 		Options: make(map[string]string, len(s.Options))}
@@ -217,6 +199,11 @@ func (s *Stanza) OptionsWithPrefix(prefix string) map[string]string {
 type Config struct {
 	Hostname string
 	stanzas  []*Stanza // ascending by Key, keys unique
+
+	// lay is the text a dialect parsed the config from and its top-level
+	// blocks (see Window); empty for a config built in code, and dropped
+	// by Upsert and Remove.
+	lay layout
 }
 
 // NewConfig returns an empty configuration for the given hostname.
@@ -262,6 +249,7 @@ func (c *Config) index(ts, name string) (int, bool) {
 // replaced, so the last one upserted wins. Parsers upsert in text order,
 // which is key order for rendered text, so the common case appends.
 func (c *Config) Upsert(s *Stanza) {
+	c.dropLayout()
 	ts := s.Type.String()
 	if n := len(c.stanzas); n == 0 || c.stanzas[n-1].cmp(ts, s.Name) < 0 {
 		c.stanzas = append(c.stanzas, s)
@@ -273,6 +261,14 @@ func (c *Config) Upsert(s *Stanza) {
 		return
 	}
 	c.stanzas = slices.Insert(c.stanzas, i, s)
+}
+
+// dropLayout forgets the text the config was parsed from, which it no
+// longer matches once modified.
+func (c *Config) dropLayout() {
+	if c.lay.blocks != nil {
+		c.lay = layout{}
+	}
 }
 
 // Get returns the stanza with the given type and name, or nil. It
@@ -290,6 +286,7 @@ func (c *Config) Remove(t Type, name string) bool {
 	i, ok := c.index(t.String(), name)
 	if ok {
 		c.stanzas = slices.Delete(c.stanzas, i, i+1)
+		c.dropLayout()
 	}
 	return ok
 }
@@ -320,7 +317,8 @@ func (c *Config) OfType(t Type) []*Stanza {
 	return c.stanzas[lo:hi:hi]
 }
 
-// Clone returns a deep copy of the configuration.
+// Clone returns a deep copy of the configuration, without the text
+// layout of a parsed config: the copy is made to be modified.
 func (c *Config) Clone() *Config {
 	out := &Config{Hostname: c.Hostname, stanzas: make([]*Stanza, len(c.stanzas))}
 	for i, s := range c.stanzas {
@@ -332,7 +330,7 @@ func (c *Config) Clone() *Config {
 // Equal reports whether two configurations contain identical stanzas.
 // Both are key-sorted, so they are compared position by position; a
 // stanza shared between the two (see ScratchParser) is equal to itself
-// without comparing its options.
+// without comparing its options. The text layout is not compared.
 func (c *Config) Equal(o *Config) bool {
 	if c.Hostname != o.Hostname || len(c.stanzas) != len(o.stanzas) {
 		return false

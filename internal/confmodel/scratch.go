@@ -10,13 +10,13 @@ import (
 // caller-provided Scratch across snapshots (both built-in dialects do).
 //
 // ParseNext parses text as the snapshot that follows prev, a config the
-// same dialect parsed earlier (nil for a device's first snapshot). Each
-// top-level block whose bytes equal the Source of prev's stanza with the
-// same type and name, and that ends at a block boundary, is not parsed:
-// prev's immutable stanza is shared into the result. prev is only read.
-// ParseScratch is ParseNext with no previous config. For every input,
-// both must be equivalent to Parse: an Equal config, or an error with
-// the same message and line number.
+// same dialect parsed earlier (nil for a device's first snapshot). Only
+// the window of text between what it has in common with prev's text at
+// the start and at the end is parsed; prev's immutable stanzas for the
+// top-level blocks outside that window are shared into the result (see
+// Window). prev is only read. ParseScratch is ParseNext with no previous
+// config. For every input, both must be equivalent to Parse: an Equal
+// config, or an error with the same message and line number.
 type ScratchParser interface {
 	ParseScratch(text string, sc *Scratch) (*Config, error)
 	ParseNext(prev *Config, text string, sc *Scratch) (*Config, error)
@@ -45,18 +45,22 @@ type Scratch struct {
 	buf      []byte
 	interned map[string]string
 
-	// Sizing hints recorded by FinishConfig: successive snapshots of one
-	// device are nearly identical, so the previous parse's stanza count
-	// and per-stanza option counts pre-size the next parse's stanza slice
-	// and option maps exactly, avoiding incremental growth (which
-	// allocates ~2x the final space). Hints only size storage — they never
-	// change contents.
+	// Sizing hints recorded by each finished parse: successive
+	// snapshots of one device are nearly identical, so the previous
+	// parse's stanza count and per-stanza option counts pre-size the next
+	// parse's stanza slice and option maps exactly, avoiding incremental
+	// growth (which allocates ~2x the final space). Hints only size
+	// storage — they never change contents.
 	cfgHint int
 	optHint map[string]int
 
-	// cur is Reusable's cursor into the previous config's key-sorted
-	// stanzas: the index just past its last answer. NewConfig rewinds it.
-	cur int
+	// win is the plan of the parse in progress (see Window), part the
+	// stanza buffer of a windowed parse's config and drop the indexes of
+	// the previous config's stanzas it replaces; all are reused from one
+	// parse to the next.
+	win  Window
+	part []*Stanza
+	drop []int
 }
 
 // NewScratch returns an empty scratch ready for use.
@@ -195,7 +199,7 @@ func (sc *Scratch) internKey(t Type, name string) string {
 }
 
 // NewStanza is NewStanza with the stanza key taken from the interner and
-// the options map pre-sized from the previous FinishConfig (or allocated
+// the options map pre-sized from the previous parse (or allocated
 // lazily on first Set when the stanza wasn't seen before), saving the
 // map-growth allocations per stanza on the parse hot path.
 func (sc *Scratch) NewStanza(t Type, name string) *Stanza {
@@ -207,70 +211,14 @@ func (sc *Scratch) NewStanza(t Type, name string) *Stanza {
 	return s
 }
 
-// NewConfig is confmodel.NewConfig with the stanza slice pre-sized to
-// the last FinishConfig'd parse, so re-parsing a near-identical snapshot
-// never grows it. It also rewinds Reusable's cursor: a parser calls it
-// once at the start of each parse.
-func (sc *Scratch) NewConfig(hostname string) *Config {
-	sc.cur = 0
-	return &Config{Hostname: hostname, stanzas: make([]*Stanza, 0, sc.cfgHint)}
-}
-
-// FinishConfig records sizing hints from a completed parse (stanza count
-// and per-stanza option counts) for the next NewConfig/NewStanza. Parsers
-// call it just before returning a successfully parsed config.
-func (sc *Scratch) FinishConfig(c *Config) {
-	sc.cfgHint = len(c.stanzas)
-	for _, s := range c.stanzas {
+// hint records sizing hints from a finished parse of n stanzas, of which
+// parsed were built by this parse (the rest were shared), for the next
+// Window.Config and NewStanza.
+func (sc *Scratch) hint(n int, parsed []*Stanza) {
+	sc.cfgHint = n
+	for _, s := range parsed {
 		if n := len(s.Options); n > 0 {
 			sc.optHint[s.Key()] = n
 		}
 	}
-}
-
-// Reusable returns prev's stanza (t, name) when its Source is a prefix of
-// rest, the text from the start of the block header being parsed; nil
-// otherwise (including a nil prev). The caller must still check that the
-// block ends where the Source does before sharing the stanza. It
-// allocates nothing.
-//
-// Block headers normally arrive in key order (rendered text lists
-// stanzas in key order), so the stanza is looked up from a cursor that
-// moves forward through prev's sorted stanzas: the stanza at the cursor
-// is checked first and the rest of prev is binary-searched only past it.
-// A header that sorts at or before the previous answer (hand-ordered
-// text, a repeated header) searches all of prev.
-func (sc *Scratch) Reusable(prev *Config, t Type, name, rest string) *Stanza {
-	if prev == nil {
-		return nil
-	}
-	ts, all := t.String(), prev.stanzas
-	lo := min(sc.cur, len(all))
-	if lo > 0 && all[lo-1].cmp(ts, name) >= 0 {
-		lo = 0
-	}
-	// cmpAt compares prev's i-th stanza with the header; past the end
-	// sorts after everything.
-	cmpAt := func(i int) int {
-		if i == len(all) {
-			return 1
-		}
-		return all[i].cmp(ts, name)
-	}
-	i := lo
-	c := cmpAt(i)
-	if c < 0 {
-		i += 1 + searchStanzas(all[i+1:], ts, name)
-		c = cmpAt(i)
-	}
-	sc.cur = i
-	if c != 0 {
-		return nil
-	}
-	sc.cur = i + 1
-	ps := all[i]
-	if ps.src == "" || !strings.HasPrefix(rest, ps.src) {
-		return nil
-	}
-	return ps
 }

@@ -6,6 +6,7 @@ package conftest
 
 import (
 	"fmt"
+	"strings"
 
 	"mpa/internal/confmodel"
 	"mpa/internal/rng"
@@ -211,4 +212,31 @@ func Successor(r *rng.RNG, c *confmodel.Config) *confmodel.Config {
 		next.Remove(s.Type, s.Name)
 	}
 	return next
+}
+
+// EditLines returns text with one to three random line edits: a line
+// deleted, duplicated elsewhere, replaced by or preceded by a line drawn
+// from pool, or the trailing newline dropped. Drawing from another
+// rendered config's lines makes edits that open, close, split and repeat
+// blocks, or break the text at a known line, wherever they land.
+func EditLines(r *rng.RNG, text string, pool []string) string {
+	lines := strings.SplitAfter(text, "\n")
+	draw := func() string { return strings.TrimSuffix(pool[r.Intn(len(pool))], "\n") + "\n" }
+	for n := 1 + r.Intn(3); n > 0 && len(lines) > 0; n-- {
+		i := r.Intn(len(lines))
+		switch r.Intn(5) {
+		case 0:
+			lines = append(lines[:i:i], lines[i+1:]...)
+		case 1:
+			j := r.Intn(len(lines))
+			lines = append(lines[:j:j], append([]string{lines[i]}, lines[j:]...)...)
+		case 2:
+			lines[i] = draw()
+		case 3:
+			lines = append(lines[:i:i], append([]string{draw()}, lines[i:]...)...)
+		default:
+			lines[len(lines)-1] = strings.TrimSuffix(lines[len(lines)-1], "\n")
+		}
+	}
+	return strings.Join(lines, "")
 }

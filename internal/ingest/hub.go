@@ -14,32 +14,34 @@ type Event struct {
 	Data []byte // JSON payload (single line)
 }
 
-// Hub fans ingest events out to SSE subscribers. Publish never blocks:
-// each subscriber owns a buffered channel, and a subscriber too slow to
-// drain its buffer loses events (counted under ingest.stream_dropped)
-// rather than stalling the ingest path or other subscribers. Events
+// Hub fans ingest updates out to SSE subscribers. An update is the burst
+// of events one ingest publishes, and it is delivered whole or not at
+// all. Publish never blocks: each subscriber owns a buffered channel of
+// updates, and a subscriber too slow to drain it loses whole updates
+// (counted under ingest.stream_dropped) rather than stalling the ingest
+// path or other subscribers, and never the tail of one. Updates
 // published from one goroutine arrive at every live subscriber in
 // publish order — the ordering guarantee the SSE tests pin.
 type Hub struct {
 	mu   sync.Mutex
-	subs map[int]chan Event
+	subs map[int]chan []Event
 	next int
 }
 
 // NewHub returns an empty hub.
-func NewHub() *Hub { return &Hub{subs: map[int]chan Event{}} }
+func NewHub() *Hub { return &Hub{subs: map[int]chan []Event{}} }
 
-// subscriberBuffer is each subscriber's channel buffer. It bounds the
-// events a slow subscriber can hold back, while one update to a
-// 60-network org (a delta per touched network plus the rank event) still
-// fits whole; beyond it events drop (ingest.stream_dropped).
-const subscriberBuffer = 64
+// subscriberBuffer is each subscriber's channel buffer, in updates. It
+// bounds the updates a slow subscriber can hold back; an update's size
+// (a delta per touched network plus the rank event) does not count
+// against it.
+const subscriberBuffer = 16
 
-// Subscribe registers a subscriber and returns its event channel plus a
-// cancel function. Cancel is idempotent and closes the channel, so range
-// loops over it terminate.
-func (h *Hub) Subscribe() (<-chan Event, func()) {
-	ch := make(chan Event, subscriberBuffer)
+// Subscribe registers a subscriber and returns its channel of updates
+// plus a cancel function. Cancel is idempotent and closes the channel,
+// so range loops over it terminate.
+func (h *Hub) Subscribe() (<-chan []Event, func()) {
+	ch := make(chan []Event, subscriberBuffer)
 	h.mu.Lock()
 	id := h.next
 	h.next++
@@ -67,18 +69,18 @@ func (h *Hub) Subscribers() int {
 	return len(h.subs)
 }
 
-// Publish delivers the events, in order, to every current subscriber.
-// Slow subscribers drop events instead of blocking the caller.
-func (h *Hub) Publish(evs ...Event) {
+// Publish delivers one update, the events in order, to every current
+// subscriber. Subscribers share the slice, so the caller must not modify
+// it afterwards. A subscriber whose buffer is full drops the update
+// instead of blocking the caller.
+func (h *Hub) Publish(update ...Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, ev := range evs {
-		for _, ch := range h.subs {
-			select {
-			case ch <- ev:
-			default:
-				obs.GetCounter("ingest.stream_dropped").Add(1)
-			}
+	for _, ch := range h.subs {
+		select {
+		case ch <- update:
+		default:
+			obs.GetCounter("ingest.stream_dropped").Add(1)
 		}
 	}
 }

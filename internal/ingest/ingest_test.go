@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mpa/internal/months"
+	"mpa/internal/obs"
 	"mpa/internal/osp"
 )
 
@@ -199,13 +200,20 @@ func TestHubOrderingAndCancel(t *testing.T) {
 		t.Fatalf("subscribers=%d, want 2", h.Subscribers())
 	}
 
-	evs := []Event{{Type: "delta", Data: []byte(`1`)}, {Type: "delta", Data: []byte(`2`)}, {Type: "rank", Data: []byte(`3`)}}
-	h.Publish(evs...)
-	for _, ch := range []<-chan Event{ch1, ch2} {
-		for i, want := range evs {
+	first := []Event{{Type: "delta", Data: []byte(`1`)}, {Type: "delta", Data: []byte(`2`)}, {Type: "rank", Data: []byte(`3`)}}
+	second := []Event{{Type: "rank", Data: []byte(`4`)}}
+	h.Publish(first...)
+	h.Publish(second...)
+	for _, ch := range []<-chan []Event{ch1, ch2} {
+		for u, want := range [][]Event{first, second} {
 			got := <-ch
-			if got.Type != want.Type || string(got.Data) != string(want.Data) {
-				t.Fatalf("event %d: got %s %s, want %s %s", i, got.Type, got.Data, want.Type, want.Data)
+			if len(got) != len(want) {
+				t.Fatalf("update %d: %d events, want %d", u, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Type != want[i].Type || string(got[i].Data) != string(want[i].Data) {
+					t.Fatalf("update %d event %d: got %s %s, want %s %s", u, i, got[i].Type, got[i].Data, want[i].Type, want[i].Data)
+				}
 			}
 		}
 	}
@@ -218,29 +226,55 @@ func TestHubOrderingAndCancel(t *testing.T) {
 	if _, ok := <-ch1; ok {
 		t.Fatal("canceled channel not closed")
 	}
-	h.Publish(Event{Type: "delta", Data: []byte(`4`)}) // must not panic or reach ch1
-	if got := <-ch2; string(got.Data) != "4" {
-		t.Fatalf("live subscriber got %s, want 4", got.Data)
+	h.Publish(Event{Type: "delta", Data: []byte(`5`)}) // must not panic or reach ch1
+	if got := <-ch2; len(got) != 1 || string(got[0].Data) != "5" {
+		t.Fatalf("live subscriber got %v, want one event 5", got)
 	}
 }
 
+// TestHubDropsSlowSubscriber checks that delivery is all or nothing per
+// update: a 200-event burst (an ingest touching 199 networks) reaches a
+// reading subscriber intact, and a subscriber whose buffer is full loses
+// the whole next update, counted once, while the updates it holds stay
+// whole.
 func TestHubDropsSlowSubscriber(t *testing.T) {
-	h := NewHub()
-	ch, cancel := h.Subscribe()
-	defer cancel()
-	evs := make([]Event, subscriberBuffer+2)
-	for i := range evs {
-		evs[i] = Event{Data: []byte(strconv.Itoa(i))}
+	burst := func(tag string) []Event {
+		evs := make([]Event, 200)
+		for i := range evs {
+			evs[i] = Event{Type: "delta", Data: []byte(tag + strconv.Itoa(i))}
+		}
+		evs[len(evs)-1].Type = "rank"
+		return evs
 	}
-	h.Publish(evs...)
+	h := NewHub()
+	reader, cancelReader := h.Subscribe()
+	defer cancelReader()
+	h.Publish(burst("r")...)
+	if got := <-reader; len(got) != 200 || got[199].Type != "rank" || string(got[0].Data) != "r0" {
+		t.Fatalf("reading subscriber got %d events, want the whole 200-event burst ending in rank", len(got))
+	}
+
+	slow, cancelSlow := h.Subscribe()
+	defer cancelSlow()
+	dropped := obs.GetCounter("ingest.stream_dropped")
 	for i := 0; i < subscriberBuffer; i++ {
-		if got := <-ch; string(got.Data) != strconv.Itoa(i) {
-			t.Fatalf("event %d: got %s, want the buffered events in order", i, got.Data)
+		h.Publish(burst(strconv.Itoa(i) + ":")...)
+	}
+	before := dropped.Value()
+	h.Publish(burst("lost:")...)
+	if got := dropped.Value() - before; got != 2 {
+		// The reader, not drained since, is full too.
+		t.Errorf("ingest.stream_dropped rose by %d, want 2 (one whole update per full subscriber)", got)
+	}
+	for i := 0; i < subscriberBuffer; i++ {
+		got := <-slow
+		if len(got) != 200 || string(got[0].Data) != strconv.Itoa(i)+":0" {
+			t.Fatalf("buffered update %d: %d events starting %s, want 200 starting %d:0", i, len(got), got[0].Data, i)
 		}
 	}
 	select {
-	case ev := <-ch:
-		t.Fatalf("overflow event %s delivered, want dropped", ev.Data)
+	case got := <-slow:
+		t.Fatalf("overflow update (%d events) delivered, want dropped whole", len(got))
 	default:
 	}
 }

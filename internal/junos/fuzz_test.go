@@ -95,52 +95,90 @@ func FuzzRoundTrip(f *testing.F) {
 }
 
 // FuzzParseNext checks incremental parsing against the full parse on
-// arbitrary snapshot pairs: whenever prevText parses, ParseNext(prev,
-// nextText) must agree with ParseScratch(nextText) — an Equal config, or
-// an error with the same message and line number — and must leave prev
-// rendering exactly as before. The seeds are consecutive snapshot pairs
-// (conftest.Successor) plus truncated, duplicated-header,
-// no-trailing-newline and host-name-inside-a-block variants: the shapes
-// where sharing a block could go wrong.
+// arbitrary snapshot chains: whenever firstText parses, ParseNext(first,
+// nextText) must agree with Parse(nextText) (an Equal config, or an
+// error with the same message and line number) and leave first rendering
+// exactly as before; and when nextText parses, so must
+// ParseNext(ParseNext(first, nextText), lastText) with Parse(lastText),
+// because the engine feeds ParseNext's results back in and their layouts
+// must be right too. The seeds are consecutive snapshots
+// (conftest.Successor) plus truncated, duplicated, no-trailing-newline
+// and host-name-inside-a-block variants, and the shapes where the
+// window's edges could be misjudged: an edit in the first or the last
+// block, a hostname change, a block left open across the window's end, a
+// key repeated across it, a text that is a strict prefix or suffix of
+// the one before, and an error inside the window.
 func FuzzParseNext(f *testing.F) {
 	var d Dialect
 	r := rng.New(18)
 	for i := 0; i < 8; i++ {
 		c := conftest.RandomConfig(r, conftest.StyleJuniper)
 		prev, next := d.Render(c), d.Render(conftest.Successor(r, c))
-		f.Add(prev, next)
-		f.Add(prev, next[:len(next)/2])
-		f.Add(prev, strings.TrimSuffix(prev, "\n"))
-		f.Add(prev, prev+prev)
+		f.Add(prev, next, prev)
+		f.Add(prev, next[:len(next)/2], next)
+		f.Add(prev, strings.TrimSuffix(prev, "\n"), prev)
+		f.Add(prev, prev+prev, next)
 	}
 	block := "vlans v1 {\n    vlan-id 1;\n}\n"
-	f.Add(block, block+"vlans v1 {\n    vlan-id 2;\n}\n")
-	f.Add(block, "vlans v1 {\n    vlan-id 1;\n}")
-	f.Add("vlans v1 {\n    vlan-id 1;\n}", "vlans v1 {\n    vlan-id 1;\n}\n    vlan-id 2;\n")
-	f.Add(block, block+"}\n")
-	f.Add("vlans v1 {\n    vlan-id 1;\n}", "vlans v1 {\n    vlan-id 1;\n}x\n")
+	f.Add(block, block+"vlans v1 {\n    vlan-id 2;\n}\n", block)
+	f.Add(block, "vlans v1 {\n    vlan-id 1;\n}", block)
+	f.Add("vlans v1 {\n    vlan-id 1;\n}", "vlans v1 {\n    vlan-id 1;\n}\n    vlan-id 2;\n", block)
+	f.Add(block, block+"}\n", block)
+	f.Add("vlans v1 {\n    vlan-id 1;\n}", "vlans v1 {\n    vlan-id 1;\n}x\n", block)
 	hosted := "snmp {\n    host-name a;\n    community c;\n}\n"
-	f.Add(hosted, "host-name b;\n"+hosted)
-	f.Fuzz(func(t *testing.T, prevText, nextText string) {
+	f.Add(hosted, "host-name b;\n"+hosted, hosted)
+
+	base := "host-name r1;\ninterfaces ge-0/0/1 {\n    description \"a\";\n}\n" +
+		"vlans ten {\n    vlan-id 10;\n}\nvlans twenty {\n    vlan-id 20;\n}\n"
+	edits := []string{
+		strings.Replace(base, `"a"`, `"b"`, 1),                   // first block
+		strings.Replace(base, "vlan-id 20", "vlan-id 21", 1),     // last block
+		strings.Replace(base, "host-name r1", "host-name r2", 1), // hostname
+		strings.Replace(base, "host-name r1;\n", "", 1),          // hostname removed
+		strings.Replace(base, "    vlan-id 10;\n", "    host-name r3;\n", 1),
+		strings.Replace(base, "vlan-id 10;\n}\n", "vlan-id 10;\n", 1), // block open across the edge
+		strings.Replace(base, "vlans twenty", "interfaces ge-0/0/1 {\n}\nvlans twenty", 1),
+		base[:len(base)/2], // strict prefix
+		base[len(base)/3:], // strict suffix
+		strings.TrimSuffix(base, "\n"),
+		strings.Replace(base, "vlan-id 10", "bogus 10", 1), // error inside the window
+	}
+	for _, e := range edits {
+		f.Add(base, e, base)
+		f.Add(e, base, e)
+	}
+	f.Fuzz(func(t *testing.T, firstText, nextText, lastText string) {
 		sc := confmodel.NewScratch()
-		prev, err := d.ParseScratch(prevText, sc)
+		first, err := d.ParseScratch(firstText, sc)
 		if err != nil {
 			return // ParseNext's prev is always a successful parse
 		}
-		before := d.Render(prev)
-		want, wantErr := d.Parse(nextText)
-		got, err := d.ParseNext(prev, nextText, sc)
-		switch {
-		case (err == nil) != (wantErr == nil):
-			t.Fatalf("ParseNext error %v, full parse error %v", err, wantErr)
-		case err != nil && err.Error() != wantErr.Error():
-			t.Fatalf("ParseNext error %q, full parse error %q", err, wantErr)
-		case err == nil && !got.Equal(want):
-			t.Fatalf("ParseNext differs from full parse: hostname %q, want %q; diff %v",
-				got.Hostname, want.Hostname, confdiff.Diff(want, got))
-		}
-		if d.Render(prev) != before {
+		before := d.Render(first)
+		next := checkParseNext(t, first, nextText, sc)
+		if d.Render(first) != before {
 			t.Fatalf("ParseNext modified its prev config")
 		}
+		if next != nil {
+			checkParseNext(t, next, lastText, sc)
+		}
 	})
+}
+
+// checkParseNext checks ParseNext(prev, text) against Parse(text) and
+// returns its config (nil when text does not parse).
+func checkParseNext(t *testing.T, prev *confmodel.Config, text string, sc *confmodel.Scratch) *confmodel.Config {
+	t.Helper()
+	var d Dialect
+	want, wantErr := d.Parse(text)
+	got, err := d.ParseNext(prev, text, sc)
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("ParseNext error %v, full parse error %v", err, wantErr)
+	case err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("ParseNext error %q, full parse error %q", err, wantErr)
+	case err == nil && !got.Equal(want):
+		t.Fatalf("ParseNext differs from full parse: hostname %q, want %q; diff %v",
+			got.Hostname, want.Hostname, confdiff.Diff(want, got))
+	}
+	return got
 }

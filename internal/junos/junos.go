@@ -194,22 +194,28 @@ func (d Dialect) ParseScratch(text string, sc *confmodel.Scratch) (*confmodel.Co
 }
 
 // ParseNext is ParseScratch for the snapshot that follows prev (see
-// confmodel.ScratchParser). A block runs from its "header {" line through
-// its closing "}" line; any block can be shared from prev unless it
-// contains a host-name line, which sets the config's hostname rather
-// than the stanza.
+// confmodel.ScratchParser and confmodel.Window). A top-level block runs
+// from the end of the one before through a "}" line or a host-name line
+// outside any block.
 func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scratch) (*confmodel.Config, error) {
-	if sc == nil {
-		sc = confmodel.NewScratch()
-	}
-	sc.Reset()
-	c := sc.NewConfig("")
+	return confmodel.ParseNext(prev, text, sc, &grammar, parse)
+}
+
+// grammar is the block structure ParseNext's window relies on: no block
+// continues past its "}" line, and no stanza spans blocks.
+var grammar confmodel.Grammar
+
+// parse parses the part of text the window plans into its config,
+// reporting each top-level block to it.
+func parse(w *confmodel.Window, text string, sc *confmodel.Scratch) (*confmodel.Config, error) {
+	c := w.Config()
 	var cur *confmodel.Stanza
-	curStart := 0    // offset of cur's header line
 	curHost := false // cur's block contains a host-name line
-	lineNo := 0
-	for start := 0; start <= len(text); {
-		lineStart := start
+	start, lineNo := w.Start()
+	for start <= len(text) {
+		if cur == nil && w.Resume(start) {
+			return c, nil
+		}
 		var raw string
 		if end := strings.IndexByte(text[start:], '\n'); end < 0 {
 			raw = text[start:]
@@ -226,15 +232,17 @@ func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scra
 		switch {
 		case strings.HasPrefix(line, "host-name ") && strings.HasSuffix(line, ";"):
 			c.Hostname = strings.TrimSuffix(sc.Fields(line)[1], ";")
-			curHost = true
+			if cur != nil {
+				curHost = true
+			} else {
+				w.Block(min(start, len(text)), nil, true)
+			}
 		case line == "}":
 			if cur == nil {
 				return nil, &ParseError{lineNo, line, "unbalanced close brace"}
 			}
-			if !curHost {
-				cur.SetSource(text[curStart:min(start, len(text))])
-			}
 			c.Upsert(cur)
+			w.Block(min(start, len(text)), cur, curHost)
 			cur = nil
 		case strings.HasSuffix(line, "{"):
 			if cur != nil {
@@ -245,17 +253,7 @@ func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scra
 			if err != nil {
 				return nil, &ParseError{lineNo, line, err.Error()}
 			}
-			if ps := sc.Reusable(prev, t, name, text[lineStart:]); ps != nil {
-				// A block ends at its "}" line, so it ends where the
-				// source does whenever that is a line boundary.
-				if end := lineStart + len(ps.Source()); end == len(text) || text[end-1] == '\n' {
-					c.Upsert(ps)
-					start = end
-					lineNo += strings.Count(ps.Source(), "\n") - 1
-					continue
-				}
-			}
-			cur, curStart, curHost = sc.NewStanza(t, name), lineStart, false
+			cur, curHost = sc.NewStanza(t, name), false
 			if t == confmodel.TypeBGP {
 				cur.Set("local-as", name)
 			}
@@ -273,7 +271,7 @@ func (Dialect) ParseNext(prev *confmodel.Config, text string, sc *confmodel.Scra
 	if cur != nil {
 		return nil, &ParseError{0, "", "unterminated block"}
 	}
-	sc.FinishConfig(c)
+	w.Block(len(text), nil, false)
 	return c, nil
 }
 

@@ -201,24 +201,26 @@ func TestCrossVendorAgnosticTypesAgree(t *testing.T) {
 
 // TestParseNextOutOfOrderAndRepeatedHeaders parses, as the successor of
 // a rendered snapshot, hand-ordered text: the same blocks in reverse key
-// order, then a repeated interfaces header. Reused blocks are found by
-// the lookup's binary-search fallback (rendered text never goes
-// backwards), the repeated header's last block wins as in a full parse,
-// and prev is left as it was.
+// order, then a repeated interfaces header, then a block both texts end
+// with. The reordered blocks all lie in the window; the repeated header's
+// last block wins as in a full parse; the block after the window is
+// shared from prev; and prev is left as it was. The result repeats a key,
+// so it has no layout, and the snapshot after it is parsed in full.
 func TestParseNextOutOfOrderAndRepeatedHeaders(t *testing.T) {
 	var d Dialect
 	acl := "firewall filter A {\n    term 10 \"accept\";\n}\n"
 	ge1 := "interfaces ge-0/0/1 {\n    description \"one\";\n}\n"
 	ge2 := "interfaces ge-0/0/2 {\n    description \"two\";\n}\n"
 	vlan := "vlans ten {\n    vlan-id 10;\n}\n"
+	tail := "vlans twenty {\n    vlan-id 20;\n}\n"
 	sc := confmodel.NewScratch()
-	prev, err := d.ParseScratch("host-name r1;\n"+acl+ge1+ge2+vlan, sc)
+	prev, err := d.ParseScratch("host-name r1;\n"+acl+ge1+ge2+vlan+tail, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := d.Render(prev)
 	next := "host-name r1;\n" + vlan + ge2 + ge1 + acl +
-		"interfaces ge-0/0/2 {\n    description \"again\";\n}\n"
+		"interfaces ge-0/0/2 {\n    description \"again\";\n}\n" + tail
 	got, err := d.ParseNext(prev, next, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -233,15 +235,20 @@ func TestParseNextOutOfOrderAndRepeatedHeaders(t *testing.T) {
 	if s := got.Get(confmodel.TypeInterface, "ge-0/0/2"); s.Get("description") != "again" {
 		t.Errorf("repeated header: description %q, want the last block's %q", s.Get("description"), "again")
 	}
-	for _, k := range []struct {
-		t    confmodel.Type
-		name string
-	}{{confmodel.TypeACL, "A"}, {confmodel.TypeInterface, "ge-0/0/1"}, {confmodel.TypeVLAN, "ten"}} {
-		if got.Get(k.t, k.name) != prev.Get(k.t, k.name) {
-			t.Errorf("%v %s was parsed again instead of shared from prev", k.t, k.name)
-		}
+	if got.Get(confmodel.TypeVLAN, "twenty") != prev.Get(confmodel.TypeVLAN, "twenty") {
+		t.Error("vlan twenty, after the window, was parsed again instead of shared from prev")
 	}
 	if d.Render(prev) != before {
 		t.Error("ParseNext modified its prev config")
+	}
+	again := strings.Replace(next, "vlan-id 20", "vlan-id 21", 1)
+	if got, err = d.ParseNext(got, again, sc); err != nil {
+		t.Fatal(err)
+	}
+	if want, err = d.Parse(again); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("ParseNext after a repeated key differs from Parse:\n%s\nwant\n%s", d.Render(got), d.Render(want))
 	}
 }

@@ -39,12 +39,13 @@ func TestAllocBudgetInferNetwork(t *testing.T) {
 	})
 	perSnap := avg / float64(snaps)
 	t.Logf("inference: %.0f allocs/network (%d snapshots, %.1f allocs/snapshot)", avg, snaps, perSnap)
-	// Budget: a snapshot's changed blocks are parsed (~3.1 allocs per
-	// stanza) and its unchanged ones shared from the device's previous
-	// snapshot, plus the config itself and engine bookkeeping; this reads
-	// ~46. Parsing every stanza of every snapshot read ~120, and
-	// pre-optimization this path sat near 900 allocs/snapshot.
-	const budget = 75.0
+	// Budget: only the window of a snapshot's text that changed is
+	// parsed (~3.1 allocs per stanza) and every other block shares the
+	// device's previous snapshot's stanza, plus the config, its stanza
+	// and block slices and engine bookkeeping; this reads ~33. Sharing
+	// only unchanged blocks read ~46, parsing every stanza of every
+	// snapshot ~120, and pre-optimization this path sat near 900.
+	const budget = 50.0
 	if perSnap > budget {
 		t.Errorf("inference allocations %.1f/snapshot exceed budget %.0f", perSnap, budget)
 	}

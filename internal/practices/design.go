@@ -1,6 +1,9 @@
 package practices
 
 import (
+	"slices"
+	"strings"
+
 	"mpa/internal/confmodel"
 	"mpa/internal/netmodel"
 	"mpa/internal/routing"
@@ -8,9 +11,9 @@ import (
 )
 
 // designMetrics fills the design-practice metrics (D1-D6) from inventory
-// records and the end-of-month configuration states; intra is the sum of
-// the states' IntraDeviceRefs.
-func (e *Engine) designMetrics(m Metrics, nw *netmodel.Network, configs []*confmodel.Config, intra int, mgmtOwner map[string]string) {
+// records and the end-of-month configuration states, whose facts nf
+// holds.
+func (e *Engine) designMetrics(m Metrics, nw *netmodel.Network, configs []*confmodel.Config, nf *netFacts, mgmtOwner map[string]string) {
 	// D2: physical composition from inventory.
 	m[MetricDevices] = float64(len(nw.Devices))
 	m[MetricVendors] = float64(len(nw.Vendors()))
@@ -28,41 +31,11 @@ func (e *Engine) designMetrics(m Metrics, nw *netmodel.Network, configs []*confm
 	})
 
 	// D4: data-plane construct usage from parsed configurations.
-	vlanIDs := map[string]bool{}
-	lagGroups := 0
-	var usesSTP, usesLAG, usesUDLD, usesDHCPR, usesVLAN bool
-	for _, c := range configs {
-		devLAGs := map[string]bool{}
-		for _, s := range c.OfType(confmodel.TypeVLAN) {
-			id := s.Get("vlan-id")
-			if id == "" {
-				id = s.Name
-			}
-			vlanIDs[id] = true
-			usesVLAN = true
-		}
-		for _, s := range c.OfType(confmodel.TypeInterface) {
-			if g := s.Get("lag-group"); g != "" {
-				devLAGs[g] = true
-				usesLAG = true
-			}
-		}
-		lagGroups += len(devLAGs)
-		if len(c.OfType(confmodel.TypeSTP)) > 0 {
-			usesSTP = true
-		}
-		if s := c.Get(confmodel.TypeUDLD, "global"); s != nil && s.Get("enable") == "true" {
-			usesUDLD = true
-		}
-		if len(c.OfType(confmodel.TypeDHCPRelay)) > 0 {
-			usesDHCPR = true
-		}
-	}
-	m[MetricVLANs] = float64(len(vlanIDs))
-	m[MetricLAGGroups] = float64(lagGroups)
+	m[MetricVLANs] = float64(len(nf.vlans))
+	m[MetricLAGGroups] = float64(nf.lags)
 	l2 := 0
-	for _, used := range []bool{usesVLAN, usesSTP, usesLAG, usesUDLD, usesDHCPR} {
-		if used {
+	for _, n := range nf.l2 {
+		if n > 0 {
 			l2++
 		}
 	}
@@ -87,14 +60,145 @@ func (e *Engine) designMetrics(m Metrics, nw *netmodel.Network, configs []*confm
 	// D6: configuration complexity — mean intra- and inter-device
 	// reference counts (Benson et al.'s metrics).
 	if len(configs) > 0 {
-		m[MetricIntraComplexity] = float64(intra) / float64(len(configs))
-		inter := confmodel.NetworkInterRefs(configs, mgmtOwner)
-		total := 0
-		for _, n := range inter {
-			total += n
-		}
-		m[MetricInterComplexity] = float64(total) / float64(len(configs))
+		m[MetricIntraComplexity] = float64(nf.intra) / float64(len(configs))
+		m[MetricInterComplexity] = float64(nf.interRefs(configs, mgmtOwner)) / float64(len(configs))
 	}
+}
+
+// The L2 constructs of D4 whose use a device's config shows.
+const (
+	l2VLAN = iota
+	l2STP
+	l2LAG
+	l2UDLD
+	l2DHCPRelay
+	numL2
+)
+
+// deviceFacts is what the design metrics read of one device's config,
+// computed once per config: the engine keeps a device's facts until its
+// config changes, and most devices' configs do not change in a month.
+type deviceFacts struct {
+	cfg   *confmodel.Config
+	intra int      // confmodel.IntraDeviceRefs
+	bgp   int      // BGP neighbors that are another device's management IP
+	vlans []string // distinct VLAN ids
+	areas []string // distinct OSPF areas
+	lags  int      // distinct LAG groups
+	l2    [numL2]bool
+}
+
+// newDeviceFacts computes the facts of c, whose device is in a network
+// with the given management-IP owners.
+func newDeviceFacts(c *confmodel.Config, mgmtOwner map[string]string) *deviceFacts {
+	f := &deviceFacts{cfg: c, intra: confmodel.IntraDeviceRefs(c)}
+	for _, s := range c.OfType(confmodel.TypeBGP) {
+		for k := range s.Options {
+			if ip, ok := strings.CutPrefix(k, "neighbor:"); ok {
+				if owner, ok := mgmtOwner[ip]; ok && owner != c.Hostname {
+					f.bgp++
+				}
+			}
+		}
+	}
+	for _, s := range c.OfType(confmodel.TypeVLAN) {
+		id := s.Get("vlan-id")
+		if id == "" {
+			id = s.Name
+		}
+		f.vlans = append(f.vlans, id)
+	}
+	for _, s := range c.OfType(confmodel.TypeOSPF) {
+		if area := s.Get("area"); area != "" {
+			f.areas = append(f.areas, area)
+		}
+	}
+	var lags []string
+	for _, s := range c.OfType(confmodel.TypeInterface) {
+		if g := s.Get("lag-group"); g != "" {
+			lags = append(lags, g)
+		}
+	}
+	slices.Sort(f.vlans)
+	f.vlans = slices.Compact(f.vlans)
+	slices.Sort(f.areas)
+	f.areas = slices.Compact(f.areas)
+	slices.Sort(lags)
+	f.lags = len(slices.Compact(lags))
+	udld := c.Get(confmodel.TypeUDLD, "global")
+	f.l2 = [numL2]bool{
+		l2VLAN:      len(f.vlans) > 0,
+		l2STP:       len(c.OfType(confmodel.TypeSTP)) > 0,
+		l2LAG:       f.lags > 0,
+		l2UDLD:      udld != nil && udld.Get("enable") == "true",
+		l2DHCPRelay: len(c.OfType(confmodel.TypeDHCPRelay)) > 0,
+	}
+	return f
+}
+
+// netFacts sums the facts of a network's device configs. The engine adds
+// a device's facts when its config first appears and swaps them when it
+// changes, so a month's design metrics cost O(changed configs), not
+// O(network size).
+type netFacts struct {
+	intra, bgp, lags int
+	vlans, areas     map[string]int // devices carrying each VLAN id, OSPF area
+	// shared is the sum over VLAN ids and OSPF areas of n(n-1) for n
+	// carrying devices: each device's references to the others.
+	shared int
+	l2     [numL2]int     // devices using each L2 construct
+	hosts  map[string]int // configs with each hostname
+}
+
+func newNetFacts() *netFacts {
+	return &netFacts{vlans: map[string]int{}, areas: map[string]int{}, hosts: map[string]int{}}
+}
+
+// add adds (sign 1) or removes (sign -1) one device's facts.
+func (nf *netFacts) add(f *deviceFacts, sign int) {
+	nf.intra += sign * f.intra
+	nf.bgp += sign * f.bgp
+	nf.lags += sign * f.lags
+	for k, used := range f.l2 {
+		if used {
+			nf.l2[k] += sign
+		}
+	}
+	nf.shared += count(nf.vlans, f.vlans, sign) + count(nf.areas, f.areas, sign)
+	count(nf.hosts, []string{f.cfg.Hostname}, sign)
+}
+
+// count adds sign to the count of each key and returns the change in the
+// sum over keys of n(n-1); a key whose count drops to zero is deleted.
+func count(m map[string]int, keys []string, sign int) int {
+	d := 0
+	for _, k := range keys {
+		n := m[k]
+		if sign > 0 {
+			d += 2 * n
+			m[k] = n + 1
+		} else if d -= 2 * (n - 1); n == 1 {
+			delete(m, k)
+		} else {
+			m[k] = n - 1
+		}
+	}
+	return d
+}
+
+// interRefs returns the network's total inter-device references over
+// configs, the configs whose facts nf holds: confmodel.NetworkInterRefs
+// summed. That function keys its counts by hostname, so when two configs
+// share one it is called as is.
+func (nf *netFacts) interRefs(configs []*confmodel.Config, mgmtOwner map[string]string) int {
+	if len(nf.hosts) == len(configs) {
+		return nf.bgp + nf.shared
+	}
+	total := 0
+	for _, n := range confmodel.NetworkInterRefs(configs, mgmtOwner) {
+		total += n
+	}
+	return total
 }
 
 // jointEntropy computes the normalized entropy of a per-device symbol

@@ -107,8 +107,8 @@ func (e *Engine) SetObs(sp *obs.Span) { e.obs = sp }
 // analysis reads, so a fresh process re-analyzing unchanged inputs skips
 // all per-network work. There is no per-snapshot cache: in a snapshot
 // stream almost every text is new, so the engine instead parses each
-// snapshot against the device's previous one (ParseNext), re-parsing only
-// the blocks whose bytes changed and skipping shared stanzas in the diff.
+// snapshot against the device's previous one (ParseNext), parsing only
+// the window of text that changed and skipping shared stanzas in the diff.
 // Caching never changes results — a cold, warm, or disabled run produces
 // byte-identical analyses.
 func (e *Engine) SetCache(cfg cache.Config) {
@@ -148,13 +148,15 @@ type netWalk struct {
 
 // step consumes the next snapshot of a device's time-ordered history. It
 // parses the snapshot with the worker's scratch as the successor of the
-// device's state, so every block unchanged since the previous snapshot
-// shares that snapshot's stanza instead of being parsed again (state is
+// device's state, so only the window of text between what the two
+// snapshots have in common at the start and at the end is parsed and
+// every block outside it shares the previous snapshot's stanza (state is
 // nil for the device's first snapshot: a full parse), and, when the
-// device already has a state, diffs the two configs; a non-empty diff inside the
-// walk's month becomes a ChangeDetail. It returns the device's new state.
-// The diff lives in the worker's reused buffer, so step reduces it to the
-// change's types before returning and never retains it.
+// device already has a state, diffs the two configs; a non-empty diff
+// inside the walk's month becomes a ChangeDetail. It returns the
+// device's new state. The diff lives in the worker's reused buffer, so
+// step reduces it to the change's types before returning and never
+// retains it.
 func (e *Engine) step(w *netWalk, dev *netmodel.Device, state *confmodel.Config, snap *nms.Snapshot) (*confmodel.Config, error) {
 	cfg, err := e.dialect(dev).ParseNext(state, snap.Text, w.ns.sc)
 	w.snaps++
@@ -274,11 +276,11 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 		pos   int               // next snapshot to consume
 		state *confmodel.Config // config as of consumed snapshots
 
-		// refs is IntraDeviceRefs of refsOf, the device's config at the
-		// end of the previous month. A device with no snapshot in a month
-		// keeps the same (immutable) config, so its count carries over.
-		refsOf *confmodel.Config
-		refs   int
+		// facts are the design facts of the device's config at the end
+		// of the previous month (nil before its first). A device with no
+		// snapshot in a month keeps the same (immutable) config, so its
+		// facts carry over.
+		facts *deviceFacts
 	}
 	cursors := make([]*cursor, 0, len(nw.Devices))
 	for _, dev := range nw.Devices {
@@ -296,6 +298,7 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 		mgmtOwner[dev.MgmtIP] = dev.Name
 	}
 
+	nf := newNetFacts()
 	w := netWalk{ns: ns}
 	var changesFound, eventsGrouped int
 	out := make([]MonthAnalysis, 0, len(window))
@@ -317,21 +320,24 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 		}
 		changes := w.changes
 
-		// Assemble end-of-month configuration states.
+		// Assemble end-of-month configuration states and their facts.
 		var configs []*confmodel.Config
-		intra := 0
 		for _, cu := range cursors {
-			if cu.state != nil {
-				configs = append(configs, cu.state)
-				if cu.refsOf != cu.state {
-					cu.refsOf, cu.refs = cu.state, confmodel.IntraDeviceRefs(cu.state)
+			if cu.state == nil {
+				continue
+			}
+			configs = append(configs, cu.state)
+			if cu.facts == nil || cu.facts.cfg != cu.state {
+				if cu.facts != nil {
+					nf.add(cu.facts, -1)
 				}
-				intra += cu.refs
+				cu.facts = newDeviceFacts(cu.state, mgmtOwner)
+				nf.add(cu.facts, 1)
 			}
 		}
 
 		metrics := Metrics{}
-		e.designMetrics(metrics, nw, configs, intra, mgmtOwner)
+		e.designMetrics(metrics, nw, configs, nf, mgmtOwner)
 		nEvents := e.operationalMetrics(metrics, nw, changes)
 		out = append(out, MonthAnalysis{Network: name, Month: m, Metrics: metrics, Changes: changes})
 

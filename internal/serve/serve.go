@@ -819,7 +819,7 @@ func (s *Server) handleIngest(sh *shard, w http.ResponseWriter, r *http.Request)
 // resolved org, subscribers receive one "delta" event per touched
 // network (sorted) and one "rank" event with the refreshed practice
 // ranking. Events are pre-encoded JSON; a subscriber too slow to drain
-// its buffer loses events rather than stalling ingestion
+// its buffer loses whole updates rather than stalling ingestion
 // (ingest.stream_dropped counts them).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sh, ok := s.resolveShard(w, r)
@@ -865,12 +865,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			fl.Flush()
-		case ev, open := <-ch:
+		case update, open := <-ch:
 			if !open {
 				return
 			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, ev.Data); err != nil {
-				return
+			for _, ev := range update {
+				if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, ev.Data); err != nil {
+					return
+				}
 			}
 			fl.Flush()
 		}
