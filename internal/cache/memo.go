@@ -33,6 +33,18 @@ type flight struct {
 	err  error
 }
 
+// Has reports whether key holds a finished or in-flight entry, without
+// waiting for it or computing anything.
+func (m *Memo) Has(key string) bool {
+	if m == nil {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.flights[key]
+	return ok
+}
+
 // Do returns the value memoized under key, running compute on a miss.
 // hit reports whether the call found a finished or in-flight entry rather
 // than running compute itself.

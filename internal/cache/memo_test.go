@@ -146,6 +146,9 @@ func TestMemoErrorNotRemembered(t *testing.T) {
 		firstErr <- err
 	}()
 	<-started
+	if !m.Has("k") || m.Has("other") {
+		t.Fatalf("Has during the flight = %v, Has(other) = %v; want true, false", m.Has("k"), m.Has("other"))
+	}
 	waiter := make(chan error, 1)
 	go func() {
 		_, hit, err := m.Do("k", func() (any, error) { return "waiter computed", nil })
@@ -162,9 +165,15 @@ func TestMemoErrorNotRemembered(t *testing.T) {
 	if err := <-waiter; err != boom {
 		t.Fatalf("waiter err = %v, want boom", err)
 	}
+	if m.Has("k") {
+		t.Fatal("Has after a failed compute = true")
+	}
 	v, hit, err := m.Do("k", func() (any, error) { return 7, nil })
 	if err != nil || v != 7 || hit {
 		t.Fatalf("after an error Do = %v, hit %v, %v; want a fresh compute", v, hit, err)
+	}
+	if !m.Has("k") {
+		t.Fatal("Has after a stored compute = false")
 	}
 }
 
@@ -207,6 +216,9 @@ func TestMemoPanicReleasesWaiters(t *testing.T) {
 
 func TestMemoNil(t *testing.T) {
 	var m *Memo
+	if m.Has("k") {
+		t.Fatal("nil Has = true")
+	}
 	calls := 0
 	for i := 0; i < 3; i++ {
 		v, hit, err := m.Do("k", func() (any, error) { calls++; return calls, nil })

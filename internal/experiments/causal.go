@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mpa/internal/par"
 	"mpa/internal/practices"
 	"mpa/internal/qed"
 	"mpa/internal/report"
@@ -113,6 +114,25 @@ func top10Metrics(env *Env) []string {
 	return out
 }
 
+// top10Causal returns top10Metrics and their causal analyses, in rank
+// order. Each treatment is one job on up to par.Workers goroutines; on a
+// memoized Env the memo's single flight still runs each treatment once
+// however many reports ask.
+func top10Causal(env *Env) ([]string, []*qed.Result) {
+	metrics := top10Metrics(env)
+	results, err := par.Map(metrics, func(_ int, metric string) (*qed.Result, error) {
+		res, err := Causal(env, metric)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", metric, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: causal analysis of %v", err))
+	}
+	return metrics, results
+}
+
 // Table7 runs the causal analysis at the 1:2 comparison point for the ten
 // practices with the highest MI (paper Table 7), annotated with the
 // survey's majority opinion where available.
@@ -120,9 +140,9 @@ func Table7(env *Env) Report {
 	tb := report.NewTable("Treatment practice", "p-value (1:2)", "Causal", "Survey majority")
 	numbers := map[string]float64{}
 	causalCount := 0
-	for _, metric := range top10Metrics(env) {
-		res := mustCausal(env, metric)
-		p := res.Points[0] // 1:2
+	metrics, results := top10Causal(env)
+	for i, metric := range metrics {
+		p := results[i].Points[0] // 1:2
 		causal := ""
 		if p.Causal {
 			causal = "yes"
@@ -158,10 +178,10 @@ func Table8(env *Env) Report {
 	tb := report.NewTable("Treatment practice", "2:3", "3:4", "4:5")
 	numbers := map[string]float64{}
 	imbalanced, total := 0, 0
-	for _, metric := range top10Metrics(env) {
-		res := mustCausal(env, metric)
+	metrics, results := top10Causal(env)
+	for i, metric := range metrics {
 		cells := []string{practices.DisplayName(metric)}
-		for _, p := range res.Points[1:] {
+		for _, p := range results[i].Points[1:] {
 			total++
 			switch {
 			case p.Skipped:

@@ -156,6 +156,22 @@ func (e *Env) MemoCounts() (hits, misses int64) {
 	return e.counts.hits.Load(), e.counts.misses.Load()
 }
 
+// Stored reports whether network's memo (the whole organization's for
+// "") holds key's answer, finished or in flight, without computing it or
+// counting a lookup. A caller uses it to decide whether an answer is
+// worth a pool job; the answer itself still comes from Memoized.
+func Stored(e *Env, network, key string) bool {
+	return e.memoFor(network).Has(key)
+}
+
+// memoFor returns network's memo, or the whole organization's for "".
+func (e *Env) memoFor(network string) *cache.Memo {
+	if network != "" {
+		return e.netMemo[network]
+	}
+	return e.memo
+}
+
 // Memoized returns the answer stored under key in network's memo (the
 // whole organization's for "") and computes it on a miss. Reports and the
 // framework's queries all look up through it, so an analysis runs once
@@ -165,11 +181,7 @@ func (e *Env) MemoCounts() (hits, misses int64) {
 // Errors are not stored. Stored answers are shared: treat them as
 // read-only.
 func Memoized[T any](e *Env, network, key string, compute func() (T, error)) (T, error) {
-	m := e.memo
-	if network != "" {
-		m = e.netMemo[network]
-	}
-	v, hit, err := m.Do(key, func() (any, error) { return compute() })
+	v, hit, err := e.memoFor(network).Do(key, func() (any, error) { return compute() })
 	if e.counts != nil {
 		n, g := &e.counts.misses, queryMisses
 		if hit {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -467,6 +468,45 @@ func TestWorkerCountInvariance(t *testing.T) {
 			if gv, ok := g.Report.Numbers[k]; !ok || gv != wv {
 				t.Errorf("%s: Numbers[%q] = %v at workers=8, want %v", w.ID, k, gv, wv)
 			}
+		}
+	}
+}
+
+// TestFannedOutReportsWorkerInvariance runs the reports whose analyses
+// fan out inside one report — Table 7's and Table 8's causal runs, Table
+// 9's histories and months, Figure 8's variants — alone on a memo-less
+// Env, one worker wide and eight wide, and requires identical reports.
+// TestWorkerCountInvariance reaches them only through RunAll on a
+// memoized Env, where other reports may already have run the analyses.
+func TestFannedOutReportsWorkerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four reports twice")
+	}
+	p := osp.Small(33)
+	p.Networks = 12
+	env, err := NewEnv(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int, id string) Report {
+		setWorkers(t, workers)
+		bare := &Env{Params: env.Params, OSP: env.OSP, Analysis: env.Analysis, Data: env.Data}
+		r, ok := Run(bare, id)
+		if !ok {
+			t.Fatalf("unknown experiment %s", id)
+		}
+		return r
+	}
+	for _, id := range []string{"table7", "table8", "table9", "figure8"} {
+		want, got := run(1, id), run(8, id)
+		if got.Text != want.Text {
+			t.Errorf("%s: Text differs between workers=1 and workers=8", id)
+		}
+		if !maps.Equal(got.Numbers, want.Numbers) {
+			t.Errorf("%s: Numbers differ between workers=1 and workers=8", id)
+		}
+		if len(want.Numbers) == 0 {
+			t.Errorf("%s: no numbers", id)
 		}
 	}
 }

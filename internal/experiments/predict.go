@@ -8,6 +8,7 @@ import (
 	"mpa/internal/ml"
 	"mpa/internal/months"
 	"mpa/internal/obs"
+	"mpa/internal/par"
 	"mpa/internal/practices"
 	"mpa/internal/report"
 	"mpa/internal/rng"
@@ -128,10 +129,9 @@ func Figure8(env *Env) Report {
 	X := features5(env)
 	y := env.Data.Labels(5)
 	variants := []Learner{{5, false, false}, {5, true, false}, {5, false, true}, {5, true, true}}
-	evals := make([]ml.Evaluation, len(variants))
-	for i, v := range variants {
-		evals[i] = ml.CrossValidate(X, y, 5, CVFolds, v.Trainer(nil), rng.New(env.Params.Seed+303))
-	}
+	evals, _ := par.Map(variants, func(_ int, v Learner) (ml.Evaluation, error) {
+		return ml.CrossValidate(X, y, 5, CVFolds, v.Trainer(nil), rng.New(env.Params.Seed+303)), nil
+	})
 	numbers := map[string]float64{}
 	var b strings.Builder
 	for _, section := range []string{"Precision", "Recall"} {
@@ -260,14 +260,21 @@ type OnlineMonth struct {
 // on month t, binning month t with the training window's bin edges. Each
 // training window is binned once for all class counts. Months whose
 // training or test slice is empty are skipped.
+//
+// Each test month is an independent job on up to par.Workers
+// goroutines: it reads only env.Data and trains its own models, and the
+// months are merged in window order, so the result is the same at every
+// worker count.
 func Online(env *Env, history int, classes ...int) []OnlineMonth {
 	window := env.Window()
-	var out []OnlineMonth
-	for ti := history; ti < len(window); ti++ {
-		train := env.Data.FilterMonths(window[ti-history], window[ti-1])
-		test := env.Data.FilterMonths(window[ti], window[ti])
+	if history >= len(window) {
+		return nil
+	}
+	results, _ := par.Map(window[history:], func(j int, month months.Month) (*OnlineMonth, error) {
+		train := env.Data.FilterMonths(window[j], window[j+history-1])
+		test := env.Data.FilterMonths(month, month)
 		if train.Len() == 0 || test.Len() == 0 {
-			continue
+			return nil, nil
 		}
 		binned := train.Bin(learnBins)
 		trX := binned.FeatureMatrix()
@@ -275,7 +282,7 @@ func Online(env *Env, history int, classes ...int) []OnlineMonth {
 		for i, c := range test.Cases {
 			teX[i] = dataset.BinRow(binned.Binners, c.Metrics)
 		}
-		om := OnlineMonth{Month: window[ti], Cases: test.Len()}
+		om := &OnlineMonth{Month: month, Cases: test.Len()}
 		for _, k := range classes {
 			model := BestLearner(k).Trainer(nil)(trX, train.Labels(k))
 			correct := 0
@@ -286,25 +293,36 @@ func Online(env *Env, history int, classes ...int) []OnlineMonth {
 			}
 			om.Accuracy = append(om.Accuracy, float64(correct)/float64(len(teX)))
 		}
-		out = append(out, om)
+		return om, nil
+	})
+	var out []OnlineMonth
+	for _, om := range results {
+		if om != nil {
+			out = append(out, *om)
+		}
 	}
 	return out
 }
 
 // Table9 reproduces online prediction: train on months t-M..t-1, predict
 // month t, average accuracy over t (paper Table 9, M in {1, 3, 6, 9}).
+// Each history is one job; histories longer than the window allows are
+// skipped.
 func Table9(env *Env) Report {
-	window := env.Window()
-	histories := []int{1, 3, 6, 9}
-	// Skip histories longer than the window allows.
+	var histories []int
+	for _, M := range []int{1, 3, 6, 9} {
+		if M < len(env.Window()) {
+			histories = append(histories, M)
+		}
+	}
+	runs, _ := par.Map(histories, func(_ int, M int) ([]OnlineMonth, error) {
+		return Online(env, M, 2, 5), nil
+	})
 	tb := report.NewTable("M (months)", "5-class accuracy", "2-class accuracy")
 	numbers := map[string]float64{}
-	for _, M := range histories {
-		if M >= len(window) {
-			continue
-		}
+	for i, M := range histories {
 		var acc2, acc5 []float64
-		for _, om := range Online(env, M, 2, 5) {
+		for _, om := range runs[i] {
 			acc2 = append(acc2, om.Accuracy[0])
 			acc5 = append(acc5, om.Accuracy[1])
 		}

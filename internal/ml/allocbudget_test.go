@@ -23,3 +23,19 @@ func TestAllocBudgetTrainTree(t *testing.T) {
 		t.Errorf("TrainTree allocations %.0f exceed budget %.0f", avg, budget)
 	}
 }
+
+// TestAllocBudgetAdaBoost pins the allocation cost of the paper's 15
+// boosting rounds on the same fixture: one binning for every round, then
+// per round a tree (its nodes, child maps and trainer scratch) and the
+// round's miss vector.
+func TestAllocBudgetAdaBoost(t *testing.T) {
+	X, y := treeFixture()
+	avg := testing.AllocsPerRun(4, func() {
+		TrainAdaBoost(X, y, 5, DefaultBoostConfig())
+	})
+	t.Logf("TrainAdaBoost: %.0f allocs", avg)
+	const budget = 10000.0
+	if avg > budget {
+		t.Errorf("TrainAdaBoost allocations %.0f exceed budget %.0f", avg, budget)
+	}
+}

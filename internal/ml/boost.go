@@ -48,9 +48,16 @@ type Ensemble struct {
 	classes int
 }
 
-// Predict returns the class with the largest total stage weight.
+// Predict returns the class with the largest total stage weight. The
+// tally lives on the stack for up to maxStackClasses classes.
 func (e *Ensemble) Predict(x []int) int {
-	votes := make([]float64, e.classes)
+	var stack [maxStackClasses]float64
+	var votes []float64
+	if e.classes <= maxStackClasses {
+		votes = stack[:e.classes]
+	} else {
+		votes = make([]float64, e.classes)
+	}
 	for i, t := range e.trees {
 		votes[t.Predict(x)] += e.alphas[i]
 	}
@@ -62,6 +69,9 @@ func (e *Ensemble) Predict(x []int) int {
 	}
 	return best
 }
+
+// maxStackClasses covers the paper's 2- and 5-class schemes.
+const maxStackClasses = 8
 
 // Rounds returns the number of boosting rounds retained.
 func (e *Ensemble) Rounds() int { return len(e.trees) }

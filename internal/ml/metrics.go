@@ -12,32 +12,60 @@ type Evaluation struct {
 
 // Evaluate scores predictions against truth for the given class count.
 func Evaluate(pred, truth []int, classes int) Evaluation {
+	confusion := newConfusion(classes)
+	for i := range truth {
+		confusion[truth[i]][pred[i]]++
+	}
+	return fromConfusion(confusion)
+}
+
+// Merge combines fold evaluations by pooling their confusion matrices.
+func Merge(evals []Evaluation, classes int) Evaluation {
+	confusion := newConfusion(classes)
+	for _, ev := range evals {
+		for a, row := range ev.Confusion {
+			for p, n := range row {
+				confusion[a][p] += n
+			}
+		}
+	}
+	return fromConfusion(confusion)
+}
+
+func newConfusion(classes int) [][]int {
+	confusion := make([][]int, classes)
+	for c := range confusion {
+		confusion[c] = make([]int, classes)
+	}
+	return confusion
+}
+
+// fromConfusion derives accuracy and per-class precision and recall from
+// a [actual][predicted] confusion matrix, which it keeps.
+func fromConfusion(confusion [][]int) Evaluation {
+	classes := len(confusion)
 	ev := Evaluation{
 		Precision: make([]float64, classes),
 		Recall:    make([]float64, classes),
-		Confusion: make([][]int, classes),
-		N:         len(truth),
-	}
-	for c := range ev.Confusion {
-		ev.Confusion[c] = make([]int, classes)
+		Confusion: confusion,
 	}
 	correct := 0
-	for i := range truth {
-		ev.Confusion[truth[i]][pred[i]]++
-		if pred[i] == truth[i] {
-			correct++
+	for c, row := range confusion {
+		correct += row[c]
+		for _, n := range row {
+			ev.N += n
 		}
 	}
-	if len(truth) > 0 {
-		ev.Accuracy = float64(correct) / float64(len(truth))
+	if ev.N > 0 {
+		ev.Accuracy = float64(correct) / float64(ev.N)
 	}
 	for c := 0; c < classes; c++ {
-		var predicted, actual, tp int
+		var predicted, actual int
 		for o := 0; o < classes; o++ {
-			predicted += ev.Confusion[o][c]
-			actual += ev.Confusion[c][o]
+			predicted += confusion[o][c]
+			actual += confusion[c][o]
 		}
-		tp = ev.Confusion[c][c]
+		tp := confusion[c][c]
 		if predicted > 0 {
 			ev.Precision[c] = float64(tp) / float64(predicted)
 		}
@@ -46,20 +74,4 @@ func Evaluate(pred, truth []int, classes int) Evaluation {
 		}
 	}
 	return ev
-}
-
-// Merge combines fold evaluations by pooling their confusion matrices.
-func Merge(evals []Evaluation, classes int) Evaluation {
-	var pred, truth []int
-	for _, ev := range evals {
-		for a := 0; a < classes; a++ {
-			for p := 0; p < classes; p++ {
-				for k := 0; k < ev.Confusion[a][p]; k++ {
-					truth = append(truth, a)
-					pred = append(pred, p)
-				}
-			}
-		}
-	}
-	return Evaluate(pred, truth, classes)
 }

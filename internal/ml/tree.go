@@ -152,9 +152,9 @@ type trainer struct {
 	used      []bool
 
 	// Scratch. counts[b*classes+c] is the weight of class c in bin b and
-	// binW[b] the bin's total weight; seen marks the bins in touched, the
-	// bins present at the current node. partition counts samples per bin
-	// in binN and stages idx in tmp.
+	// binW[b] the bin's total weight; seen marks the bins present at the
+	// current node, which histogram lists in touched. partition counts
+	// samples per bin in binN and stages idx in tmp.
 	counts  []float64
 	binW    []float64
 	binN    []int
@@ -238,6 +238,13 @@ func entropy(counts []float64, total float64) float64 {
 // the samples in idx, whose class weights classStats has just left in
 // tr.classW and whose total weight is total. It returns false when no
 // feature yields positive information gain.
+//
+// A feature's split information comes first, from the bin weights
+// alone. Its gain is baseH - condH with condH >= 0 (every class share
+// is at most 1, so every entropy term is non-negative under rounding),
+// so baseH/splitInfo bounds its ratio from above; when that bound does
+// not beat bestRatio the feature cannot win — a tie goes to the lower
+// feature, already seen — and its class entropies are skipped.
 func (tr *trainer) bestSplit(idx []int, total float64) (int, float64, bool) {
 	baseH := entropy(tr.classW, total)
 	classes := tr.classes
@@ -251,15 +258,22 @@ func (tr *trainer) bestSplit(idx []int, total float64) (int, float64, bool) {
 		if len(bins) < 2 {
 			continue
 		}
-		var condH, splitInfo float64
+		var splitInfo float64
+		for _, b := range bins {
+			p := tr.binW[b] / total
+			splitInfo -= p * math.Log2(p)
+		}
+		if splitInfo <= 1e-12 || baseH/splitInfo <= bestRatio {
+			continue
+		}
+		var condH float64
 		for _, b := range bins {
 			gw := tr.binW[b]
 			p := gw / total
 			condH += p * entropy(tr.counts[int(b)*classes:int(b+1)*classes], gw)
-			splitInfo -= p * math.Log2(p)
 		}
 		gain := baseH - condH
-		if gain <= 1e-12 || splitInfo <= 1e-12 {
+		if gain <= 1e-12 {
 			continue
 		}
 		ratio := gain / splitInfo
@@ -275,7 +289,10 @@ func (tr *trainer) bestSplit(idx []int, total float64) (int, float64, bool) {
 }
 
 // histogram fills the scratch with feature f's class histogram over the
-// samples in idx and returns the bins present, in ascending order.
+// samples in idx and returns the bins present, in ascending order. It
+// clears the feature's cells, accumulates, then scans the feature's bins
+// in code order: a feature has few bins, so the scan is cheaper than
+// sorting the bins in the order samples reached them.
 //
 // Every cell sums its weights in idx order, and bestSplit adds the
 // per-bin terms in ascending bin order. Float addition is not
@@ -285,23 +302,23 @@ func (tr *trainer) bestSplit(idx []int, total float64) (int, float64, bool) {
 func (tr *trainer) histogram(idx []int, f int) []int32 {
 	classes := tr.classes
 	y, w, codes := tr.y, tr.w, tr.codes[f]
-	counts, binW, seen := tr.counts, tr.binW, tr.seen
-	bins := tr.touched[:0]
+	nb := len(tr.values[f])
+	counts, binW, seen := tr.counts[:nb*classes], tr.binW[:nb], tr.seen[:nb]
+	clear(counts)
+	clear(binW)
+	clear(seen)
 	for _, i := range idx {
 		b := int(codes[i])
-		if !seen[b] {
-			seen[b] = true
-			bins = append(bins, int32(b))
-			clear(counts[b*classes : (b+1)*classes])
-			binW[b] = 0
-		}
+		seen[b] = true
 		counts[b*classes+y[i]] += w[i]
 		binW[b] += w[i]
 	}
-	for _, b := range bins {
-		seen[b] = false
+	bins := tr.touched[:0]
+	for b, ok := range seen {
+		if ok {
+			bins = append(bins, int32(b))
+		}
 	}
-	slices.Sort(bins)
 	return bins
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -273,6 +274,90 @@ func TestReportsShareAnalyses(t *testing.T) {
 		if got[id].Digest() != want.Digest() {
 			t.Errorf("%s: memoized report differs from the memo-less run", id)
 		}
+	}
+}
+
+// TestConcurrentReportsShareAnalyses is TestReportsShareAnalyses for
+// concurrent callers: Tables 7 and 8, asked for at once on a fresh
+// framework, fan their ten causal runs out over the pool, and the memo's
+// single flight still runs each treatment once.
+func TestConcurrentReportsShareAnalyses(t *testing.T) {
+	cfg := SmallConfig(77)
+	cfg.Networks = 40
+	cfg.End = cfg.Start.Add(5)
+	f, err := NewSynthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"table7", "table8"}
+	got := make([]Report, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = f.Experiment(id)
+		}()
+	}
+	wg.Wait()
+	if n := f.StageCalls("causal"); n != 10 {
+		t.Errorf("causal stage ran %d times, want 10 (one per distinct treatment)", n)
+	}
+	if n := f.StageCalls("mi_ranking"); n != 1 {
+		t.Errorf("mi_ranking stage ran %d times, want 1", n)
+	}
+	env := f.environment()
+	bare := &experiments.Env{Params: env.Params, OSP: env.OSP, Analysis: env.Analysis, Data: env.Data}
+	for i, id := range ids {
+		want, _ := experiments.Run(bare, id)
+		if got[i].Digest() != want.Digest() {
+			t.Errorf("%s: concurrently memoized report differs from the memo-less run", id)
+		}
+	}
+}
+
+// TestPredictNetworkMonthWorkerInvariance builds a framework one worker
+// wide and one eight wide and requires the same predictions for several
+// network-months and the same cross-validated quality for both models,
+// which train side by side and beside their cross-validation.
+func TestPredictNetworkMonthWorkerInvariance(t *testing.T) {
+	cfg := SmallConfig(77)
+	cfg.Networks = 30
+	cfg.End = cfg.Start.Add(5)
+	type answer struct {
+		preds   []NetworkPrediction
+		quality []ModelQuality
+	}
+	run := func(workers int) answer {
+		SetWorkers(workers)
+		defer SetWorkers(0)
+		f, err := NewSynthetic(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a answer
+		for i, n := range f.Dataset().Networks()[:6] {
+			p, err := f.PredictNetworkMonth(n, f.Window()[i%len(f.Window())])
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.preds = append(a.preds, *p)
+		}
+		for _, g := range []Granularity{TwoClass, FiveClass} {
+			m, err := f.TrainHealthModel(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.quality = append(a.quality, m.Quality())
+		}
+		return a
+	}
+	want, got := run(1), run(8)
+	if !reflect.DeepEqual(got.preds, want.preds) {
+		t.Errorf("predictions differ between workers=1 and workers=8:\n%+v\n%+v", got.preds, want.preds)
+	}
+	if !reflect.DeepEqual(got.quality, want.quality) {
+		t.Errorf("model quality differs between workers=1 and workers=8:\n%+v\n%+v", got.quality, want.quality)
 	}
 }
 

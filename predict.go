@@ -8,6 +8,7 @@ import (
 	"mpa/internal/experiments"
 	"mpa/internal/ml"
 	"mpa/internal/obs"
+	"mpa/internal/par"
 	"mpa/internal/rng"
 	"mpa/internal/stats"
 )
@@ -106,16 +107,28 @@ func (f *Framework) TrainHealthModelOn(d *Dataset, g Granularity, opts ModelOpti
 	y := d.Labels(classes)
 	trainer := experiments.Learner{Classes: classes, Boost: opts.Boost, Oversample: opts.Oversample}.Trainer(sp)
 
-	ev := ml.CrossValidate(X, y, classes, experiments.CVFolds, trainer, rng.New(modelFoldSeed))
-	maj := ml.CrossValidate(X, y, classes, experiments.CVFolds, func(_ [][]int, ty []int) ml.Classifier {
-		return ml.TrainMajority(ty, classes)
-	}, rng.New(modelFoldSeed))
+	// The final model trains beside its cross-validation: the two jobs
+	// share only the read-only X and y.
+	var ev, maj ml.Evaluation
+	var clf ml.Classifier
+	par.ForEach([]func(){
+		func() {
+			ev = ml.CrossValidate(X, y, classes, experiments.CVFolds, trainer, rng.New(modelFoldSeed))
+			maj = ml.CrossValidate(X, y, classes, experiments.CVFolds, func(_ [][]int, ty []int) ml.Classifier {
+				return ml.TrainMajority(ty, classes)
+			}, rng.New(modelFoldSeed))
+		},
+		func() { clf = trainer(X, y) },
+	}, func(_ int, job func()) error {
+		job()
+		return nil
+	})
 	obs.Logger().Debug("health model trained",
 		"classes", classes, "cases", d.Len(), "accuracy", ev.Accuracy)
 
 	return &HealthModel{
 		granularity: g,
-		classifier:  trainer(X, y),
+		classifier:  clf,
 		binners:     binned.Binners,
 		quality: ModelQuality{
 			Accuracy:         ev.Accuracy,

@@ -7,6 +7,7 @@ import (
 
 	"mpa/internal/dataset"
 	"mpa/internal/experiments"
+	"mpa/internal/par"
 	"mpa/internal/practices"
 )
 
@@ -95,9 +96,21 @@ func (f *Framework) TrainHealthModel(g Granularity) (*HealthModel, error) {
 
 // healthModel is TrainHealthModel over one snapshot.
 func (f *Framework) healthModel(env *experiments.Env, g Granularity) (*HealthModel, error) {
-	return experiments.Memoized(env, "", "model/"+strconv.Itoa(int(g)), func() (*HealthModel, error) {
+	return experiments.Memoized(env, "", modelKey(g), func() (*HealthModel, error) {
 		return f.TrainHealthModelOn(env.Data, g, BestOptions(g))
 	})
+}
+
+// modelKey is the memo key of a granularity's health model; the two
+// supported ones are constants, so a warm lookup builds no string.
+func modelKey(g Granularity) string {
+	switch g {
+	case TwoClass:
+		return "model/2"
+	case FiveClass:
+		return "model/5"
+	}
+	return "model/" + strconv.Itoa(int(g))
 }
 
 // Experiment runs one of the paper's tables/figures by ID (see
@@ -206,11 +219,24 @@ func (f *Framework) PredictNetworkMonth(network string, m Month) (*NetworkPredic
 	if !ok {
 		return nil, fmt.Errorf("mpa: no case for network %q in %s", network, m)
 	}
-	m2, err := f.healthModel(env, TwoClass)
-	if err != nil {
-		return nil, err
+	// Both models come from the memo. Until both are stored they are
+	// looked up as two pool jobs, so cold ones train side by side; a warm
+	// read looks them up in place and starts no goroutines.
+	var m2, m5 *HealthModel
+	var err error
+	if experiments.Stored(env, "", modelKey(TwoClass)) && experiments.Stored(env, "", modelKey(FiveClass)) {
+		if m2, err = f.healthModel(env, TwoClass); err == nil {
+			m5, err = f.healthModel(env, FiveClass)
+		}
+	} else {
+		var models []*HealthModel
+		models, err = par.Map([]Granularity{TwoClass, FiveClass}, func(_ int, g Granularity) (*HealthModel, error) {
+			return f.healthModel(env, g)
+		})
+		if err == nil {
+			m2, m5 = models[0], models[1]
+		}
 	}
-	m5, err := f.healthModel(env, FiveClass)
 	if err != nil {
 		return nil, err
 	}

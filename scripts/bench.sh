@@ -17,18 +17,24 @@
 # BenchmarkParseNext*, the incremental parse of a snapshot given its
 # predecessor; BenchmarkDiffPair*), BenchmarkTable3, BenchmarkSection61,
 # the causal analyses BenchmarkTable7 and BenchmarkTable8, the two
-# heaviest analyses, BenchmarkFigure8 and BenchmarkTable9, and
+# heaviest analyses, BenchmarkFigure8 and BenchmarkTable9,
 # BenchmarkServeWarm/<endpoint> in internal/serve (one warm /v1 read of
 # rank, network, predict, causal, report and manifest through the
 # daemon's handler: instrumentation, routing, memo hit, JSON encoding),
-# with -count (default 10) repetitions each and writes
+# and the decision-tree kernel in internal/ml (BenchmarkTrainTree, one
+# tree on a 480×28 fixture; BenchmarkAdaBoost, the paper's 15 boosting
+# rounds on it), with -count (default 10) repetitions each and writes
 # BENCH_<YYYY-MM-DD>.json in the repo root: one object per benchmark run
 # with ns/op, B/op, and allocs/op, plus the host's CPU count and the
 # GOMAXPROCS/worker setting in effect. Compare two baselines with e.g.
 #
 #   jq -s 'group_by(.name) | map({name: .[0].name, median_ns: (map(.ns_per_op) | sort | .[length/2 | floor])})' BENCH_*.json
 #
-# Benchmarks run at the process-default worker count (all CPUs). Set
+# Benchmarks run at the process-default worker count (all CPUs). The CI
+# regression gate runs them at -cpu 1 (GOMAXPROCS 1: the pool's jobs
+# share one core), so it sees single-core costs only: a change that fans
+# an analysis out over the pool shows there only through its per-core
+# work, and its multi-core speedup needs a -cpu 2 run. Set
 # MPA_BENCH_ARGS to pass extra go-test flags, e.g.
 # MPA_BENCH_ARGS='-cpuprofile cpu.out' (written by each package's run
 # in turn, so the internal/serve profile is the one left). Set MPA_BENCH_OUT to override
@@ -39,14 +45,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 count="${1:-10}"
-pattern='^(BenchmarkGenerate|BenchmarkInference|BenchmarkInferenceWarmCache|BenchmarkIngestDecode|BenchmarkIngestMonth|BenchmarkParseSnapshotCisco|BenchmarkParseSnapshotJunos|BenchmarkParseNextCisco|BenchmarkParseNextJunos|BenchmarkDiffPairCisco|BenchmarkDiffPairJunos|BenchmarkTable3|BenchmarkTable7|BenchmarkTable8|BenchmarkSection61|BenchmarkFigure8|BenchmarkTable9|BenchmarkServeWarm)$'
+pattern='^(BenchmarkGenerate|BenchmarkInference|BenchmarkInferenceWarmCache|BenchmarkIngestDecode|BenchmarkIngestMonth|BenchmarkParseSnapshotCisco|BenchmarkParseSnapshotJunos|BenchmarkParseNextCisco|BenchmarkParseNextJunos|BenchmarkDiffPairCisco|BenchmarkDiffPairJunos|BenchmarkTable3|BenchmarkTable7|BenchmarkTable8|BenchmarkSection61|BenchmarkFigure8|BenchmarkTable9|BenchmarkServeWarm|BenchmarkTrainTree|BenchmarkAdaBoost)$'
 out="${MPA_BENCH_OUT:-BENCH_$(date +%F).json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 echo "running stage benchmarks (count=$count) ..." >&2
 # One go test run per package, so that profile flags stay usable.
-for pkg in . ./internal/serve; do
+for pkg in . ./internal/serve ./internal/ml; do
     # shellcheck disable=SC2086  # MPA_BENCH_ARGS is intentionally word-split
     go test -run '^$' -bench "$pattern" -benchmem -count="$count" \
         ${MPA_BENCH_ARGS:-} "$pkg" | tee -a "$raw" >&2
