@@ -14,6 +14,9 @@ import (
 // children. Each span records its wall-clock duration, the bytes
 // allocated while it was open, and a set of named counters.
 //
+// A request root (NewRequestRoot) and its whole tree sample no
+// allocation totals; their AllocBytes reads 0.
+//
 // Every method is safe on a nil receiver and does nothing, so
 // instrumented code never guards call sites: un-wired pipelines (library
 // use, benchmarks) pass nil spans and pay only the nil check.
@@ -25,6 +28,9 @@ type Span struct {
 	name  string
 	table *stageTable // a stage table's rows
 	owner *Span       // the stage table this stage was opened on
+	// noAlloc marks a request tree, whose spans skip the allocation
+	// samples at Start and End (NewRequestRoot).
+	noAlloc bool
 
 	mu         sync.Mutex
 	start      time.Time
@@ -46,6 +52,16 @@ func NewRoot(name string) *Span {
 	}
 }
 
+// NewRequestRoot starts a root span like NewRoot whose tree samples no
+// allocation totals: it and every span started under it report
+// AllocBytes 0, and Start and End skip the two runtime/metrics reads a
+// span otherwise makes. A serve request's root uses it. On a concurrent
+// daemon the process-wide allocation delta over one request counts every
+// goroutine's allocations, so it was never the request's own figure.
+func NewRequestRoot(name string) *Span {
+	return &Span{name: name, start: time.Now(), noAlloc: true}
+}
+
 // Name returns the span's name.
 func (s *Span) Name() string {
 	if s == nil {
@@ -64,9 +80,9 @@ func (s *Span) Start(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	child := &Span{
-		name:       name,
-		startAlloc: heapAllocBytes(),
+	child := &Span{name: name, noAlloc: s.noAlloc}
+	if !s.noAlloc {
+		child.startAlloc = heapAllocBytes()
 	}
 	s.mu.Lock()
 	child.start = time.Now()
@@ -94,8 +110,10 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.dur = time.Since(s.start)
-	if a := heapAllocBytes(); a > s.startAlloc {
-		s.alloc = a - s.startAlloc
+	if !s.noAlloc {
+		if a := heapAllocBytes(); a > s.startAlloc {
+			s.alloc = a - s.startAlloc
+		}
 	}
 	dur, alloc := s.dur, s.alloc
 	s.mu.Unlock()

@@ -71,6 +71,29 @@ func TestSpanAllocDelta(t *testing.T) {
 	}
 }
 
+// TestRequestRootSamplesNoAlloc: a request tree allocates like any
+// other but records no allocation delta, at its root or below, while it
+// still times every span.
+func TestRequestRootSamplesNoAlloc(t *testing.T) {
+	s := NewRequestRoot("request")
+	c := s.Start("stage")
+	sink := make([][]byte, 0, 64)
+	for i := 0; i < 64; i++ {
+		sink = append(sink, make([]byte, 4096))
+	}
+	c.End()
+	s.End()
+	if len(sink) != 64 {
+		t.Fatal("sink lost")
+	}
+	if s.AllocBytes() != 0 || c.AllocBytes() != 0 {
+		t.Fatalf("request tree alloc = %d (root), %d (stage), want 0", s.AllocBytes(), c.AllocBytes())
+	}
+	if s.Duration() <= 0 || c.Duration() <= 0 || len(s.Children()) != 1 {
+		t.Fatalf("request tree lost its timing: root %v, stage %v, %d children", s.Duration(), c.Duration(), len(s.Children()))
+	}
+}
+
 func TestNilSpanIsSafe(t *testing.T) {
 	var s *Span
 	child := s.Start("child")

@@ -4,7 +4,10 @@
 // training, and the experiment harness fan-out.
 //
 // Every pool runs at one process-wide width, Workers (mpa wires its
-// -workers flag to SetWorkers). The pool is built for deterministic
+// -workers flag to SetWorkers). Unless SetWorkers overrides it, the width
+// is runtime.GOMAXPROCS(0), read when each pool starts, so a process
+// that lowers GOMAXPROCS (go test -cpu 1, GOMAXPROCS=1) gets narrower
+// pools at once. The pool is built for deterministic
 // pipelines. Items are dispatched in index order, results are collected
 // into an index-addressed slice, and the error returned is always the
 // erroring item with the lowest index — so a caller that derives per-item
@@ -20,24 +23,24 @@ import (
 	"sync/atomic"
 )
 
-// workers is the process-wide pool width. It starts at runtime.NumCPU():
-// the pipeline's stages are CPU-bound, so one worker per core saturates
-// the hardware without oversubscription.
+// workers is the SetWorkers override, 0 when unset. The default width
+// is one worker per usable P: the pipeline's stages are CPU-bound, so
+// that saturates the cores the scheduler may use without
+// oversubscription.
 var workers atomic.Int64
 
-func init() { workers.Store(int64(runtime.NumCPU())) }
-
 // SetWorkers sets the process-wide worker count every pool runs at.
-// n <= 0 resets it to runtime.NumCPU().
-func SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.NumCPU()
-	}
-	workers.Store(int64(n))
-}
+// n <= 0 returns to the default, runtime.GOMAXPROCS(0).
+func SetWorkers(n int) { workers.Store(int64(max(n, 0))) }
 
-// Workers returns the process-wide worker count.
-func Workers() int { return int(workers.Load()) }
+// Workers returns the process-wide worker count: the SetWorkers
+// override, or runtime.GOMAXPROCS(0) when none is set.
+func Workers() int {
+	if n := workers.Load(); n > 0 {
+		return int(n)
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // Map runs fn(i, items[i]) for every item on at most Workers goroutines
 // and returns the results in item order. If any fn returns an error, Map

@@ -43,6 +43,41 @@ func TestMapOrdered(t *testing.T) {
 	}
 }
 
+// TestDefaultFollowsGOMAXPROCS: with no override, the width is read
+// from GOMAXPROCS when a pool starts, so at GOMAXPROCS 1 Map runs inline
+// on the calling goroutine; SetWorkers overrides it and SetWorkers(0)
+// returns to it.
+func TestDefaultFollowsGOMAXPROCS(t *testing.T) {
+	SetWorkers(0)
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		SetWorkers(0)
+	})
+	if n := Workers(); n != 1 {
+		t.Fatalf("Workers() = %d at GOMAXPROCS 1, want 1", n)
+	}
+	before := runtime.NumGoroutine()
+	_, err := Map(indexes(16), func(i int, _ struct{}) (int, error) {
+		if n := runtime.NumGoroutine(); n != before {
+			return 0, fmt.Errorf("item %d ran beside %d other goroutines, want inline", i, n-before)
+		}
+		return i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetWorkers(3)
+	if n := Workers(); n != 3 {
+		t.Fatalf("Workers() = %d after SetWorkers(3)", n)
+	}
+	SetWorkers(0)
+	runtime.GOMAXPROCS(2)
+	if n := Workers(); n != 2 {
+		t.Fatalf("Workers() = %d at GOMAXPROCS 2 after SetWorkers(0), want 2", n)
+	}
+}
+
 func TestMapEmpty(t *testing.T) {
 	withWorkers(t, 4)
 	out, err := Map([]string(nil), func(i int, s string) (int, error) { return 0, nil })

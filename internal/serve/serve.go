@@ -6,7 +6,10 @@
 // re-run inference or any other pipeline stage: results are served from
 // the memo of the data snapshot they read (hits and misses are the
 // "cache.query.*" counters in /metrics), which is the daemon's
-// heavy-traffic path.
+// heavy-traffic path. The rank, causal, predict, network and report
+// endpoints store each answer's encoded body in the same memo, tagged
+// with a strong ETag, so a warm read writes stored bytes and a client
+// revalidating with If-None-Match gets a 304 (stored.go).
 //
 // The daemon runs one warm Framework per organization and always fronts
 // an org registry (internal/tenant): a single-org daemon is a registry of
@@ -26,7 +29,7 @@
 //	GET /v1/rank                       practice↔health MI ranking
 //	GET /v1/causal?practice=NAME       matched-design causal analysis
 //	GET /v1/predict?network=N&month=M  health prediction for one network-month
-//	GET /v1/network?network=N&month=M  per-network-month health summary (warm per-network memo)
+//	GET /v1/network?network=N&month=M  per-network-month health summary (stored in the network's memo)
 //	GET /v1/report/{name}              one of the 24 experiment reports, digest-stamped
 //	GET /v1/manifest                   the org's run manifest: build, config, stages, report digests
 //	POST /v1/ingest                    apply one month of new snapshots/tickets in place
@@ -62,6 +65,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"runtime"
@@ -159,6 +163,9 @@ type Server struct {
 	errors   *obs.Counter
 	panics   *obs.Counter
 	inflight *obs.Gauge
+	// queueCancelled counts requests whose client canceled while they
+	// waited for a slot.
+	queueCancelled *obs.Counter
 
 	// ep holds the global per-endpoint latency-SLO instrumentation
 	// (log-spaced latency histograms + status-class counters; see
@@ -180,19 +187,20 @@ func newServer(cfg Config) *Server {
 		cfg.Recorder = obs.DefaultRecorder()
 	}
 	return &Server{
-		cfg:         cfg,
-		sem:         make(chan struct{}, cfg.MaxInFlight),
-		start:       time.Now(),
-		mux:         http.NewServeMux(),
-		shards:      map[string]*shard{},
-		closing:     make(chan struct{}),
-		rec:         cfg.Recorder,
-		requests:    obs.GetCounter("serve.requests"),
-		errors:      obs.GetCounter("serve.errors"),
-		panics:      obs.GetCounter("serve.panics"),
-		inflight:    obs.GetGauge("serve.inflight"),
-		ep:          map[string]*endpointMetrics{},
-		streamsOpen: obs.GetGauge("serve.streams_open"),
+		cfg:            cfg,
+		sem:            make(chan struct{}, cfg.MaxInFlight),
+		start:          time.Now(),
+		mux:            http.NewServeMux(),
+		shards:         map[string]*shard{},
+		closing:        make(chan struct{}),
+		rec:            cfg.Recorder,
+		requests:       obs.GetCounter("serve.requests"),
+		errors:         obs.GetCounter("serve.errors"),
+		panics:         obs.GetCounter("serve.panics"),
+		inflight:       obs.GetGauge("serve.inflight"),
+		queueCancelled: obs.GetCounter("serve.queue_cancelled"),
+		ep:             map[string]*endpointMetrics{},
+		streamsOpen:    obs.GetGauge("serve.streams_open"),
 	}
 }
 
@@ -356,28 +364,22 @@ type instrumented func(w http.ResponseWriter, r *http.Request) (tenantName strin
 // span starts before the request takes a slot, so queue time counts in
 // the latency histograms, /debug/slo and the recorder; a request that
 // finds every slot taken records its wait as a "queue_wait" stage. A
-// handler panic is recovered into a 500 JSON error — latency, counters,
-// and the recorder entry are still recorded.
+// request whose client cancels while it waits never runs its handler:
+// it answers and is recorded with status 499 and is counted in
+// serve.queue_cancelled. The request tree samples no allocation totals
+// (obs.NewRequestRoot). A handler panic is recovered into a 500 JSON
+// error — latency, counters, and the recorder entry are still recorded.
 func (s *Server) instrument(name string, h instrumented) http.Handler {
 	perEndpoint := obs.GetCounter("serve.requests." + name)
 	em := newEndpointMetrics("serve.", name)
 	s.ep[name] = em
+	root := "serve:" + name
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sp := obs.NewRoot("serve:" + name)
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			queued := sp.Start("queue_wait")
-			s.sem <- struct{}{}
-			queued.End()
-		}
-		s.inflight.Add(1)
-		defer func() {
-			<-s.sem
-			s.inflight.Add(-1)
-		}()
-		id := obs.RequestIDFrom(r.Header.Get("traceparent"), r.Header.Get("X-Request-ID"))
-		w.Header().Set("X-Request-ID", id)
+		sp := obs.NewRequestRoot(root)
+		// Header keys spelled in canonical form are looked up without
+		// building the canonical key.
+		id := obs.RequestIDFrom(r.Header.Get("Traceparent"), r.Header.Get("X-Request-Id"))
+		w.Header()["X-Request-Id"] = []string{id}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		var tenantName string
 		var tem *endpointMetrics
@@ -415,18 +417,51 @@ func (s *Server) instrument(name string, h instrumented) http.Handler {
 				Slow:   slow,
 				Tenant: tenantName,
 			})
-			if slow {
-				obs.Logger().Warn("serve: slow request",
+			if log := obs.Logger(); slow {
+				log.Warn("serve: slow request",
 					"endpoint", name, "request_id", id, "tenant", tenantName,
 					"status", sw.status, "elapsed", dur, "stages", stageString(sum.Stages))
-			} else {
-				obs.Logger().Debug("serve: request",
+			} else if log.Enabled(r.Context(), slog.LevelDebug) {
+				log.Debug("serve: request",
 					"endpoint", name, "request_id", id, "tenant", tenantName,
 					"status", sw.status, "elapsed", dur)
 			}
 		}()
+		if !s.acquire(r, sp) {
+			s.queueCancelled.Add(1)
+			writeError(sw, statusClientClosedRequest, "request canceled while queued")
+			return
+		}
+		s.inflight.Add(1)
+		defer func() {
+			<-s.sem
+			s.inflight.Add(-1)
+		}()
 		tenantName, tem = h(sw, r.WithContext(obs.ContextWithSpan(r.Context(), sp)))
 	})
+}
+
+// statusClientClosedRequest answers a request whose client canceled
+// before it got a slot: the 499 of common proxy logs, counted as a 4xx.
+const statusClientClosedRequest = 499
+
+// acquire takes a query slot for r, waiting under a "queue_wait" stage
+// of sp when every slot is taken. It reports false, holding no slot,
+// when r's client cancels while it waits.
+func (s *Server) acquire(r *http.Request, sp *obs.Span) bool {
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	default:
+	}
+	queued := sp.Start("queue_wait")
+	defer queued.End()
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	case <-r.Context().Done():
+		return false
+	}
 }
 
 // query wraps a tenant-scoped /v1 handler: shard resolution first (a
@@ -465,21 +500,34 @@ func stageString(stages []obs.StageStat) string {
 	return strings.Join(parts, " ")
 }
 
-// writeJSON renders one response body: v marshaled, then indented by
+// jsonContentType is the Content-Type of every JSON body, shared by
+// every response that sets it and never modified.
+var jsonContentType = []string{"application/json; charset=utf-8"}
+
+// encodeJSON renders one response body: v marshaled, then indented by
 // two spaces and newline-terminated, as json.Encoder with
-// SetIndent("", "  ") writes it. v is marshaled before the status line
-// goes out, so a value that cannot be encoded (a NaN or ±Inf float)
-// answers a 500 JSON error rather than a 200 with an empty body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// SetIndent("", "  ") writes it.
+func encodeJSON(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	out := appendIndent(make([]byte, 0, len(b)+len(b)/2+1), b)
+	return append(out, '\n'), nil
+}
+
+// writeJSON writes v's body (encodeJSON) with status code. v is encoded
+// before the status line goes out, so a value that cannot be encoded (a
+// NaN or ±Inf float) answers a 500 JSON error rather than a 200 with an
+// empty body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	out, err := encodeJSON(v)
 	if err != nil {
 		obs.Logger().Error("serve: encode response", "err", err)
 		code = http.StatusInternalServerError
-		b, _ = json.Marshal(errorResponse{Error: "encode response: " + err.Error()})
+		out, _ = encodeJSON(errorResponse{Error: "encode response: " + err.Error()})
 	}
-	out := appendIndent(make([]byte, 0, len(b)+len(b)/2+1), b)
-	out = append(out, '\n')
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_, _ = w.Write(out)
 }
@@ -570,23 +618,20 @@ type rankEntry struct {
 }
 
 func (s *Server) handleRank(sh *shard, w http.ResponseWriter, r *http.Request) {
-	sp := obs.SpanFrom(r.Context())
-	c := sp.Start("rank_practices")
-	ranked := sh.f.RankPractices()
-	c.End()
-	out := make([]rankEntry, len(ranked))
-	for i, e := range ranked {
-		out[i] = rankEntry{
-			Rank:        i + 1,
-			Metric:      e.Metric,
-			DisplayName: mpa.DisplayName(e.Metric),
-			Category:    mpa.MetricCategory(e.Metric),
-			MI:          e.MI,
+	respond(w, r, sh.f, "rank_practices", "", "body/rank", func(q *mpa.Framework) (any, error) {
+		ranked := q.RankPractices()
+		out := make([]rankEntry, len(ranked))
+		for i, e := range ranked {
+			out[i] = rankEntry{
+				Rank:        i + 1,
+				Metric:      e.Metric,
+				DisplayName: mpa.DisplayName(e.Metric),
+				Category:    mpa.MetricCategory(e.Metric),
+				MI:          e.MI,
+			}
 		}
-	}
-	enc := sp.Start("encode")
-	writeJSON(w, http.StatusOK, out)
-	enc.End()
+		return out, nil
+	})
 }
 
 // causalPoint is one comparison point of the /v1/causal response.
@@ -619,36 +664,32 @@ func (s *Server) handleCausal(sh *shard, w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusNotFound, "unknown practice metric %q", metric)
 		return
 	}
-	sp := obs.SpanFrom(r.Context())
-	c := sp.Start("causal_analysis")
-	res, err := sh.f.AnalyzeCausal(metric)
-	c.End()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "causal analysis failed: %v", err)
-		return
-	}
-	out := causalResponse{
-		Treatment:   res.Treatment,
-		DisplayName: mpa.DisplayName(res.Treatment),
-		Points:      make([]causalPoint, len(res.Points)),
-	}
-	for i, p := range res.Points {
-		out.Points[i] = causalPoint{
-			Comparison:       p.Comparison,
-			Pairs:            p.Pairs,
-			FewerTickets:     p.FewerTickets,
-			NoEffect:         p.NoEffect,
-			MoreTickets:      p.MoreTickets,
-			PValue:           p.PValue,
-			Causal:           p.Causal,
-			Balanced:         p.Balanced,
-			Skipped:          p.Skipped,
-			SensitivityGamma: p.SensitivityGamma,
+	respond(w, r, sh.f, "causal_analysis", "", "body/causal/"+metric, func(q *mpa.Framework) (any, error) {
+		res, err := q.AnalyzeCausal(metric)
+		if err != nil {
+			return nil, &httpError{http.StatusInternalServerError, fmt.Sprintf("causal analysis failed: %v", err)}
 		}
-	}
-	enc := sp.Start("encode")
-	writeJSON(w, http.StatusOK, out)
-	enc.End()
+		out := causalResponse{
+			Treatment:   res.Treatment,
+			DisplayName: mpa.DisplayName(res.Treatment),
+			Points:      make([]causalPoint, len(res.Points)),
+		}
+		for i, p := range res.Points {
+			out.Points[i] = causalPoint{
+				Comparison:       p.Comparison,
+				Pairs:            p.Pairs,
+				FewerTickets:     p.FewerTickets,
+				NoEffect:         p.NoEffect,
+				MoreTickets:      p.MoreTickets,
+				PValue:           p.PValue,
+				Causal:           p.Causal,
+				Balanced:         p.Balanced,
+				Skipped:          p.Skipped,
+				SensitivityGamma: p.SensitivityGamma,
+			}
+		}
+		return out, nil
+	})
 }
 
 // predictResponse is the /v1/predict body.
@@ -678,17 +719,17 @@ func networkMonth(f *mpa.Framework, w http.ResponseWriter, r *http.Request) (str
 		writeError(w, http.StatusBadRequest, "missing required query parameter 'network'")
 		return "", mpa.Month{}, false
 	}
-	window := f.Window()
-	month := window[len(window)-1]
-	if ms := q.Get("month"); ms != "" {
-		t, err := time.Parse("2006-01", ms)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad month %q, want YYYY-MM", ms)
-			return "", mpa.Month{}, false
-		}
-		month = mpa.MonthOf(t)
+	ms := q.Get("month")
+	if ms == "" {
+		window := f.Window()
+		return network, window[len(window)-1], true
 	}
-	return network, month, true
+	t, err := time.Parse("2006-01", ms)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad month %q, want YYYY-MM", ms)
+		return "", mpa.Month{}, false
+	}
+	return network, mpa.MonthOf(t), true
 }
 
 func (s *Server) handlePredict(sh *shard, w http.ResponseWriter, r *http.Request) {
@@ -696,28 +737,25 @@ func (s *Server) handlePredict(sh *shard, w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	sp := obs.SpanFrom(r.Context())
-	c := sp.Start("predict")
-	pred, err := sh.f.PredictNetworkMonth(network, month)
-	c.End()
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	enc := sp.Start("encode")
-	defer enc.End()
-	writeJSON(w, http.StatusOK, predictResponse{
-		Network:        pred.Network,
-		Month:          pred.Month.String(),
-		Tickets:        pred.Tickets,
-		Predicted2:     pred.Predicted2,
-		Predicted2Name: pred.Predicted2Name,
-		Predicted5:     pred.Predicted5,
-		Predicted5Name: pred.Predicted5Name,
-		Actual2:        pred.Actual2,
-		Actual5:        pred.Actual5,
-		Accuracy2:      pred.Accuracy2,
-		Accuracy5:      pred.Accuracy5,
+	key := "body/predict/" + month.String() + "/" + network
+	respond(w, r, sh.f, "predict", "", key, func(q *mpa.Framework) (any, error) {
+		pred, err := q.PredictNetworkMonth(network, month)
+		if err != nil {
+			return nil, &httpError{http.StatusNotFound, err.Error()}
+		}
+		return predictResponse{
+			Network:        pred.Network,
+			Month:          pred.Month.String(),
+			Tickets:        pred.Tickets,
+			Predicted2:     pred.Predicted2,
+			Predicted2Name: pred.Predicted2Name,
+			Predicted5:     pred.Predicted5,
+			Predicted5Name: pred.Predicted5Name,
+			Actual2:        pred.Actual2,
+			Actual5:        pred.Actual5,
+			Accuracy2:      pred.Accuracy2,
+			Accuracy5:      pred.Accuracy5,
+		}, nil
 	})
 }
 
@@ -733,45 +771,38 @@ type reportResponse struct {
 
 func (s *Server) handleReport(sh *shard, w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	sp := obs.SpanFrom(r.Context())
-	c := sp.Start("experiment")
-	rep, ok := sh.f.Experiment(name)
-	c.End()
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown experiment %q (GET /v1/manifest lists the known ids after they run; see mpa.ExperimentIDs)", name)
-		return
-	}
-	enc := sp.Start("encode")
-	defer enc.End()
-	writeJSON(w, http.StatusOK, reportResponse{
-		ID:      rep.ID,
-		Title:   rep.Title,
-		Text:    rep.Text,
-		Numbers: rep.Numbers,
-		Digest:  rep.Digest(),
+	respond(w, r, sh.f, "experiment", "", "body/report/"+name, func(q *mpa.Framework) (any, error) {
+		rep, ok := q.Experiment(name)
+		if !ok {
+			return nil, &httpError{http.StatusNotFound, fmt.Sprintf("unknown experiment %q (GET /v1/manifest lists the known ids after they run; see mpa.ExperimentIDs)", name)}
+		}
+		return reportResponse{
+			ID:      rep.ID,
+			Title:   rep.Title,
+			Text:    rep.Text,
+			Numbers: rep.Numbers,
+			Digest:  rep.Digest(),
+		}, nil
 	})
 }
 
-// handleNetwork serves the per-network-month health summary, memoized
-// in the network's own memo (see mpa.NetworkHealthCached):
-// the heavy-traffic per-network dashboard path that stays warm across
-// ingests touching other networks — or, under sharding, other orgs.
+// handleNetwork serves the per-network-month health summary. Its body
+// is stored in the network's own memo, beside the summary it encodes
+// (mpa.NetworkHealthCached): the heavy-traffic per-network dashboard
+// path that stays warm across ingests touching other networks — or,
+// under sharding, other orgs.
 func (s *Server) handleNetwork(sh *shard, w http.ResponseWriter, r *http.Request) {
 	network, month, ok := networkMonth(sh.f, w, r)
 	if !ok {
 		return
 	}
-	sp := obs.SpanFrom(r.Context())
-	c := sp.Start("network_health")
-	nh, err := sh.f.NetworkHealthCached(network, month)
-	c.End()
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	enc := sp.Start("encode")
-	defer enc.End()
-	writeJSON(w, http.StatusOK, nh)
+	respond(w, r, sh.f, "network_health", network, "body/health/"+month.String(), func(q *mpa.Framework) (any, error) {
+		nh, err := q.NetworkHealthCached(network, month)
+		if err != nil {
+			return nil, &httpError{http.StatusNotFound, err.Error()}
+		}
+		return nh, nil
+	})
 }
 
 // maxIngestBytes is the default update-body bound: a month of snapshots

@@ -121,7 +121,8 @@ type Config struct {
 
 // SetWorkers sets the one process-wide worker count that every parallel
 // stage (generation, inference, cross-validation folds, forest trees,
-// experiment runs, fleet fan-out) runs at; n <= 0 resets it to all CPUs.
+// experiment runs, fleet fan-out) runs at; n <= 0 returns to the
+// default, runtime.GOMAXPROCS(0), read when each pool starts.
 // Every result is byte-identical at every worker count.
 func SetWorkers(n int) { par.SetWorkers(n) }
 

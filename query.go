@@ -40,6 +40,35 @@ import (
 // concurrent callers of one key compute once, distinct keys compute in
 // parallel, and a compute may call another memoized query.
 
+// Memoized returns the value stored under key in the current snapshot's
+// memo (network's memo for a per-network value, the organization's for
+// "") and builds it on a miss. build answers its queries through the
+// framework it is handed, which is pinned to that snapshot, so the value
+// derives from exactly the data of the snapshot that stores it, and is
+// dropped with it: an ingest replaces the organization's memo, and the
+// memo of every network it touches. A caller stores what it derives
+// from the queries' answers, such as their encoded form; the answers
+// themselves still come from the query methods. The lookup is counted
+// like a query's (QueryCacheStats) and shares their single flight.
+// Errors are not stored. A stored value is shared: treat it as
+// read-only. key must not be one the queries use ("rank", "causal/…",
+// "model/…", "experiment/…", "health/…").
+func Memoized[T any](f *Framework, network, key string, build func(*Framework) (T, error)) (T, error) {
+	env := f.environment()
+	return experiments.Memoized(env, network, key, func() (T, error) {
+		return build(f.at(env))
+	})
+}
+
+// at returns a framework that answers every query from env: the view a
+// Memoized build queries through. It only answers queries; it has no
+// stream hub and never ingests.
+func (f *Framework) at(env *experiments.Env) *Framework {
+	q := &Framework{cacheDir: f.cacheDir}
+	q.env.Store(env)
+	return q
+}
+
 // CacheStats counts one framework's query memo activity: a hit is a call
 // that found a finished or in-flight answer, a miss a call that computed
 // one.

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # serve-smoke.sh — end-to-end smoke test for `mpa serve`: build the
 # binary, start a daemon over a small generated archive, query it,
-# exercise the flight recorder (request-ID round-trip, /debug/requests,
-# a per-request Chrome trace), stream one month of new data through the
-# ingest path (SSE subscriber + `mpa nextmonth` + POST /v1/ingest), and
-# assert a clean graceful shutdown on SIGINT. The single org is served
+# revalidate a stored answer by its ETag, exercise the flight recorder
+# (request-ID round-trip, /debug/requests, a per-request Chrome trace),
+# stream one month of new data through the ingest path (SSE subscriber
+# + `mpa nextmonth` + POST /v1/ingest), and assert a clean graceful
+# shutdown on SIGINT. The single org is served
 # as a registry of one named "default". A second phase starts a
 # 2-org sharded daemon (`serve -orgs`) and checks tenant routing by
 # path and header, cross-tenant 404s, fleet aggregates, and per-tenant
@@ -52,6 +53,21 @@ grep -q '"metric"' "$TMP/rank.json" || {
     exit 1
 }
 echo "serve-smoke: /v1/rank ok"
+
+# Revalidation: a stored answer carries a strong ETag, and sending it
+# back in If-None-Match answers 304 with no body.
+ETAG="$(curl -fsS -D - -o /dev/null "http://127.0.0.1:$PORT/v1/rank" \
+    | tr -d '\r' | awk -F': ' 'tolower($1) == "etag" {print $2}')"
+[ -n "$ETAG" ] || {
+    echo "serve-smoke: /v1/rank sent no ETag" >&2
+    exit 1
+}
+CODE="$(curl -s -o "$TMP/rank-304.body" -w '%{http_code}' -H "If-None-Match: $ETAG" "http://127.0.0.1:$PORT/v1/rank")"
+if [ "$CODE" != 304 ] || [ -s "$TMP/rank-304.body" ]; then
+    echo "serve-smoke: /v1/rank If-None-Match $ETAG returned $CODE, want an empty 304" >&2
+    exit 1
+fi
+echo "serve-smoke: /v1/rank ETag revalidation ok"
 
 # Per-endpoint observability: the rank request above must show up in
 # its own latency histogram and status-class counter on /metrics, and
