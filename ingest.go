@@ -64,12 +64,13 @@ type IngestResult struct {
 // Ingest validates and applies one month of new data to the warm
 // framework. The update must carry the current final month (intra-month
 // growth: only the touched networks' final month re-infers) or the month
-// after it (window extension: every network gains the new month's row;
-// untouched networks re-parse only their month-entering snapshots to
-// carry design state forward). Each update infers on a fresh engine: the
-// month's snapshot texts are new, so there is nothing from earlier
-// updates to reuse. Updates are serialized; queries are never blocked by
-// an in-flight ingest.
+// after it (window extension: every network gains the new month's row).
+// Each update infers on a fresh engine handed the current snapshot's
+// window-end design facts: a device with no snapshot in the month whose
+// facts were computed from the snapshot entering it is not parsed, and
+// every other device parses its entering snapshot and diffs the month's
+// snapshots. Updates are serialized; queries are never blocked by an
+// in-flight ingest.
 func (f *Framework) Ingest(u *IngestUpdate) (*IngestResult, error) {
 	f.ingestMu.Lock()
 	defer f.ingestMu.Unlock()
@@ -123,10 +124,11 @@ func (f *Framework) Ingest(u *IngestUpdate) (*IngestResult, error) {
 	// Infer exactly the affected network-months.
 	engine := practices.NewEngine(env.OSP.Inventory, arch)
 	engine.SetObs(sp)
+	engine.SetFacts(env.Facts)
 	var names []string
 	if newMonth {
 		// Every network gains a row for the new month; the untouched ones
-		// carry their design state forward (their month has no changes).
+		// carry their design facts forward (their month has no changes).
 		names = make([]string, 0, len(env.OSP.Inventory.Networks))
 		for _, nw := range env.OSP.Inventory.Networks {
 			names = append(names, nw.Name)
@@ -180,7 +182,7 @@ func (f *Framework) Ingest(u *IngestUpdate) (*IngestResult, error) {
 	o.Params = params
 	o.Archive = arch
 	o.Tickets = tickets
-	env2 := env.Evolve(params, &o, analysis, data, comp.Networks)
+	env2 := env.Evolve(params, &o, analysis, data, comp.Networks, engine.Facts())
 
 	f.env.Store(env2)
 	ssp.End()

@@ -264,49 +264,3 @@ func TestInterDeviceRefsSharedOSPFArea(t *testing.T) {
 		t.Errorf("a shares area 0 with b only: got %d", got)
 	}
 }
-
-func TestNetworkInterRefsMatchesPerDevice(t *testing.T) {
-	// The linear-time network-level computation must agree with the
-	// per-device reference counter on a well-formed network.
-	a := NewConfig("a")
-	a.Upsert(NewStanza(TypeBGP, "65001").Set("neighbor:10.0.0.2", "65001"))
-	a.Upsert(NewStanza(TypeVLAN, "100").Set("vlan-id", "100"))
-	a.Upsert(NewStanza(TypeOSPF, "1").Set("area", "0"))
-	b := NewConfig("b")
-	b.Upsert(NewStanza(TypeBGP, "65001").Set("neighbor:10.0.0.1", "65001"))
-	b.Upsert(NewStanza(TypeVLAN, "v100").Set("vlan-id", "100"))
-	b.Upsert(NewStanza(TypeOSPF, "1").Set("area", "0"))
-	c := NewConfig("c")
-	c.Upsert(NewStanza(TypeVLAN, "200").Set("vlan-id", "200"))
-	peers := []*Config{a, b, c}
-	owner := map[string]string{"10.0.0.1": "a", "10.0.0.2": "b", "10.0.0.3": "c"}
-
-	bulk := NetworkInterRefs(peers, owner)
-	for _, cfg := range peers {
-		want := InterDeviceRefs(cfg, peers, owner)
-		if got := bulk[cfg.Hostname]; got != want {
-			t.Errorf("%s: network-level %d != per-device %d", cfg.Hostname, got, want)
-		}
-	}
-}
-
-func TestNetworkInterRefsEmpty(t *testing.T) {
-	if got := NetworkInterRefs(nil, nil); len(got) != 0 {
-		t.Errorf("empty network refs = %v", got)
-	}
-	lone := NewConfig("solo")
-	lone.Upsert(NewStanza(TypeVLAN, "1").Set("vlan-id", "1"))
-	refs := NetworkInterRefs([]*Config{lone}, nil)
-	if refs["solo"] != 0 {
-		t.Errorf("lone device refs = %d", refs["solo"])
-	}
-}
-
-func TestNetworkInterRefsExternalNeighborIgnored(t *testing.T) {
-	a := NewConfig("a")
-	a.Upsert(NewStanza(TypeBGP, "65001").Set("neighbor:192.0.2.1", "64999"))
-	refs := NetworkInterRefs([]*Config{a}, map[string]string{"10.0.0.1": "a"})
-	if refs["a"] != 0 {
-		t.Errorf("external neighbor counted: %d", refs["a"])
-	}
-}

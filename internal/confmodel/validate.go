@@ -114,3 +114,14 @@ func matchTarget(v string) (string, bool) {
 	}
 	return "", false
 }
+
+// hasVLANID reports whether the configuration has a VLAN stanza with the
+// given VLAN id (matching either the stanza name or the vlan-id option).
+func hasVLANID(c *Config, id string) bool {
+	for _, s := range c.OfType(TypeVLAN) {
+		if s.Name == id || s.Get("vlan-id") == id {
+			return true
+		}
+	}
+	return false
+}

@@ -84,6 +84,7 @@ func BuildObs(analysis map[string][]practices.MonthAnalysis, log *ticketing.Log,
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	tickets := log.HealthCounts()
 	d := &Dataset{}
 	for _, name := range names {
 		for _, ma := range analysis[name] {
@@ -91,7 +92,7 @@ func BuildObs(analysis map[string][]practices.MonthAnalysis, log *ticketing.Log,
 				Network: name,
 				Month:   ma.Month,
 				Metrics: ma.Metrics,
-				Tickets: log.HealthCount(name, ma.Month),
+				Tickets: tickets[ticketing.NetworkMonth{Network: name, Month: ma.Month}],
 			})
 		}
 	}

@@ -35,6 +35,13 @@ type Env struct {
 	OSP      *osp.OSP
 	Analysis map[string][]practices.MonthAnalysis
 	Data     *dataset.Dataset
+	// Facts are the design facts of each analyzed device at the end of
+	// the window (practices.Facts): an ingest's engine starts from them,
+	// so a device with no snapshot in the ingested month is not parsed.
+	// Empty when no walk produced them (networks the disk tier
+	// answered, a hand-assembled Env); the engine then parses every
+	// entering snapshot.
+	Facts practices.Facts
 	// Obs is the pipeline's stage table (obs.NewStageTable): the
 	// generation/inference/dataset stages, every experiment run and every
 	// cold analysis fold into its per-stage rows as they end. Nil on
@@ -118,7 +125,9 @@ func Infer(o *osp.OSP, cc cache.Config, root *obs.Span) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(o.Params, o, analysis, dataset.BuildObs(analysis, o.Tickets, root), root, nil, new(memoCounts)), nil
+	env := assemble(o.Params, o, analysis, dataset.BuildObs(analysis, o.Tickets, root), root, nil, new(memoCounts))
+	env.Facts = engine.Facts()
+	return env, nil
 }
 
 // assemble builds an Env with one memo per analyzed network, taken from
@@ -197,7 +206,8 @@ func Memoized[T any](e *Env, network, key string, compute func() (T, error)) (T,
 	return v.(T), nil
 }
 
-// Evolve returns a new Env holding the given (spliced) data while
+// Evolve returns a new Env holding the given (spliced) data and the
+// window-end design facts of the engine that analyzed it, while
 // carrying over e's stage table, memo counts and the report
 // digests recorded so far. The new snapshot starts a fresh
 // whole-organization memo and fresh memos for the touched networks;
@@ -208,12 +218,13 @@ func Memoized[T any](e *Env, network, key string, compute func() (T, error)) (T,
 // stats and memo counts keep accruing across updates. The digest map is
 // copied, never shared — re-run experiments on the evolved Env overwrite
 // their entries without racing readers of the old one.
-func (e *Env) Evolve(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAnalysis, data *dataset.Dataset, touched []string) *Env {
+func (e *Env) Evolve(p osp.Params, o *osp.OSP, analysis map[string][]practices.MonthAnalysis, data *dataset.Dataset, touched []string, facts practices.Facts) *Env {
 	carry := maps.Clone(e.netMemo)
 	for _, n := range touched {
 		delete(carry, n)
 	}
 	ne := assemble(p, o, analysis, data, e.Obs, carry, e.counts)
+	ne.Facts = facts
 	e.digestMu.Lock()
 	defer e.digestMu.Unlock()
 	if len(e.digests) > 0 {

@@ -14,6 +14,7 @@ import (
 	"mpa/internal/months"
 	"mpa/internal/obs"
 	"mpa/internal/osp"
+	"mpa/internal/ticketing"
 )
 
 // testOrg generates a small organization shared by the validation tests.
@@ -182,9 +183,11 @@ func TestTruncateSliceRoundTrip(t *testing.T) {
 	if lo, lr := len(o.Tickets.All()), len(log.All()); lo != lr {
 		t.Fatalf("%d tickets after replay, want %d", lr, lo)
 	}
+	got, want := log.HealthCounts(), o.Tickets.HealthCounts()
 	for m := p.Start; !p.End.Before(m); m = m.Next() {
 		for _, nw := range o.Inventory.Networks {
-			if got, want := log.HealthCount(nw.Name, m), o.Tickets.HealthCount(nw.Name, m); got != want {
+			k := ticketing.NetworkMonth{Network: nw.Name, Month: m}
+			if got, want := got[k], want[k]; got != want {
 				t.Fatalf("%s %s: health count %d, want %d", nw.Name, m, got, want)
 			}
 		}

@@ -206,9 +206,10 @@ func TestTicketSkewMatchesPaper(t *testing.T) {
 	o := smallOSP
 	healthy, total := 0, 0
 	veryPoor := 0
+	counts := o.Tickets.HealthCounts()
 	for _, nw := range o.Inventory.Networks {
 		for _, m := range o.Params.Months() {
-			n := o.Tickets.HealthCount(nw.Name, m)
+			n := counts[ticketing.NetworkMonth{Network: nw.Name, Month: m}]
 			total++
 			if n <= 1 {
 				healthy++

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mpa/internal/cache"
+	"mpa/internal/months"
 	"mpa/internal/obs"
 	"mpa/internal/osp"
 )
@@ -91,5 +92,53 @@ func TestAllocBudgetAnalyzeMonth(t *testing.T) {
 	const budget = 135.0
 	if perSnap > budget {
 		t.Errorf("month inference allocations %.1f/snapshot exceed budget %.0f", perSnap, budget)
+	}
+}
+
+// TestAllocBudgetAnalyzeMonthCarried is TestAllocBudgetAnalyzeMonth on
+// the path Framework.Ingest takes from a warm framework: each run's
+// engine is handed the Facts of a walk up to the month before, so only
+// devices with snapshots in the month parse. Normalized per snapshot the
+// walk parses, the carried devices' bookkeeping is part of the cost.
+func TestAllocBudgetAnalyzeMonthCarried(t *testing.T) {
+	p := osp.Small(5)
+	p.Networks = 3
+	o := osp.Generate(p)
+	m := o.Params.End
+	names := make([]string, 0, len(o.Inventory.Networks))
+	for _, nw := range o.Inventory.Networks {
+		names = append(names, nw.Name)
+	}
+	prev := NewEngine(o.Inventory, o.Archive)
+	if _, err := prev.Analyze(months.Range(o.Params.Start, m.Prev())); err != nil {
+		t.Fatal(err)
+	}
+	facts := prev.Facts()
+	dir := t.TempDir()
+	analyze := func() {
+		engine := NewEngine(o.Inventory, o.Archive)
+		engine.SetCache(cache.Config{Dir: dir})
+		engine.SetFacts(facts)
+		if _, err := engine.AnalyzeMonth(m, names); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parsed := obs.GetCounter("inference.snapshots_parsed")
+	before := parsed.Value()
+	analyze()
+	snaps := parsed.Value() - before
+	if snaps == 0 {
+		t.Fatal("fixture month parses no snapshots")
+	}
+	avg := testing.AllocsPerRun(8, analyze)
+	perSnap := avg / float64(snaps)
+	t.Logf("carried month inference: %.0f allocs/month (%d snapshots, %.1f allocs/snapshot)", avg, snaps, perSnap)
+	// Budget: the walk parses 48 of the 93 snapshots the uncarried one
+	// does, and allocates ~2,500 times against its ~9,600; this reads ~52
+	// per parsed snapshot, below the uncarried ~105 because the skipped
+	// snapshots are all full-parse baselines.
+	const budget = 65.0
+	if perSnap > budget {
+		t.Errorf("carried month inference allocations %.1f/snapshot exceed budget %.0f", perSnap, budget)
 	}
 }

@@ -2,7 +2,6 @@ package practices
 
 import (
 	"slices"
-	"strings"
 
 	"mpa/internal/confmodel"
 	"mpa/internal/netmodel"
@@ -11,9 +10,9 @@ import (
 )
 
 // designMetrics fills the design-practice metrics (D1-D6) from inventory
-// records and the end-of-month configuration states, whose facts nf
-// holds.
-func (e *Engine) designMetrics(m Metrics, nw *netmodel.Network, configs []*confmodel.Config, nf *netFacts, mgmtOwner map[string]string) {
+// records and the facts of the end-of-month configuration states: devs,
+// one per device with a config, in inventory order, whose sums nf holds.
+func (e *Engine) designMetrics(m Metrics, nw *netmodel.Network, devs []*deviceFacts, nf *netFacts) {
 	// D2: physical composition from inventory.
 	m[MetricDevices] = float64(len(nw.Devices))
 	m[MetricVendors] = float64(len(nw.Vendors()))
@@ -42,8 +41,17 @@ func (e *Engine) designMetrics(m Metrics, nw *netmodel.Network, configs []*confm
 	m[MetricL2Protocols] = float64(l2)
 
 	// D5: control-plane structure — routing instances.
-	bgp := routing.Summarize(configs, mgmtOwner, routing.BGP)
-	ospf := routing.Summarize(configs, mgmtOwner, routing.OSPF)
+	var bgpProcs, ospfProcs []routing.Process
+	for _, f := range devs {
+		if f.bgp != nil {
+			bgpProcs = append(bgpProcs, *f.bgp)
+		}
+		if f.ospf != nil {
+			ospfProcs = append(ospfProcs, *f.ospf)
+		}
+	}
+	bgp := routing.SummarizeProcesses(bgpProcs)
+	ospf := routing.SummarizeProcesses(ospfProcs)
 	m[MetricBGPInstances] = float64(bgp.Count)
 	m[MetricOSPFInstances] = float64(ospf.Count)
 	m[MetricAvgBGPSize] = bgp.AvgSize
@@ -59,9 +67,9 @@ func (e *Engine) designMetrics(m Metrics, nw *netmodel.Network, configs []*confm
 
 	// D6: configuration complexity — mean intra- and inter-device
 	// reference counts (Benson et al.'s metrics).
-	if len(configs) > 0 {
-		m[MetricIntraComplexity] = float64(nf.intra) / float64(len(configs))
-		m[MetricInterComplexity] = float64(nf.interRefs(configs, mgmtOwner)) / float64(len(configs))
+	if len(devs) > 0 {
+		m[MetricIntraComplexity] = float64(nf.intra) / float64(len(devs))
+		m[MetricInterComplexity] = float64(nf.interRefs(devs)) / float64(len(devs))
 	}
 }
 
@@ -77,27 +85,30 @@ const (
 
 // deviceFacts is what the design metrics read of one device's config,
 // computed once per config: the engine keeps a device's facts until its
-// config changes, and most devices' configs do not change in a month.
+// config changes, and across ingests while its snapshot stays the one
+// entering the month (Facts). They hold no config or stanza.
 type deviceFacts struct {
-	cfg   *confmodel.Config
-	intra int      // confmodel.IntraDeviceRefs
-	bgp   int      // BGP neighbors that are another device's management IP
-	vlans []string // distinct VLAN ids
-	areas []string // distinct OSPF areas
-	lags  int      // distinct LAG groups
-	l2    [numL2]bool
+	host    string   // the config's hostname
+	intra   int      // confmodel.IntraDeviceRefs
+	bgpRefs int      // BGP neighbors that are another device's management IP
+	vlans   []string // distinct VLAN ids
+	areas   []string // distinct OSPF areas
+	lags    int      // distinct LAG groups
+	l2      [numL2]bool
+	// The device's BGP and OSPF processes, as routing.SummarizeProcesses
+	// reads them; nil when it runs none.
+	bgp, ospf *routing.Process
 }
 
 // newDeviceFacts computes the facts of c, whose device is in a network
 // with the given management-IP owners.
 func newDeviceFacts(c *confmodel.Config, mgmtOwner map[string]string) *deviceFacts {
-	f := &deviceFacts{cfg: c, intra: confmodel.IntraDeviceRefs(c)}
-	for _, s := range c.OfType(confmodel.TypeBGP) {
-		for k := range s.Options {
-			if ip, ok := strings.CutPrefix(k, "neighbor:"); ok {
-				if owner, ok := mgmtOwner[ip]; ok && owner != c.Hostname {
-					f.bgp++
-				}
+	f := &deviceFacts{host: c.Hostname, intra: confmodel.IntraDeviceRefs(c)}
+	if bgp := c.OfType(confmodel.TypeBGP); len(bgp) > 0 {
+		f.bgp = &routing.Process{Host: c.Hostname, Peers: routing.BGPPeers(bgp, mgmtOwner)}
+		for _, owner := range f.bgp.Peers {
+			if owner != c.Hostname {
+				f.bgpRefs++
 			}
 		}
 	}
@@ -108,10 +119,14 @@ func newDeviceFacts(c *confmodel.Config, mgmtOwner map[string]string) *deviceFac
 		}
 		f.vlans = append(f.vlans, id)
 	}
-	for _, s := range c.OfType(confmodel.TypeOSPF) {
+	ospf := c.OfType(confmodel.TypeOSPF)
+	for _, s := range ospf {
 		if area := s.Get("area"); area != "" {
 			f.areas = append(f.areas, area)
 		}
+	}
+	if keys := routing.OSPFKeys(ospf); len(keys) > 0 {
+		f.ospf = &routing.Process{Host: c.Hostname, Keys: keys}
 	}
 	var lags []string
 	for _, s := range c.OfType(confmodel.TypeInterface) {
@@ -141,8 +156,8 @@ func newDeviceFacts(c *confmodel.Config, mgmtOwner map[string]string) *deviceFac
 // changes, so a month's design metrics cost O(changed configs), not
 // O(network size).
 type netFacts struct {
-	intra, bgp, lags int
-	vlans, areas     map[string]int // devices carrying each VLAN id, OSPF area
+	intra, bgpRefs, lags int
+	vlans, areas         map[string]int // devices carrying each VLAN id, OSPF area
 	// shared is the sum over VLAN ids and OSPF areas of n(n-1) for n
 	// carrying devices: each device's references to the others.
 	shared int
@@ -157,7 +172,7 @@ func newNetFacts() *netFacts {
 // add adds (sign 1) or removes (sign -1) one device's facts.
 func (nf *netFacts) add(f *deviceFacts, sign int) {
 	nf.intra += sign * f.intra
-	nf.bgp += sign * f.bgp
+	nf.bgpRefs += sign * f.bgpRefs
 	nf.lags += sign * f.lags
 	for k, used := range f.l2 {
 		if used {
@@ -165,7 +180,7 @@ func (nf *netFacts) add(f *deviceFacts, sign int) {
 		}
 	}
 	nf.shared += count(nf.vlans, f.vlans, sign) + count(nf.areas, f.areas, sign)
-	count(nf.hosts, []string{f.cfg.Hostname}, sign)
+	count(nf.hosts, []string{f.host}, sign)
 }
 
 // count adds sign to the count of each key and returns the change in the
@@ -187,15 +202,28 @@ func count(m map[string]int, keys []string, sign int) int {
 }
 
 // interRefs returns the network's total inter-device references over
-// configs, the configs whose facts nf holds: confmodel.NetworkInterRefs
-// summed. That function keys its counts by hostname, so when two configs
-// share one it is called as is.
-func (nf *netFacts) interRefs(configs []*confmodel.Config, mgmtOwner map[string]string) int {
-	if len(nf.hosts) == len(configs) {
-		return nf.bgp + nf.shared
+// devs, the facts nf holds, in inventory order. A device references each
+// other device's management IP among its BGP neighbors, and each other
+// device carrying one of its VLAN ids or OSPF areas. The count is kept
+// per hostname, so when configs share one, the last of them counts for
+// it.
+func (nf *netFacts) interRefs(devs []*deviceFacts) int {
+	if len(nf.hosts) == len(devs) {
+		return nf.bgpRefs + nf.shared
+	}
+	byHost := make(map[string]int, len(nf.hosts))
+	for _, f := range devs {
+		n := f.bgpRefs
+		for _, v := range f.vlans {
+			n += nf.vlans[v] - 1
+		}
+		for _, a := range f.areas {
+			n += nf.areas[a] - 1
+		}
+		byHost[f.host] = n
 	}
 	total := 0
-	for _, n := range confmodel.NetworkInterRefs(configs, mgmtOwner) {
+	for _, n := range byHost {
 		total += n
 	}
 	return total

@@ -11,26 +11,90 @@ import (
 	"mpa/internal/months"
 	"mpa/internal/netmodel"
 	"mpa/internal/osp"
+	"mpa/internal/routing"
 )
 
 // TestDesignFactsEquivalence pins the engine's per-config design facts
 // to a from-scratch evaluation: for every network-month of the
-// 60-network, 8-month benchmark organization, the D4 and D6 metrics the
-// engine reports equal, bit for bit, those computed from the month-end
-// configs (each device's last snapshot before the month ends, parsed
-// afresh) by referenceDesignMetrics, the per-month scans the facts
-// replace.
+// 60-network, 8-month benchmark organization, the D4, D5 and D6 metrics
+// the engine reports equal, bit for bit, those computed from the
+// month-end configs by referenceDesignMetrics, the per-month scans the
+// facts replace.
 func TestDesignFactsEquivalence(t *testing.T) {
-	p := osp.Small(77)
-	p.Start = months.StudyStart
-	p.End = months.StudyStart.Add(7)
-	o := osp.Generate(p)
-	window := p.Months()
+	o, window := factsOrg()
 	analysis, err := NewEngine(o.Inventory, o.Archive).Analyze(window)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checked := 0
+	forEachMonthEnd(t, o, window, func(nw *netmodel.Network, i int, configs []*confmodel.Config, mgmtOwner map[string]string) {
+		want := Metrics{}
+		referenceDesignMetrics(want, configs, mgmtOwner)
+		got := analysis[nw.Name][i].Metrics
+		for name, v := range want {
+			if math.Float64bits(got[name]) != math.Float64bits(v) {
+				t.Errorf("%s %s: %s = %v, want %v", nw.Name, window[i], name, got[name], v)
+			}
+		}
+		checked++
+	})
+	if checked == 0 {
+		t.Fatal("no network-month checked")
+	}
+}
+
+// TestRoutingFactsEquivalence pins D5 at the facts level: for every
+// network-month of the benchmark organization, the BGP and OSPF
+// summaries of the month-end configs' facts equal routing.Summarize over
+// the configs themselves.
+func TestRoutingFactsEquivalence(t *testing.T) {
+	o, window := factsOrg()
+	used := 0
+	forEachMonthEnd(t, o, window, func(nw *netmodel.Network, i int, configs []*confmodel.Config, mgmtOwner map[string]string) {
+		var bgp, ospf []routing.Process
+		for _, c := range configs {
+			f := newDeviceFacts(c, mgmtOwner)
+			if f.bgp != nil {
+				bgp = append(bgp, *f.bgp)
+			}
+			if f.ospf != nil {
+				ospf = append(ospf, *f.ospf)
+			}
+		}
+		for _, tc := range []struct {
+			proto routing.Protocol
+			procs []routing.Process
+		}{{routing.BGP, bgp}, {routing.OSPF, ospf}} {
+			got := routing.SummarizeProcesses(tc.procs)
+			want := routing.Summarize(configs, mgmtOwner, tc.proto)
+			if got.Count != want.Count || math.Float64bits(got.AvgSize) != math.Float64bits(want.AvgSize) {
+				t.Errorf("%s %s %s: facts summary %+v, want %+v", nw.Name, window[i], tc.proto, got, want)
+			}
+			if want.Count > 0 {
+				used++
+			}
+		}
+	})
+	if used == 0 {
+		t.Fatal("fixture runs no BGP or OSPF")
+	}
+}
+
+// factsOrg is the design-facts tests' organization: the 60-network,
+// 8-month benchmark organization and its window.
+func factsOrg() (*osp.OSP, []months.Month) {
+	p := osp.Small(77)
+	p.Start = months.StudyStart
+	p.End = months.StudyStart.Add(7)
+	return osp.Generate(p), p.Months()
+}
+
+// forEachMonthEnd calls fn for every network and month i of the window
+// with the network's month-end configs (each device's last snapshot
+// before the month ends, parsed afresh, in inventory order) and its
+// management-IP owners.
+func forEachMonthEnd(t *testing.T, o *osp.OSP, window []months.Month, fn func(nw *netmodel.Network, i int, configs []*confmodel.Config, mgmtOwner map[string]string)) {
+	t.Helper()
 	for _, nw := range o.Inventory.Networks {
 		mgmtOwner := map[string]string{}
 		for _, dev := range nw.Devices {
@@ -54,25 +118,14 @@ func TestDesignFactsEquivalence(t *testing.T) {
 				}
 				configs = append(configs, c)
 			}
-			want := Metrics{}
-			referenceDesignMetrics(want, configs, mgmtOwner)
-			got := analysis[nw.Name][i].Metrics
-			for name, v := range want {
-				if math.Float64bits(got[name]) != math.Float64bits(v) {
-					t.Errorf("%s %s: %s = %v, want %v", nw.Name, m, name, got[name], v)
-				}
-			}
-			checked++
+			fn(nw, i, configs, mgmtOwner)
 		}
-	}
-	if checked == 0 {
-		t.Fatal("no network-month checked")
 	}
 }
 
-// referenceDesignMetrics computes D4 and D6 by scanning every config, as
-// the engine did for every network-month before it kept per-config
-// facts.
+// referenceDesignMetrics computes D4, D5 and D6 by scanning every
+// config, as the engine did for every network-month before it kept
+// per-config facts.
 func referenceDesignMetrics(m Metrics, configs []*confmodel.Config, mgmtOwner map[string]string) {
 	vlanIDs := map[string]bool{}
 	lagGroups := 0
@@ -115,19 +168,25 @@ func referenceDesignMetrics(m Metrics, configs []*confmodel.Config, mgmtOwner ma
 		}
 	}
 	m[MetricL2Protocols] = float64(l2)
+	bgp := routing.Summarize(configs, mgmtOwner, routing.BGP)
+	ospf := routing.Summarize(configs, mgmtOwner, routing.OSPF)
+	m[MetricBGPInstances] = float64(bgp.Count)
+	m[MetricOSPFInstances] = float64(ospf.Count)
+	m[MetricAvgBGPSize] = bgp.AvgSize
+	m[MetricAvgOSPFSize] = ospf.AvgSize
 	if len(configs) > 0 {
 		m[MetricIntraComplexity] = float64(intra) / float64(len(configs))
 		total := 0
-		for _, n := range confmodel.NetworkInterRefs(configs, mgmtOwner) {
+		for _, n := range networkInterRefs(configs, mgmtOwner) {
 			total += n
 		}
 		m[MetricInterComplexity] = float64(total) / float64(len(configs))
 	}
 }
 
-// TestNetFactsHostnameCollision checks the fallback for configs that
-// share a hostname: confmodel.NetworkInterRefs keeps one count per
-// hostname, and the summed facts must reproduce that, not add both.
+// TestNetFactsHostnameCollision checks the facts path for configs that
+// share a hostname: networkInterRefs keeps one count per hostname, and
+// the summed facts must reproduce that, not add both.
 func TestNetFactsHostnameCollision(t *testing.T) {
 	mk := func(vlans ...string) *confmodel.Config {
 		c := confmodel.NewConfig("twin")
@@ -140,18 +199,20 @@ func TestNetFactsHostnameCollision(t *testing.T) {
 	configs[2].Hostname = "other"
 	mgmtOwner := map[string]string{}
 	nf := newNetFacts()
-	for _, c := range configs {
-		nf.add(newDeviceFacts(c, mgmtOwner), 1)
+	devs := make([]*deviceFacts, len(configs))
+	for i, c := range configs {
+		devs[i] = newDeviceFacts(c, mgmtOwner)
+		nf.add(devs[i], 1)
 	}
 	want := 0
-	for _, n := range confmodel.NetworkInterRefs(configs, mgmtOwner) {
+	for _, n := range networkInterRefs(configs, mgmtOwner) {
 		want += n
 	}
-	if got := nf.interRefs(configs, mgmtOwner); got != want {
-		t.Errorf("interRefs = %d, want %d (NetworkInterRefs summed)", got, want)
+	if got := nf.interRefs(devs); got != want {
+		t.Errorf("interRefs = %d, want %d (networkInterRefs summed)", got, want)
 	}
-	nf.add(newDeviceFacts(configs[1], mgmtOwner), -1)
-	if got, want := nf.interRefs([]*confmodel.Config{configs[0], configs[2]}, mgmtOwner), 2; got != want {
+	nf.add(devs[1], -1)
+	if got, want := nf.interRefs([]*deviceFacts{devs[0], devs[2]}), 2; got != want {
 		t.Errorf("after removing a twin: interRefs = %d, want %d", got, want)
 	}
 }

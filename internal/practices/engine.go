@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"mpa/internal/cache"
@@ -85,6 +86,11 @@ type Engine struct {
 	// netCache stores whole per-network month analyses on disk (see
 	// internal/cache); nil when caching is disabled.
 	netCache *cache.Cache
+
+	// facts are the newest window-end design facts of each network the
+	// engine walked or was handed (SetFacts); replaced, never modified.
+	factsMu sync.Mutex
+	facts   Facts
 }
 
 // NewEngine returns an inference engine over the given data sources using
@@ -242,56 +248,68 @@ var monthAnalysisCodec = cache.Codec[[]MonthAnalysis]{
 // network whose inputs are unchanged is answered from the cache without
 // any parsing or diffing.
 func (e *Engine) AnalyzeNetwork(name string, window []months.Month) ([]MonthAnalysis, error) {
-	return e.analyzeNetwork(name, window, e.obs, newNetScratch())
+	rows, _, err := e.analyzeNetwork(name, window, e.obs, newNetScratch(), e.Facts())
+	return rows, err
 }
 
 // analyzeNetwork is AnalyzeNetwork under an explicit parent span and
-// worker-owned scratch.
-func (e *Engine) analyzeNetwork(name string, window []months.Month, parent *obs.Span, ns *netScratch) ([]MonthAnalysis, error) {
+// worker-owned scratch, reusing the carried facts; the window-end facts
+// it returns are nil when the disk tier answered.
+func (e *Engine) analyzeNetwork(name string, window []months.Month, parent *obs.Span, ns *netScratch, carry Facts) ([]MonthAnalysis, []deviceEnd, error) {
 	nw := e.inv.Network(name)
 	if nw == nil {
-		return nil, fmt.Errorf("practices: unknown network %q", name)
+		return nil, nil, fmt.Errorf("practices: unknown network %q", name)
 	}
 	if e.netCache == nil {
-		return e.computeNetwork(nw, window, parent, ns)
+		return e.computeNetwork(nw, window, parent, ns, carry[name])
 	}
-	return cache.GetOrCompute(e.netCache, e.networkKey(nw, window), monthAnalysisCodec,
-		func() ([]MonthAnalysis, error) { return e.computeNetwork(nw, window, parent, ns) })
+	var ends []deviceEnd
+	rows, err := cache.GetOrCompute(e.netCache, e.networkKey(nw, window), monthAnalysisCodec,
+		func() (rows []MonthAnalysis, err error) {
+			rows, ends, err = e.computeNetwork(nw, window, parent, ns, carry[name])
+			return rows, err
+		})
+	return rows, ends, err
 }
 
-// computeNetwork runs the actual per-network inference.
-func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, parent *obs.Span, ns *netScratch) ([]MonthAnalysis, error) {
+// cursor is one device's position in its time-ordered snapshot history
+// during a window walk. The snapshots before the window form a prefix of
+// the history, and the last of them is the device's state entering the
+// window: a cursor starts just past it and parses it, as the device's
+// baseline import, only when the walk needs the config, so a window's
+// cost does not grow with the history before it, and a device whose
+// entering facts are carried is not parsed at all until it changes.
+type cursor struct {
+	dev   *netmodel.Device
+	hist  []*nms.Snapshot
+	pos   int               // next snapshot to consume
+	state *confmodel.Config // config as of consumed snapshots; nil until parsed
+
+	// facts are the design facts of the device's config at the end of
+	// the previous month (nil before its first), computed from the
+	// config of (nil for facts carried into the window). A device with
+	// no snapshot in a month keeps the same (immutable) config, so its
+	// facts carry over.
+	facts *deviceFacts
+	of    *confmodel.Config
+}
+
+// baseline parses the snapshot entering the window, when the device has
+// one and its config is not parsed yet.
+func (cu *cursor) baseline(e *Engine, w *netWalk) (err error) {
+	if cu.state == nil && cu.pos > 0 {
+		cu.state, err = e.step(w, cu.dev, nil, cu.hist[cu.pos-1])
+	}
+	return err
+}
+
+// computeNetwork runs the actual per-network inference. carried is the
+// network's entry of the engine's Facts (nil when it has none); it
+// returns the rows and the network's facts at the window's end.
+func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, parent *obs.Span, ns *netScratch, carried []deviceEnd) ([]MonthAnalysis, []deviceEnd, error) {
 	name := nw.Name
 	nsp := parent.Start(name)
 	defer nsp.End()
-
-	// Per-device cursor over the snapshot history. Histories are
-	// time-ordered, so the snapshots before the window form a prefix, and
-	// the last of them is the device's state entering the window: each
-	// cursor starts there, as the device's baseline import, so a window's
-	// cost does not grow with the history before it.
-	type cursor struct {
-		dev   *netmodel.Device
-		hist  []*nms.Snapshot
-		pos   int               // next snapshot to consume
-		state *confmodel.Config // config as of consumed snapshots
-
-		// facts are the design facts of the device's config at the end
-		// of the previous month (nil before its first). A device with no
-		// snapshot in a month keeps the same (immutable) config, so its
-		// facts carry over.
-		facts *deviceFacts
-	}
-	cursors := make([]*cursor, 0, len(nw.Devices))
-	for _, dev := range nw.Devices {
-		cu := &cursor{dev: dev, hist: e.arch.Snapshots(dev.Name)}
-		if len(window) > 0 {
-			begin := window[0].Start()
-			base := sort.Search(len(cu.hist), func(i int) bool { return !cu.hist[i].Time.Before(begin) })
-			cu.pos = max(base-1, 0)
-		}
-		cursors = append(cursors, cu)
-	}
 
 	mgmtOwner := map[string]string{}
 	for _, dev := range nw.Devices {
@@ -299,6 +317,22 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 	}
 
 	nf := newNetFacts()
+	cursors := make([]*cursor, 0, len(nw.Devices))
+	for i, dev := range nw.Devices {
+		cu := &cursor{dev: dev, hist: e.arch.Snapshots(dev.Name)}
+		if len(window) > 0 {
+			begin := window[0].Start()
+			cu.pos = sort.Search(len(cu.hist), func(i int) bool { return !cu.hist[i].Time.Before(begin) })
+		}
+		// Facts computed from the entering snapshot stand for its config
+		// until the device has a snapshot in the window.
+		if cu.pos > 0 && len(carried) == len(nw.Devices) && carried[i].snap == cu.hist[cu.pos-1] {
+			cu.facts = carried[i].facts
+			nf.add(cu.facts, 1)
+		}
+		cursors = append(cursors, cu)
+	}
+
 	w := netWalk{ns: ns}
 	var changesFound, eventsGrouped int
 	out := make([]MonthAnalysis, 0, len(window))
@@ -307,37 +341,49 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 		monthStart := time.Now()
 		end := m.End()
 		w.month, w.changes = m, nil
+		fail := func(err error) error {
+			nsp.Count("parse_failures", 1)
+			msp.End()
+			return err
+		}
 		for _, cu := range cursors {
 			for cu.pos < len(cu.hist) && cu.hist[cu.pos].Time.Before(end) {
-				var err error
-				if cu.state, err = e.step(&w, cu.dev, cu.state, cu.hist[cu.pos]); err != nil {
-					nsp.Count("parse_failures", 1)
-					msp.End()
-					return nil, err
+				err := cu.baseline(e, &w)
+				if err == nil {
+					cu.state, err = e.step(&w, cu.dev, cu.state, cu.hist[cu.pos])
+				}
+				if err != nil {
+					return nil, nil, fail(err)
 				}
 				cu.pos++
 			}
 		}
 		changes := w.changes
 
-		// Assemble end-of-month configuration states and their facts.
-		var configs []*confmodel.Config
+		// The facts of the end-of-month configuration states. A device
+		// still holding neither a config nor carried facts parses its
+		// entering snapshot now.
+		var devs []*deviceFacts
 		for _, cu := range cursors {
-			if cu.state == nil {
-				continue
+			if cu.facts == nil {
+				if err := cu.baseline(e, &w); err != nil {
+					return nil, nil, fail(err)
+				}
 			}
-			configs = append(configs, cu.state)
-			if cu.facts == nil || cu.facts.cfg != cu.state {
+			if cu.state != nil && cu.of != cu.state {
 				if cu.facts != nil {
 					nf.add(cu.facts, -1)
 				}
-				cu.facts = newDeviceFacts(cu.state, mgmtOwner)
+				cu.facts, cu.of = newDeviceFacts(cu.state, mgmtOwner), cu.state
 				nf.add(cu.facts, 1)
+			}
+			if cu.facts != nil {
+				devs = append(devs, cu.facts)
 			}
 		}
 
 		metrics := Metrics{}
-		e.designMetrics(metrics, nw, configs, nf, mgmtOwner)
+		e.designMetrics(metrics, nw, devs, nf)
 		nEvents := e.operationalMetrics(metrics, nw, changes)
 		out = append(out, MonthAnalysis{Network: name, Month: m, Metrics: metrics, Changes: changes})
 
@@ -347,6 +393,15 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 		msp.Count("events", float64(nEvents))
 		msp.End()
 		monthHist.Observe(float64(time.Since(monthStart).Nanoseconds()))
+	}
+	var ends []deviceEnd
+	if len(window) > 0 {
+		ends = make([]deviceEnd, len(cursors))
+		for i, cu := range cursors {
+			if cu.facts != nil {
+				ends[i] = deviceEnd{snap: cu.hist[cu.pos-1], facts: cu.facts}
+			}
+		}
 	}
 	nsp.Count("snapshots_parsed", float64(w.snaps))
 	nsp.Count("diffs", float64(w.diffs))
@@ -361,7 +416,7 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 	obs.GetCounter("inference.diffs").Add(int64(w.diffs))
 	obs.GetCounter("inference.changes").Add(int64(changesFound))
 	obs.GetCounter("inference.events_grouped").Add(int64(eventsGrouped))
-	return out, nil
+	return out, ends, nil
 }
 
 // Analyze runs AnalyzeNetwork for every network in the inventory, under
@@ -375,21 +430,26 @@ func (e *Engine) Analyze(window []months.Month) (map[string][]MonthAnalysis, err
 	sp := e.obs.Start("inference")
 	defer sp.End()
 	start := time.Now()
+	carry := e.Facts()
 	pt := obs.StartProgress("inference", int64(len(e.inv.Networks)))
 	results, err := par.MapLocal(e.inv.Networks, newNetScratch,
-		func(ns *netScratch, _ int, nw *netmodel.Network) ([]MonthAnalysis, error) {
-			ma, err := e.analyzeNetwork(nw.Name, window, sp, ns)
+		func(ns *netScratch, _ int, nw *netmodel.Network) (walked, error) {
+			rows, ends, err := e.analyzeNetwork(nw.Name, window, sp, ns, carry)
 			pt.Add(1)
-			return ma, err
+			return walked{rows, ends}, err
 		})
 	pt.Done()
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]MonthAnalysis, len(results))
-	for i, ma := range results {
-		out[e.inv.Networks[i].Name] = ma
+	names := make([]string, len(results))
+	ends := make([][]deviceEnd, len(results))
+	for i, r := range results {
+		names[i] = e.inv.Networks[i].Name
+		out[names[i]], ends[i] = r.rows, r.ends
 	}
+	e.keepFacts(names, ends)
 	sp.Count("networks", float64(len(out)))
 	obs.Logger().Info("inference complete",
 		"networks", len(out), "months", len(window),

@@ -6,8 +6,11 @@ import (
 	"time"
 
 	"mpa/internal/cache"
+	"mpa/internal/confmodel"
 	"mpa/internal/months"
+	"mpa/internal/netmodel"
 	"mpa/internal/nms"
+	"mpa/internal/obs"
 	"mpa/internal/osp"
 	"mpa/internal/par"
 )
@@ -215,5 +218,166 @@ func TestSetArchiveRebind(t *testing.T) {
 	// The original archive is untouched.
 	if got := len(o.Archive.Snapshots(dev.Name)); got != len(hist) {
 		t.Fatalf("original archive grew: %d snapshots, want %d", got, len(hist))
+	}
+}
+
+// TestCarriedFactsEquivalence pins the month step's carried design
+// facts. For every month of a small organization, AnalyzeMonth on an
+// engine handed the Facts of the walk up to the month before equals, byte
+// for byte, the same month on an engine handed none and the month's row
+// of a full Analyze, and so does one handed the facts of the whole
+// window's end, which match only the devices that did not change since
+// the month. Each walk parses exactly the snapshots monthParses
+// counts, so the carried walk skips every device with no snapshot in the
+// month. Two months are added after the generated window: in the first,
+// one device's config returns to its first text (a new record with old
+// text); in the second nothing changes, so that device's carried facts
+// are the returned text's.
+func TestCarriedFactsEquivalence(t *testing.T) {
+	p := osp.Small(9)
+	p.Networks = 10
+	p.End = p.Start.Add(3)
+	o := osp.Generate(p)
+	arch := o.Archive.Clone()
+	dev := o.Inventory.Networks[0].Devices[0]
+	first := arch.Snapshots(dev.Name)[0]
+	back := p.End.Next()
+	if err := arch.Record(&nms.Snapshot{Device: dev.Name, Time: back.Start().Add(time.Hour), Login: first.Login, Text: first.Text}); err != nil {
+		t.Fatal(err)
+	}
+	window := months.Range(p.Start, back.Next())
+	names := make([]string, 0, len(o.Inventory.Networks))
+	for _, nw := range o.Inventory.Networks {
+		names = append(names, nw.Name)
+	}
+	fullEngine := NewEngine(o.Inventory, arch)
+	full, err := fullEngine.Analyze(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(ma MonthAnalysis) string {
+		b, err := monthAnalysisCodec.Encode([]MonthAnalysis{ma})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	parsed := obs.GetCounter("inference.snapshots_parsed")
+	walk := func(e *Engine, m months.Month, carried bool) []MonthAnalysis {
+		t.Helper()
+		before := parsed.Value()
+		rows, err := e.AnalyzeMonth(m, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := parsed.Value()-before, monthParses(o.Inventory, arch, m, names, carried); got != int64(want) {
+			t.Errorf("%s (carried %v): parsed %d snapshots, want %d", m, carried, got, want)
+		}
+		return rows
+	}
+
+	carriedParses, plainParses := 0, 0
+	for _, m := range window[1:] {
+		carriedParses += monthParses(o.Inventory, arch, m, names, true)
+		plainParses += monthParses(o.Inventory, arch, m, names, false)
+	}
+	if carriedParses >= plainParses {
+		t.Fatalf("fixture: carried walks parse %d snapshots, plain ones %d; want fewer", carriedParses, plainParses)
+	}
+
+	prev := NewEngine(o.Inventory, arch)
+	if _, err := prev.Analyze(window[:1]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(window); i++ {
+		m := window[i]
+		carried := NewEngine(o.Inventory, arch)
+		carried.SetFacts(prev.Facts())
+		got := walk(carried, m, true)
+		plain := walk(NewEngine(o.Inventory, arch), m, false)
+		// Facts of a later window's end match no entering snapshot of a
+		// device that changed since, and must not be reused for it.
+		stale := NewEngine(o.Inventory, arch)
+		stale.SetFacts(fullEngine.Facts())
+		late, err := stale.AnalyzeMonth(m, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, name := range names {
+			want := encode(full[name][i])
+			if encode(got[j]) != want {
+				t.Errorf("%s %s: row with carried facts differs from the full walk's", name, m)
+			}
+			if encode(plain[j]) != want {
+				t.Errorf("%s %s: row without carried facts differs from the full walk's", name, m)
+			}
+			if encode(late[j]) != want {
+				t.Errorf("%s %s: row with the window end's facts differs from the full walk's", name, m)
+			}
+		}
+		prev = carried
+	}
+}
+
+// monthParses returns the snapshots a walk of month m over the named
+// networks parses: the month's own snapshots, and the snapshot entering
+// the month of each device that has one in the month, or of every device
+// when the walk carries no facts.
+func monthParses(inv *netmodel.Inventory, arch *nms.Archive, m months.Month, names []string, carried bool) int {
+	n := 0
+	for _, name := range names {
+		for _, dev := range inv.Network(name).Devices {
+			entering, in := 0, 0
+			for _, s := range arch.Snapshots(dev.Name) {
+				switch {
+				case s.Time.Before(m.Start()):
+					entering = 1
+				case s.Time.Before(m.End()):
+					in++
+				}
+			}
+			if in > 0 || !carried {
+				n += entering
+			}
+			n += in
+		}
+	}
+	return n
+}
+
+// TestFactsHoldNoConfig pins what an environment snapshot keeps across
+// ingests: no type reachable from Facts is a parsed config or stanza, so
+// carried facts cost about a megabyte per organization, not the tens of
+// megabytes its month-end configs would.
+func TestFactsHoldNoConfig(t *testing.T) {
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf(confmodel.Config{}): true,
+		reflect.TypeOf(confmodel.Stanza{}): true,
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type, string)
+	walk = func(ty reflect.Type, path string) {
+		if banned[ty] {
+			t.Errorf("Facts reach %s through %s", ty, path)
+		}
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Map:
+			walk(ty.Key(), path+"{key}")
+			walk(ty.Elem(), path+"{}")
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Facts{}), "Facts")
+	if !seen[reflect.TypeOf(deviceFacts{})] {
+		t.Fatal("the walk did not reach deviceFacts")
 	}
 }

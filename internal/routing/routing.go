@@ -16,6 +16,7 @@ package routing
 
 import (
 	"sort"
+	"strings"
 
 	"mpa/internal/confmodel"
 )
@@ -76,37 +77,32 @@ func (u *unionFind) find(x int) int {
 
 func (u *unionFind) union(a, b int) { u.parent[u.find(a)] = u.find(b) }
 
-// Extract returns the routing instances of the given protocol across the
-// configurations of one network's devices. mgmtIPOwner maps management IPs
-// to hostnames (needed for BGP adjacency); it may be nil for OSPF/MSTP.
-func Extract(configs []*confmodel.Config, mgmtIPOwner map[string]string, proto Protocol) []Instance {
-	// Collect participating devices and their adjacency keys.
-	type participant struct {
-		idx  int
-		cfg  *confmodel.Config
-		keys []string // adjacency keys: shared key => adjacent
-	}
-	hostIdx := map[string]int{}
-	var parts []participant
+// Process is what adjacency reads of one device's process of a protocol:
+// the device's hostname, the hostnames its BGP neighbor statements
+// resolve to (its own included when a statement names it), and its OSPF
+// areas or MST regions. A device without a process of the protocol has
+// no Process.
+type Process struct {
+	Host  string
+	Peers []string
+	Keys  []string // shared key => adjacent
+}
+
+// processes returns the processes of the given protocol across the
+// configurations of one network's devices, in config order.
+func processes(configs []*confmodel.Config, mgmtIPOwner map[string]string, proto Protocol) []Process {
+	var procs []Process
 	for _, c := range configs {
-		var keys []string
+		p := Process{Host: c.Hostname}
 		switch proto {
 		case BGP:
-			if len(c.OfType(confmodel.TypeBGP)) == 0 {
+			bgp := c.OfType(confmodel.TypeBGP)
+			if len(bgp) == 0 {
 				continue
 			}
+			p.Peers = BGPPeers(bgp, mgmtIPOwner)
 		case OSPF:
-			for _, s := range c.OfType(confmodel.TypeOSPF) {
-				if area := s.Get("area"); area != "" {
-					keys = append(keys, "area:"+area)
-				}
-				for _, area := range s.OptionsWithPrefix("network:") {
-					keys = append(keys, "area:"+area)
-				}
-			}
-			if len(keys) == 0 {
-				continue
-			}
+			p.Keys = OSPFKeys(c.OfType(confmodel.TypeOSPF))
 		case MSTP:
 			for _, s := range c.OfType(confmodel.TypeSTP) {
 				mode := s.Get("mode")
@@ -114,57 +110,94 @@ func Extract(configs []*confmodel.Config, mgmtIPOwner map[string]string, proto P
 					continue
 				}
 				if region := s.Get("region"); region != "" {
-					keys = append(keys, "region:"+region)
+					p.Keys = append(p.Keys, region)
 				}
 			}
-			if len(keys) == 0 {
-				continue
+		}
+		if proto != BGP && len(p.Keys) == 0 {
+			continue
+		}
+		procs = append(procs, p)
+	}
+	return procs
+}
+
+// BGPPeers returns the hostnames that the neighbor statements of a
+// device's BGP stanzas resolve to through mgmtIPOwner, one per statement
+// that resolves.
+func BGPPeers(stanzas []*confmodel.Stanza, mgmtIPOwner map[string]string) []string {
+	var peers []string
+	for _, s := range stanzas {
+		for k := range s.Options {
+			if ip, ok := strings.CutPrefix(k, "neighbor:"); ok {
+				if owner, ok := mgmtIPOwner[ip]; ok {
+					peers = append(peers, owner)
+				}
 			}
 		}
-		hostIdx[c.Hostname] = len(parts)
-		parts = append(parts, participant{idx: len(parts), cfg: c, keys: keys})
 	}
-	if len(parts) == 0 {
+	return peers
+}
+
+// OSPFKeys returns the areas a device's OSPF stanzas place it in: each
+// stanza's area option and the area of each of its network statements.
+func OSPFKeys(stanzas []*confmodel.Stanza) []string {
+	var keys []string
+	for _, s := range stanzas {
+		if area := s.Get("area"); area != "" {
+			keys = append(keys, area)
+		}
+		for k, area := range s.Options {
+			if strings.HasPrefix(k, "network:") {
+				keys = append(keys, area)
+			}
+		}
+	}
+	return keys
+}
+
+// join returns the union-find over procs in which two processes share a
+// set exactly when they are in one instance: a process is adjacent to
+// the processes of the hostnames it peers with (the last process with a
+// hostname stands for it) and to every process sharing one of its keys.
+func join(procs []Process) *unionFind {
+	uf := newUnionFind(len(procs))
+	var hostIdx map[string]int
+	firstWith := map[string]int{}
+	for i, p := range procs {
+		if len(p.Peers) > 0 && hostIdx == nil {
+			hostIdx = make(map[string]int, len(procs))
+			for j, q := range procs {
+				hostIdx[q.Host] = j
+			}
+		}
+		for _, peer := range p.Peers {
+			if j, ok := hostIdx[peer]; ok {
+				uf.union(i, j)
+			}
+		}
+		for _, k := range p.Keys {
+			if j, ok := firstWith[k]; ok {
+				uf.union(j, i)
+			} else {
+				firstWith[k] = i
+			}
+		}
+	}
+	return uf
+}
+
+// instances groups the processes of one protocol into its routing
+// instances.
+func instances(proto Protocol, procs []Process) []Instance {
+	if len(procs) == 0 {
 		return nil
 	}
-
-	uf := newUnionFind(len(parts))
-	switch proto {
-	case BGP:
-		// Adjacency via neighbor statements resolving to peer devices.
-		for _, p := range parts {
-			for _, s := range p.cfg.OfType(confmodel.TypeBGP) {
-				for ip := range s.OptionsWithPrefix("neighbor:") {
-					owner, ok := mgmtIPOwner[ip]
-					if !ok {
-						continue
-					}
-					if oi, ok := hostIdx[owner]; ok && oi != p.idx {
-						uf.union(p.idx, oi)
-					}
-				}
-			}
-		}
-	case OSPF, MSTP:
-		// Adjacency via shared keys.
-		byKey := map[string][]int{}
-		for _, p := range parts {
-			for _, k := range p.keys {
-				byKey[k] = append(byKey[k], p.idx)
-			}
-		}
-		for _, idxs := range byKey {
-			for _, i := range idxs[1:] {
-				uf.union(idxs[0], i)
-			}
-		}
-	}
-
-	// Gather components.
+	uf := join(procs)
 	byRoot := map[int][]string{}
-	for _, p := range parts {
-		root := uf.find(p.idx)
-		byRoot[root] = append(byRoot[root], p.cfg.Hostname)
+	for i, p := range procs {
+		root := uf.find(i)
+		byRoot[root] = append(byRoot[root], p.Host)
 	}
 	roots := make([]int, 0, len(byRoot))
 	for r := range byRoot {
@@ -182,6 +215,13 @@ func Extract(configs []*confmodel.Config, mgmtIPOwner map[string]string, proto P
 	return out
 }
 
+// Extract returns the routing instances of the given protocol across the
+// configurations of one network's devices. mgmtIPOwner maps management IPs
+// to hostnames (needed for BGP adjacency); it may be nil for OSPF/MSTP.
+func Extract(configs []*confmodel.Config, mgmtIPOwner map[string]string, proto Protocol) []Instance {
+	return instances(proto, processes(configs, mgmtIPOwner, proto))
+}
+
 // Summary holds the D5 metrics for one protocol in one network.
 type Summary struct {
 	Count   int
@@ -190,13 +230,22 @@ type Summary struct {
 
 // Summarize returns instance count and average size for the protocol.
 func Summarize(configs []*confmodel.Config, mgmtIPOwner map[string]string, proto Protocol) Summary {
-	instances := Extract(configs, mgmtIPOwner, proto)
-	if len(instances) == 0 {
+	return SummarizeProcesses(processes(configs, mgmtIPOwner, proto))
+}
+
+// SummarizeProcesses returns the instance count and average size of one
+// protocol's processes, as Summarize does for configs, without listing
+// each instance's devices.
+func SummarizeProcesses(procs []Process) Summary {
+	if len(procs) == 0 {
 		return Summary{}
 	}
-	total := 0
-	for _, in := range instances {
-		total += in.Size()
+	uf := join(procs)
+	count := 0
+	for i := range procs {
+		if uf.find(i) == i {
+			count++
+		}
 	}
-	return Summary{Count: len(instances), AvgSize: float64(total) / float64(len(instances))}
+	return Summary{Count: count, AvgSize: float64(len(procs)) / float64(count)}
 }

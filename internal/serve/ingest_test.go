@@ -16,6 +16,7 @@ import (
 	"mpa/internal/ingest"
 	"mpa/internal/osp"
 	"mpa/internal/serve"
+	"mpa/internal/ticketing"
 )
 
 // ingestFixture builds a fresh framework over the first two months of a
@@ -243,7 +244,7 @@ func TestIngestStream(t *testing.T) {
 			t.Fatalf("event %d: delta for %s/%s, want %s/%s", i, nh.Network, nh.Month, want, ir.Month)
 		}
 		// Deltas carry the post-ingest truth.
-		if got := f.Tickets().HealthCount(nh.Network, f.Window()[len(f.Window())-1]); got != nh.Tickets {
+		if got := f.Tickets().HealthCounts()[ticketing.NetworkMonth{Network: nh.Network, Month: f.Window()[len(f.Window())-1]}]; got != nh.Tickets {
 			t.Fatalf("event %d: delta tickets %d, want %d", i, nh.Tickets, got)
 		}
 	}

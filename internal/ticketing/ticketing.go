@@ -107,19 +107,24 @@ func (l *Log) ForNetwork(network string) []*Ticket {
 	return out
 }
 
-// HealthCount returns the network's health metric for the month: the
-// number of tickets opened in that month, excluding planned maintenance.
-func (l *Log) HealthCount(network string, m months.Month) int {
-	count := 0
+// NetworkMonth names one network's calendar month.
+type NetworkMonth struct {
+	Network string
+	Month   months.Month
+}
+
+// HealthCounts returns the paper's health metric of every network-month
+// in one pass over the log: the number of tickets opened in the month,
+// excluding planned maintenance. A network-month without such a ticket
+// is absent and reads 0.
+func (l *Log) HealthCounts() map[NetworkMonth]int {
+	out := map[NetworkMonth]int{}
 	for _, t := range l.tickets {
-		if t.Network != network || t.Origin == OriginMaintenance {
-			continue
-		}
-		if months.Of(t.Opened) == m {
-			count++
+		if t.Origin != OriginMaintenance {
+			out[NetworkMonth{t.Network, months.Of(t.Opened)}]++
 		}
 	}
-	return count
+	return out
 }
 
 // Networks returns the sorted set of networks with at least one ticket.

@@ -31,9 +31,33 @@ func TestHealthCountExcludesMaintenance(t *testing.T) {
 	l.File(Ticket{Network: "n1", Origin: OriginMaintenance, Opened: at(2014, 3, 9)})
 	l.File(Ticket{Network: "n1", Origin: OriginAlarm, Opened: at(2014, 4, 1)}) // other month
 	l.File(Ticket{Network: "n2", Origin: OriginAlarm, Opened: at(2014, 3, 2)}) // other net
-	if got := l.HealthCount("n1", m); got != 2 {
-		t.Errorf("HealthCount = %d, want 2", got)
+	counts := l.HealthCounts()
+	if got := counts[NetworkMonth{"n1", m}]; got != 2 {
+		t.Errorf("HealthCounts[n1 %s] = %d, want 2", m, got)
 	}
+	// The one pass agrees with a scan of the whole log per network-month.
+	for _, n := range []string{"n1", "n2", "n3"} {
+		for _, mm := range []months.Month{m, m.Next()} {
+			if got, want := counts[NetworkMonth{n, mm}], healthCount(l, n, mm); got != want {
+				t.Errorf("HealthCounts[%s %s] = %d, want %d", n, mm, got, want)
+			}
+		}
+	}
+}
+
+// healthCount is the per-network-month scan HealthCounts replaces: the
+// number of the network's non-maintenance tickets opened in month m.
+func healthCount(l *Log, network string, m months.Month) int {
+	count := 0
+	for _, t := range l.All() {
+		if t.Network != network || t.Origin == OriginMaintenance {
+			continue
+		}
+		if months.Of(t.Opened) == m {
+			count++
+		}
+	}
+	return count
 }
 
 func TestForNetworkAndNetworks(t *testing.T) {

@@ -189,7 +189,11 @@ func networkHealth(env *experiments.Env, network string, m Month) (*NetworkHealt
 		if rows[i].Month != m {
 			continue
 		}
-		tickets := env.OSP.Tickets.HealthCount(network, m)
+		c, ok := env.Case(network, m)
+		if !ok {
+			break
+		}
+		tickets := c.Tickets
 		return &NetworkHealth{
 			Network:    network,
 			Month:      m.String(),

@@ -69,7 +69,11 @@ func (f *Framework) NetworkReport(network string) (string, error) {
 	// Health history.
 	b.WriteString("\nMonthly health (tickets, class):\n")
 	for _, ma := range mas {
-		tickets := env.OSP.Tickets.HealthCount(network, ma.Month)
+		c, ok := env.Case(network, ma.Month)
+		if !ok {
+			return "", fmt.Errorf("mpa: no case for network %q in %s", network, ma.Month)
+		}
+		tickets := c.Tickets
 		cls := FiveClass.ClassNames()[dataset.Class5(tickets)]
 		fmt.Fprintf(&b, "  %s  %3d tickets  %s\n", ma.Month, tickets, cls)
 	}

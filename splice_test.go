@@ -27,6 +27,7 @@ import (
 	"mpa/internal/ingest"
 	"mpa/internal/obs"
 	"mpa/internal/osp"
+	"mpa/internal/ticketing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/splice-golden.json")
@@ -351,7 +352,7 @@ func TestIngestCacheInvalidationPrecision(t *testing.T) {
 		}
 		if n == ticketNet {
 			// The new ticket must be visible in the recomputed entry.
-			want := f.Tickets().HealthCount(n, m)
+			want := f.Tickets().HealthCounts()[ticketing.NetworkMonth{Network: n, Month: m}]
 			if nh.Tickets != want {
 				t.Fatalf("%s: cached tickets %d, want %d after ingest", n, nh.Tickets, want)
 			}
