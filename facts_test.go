@@ -2,6 +2,7 @@ package mpa
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"mpa/internal/ingest"
@@ -12,14 +13,14 @@ import (
 
 // TestIngestCarriedFacts replays the splice suite's organization month by
 // month, its final month in two chunks, on a framework built in memory
-// (whose ingests carry design facts from construction on) and on one
-// rebuilt from a populated disk tier (which holds no facts, so its first
-// ingest parses every device's entering snapshot). After every ingest,
-// the ingested month's rows of both equal the full rebuild's byte for
-// byte. The two replays parse the same snapshots at every ingest but the
-// first, where the disk-tier one parses more. After the first chunk of
-// the final month, when no rebuild has the same data, the two replicas'
-// rows equal each other's.
+// and on one rebuilt from a populated disk tier. Both hold every
+// network's design facts from construction on, the disk tier's read back
+// from its entries, and the two are equal, as are their rows. After
+// every ingest, the ingested month's rows of both equal the full
+// rebuild's byte for byte, and the two replays parse the same snapshots,
+// the first ingest included. After the first chunk of the final month,
+// when no rebuild has the same data, the two replicas' rows equal each
+// other's.
 func TestIngestCarriedFacts(t *testing.T) {
 	o := osp.Generate(spliceParams())
 	p := o.Params
@@ -47,11 +48,25 @@ func TestIngestCarriedFacts(t *testing.T) {
 		{"memory", build(CacheConfig{})},
 		{"disk-tier", build(CacheConfig{Dir: dir})},
 	}
-	if got, want := len(replicas[0].f.environment().Facts), len(o.Inventory.Networks); got != want {
-		t.Fatalf("a framework built in memory holds design facts of %d networks, want %d", got, want)
+	for _, rep := range replicas {
+		if got, want := len(rep.f.environment().Facts), len(o.Inventory.Networks); got != want {
+			t.Fatalf("%s: the framework holds design facts of %d networks, want %d", rep.name, got, want)
+		}
 	}
-	if got := len(replicas[1].f.environment().Facts); got != 0 {
-		t.Fatalf("a framework rebuilt from the disk tier holds design facts of %d networks, want 0", got)
+	memEnv, diskEnv := replicas[0].f.environment(), replicas[1].f.environment()
+	if !reflect.DeepEqual(memEnv.Facts, diskEnv.Facts) {
+		t.Fatal("the disk-tier replica's design facts differ from the memory replica's")
+	}
+	memRows, err := json.Marshal(memEnv.Analysis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diskRows, err := json.Marshal(diskEnv.Analysis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(memRows) != string(diskRows) {
+		t.Fatal("the disk-tier replica's rows differ from the memory replica's")
 	}
 
 	var updates []*ingest.Update
@@ -98,7 +113,7 @@ func TestIngestCarriedFacts(t *testing.T) {
 				t.Errorf("ingest %d: %s %s differs from the full rebuild's row", k, nw.Name, u.Month)
 			}
 		}
-		if first := k == 0; first && parses[1] <= parses[0] || !first && parses[1] != parses[0] {
+		if parses[1] != parses[0] {
 			t.Errorf("ingest %d parsed %d snapshots in memory and %d from the disk tier", k, parses[0], parses[1])
 		}
 	}

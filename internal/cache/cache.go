@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+	"unsafe"
 
 	"mpa/internal/obs"
 )
@@ -41,7 +42,8 @@ func (k Key) Hex() string { return hex.EncodeToString(k[:]) }
 // length-prefixed, so distinct part sequences can never collide by
 // concatenation ("ab","c" vs "a","bc").
 type Hasher struct {
-	h hash.Hash
+	h   hash.Hash
+	buf [16]byte // a frame's length prefix and an Int part's bytes
 }
 
 // NewHasher returns a Hasher seeded with a namespace label (conventionally
@@ -52,25 +54,21 @@ func NewHasher(namespace string) *Hasher {
 	return hh.String(namespace)
 }
 
-// writeFrame writes a length-prefixed byte sequence.
-func (h *Hasher) writeFrame(p []byte) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-	h.h.Write(n[:])
-	h.h.Write(p)
-}
-
-// String adds a string part and returns the hasher for chaining.
+// String adds a string part and returns the hasher for chaining. The
+// string's bytes are hashed in place, not copied: a hash.Hash's Write,
+// like any io.Writer's, neither modifies nor retains p.
 func (h *Hasher) String(s string) *Hasher {
-	h.writeFrame([]byte(s))
+	binary.LittleEndian.PutUint64(h.buf[:8], uint64(len(s)))
+	h.h.Write(h.buf[:8])
+	h.h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 	return h
 }
 
-// Int adds an integer part.
+// Int adds an integer part: a frame of its 8 little-endian bytes.
 func (h *Hasher) Int(v int64) *Hasher {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(v))
-	h.writeFrame(n[:])
+	binary.LittleEndian.PutUint64(h.buf[:8], 8)
+	binary.LittleEndian.PutUint64(h.buf[8:], uint64(v))
+	h.h.Write(h.buf[:])
 	return h
 }
 

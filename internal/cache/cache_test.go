@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+	"time"
 
 	"mpa/internal/obs"
 )
@@ -46,6 +47,19 @@ func TestHasherParts(t *testing.T) {
 	h2 := NewHasher("ns").String("42").Sum()
 	if h1 == h2 {
 		t.Fatal("Int/String collision")
+	}
+}
+
+// TestKeyGolden pins the key bytes: a fixed chain of every part kind
+// sums to the digest the length-prefixed framing has always produced, so
+// hashing strings in place keeps every key on disk valid.
+func TestKeyGolden(t *testing.T) {
+	at := time.Date(2014, time.March, 1, 12, 30, 5, 7, time.FixedZone("EST", -5*3600))
+	got := NewHasher("practices/v2").String("net-007").String("").Int(-3).Time(at).
+		String("hostname r1\n!\nend\n").Sum().Hex()
+	const want = "dc242ba9f4bb652448dca9335ed9fde212ea7adf780ada601f074ef9ec4805dd"
+	if got != want {
+		t.Fatalf("key = %s, want %s", got, want)
 	}
 }
 

@@ -30,14 +30,13 @@ func TestAllocBudgetInferNetwork(t *testing.T) {
 	if snaps == 0 {
 		t.Fatal("fixture network has no snapshots")
 	}
-	if _, err := engine.AnalyzeNetwork(nw.Name, window); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(8, func() {
-		if _, err := engine.AnalyzeNetwork(nw.Name, window); err != nil {
+	analyze := func() {
+		if _, err := engine.analyzeNetwork(nw.Name, window, nil, newNetScratch(), nil); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	analyze()
+	avg := testing.AllocsPerRun(8, analyze)
 	perSnap := avg / float64(snaps)
 	t.Logf("inference: %.0f allocs/network (%d snapshots, %.1f allocs/snapshot)", avg, snaps, perSnap)
 	// Budget: only the window of a snapshot's text that changed is
@@ -140,5 +139,43 @@ func TestAllocBudgetAnalyzeMonthCarried(t *testing.T) {
 	const budget = 65.0
 	if perSnap > budget {
 		t.Errorf("carried month inference allocations %.1f/snapshot exceed budget %.0f", perSnap, budget)
+	}
+}
+
+// TestAllocBudgetInferenceWarmCache is the budget behind
+// BenchmarkInferenceWarmCache: the path a restart takes, where a fresh
+// engine over a filled disk tier reads every network's walk back, rows
+// and window-end facts, instead of walking it. Normalized per row
+// (network-month) read back: keys hash each snapshot's text in place,
+// so what allocates is the decoded entry, a metrics map and the changes
+// per row and the facts of each device.
+func TestAllocBudgetInferenceWarmCache(t *testing.T) {
+	p := osp.Small(5)
+	p.Networks = 3
+	o := osp.Generate(p)
+	window := o.Params.Months()
+	rows := len(window) * len(o.Inventory.Networks)
+	cc := cache.Config{Dir: t.TempDir()}
+	analyze := func() {
+		engine := NewEngine(o.Inventory, o.Archive)
+		engine.SetCache(cc)
+		if _, err := engine.Analyze(window); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyze() // fills the disk tier
+	hits := obs.GetCounter("cache.practices.disk_hits")
+	before := hits.Value()
+	avg := testing.AllocsPerRun(8, analyze) // 1 warm-up run + 8
+	if got, want := hits.Value()-before, int64(9*len(o.Inventory.Networks)); got != want {
+		t.Fatalf("%d disk hits, want %d: not every network was read back", got, want)
+	}
+	perRow := avg / float64(rows)
+	t.Logf("warm-cache inference: %.0f allocs/run (%d rows, %.1f allocs/row)", avg, rows, perRow)
+	// Budget: this reads ~44, facts included. With keys hashed from a
+	// copy of each text and JSON rows without facts it read ~227.
+	const budget = 60.0
+	if perRow > budget {
+		t.Errorf("warm-cache inference allocations %.1f/row exceed budget %.0f", perRow, budget)
 	}
 }

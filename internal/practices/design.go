@@ -104,8 +104,12 @@ type deviceFacts struct {
 // with the given management-IP owners.
 func newDeviceFacts(c *confmodel.Config, mgmtOwner map[string]string) *deviceFacts {
 	f := &deviceFacts{host: c.Hostname, intra: confmodel.IntraDeviceRefs(c)}
+	// Peers and keys come out of option maps in random order; sorted,
+	// equal configs have equal facts, and a disk entry's bytes are the
+	// same on every run. Instances do not depend on the order.
 	if bgp := c.OfType(confmodel.TypeBGP); len(bgp) > 0 {
 		f.bgp = &routing.Process{Host: c.Hostname, Peers: routing.BGPPeers(bgp, mgmtOwner)}
+		slices.Sort(f.bgp.Peers)
 		for _, owner := range f.bgp.Peers {
 			if owner != c.Hostname {
 				f.bgpRefs++
@@ -126,6 +130,7 @@ func newDeviceFacts(c *confmodel.Config, mgmtOwner map[string]string) *deviceFac
 		}
 	}
 	if keys := routing.OSPFKeys(ospf); len(keys) > 0 {
+		slices.Sort(keys)
 		f.ospf = &routing.Process{Host: c.Hostname, Keys: keys}
 	}
 	var lags []string

@@ -1,7 +1,6 @@
 package practices
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -200,11 +199,11 @@ func (e *Engine) step(w *netWalk, dev *netmodel.Device, state *confmodel.Config,
 
 // networkKey digests everything the network's month analyses depend on:
 // the grouping threshold, the window, the device records, every snapshot's
-// time, login, and full text, and the automation-account set.
+// time, login, and full text, and the automation-account set. The
+// namespace names the entry layout (entry.go): an entry of another
+// layout is never read.
 func (e *Engine) networkKey(nw *netmodel.Network, window []months.Month) cache.Key {
-	h := cache.NewHasher("practices/v1")
-	// The threshold is a constant, but it stays in the key so that
-	// entries already on disk keep their keys.
+	h := cache.NewHasher("practices/v2")
 	h.Int(int64(DefaultDelta))
 	h.String(nw.Name)
 	h.Int(int64(len(window)))
@@ -227,49 +226,47 @@ func (e *Engine) networkKey(nw *netmodel.Network, window []months.Month) cache.K
 	return h.Sum()
 }
 
-// monthAnalysisCodec serializes a network's analyses for the disk tier.
-// JSON round-trips every field exactly: float64 via shortest-form
-// encoding, times via RFC3339 with nanoseconds.
-var monthAnalysisCodec = cache.Codec[[]MonthAnalysis]{
-	Encode: func(ma []MonthAnalysis) ([]byte, error) { return json.Marshal(ma) },
-	Decode: func(b []byte) ([]MonthAnalysis, error) {
-		var ma []MonthAnalysis
-		if err := json.Unmarshal(b, &ma); err != nil {
-			return nil, err
+// windowEnds returns, for each of the network's devices, its last
+// snapshot before the window's end (nil for a device with none): the
+// snapshot a walk over the window ends on, whose config the device's
+// window-end facts describe. It is nil for an empty window, which ends
+// with no facts.
+func (e *Engine) windowEnds(nw *netmodel.Network, window []months.Month) []*nms.Snapshot {
+	if len(window) == 0 {
+		return nil
+	}
+	end := window[0].End()
+	for _, m := range window[1:] {
+		if m.End().After(end) {
+			end = m.End()
 		}
-		return ma, nil
-	},
+	}
+	lasts := make([]*nms.Snapshot, len(nw.Devices))
+	for i, dev := range nw.Devices {
+		hist := e.arch.Snapshots(dev.Name)
+		if k := sort.Search(len(hist), func(j int) bool { return !hist[j].Time.Before(end) }); k > 0 {
+			lasts[i] = hist[k-1]
+		}
+	}
+	return lasts
 }
 
-// AnalyzeNetwork computes the metrics for every month of the window for
-// one network. It walks each device's snapshot stream exactly once,
-// parsing every snapshot a single time, and evaluates design metrics from
-// the live end-of-month configuration state. With caching enabled, a
-// network whose inputs are unchanged is answered from the cache without
-// any parsing or diffing.
-func (e *Engine) AnalyzeNetwork(name string, window []months.Month) ([]MonthAnalysis, error) {
-	rows, _, err := e.analyzeNetwork(name, window, e.obs, newNetScratch(), e.Facts())
-	return rows, err
-}
-
-// analyzeNetwork is AnalyzeNetwork under an explicit parent span and
-// worker-owned scratch, reusing the carried facts; the window-end facts
-// it returns are nil when the disk tier answered.
-func (e *Engine) analyzeNetwork(name string, window []months.Month, parent *obs.Span, ns *netScratch, carry Facts) ([]MonthAnalysis, []deviceEnd, error) {
+// analyzeNetwork computes the metrics for every month of the window for
+// one network under an explicit parent span and worker-owned scratch,
+// reusing the carried facts, and returns them with the network's facts
+// at the window's end. With the disk tier on, a network whose inputs
+// are unchanged is read back, rows and facts, without any parsing or
+// diffing.
+func (e *Engine) analyzeNetwork(name string, window []months.Month, parent *obs.Span, ns *netScratch, carry Facts) (walked, error) {
 	nw := e.inv.Network(name)
 	if nw == nil {
-		return nil, nil, fmt.Errorf("practices: unknown network %q", name)
+		return walked{}, fmt.Errorf("practices: unknown network %q", name)
 	}
+	compute := func() (walked, error) { return e.computeNetwork(nw, window, parent, ns, carry[name]) }
 	if e.netCache == nil {
-		return e.computeNetwork(nw, window, parent, ns, carry[name])
+		return compute()
 	}
-	var ends []deviceEnd
-	rows, err := cache.GetOrCompute(e.netCache, e.networkKey(nw, window), monthAnalysisCodec,
-		func() (rows []MonthAnalysis, err error) {
-			rows, ends, err = e.computeNetwork(nw, window, parent, ns, carry[name])
-			return rows, err
-		})
-	return rows, ends, err
+	return cache.GetOrCompute(e.netCache, e.networkKey(nw, window), entryCodec(e.windowEnds(nw, window)), compute)
 }
 
 // cursor is one device's position in its time-ordered snapshot history
@@ -306,7 +303,7 @@ func (cu *cursor) baseline(e *Engine, w *netWalk) (err error) {
 // computeNetwork runs the actual per-network inference. carried is the
 // network's entry of the engine's Facts (nil when it has none); it
 // returns the rows and the network's facts at the window's end.
-func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, parent *obs.Span, ns *netScratch, carried []deviceEnd) ([]MonthAnalysis, []deviceEnd, error) {
+func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, parent *obs.Span, ns *netScratch, carried []deviceEnd) (walked, error) {
 	name := nw.Name
 	nsp := parent.Start(name)
 	defer nsp.End()
@@ -353,7 +350,7 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 					cu.state, err = e.step(&w, cu.dev, cu.state, cu.hist[cu.pos])
 				}
 				if err != nil {
-					return nil, nil, fail(err)
+					return walked{}, fail(err)
 				}
 				cu.pos++
 			}
@@ -367,7 +364,7 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 		for _, cu := range cursors {
 			if cu.facts == nil {
 				if err := cu.baseline(e, &w); err != nil {
-					return nil, nil, fail(err)
+					return walked{}, fail(err)
 				}
 			}
 			if cu.state != nil && cu.of != cu.state {
@@ -416,10 +413,10 @@ func (e *Engine) computeNetwork(nw *netmodel.Network, window []months.Month, par
 	obs.GetCounter("inference.diffs").Add(int64(w.diffs))
 	obs.GetCounter("inference.changes").Add(int64(changesFound))
 	obs.GetCounter("inference.events_grouped").Add(int64(eventsGrouped))
-	return out, ends, nil
+	return walked{rows: out, ends: ends}, nil
 }
 
-// Analyze runs AnalyzeNetwork for every network in the inventory, under
+// Analyze analyzes every network in the inventory over the window, under
 // one "inference" span when a parent was attached with SetObs. Networks
 // are analyzed on up to par.Workers goroutines (snapshot parsing is the
 // pipeline's dominant cost); the inventory and archive are only read, and
@@ -434,9 +431,9 @@ func (e *Engine) Analyze(window []months.Month) (map[string][]MonthAnalysis, err
 	pt := obs.StartProgress("inference", int64(len(e.inv.Networks)))
 	results, err := par.MapLocal(e.inv.Networks, newNetScratch,
 		func(ns *netScratch, _ int, nw *netmodel.Network) (walked, error) {
-			rows, ends, err := e.analyzeNetwork(nw.Name, window, sp, ns, carry)
+			r, err := e.analyzeNetwork(nw.Name, window, sp, ns, carry)
 			pt.Add(1)
-			return walked{rows, ends}, err
+			return r, err
 		})
 	pt.Done()
 	if err != nil {

@@ -324,7 +324,7 @@ func pearson(xs, ys []float64) float64 {
 
 func TestUnknownNetworkErrors(t *testing.T) {
 	e := NewEngine(testOSP.Inventory, testOSP.Archive)
-	if _, err := e.AnalyzeNetwork("no-such-network", testOSP.Params.Months()); err == nil {
+	if _, err := e.analyzeNetwork("no-such-network", testOSP.Params.Months(), nil, newNetScratch(), nil); err == nil {
 		t.Fatal("expected error for unknown network")
 	}
 }

@@ -43,7 +43,7 @@ func TestCorruptSnapshotSurfacesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(inv, arch)
-	_, err = e.AnalyzeNetwork("netX", window())
+	_, err = e.Analyze(window())
 	if err == nil {
 		t.Fatal("corrupt snapshot did not surface an error")
 	}
@@ -56,11 +56,11 @@ func TestEmptyArchiveYieldsZeroOperationalMetrics(t *testing.T) {
 	inv := tinyInventory()
 	arch := nms.NewArchive()
 	e := NewEngine(inv, arch)
-	mas, err := e.AnalyzeNetwork("netX", window())
+	out, err := e.Analyze(window())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mas[0].Metrics
+	m := out["netX"][0].Metrics
 	if m[MetricConfigChanges] != 0 || m[MetricChangeEvents] != 0 {
 		t.Errorf("no-archive metrics nonzero: %v", m)
 	}
@@ -83,11 +83,11 @@ func TestDeviceWithoutChangesContributesDesignOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(inv, arch)
-	mas, err := e.AnalyzeNetwork("netX", window())
+	out, err := e.Analyze(window())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mas[0].Metrics
+	m := out["netX"][0].Metrics
 	if m[MetricVLANs] != 1 {
 		t.Errorf("no_vlans = %v, want 1", m[MetricVLANs])
 	}
@@ -118,7 +118,7 @@ func TestMixedCorruptionReportsFirstBadDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(inv, arch)
-	if _, err := e.AnalyzeNetwork("netX", window()); err == nil {
+	if _, err := e.Analyze(window()); err == nil {
 		t.Fatal("expected parse error")
 	}
 }

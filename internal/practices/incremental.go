@@ -62,11 +62,7 @@ func (e *Engine) AnalyzeMonth(m months.Month, names []string) ([]MonthAnalysis, 
 			if nw == nil {
 				return walked{}, fmt.Errorf("practices: unknown network %q", name)
 			}
-			rows, ends, err := e.computeNetwork(nw, window, sp, ns, carry[name])
-			if err != nil {
-				return walked{}, err
-			}
-			return walked{rows, ends}, nil
+			return e.computeNetwork(nw, window, sp, ns, carry[name])
 		})
 	if err != nil {
 		return nil, err
@@ -118,8 +114,8 @@ func (e *Engine) SetFacts(f Facts) {
 }
 
 // Facts returns the window-end facts of every network the engine's
-// Analyze and AnalyzeMonth runs walked or SetFacts handed it, the newest
-// per network. A network the disk tier answered has none.
+// Analyze and AnalyzeMonth runs walked, read back from the disk tier, or
+// SetFacts handed it, the newest per network.
 func (e *Engine) Facts() Facts {
 	e.factsMu.Lock()
 	defer e.factsMu.Unlock()

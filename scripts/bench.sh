@@ -7,7 +7,7 @@
 #
 # Runs BenchmarkGenerate, BenchmarkInference, BenchmarkInferenceWarmCache
 # (the restart path: a fresh engine reading every per-network analysis
-# from a filled disk cache tier, ~7x faster than BenchmarkInference),
+# from a filled disk cache tier, ~6x faster than BenchmarkInference),
 # BenchmarkIngestDecode (decoding one month's ~9.3 MB update body, the
 # body perfbench's cold_start workload posts), BenchmarkIngestMonth (the
 # streaming-ingest cost of one new month, decode excluded; each
