@@ -43,7 +43,7 @@ func benchEnvironment(b *testing.B) *experiments.Env {
 		p.Networks = 120
 		p.Start = months.StudyStart
 		p.End = months.StudyStart.Add(7)
-		env, err := experiments.NewEnv(p)
+		env, err := experiments.NewEnv(p, cache.Config{})
 		if err != nil {
 			panic(err)
 		}
@@ -309,13 +309,13 @@ func BenchmarkIngestMonth(b *testing.B) {
 	p.End = p.End.Next() // one month beyond BenchmarkInference's window
 	o := osp.Generate(p)
 	last := p.End
-	arch, log := ingest.Truncate(o.Archive, o.Tickets, last.Prev())
+	arch, log := ingest.Truncate(o.Archive, o.Tickets, last.Add(-1))
 	u := ingest.SliceMonth(o.Archive, o.Tickets, last)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		f, err := New(o.Inventory, arch, log, p.Start, last.Prev())
+		f, err := New(o.Inventory, arch, log, p.Start, last.Add(-1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func TestIngestApplyFailureCounted(t *testing.T) {
 
 	rejected := obs.GetCounter("ingest.rejected")
 	rejectedBefore := rejected.Value()
-	applyBefore := obs.GetLogHistogram("ingest.apply_ns").Count()
+	applyBefore := obs.GetLogHistogram("ingest.apply_ns").Snapshot().Count
 
 	// Compile checks months, device identity, and monotonicity — not the
 	// config text itself. Unparseable text therefore survives validation
@@ -52,7 +52,7 @@ func TestIngestApplyFailureCounted(t *testing.T) {
 	if d := rejected.Value() - rejectedBefore; d != 1 {
 		t.Errorf("ingest.rejected grew by %d, want 1", d)
 	}
-	if d := obs.GetLogHistogram("ingest.apply_ns").Count() - applyBefore; d != 1 {
+	if d := obs.GetLogHistogram("ingest.apply_ns").Snapshot().Count - applyBefore; d != 1 {
 		t.Errorf("ingest.apply_ns observed %d new applies, want 1 (failed applies must not vanish from the latency series)", d)
 	}
 	if f.environment() != envBefore {
@@ -62,14 +62,14 @@ func TestIngestApplyFailureCounted(t *testing.T) {
 	// A plain validation reject still counts without an apply_ns sample:
 	// no apply work ran.
 	rejectedBefore = rejected.Value()
-	applyBefore = obs.GetLogHistogram("ingest.apply_ns").Count()
+	applyBefore = obs.GetLogHistogram("ingest.apply_ns").Snapshot().Count
 	if _, err := f.Ingest(&IngestUpdate{Month: next.String()}); err == nil {
 		t.Fatal("empty update accepted")
 	}
 	if d := rejected.Value() - rejectedBefore; d != 1 {
 		t.Errorf("validation reject: ingest.rejected grew by %d, want 1", d)
 	}
-	if d := obs.GetLogHistogram("ingest.apply_ns").Count() - applyBefore; d != 0 {
+	if d := obs.GetLogHistogram("ingest.apply_ns").Snapshot().Count - applyBefore; d != 0 {
 		t.Errorf("validation reject observed %d apply_ns samples, want 0", d)
 	}
 }

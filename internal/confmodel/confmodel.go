@@ -389,12 +389,6 @@ func fnvByte(h uint64, b byte) uint64 {
 	return h
 }
 
-// fnv64 returns the FNV-1a 64-bit hash of s as a hex string.
-func fnv64(s string) string {
-	const offset = 14695981039346656037
-	return hex16(fnvString(offset, s))
-}
-
 // hex16 formats h as 16 lower-case hex digits (fmt.Sprintf("%016x", h)
 // without the fmt machinery).
 func hex16(h uint64) string {

@@ -24,16 +24,16 @@ func TestCacheEquivalence(t *testing.T) {
 		dir := t.TempDir()
 		cc := cache.Config{Enabled: true, Dir: dir}
 
-		plain, err := NewEnv(p)
+		plain, err := NewEnv(p, cache.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewEnvCached(p, cc)
+		cold, err := NewEnv(p, cc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := obs.GetCounter("cache.practices.disk_hits").Value()
-		warm, err := NewEnvCached(p, cc)
+		warm, err := NewEnv(p, cc)
 		if err != nil {
 			t.Fatal(err)
 		}

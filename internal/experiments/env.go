@@ -90,21 +90,15 @@ func (e *Env) ReportDigests() map[string]string {
 }
 
 // NewEnv generates an OSP, runs practice inference over the full study
-// window, and assembles the case matrix. The returned Env carries the
-// stage table that all three stages folded into.
+// window with the practice engine's per-network inference cache
+// configured by cc, and assembles the case matrix. The returned Env
+// carries the stage table that all three stages folded into.
 //
 // Generation and inference run their per-network loops on up to
 // par.Workers goroutines; the Env is byte-identical at every worker
-// count.
-func NewEnv(p osp.Params) (*Env, error) {
-	return NewEnvCached(p, cache.Config{})
-}
-
-// NewEnvCached is NewEnv with the practice engine's per-network
-// inference cache configured by cc. Caching never changes the Env's
-// contents — cold, warm, and disabled runs are byte-identical
-// (TestCacheEquivalence).
-func NewEnvCached(p osp.Params, cc cache.Config) (*Env, error) {
+// count. Caching never changes the Env's contents — cold, warm, and
+// disabled runs are byte-identical (TestCacheEquivalence).
+func NewEnv(p osp.Params, cc cache.Config) (*Env, error) {
 	root := obs.NewStageTable("pipeline")
 	env, err := Infer(osp.GenerateObs(p, root), cc, root)
 	if err != nil {

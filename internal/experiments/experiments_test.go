@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mpa/internal/cache"
 	"mpa/internal/months"
 	"mpa/internal/osp"
 	"mpa/internal/par"
@@ -22,7 +23,7 @@ func mustEnv() *Env {
 	p.Networks = 240
 	p.Start = months.Month{Year: 2014, Mon: time.January}
 	p.End = months.Month{Year: 2014, Mon: time.October}
-	env, err := NewEnv(p)
+	env, err := NewEnv(p, cache.Config{})
 	if err != nil {
 		panic(err)
 	}
@@ -403,11 +404,11 @@ func TestAblationLearnersOrdering(t *testing.T) {
 func TestEnvDeterministic(t *testing.T) {
 	p := osp.Small(33)
 	p.Networks = 12
-	a, err := NewEnv(p)
+	a, err := NewEnv(p, cache.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEnv(p)
+	b, err := NewEnv(p, cache.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	// Envs compute lazily, so each side builds and runs at its width.
 	run := func(workers int) []RunResult {
 		setWorkers(t, workers)
-		env, err := NewEnv(p)
+		env, err := NewEnv(p, cache.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +485,7 @@ func TestFannedOutReportsWorkerInvariance(t *testing.T) {
 	}
 	p := osp.Small(33)
 	p.Networks = 12
-	env, err := NewEnv(p)
+	env, err := NewEnv(p, cache.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

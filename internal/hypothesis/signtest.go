@@ -113,9 +113,3 @@ func logChoose(n, k int) float64 {
 	}
 	return lg(n) - lg(k) - lg(n-k)
 }
-
-// BinomPMF returns P(X = k) for X ~ Binomial(n, p), exposed for tests and
-// for the report package's expected-distribution annotations.
-func BinomPMF(k, n int, p float64) float64 {
-	return math.Exp(logBinomPMF(k, n, p))
-}

@@ -113,7 +113,7 @@ func TestBinomPMFSumsToOne(t *testing.T) {
 	for _, n := range []int{1, 5, 20, 100} {
 		var sum float64
 		for k := 0; k <= n; k++ {
-			sum += BinomPMF(k, n, 0.37)
+			sum += math.Exp(logBinomPMF(k, n, 0.37))
 		}
 		if !almostEq(sum, 1, 1e-9) {
 			t.Errorf("pmf sum for n=%d is %v", n, sum)
@@ -122,16 +122,16 @@ func TestBinomPMFSumsToOne(t *testing.T) {
 }
 
 func TestBinomPMFEdges(t *testing.T) {
-	if got := BinomPMF(0, 10, 0); got != 1 {
+	if got := math.Exp(logBinomPMF(0, 10, 0)); got != 1 {
 		t.Errorf("PMF(0;10,0) = %v", got)
 	}
-	if got := BinomPMF(3, 10, 0); got != 0 {
+	if got := math.Exp(logBinomPMF(3, 10, 0)); got != 0 {
 		t.Errorf("PMF(3;10,0) = %v", got)
 	}
-	if got := BinomPMF(10, 10, 1); got != 1 {
+	if got := math.Exp(logBinomPMF(10, 10, 1)); got != 1 {
 		t.Errorf("PMF(10;10,1) = %v", got)
 	}
-	if got := BinomPMF(9, 10, 1); got != 0 {
+	if got := math.Exp(logBinomPMF(9, 10, 1)); got != 0 {
 		t.Errorf("PMF(9;10,1) = %v", got)
 	}
 }

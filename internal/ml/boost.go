@@ -73,9 +73,6 @@ func (e *Ensemble) Predict(x []int) int {
 // maxStackClasses covers the paper's 2- and 5-class schemes.
 const maxStackClasses = 8
 
-// Rounds returns the number of boosting rounds retained.
-func (e *Ensemble) Rounds() int { return len(e.trees) }
-
 // TrainAdaBoost runs multiclass AdaBoost (SAMME: Zhu et al.) over decision
 // trees. Each round increases the weight of misclassified examples and
 // decreases the weight of correct ones, then refits. With

@@ -230,8 +230,8 @@ func TestAdaBoostRoundsMatchReferenceKernel(t *testing.T) {
 	}{{"fixture", X, y}, {"oversampled", oX, oy}} {
 		cfg := DefaultBoostConfig()
 		ens := TrainAdaBoost(tc.X, tc.y, 5, cfg).(*Ensemble)
-		if ens.Rounds() < 2 {
-			t.Fatalf("%s: boosting stopped after %d rounds", tc.name, ens.Rounds())
+		if len(ens.trees) < 2 {
+			t.Fatalf("%s: boosting stopped after %d rounds", tc.name, len(ens.trees))
 		}
 		n := len(tc.y)
 		w := make([]float64, n)

@@ -212,7 +212,7 @@ func TestAdaBoostEnsembleMode(t *testing.T) {
 	if !ok {
 		t.Fatalf("ensemble mode returned %T", clf)
 	}
-	if ens.Rounds() < 1 {
+	if len(ens.trees) < 1 {
 		t.Fatal("no rounds retained")
 	}
 	correct := 0
@@ -231,8 +231,8 @@ func TestAdaBoostPerfectLearnerStops(t *testing.T) {
 	// zero-error round rather than run all rounds.
 	X, y := xorData()
 	clf := TrainAdaBoost(X, y, 2, BoostConfig{Rounds: 15, Tree: DefaultTreeConfig(), Mode: BoostEnsemble})
-	if ens := clf.(*Ensemble); ens.Rounds() > 2 {
-		t.Errorf("boosting ran %d rounds on separable data", ens.Rounds())
+	if ens := clf.(*Ensemble); len(ens.trees) > 2 {
+		t.Errorf("boosting ran %d rounds on separable data", len(ens.trees))
 	}
 }
 

@@ -44,26 +44,12 @@ func (m Month) Next() Month {
 	return Month{m.Year, m.Mon + 1}
 }
 
-// Prev returns the preceding month.
-func (m Month) Prev() Month {
-	if m.Mon == time.January {
-		return Month{m.Year - 1, time.December}
-	}
-	return Month{m.Year, m.Mon - 1}
-}
-
 // Before reports whether m precedes o.
 func (m Month) Before(o Month) bool {
 	if m.Year != o.Year {
 		return m.Year < o.Year
 	}
 	return m.Mon < o.Mon
-}
-
-// Index returns the zero-based offset of m from base (negative if m
-// precedes base).
-func (m Month) Index(base Month) int {
-	return (m.Year-base.Year)*12 + int(m.Mon) - int(base.Mon)
 }
 
 // Add returns the month n months after m (or before, for negative n).

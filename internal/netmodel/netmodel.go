@@ -105,17 +105,6 @@ type Network struct {
 	Devices      []*Device
 }
 
-// MiddleboxCount returns the number of middlebox devices in the network.
-func (n *Network) MiddleboxCount() int {
-	count := 0
-	for _, d := range n.Devices {
-		if d.Role.IsMiddlebox() {
-			count++
-		}
-	}
-	return count
-}
-
 // Models returns the set of distinct hardware models in the network.
 func (n *Network) Models() map[string]int {
 	m := map[string]int{}

@@ -52,9 +52,6 @@ func TestVendorString(t *testing.T) {
 
 func TestNetworkAggregates(t *testing.T) {
 	n := sampleNetwork()
-	if got := n.MiddleboxCount(); got != 2 {
-		t.Errorf("MiddleboxCount = %d, want 2", got)
-	}
 	if got := n.Models(); len(got) != 4 || got["c-3850"] != 2 {
 		t.Errorf("Models = %v", got)
 	}

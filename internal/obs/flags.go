@@ -97,11 +97,6 @@ func (p *Flags) Start() error {
 	return nil
 }
 
-// BoundDebugAddr returns the debug server's bound address ("host:port",
-// useful when DebugAddr asked for port 0), or "" before Start or when no
-// debug server was requested.
-func (p *Flags) BoundDebugAddr() string { return p.boundAddr }
-
 // Stop finishes CPU profiling and writes the heap profile and the trace,
 // when requested. The trace holds every stage tree that ended on a stage
 // table since Start; when none did (no pipeline ran), no trace file is

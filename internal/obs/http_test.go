@@ -53,9 +53,9 @@ func TestFlagsStartTwiceServesBoth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range []*Flags{&a, &b} {
-		addr := f.BoundDebugAddr()
+		addr := f.boundAddr
 		if addr == "" {
-			t.Fatal("BoundDebugAddr empty after Start")
+			t.Fatal("bound debug address empty after Start")
 		}
 		resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
 		if err != nil {

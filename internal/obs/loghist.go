@@ -110,21 +110,6 @@ func (h *LogHistogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of recorded observations.
-func (h *LogHistogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.total.Load()
-}
-
-// Quantile snapshots the histogram and estimates the p-quantile; see
-// LogHistogramSnapshot.Quantile for the estimate's semantics and error
-// bound.
-func (h *LogHistogram) Quantile(p float64) float64 {
-	return h.Snapshot().Quantile(p)
-}
-
 // LogBucket is one non-empty bucket of a LogHistogram snapshot. Index 0
 // is the underflow bucket (v < 1); index i ≥ 1 covers
 // [growth^(i-1), growth^i); the final index is the overflow bucket.

@@ -28,10 +28,10 @@ func TestLogHistogramEmpty(t *testing.T) {
 func TestLogHistogramNilReceiver(t *testing.T) {
 	var h *LogHistogram
 	h.Observe(42) // must not panic
-	if h.Count() != 0 {
+	if h.Snapshot().Count != 0 {
 		t.Error("nil Count != 0")
 	}
-	if q := h.Quantile(0.5); q != 0 {
+	if q := h.Snapshot().Quantile(0.5); q != 0 {
 		t.Errorf("nil Quantile = %v", q)
 	}
 }
@@ -41,8 +41,8 @@ func TestLogHistogramIgnoresNonFinite(t *testing.T) {
 	h.Observe(math.NaN())
 	h.Observe(math.Inf(1))
 	h.Observe(math.Inf(-1))
-	if h.Count() != 0 {
-		t.Fatalf("non-finite observations counted: %d", h.Count())
+	if n := h.Snapshot().Count; n != 0 {
+		t.Fatalf("non-finite observations counted: %d", n)
 	}
 	h.Observe(10)
 	snap := h.Snapshot()

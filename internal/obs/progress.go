@@ -100,14 +100,6 @@ func (t *ProgressTask) Done() {
 	t.sink.render(t.stage, t.done.Load(), t.total, true)
 }
 
-// Value returns the completed count so far.
-func (t *ProgressTask) Value() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.done.Load()
-}
-
 // render writes one status line, dropping updates inside the rate-limit
 // window unless final forces the write.
 func (s *ProgressSink) render(stage string, done, total int64, final bool) {

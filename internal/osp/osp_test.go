@@ -1,6 +1,7 @@
 package osp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestInventoryShape(t *testing.T) {
 		if len(nw.Roles()) > 1 {
 			multiRole++
 		}
-		if nw.MiddleboxCount() > 0 {
+		if slices.ContainsFunc(nw.Devices, func(d *netmodel.Device) bool { return d.Role.IsMiddlebox() }) {
 			withMbox++
 		}
 		if nw.Interconnect {

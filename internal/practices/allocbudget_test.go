@@ -109,7 +109,7 @@ func TestAllocBudgetAnalyzeMonthCarried(t *testing.T) {
 		names = append(names, nw.Name)
 	}
 	prev := NewEngine(o.Inventory, o.Archive)
-	if _, err := prev.Analyze(months.Range(o.Params.Start, m.Prev())); err != nil {
+	if _, err := prev.Analyze(months.Range(o.Params.Start, m.Add(-1))); err != nil {
 		t.Fatal(err)
 	}
 	facts := prev.Facts()

@@ -62,13 +62,14 @@ func TestRoutingFactsEquivalence(t *testing.T) {
 			}
 		}
 		for _, tc := range []struct {
+			name  string
 			proto routing.Protocol
 			procs []routing.Process
-		}{{routing.BGP, bgp}, {routing.OSPF, ospf}} {
+		}{{"bgp", routing.BGP, bgp}, {"ospf", routing.OSPF, ospf}} {
 			got := routing.SummarizeProcesses(tc.procs)
 			want := routing.Summarize(configs, mgmtOwner, tc.proto)
 			if got.Count != want.Count || math.Float64bits(got.AvgSize) != math.Float64bits(want.AvgSize) {
-				t.Errorf("%s %s %s: facts summary %+v, want %+v", nw.Name, window[i], tc.proto, got, want)
+				t.Errorf("%s %s %s: facts summary %+v, want %+v", nw.Name, window[i], tc.name, got, want)
 			}
 			if want.Count > 0 {
 				used++

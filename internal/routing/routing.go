@@ -1,5 +1,6 @@
-// Package routing extracts routing instances from device configurations
-// (paper §2.2, D5, following Benson et al.'s configuration models): a
+// Package routing summarizes the routing instances of a network's device
+// configurations (paper §2.2, D5, following Benson et al.'s configuration
+// models): a
 // routing instance is a collection of routing processes of the same type
 // on different devices that are in the transitive closure of the
 // "adjacent-to" relationship. A network's routing instances collectively
@@ -15,14 +16,13 @@
 package routing
 
 import (
-	"sort"
 	"strings"
 
 	"mpa/internal/confmodel"
 )
 
 // Protocol identifies a routing (or spanning-tree) protocol whose
-// instances are extracted.
+// instances are summarized.
 type Protocol int
 
 // Extractable protocols.
@@ -31,30 +31,6 @@ const (
 	OSPF
 	MSTP
 )
-
-// String returns the protocol name.
-func (p Protocol) String() string {
-	switch p {
-	case BGP:
-		return "bgp"
-	case OSPF:
-		return "ospf"
-	case MSTP:
-		return "mstp"
-	default:
-		return "unknown"
-	}
-}
-
-// Instance is one routing instance: the set of devices whose processes
-// form a connected component under the adjacency relationship.
-type Instance struct {
-	Protocol Protocol
-	Devices  []string // sorted hostnames
-}
-
-// Size returns the number of devices in the instance.
-func (i *Instance) Size() int { return len(i.Devices) }
 
 // unionFind is a simple disjoint-set structure over device indexes.
 type unionFind struct{ parent []int }
@@ -185,41 +161,6 @@ func join(procs []Process) *unionFind {
 		}
 	}
 	return uf
-}
-
-// instances groups the processes of one protocol into its routing
-// instances.
-func instances(proto Protocol, procs []Process) []Instance {
-	if len(procs) == 0 {
-		return nil
-	}
-	uf := join(procs)
-	byRoot := map[int][]string{}
-	for i, p := range procs {
-		root := uf.find(i)
-		byRoot[root] = append(byRoot[root], p.Host)
-	}
-	roots := make([]int, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	out := make([]Instance, 0, len(roots))
-	for _, r := range roots {
-		devs := byRoot[r]
-		sort.Strings(devs)
-		out = append(out, Instance{Protocol: proto, Devices: devs})
-	}
-	// Deterministic order by first device name.
-	sort.Slice(out, func(i, j int) bool { return out[i].Devices[0] < out[j].Devices[0] })
-	return out
-}
-
-// Extract returns the routing instances of the given protocol across the
-// configurations of one network's devices. mgmtIPOwner maps management IPs
-// to hostnames (needed for BGP adjacency); it may be nil for OSPF/MSTP.
-func Extract(configs []*confmodel.Config, mgmtIPOwner map[string]string, proto Protocol) []Instance {
-	return instances(proto, processes(configs, mgmtIPOwner, proto))
 }
 
 // Summary holds the D5 metrics for one protocol in one network.

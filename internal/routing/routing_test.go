@@ -1,10 +1,49 @@
 package routing
 
 import (
+	"sort"
 	"testing"
 
 	"mpa/internal/confmodel"
 )
+
+// Instance is one routing instance: the hostnames, sorted, whose
+// processes form a connected component under the adjacency relationship.
+type Instance struct {
+	Devices []string
+}
+
+// Extract is the test oracle of instance membership: it lists the
+// routing instances of the given protocol across one network's
+// configurations, by the processes and join that Summarize counts.
+// mgmtIPOwner maps management IPs to hostnames (needed for BGP
+// adjacency); it may be nil for OSPF/MSTP.
+func Extract(configs []*confmodel.Config, mgmtIPOwner map[string]string, proto Protocol) []Instance {
+	procs := processes(configs, mgmtIPOwner, proto)
+	if len(procs) == 0 {
+		return nil
+	}
+	uf := join(procs)
+	byRoot := map[int][]string{}
+	for i, p := range procs {
+		root := uf.find(i)
+		byRoot[root] = append(byRoot[root], p.Host)
+	}
+	roots := make([]int, 0, len(byRoot))
+	for r := range byRoot {
+		roots = append(roots, r)
+	}
+	sort.Ints(roots)
+	out := make([]Instance, 0, len(roots))
+	for _, r := range roots {
+		devs := byRoot[r]
+		sort.Strings(devs)
+		out = append(out, Instance{Devices: devs})
+	}
+	// Deterministic order by first device name.
+	sort.Slice(out, func(i, j int) bool { return out[i].Devices[0] < out[j].Devices[0] })
+	return out
+}
 
 func bgpDev(host, ip string, neighbors ...string) *confmodel.Config {
 	c := confmodel.NewConfig(host)
@@ -44,7 +83,7 @@ func TestBGPInstanceViaNeighbors(t *testing.T) {
 	}
 	sizes := map[int]int{}
 	for _, in := range instances {
-		sizes[in.Size()]++
+		sizes[len(in.Devices)]++
 	}
 	if sizes[2] != 1 || sizes[1] != 1 {
 		t.Errorf("instance sizes = %v", sizes)
@@ -58,7 +97,7 @@ func TestBGPOneDirectionalNeighborStillJoins(t *testing.T) {
 		bgpDev("b", "10.0.0.2"), // b does not point back
 	}
 	instances := Extract(configs, owner, BGP)
-	if len(instances) != 1 || instances[0].Size() != 2 {
+	if len(instances) != 1 || len(instances[0].Devices) != 2 {
 		t.Errorf("instances = %v", instances)
 	}
 }
@@ -72,8 +111,8 @@ func TestOSPFInstancesByArea(t *testing.T) {
 	if len(instances) != 2 {
 		t.Fatalf("instances = %v", instances)
 	}
-	if instances[0].Size()+instances[1].Size() != 3 {
-		t.Errorf("total participants = %d, want 3", instances[0].Size()+instances[1].Size())
+	if len(instances[0].Devices)+len(instances[1].Devices) != 3 {
+		t.Errorf("total participants = %d, want 3", len(instances[0].Devices)+len(instances[1].Devices))
 	}
 }
 
@@ -83,7 +122,7 @@ func TestOSPFAreaFromNetworkStatements(t *testing.T) {
 	b := confmodel.NewConfig("b")
 	b.Upsert(confmodel.NewStanza(confmodel.TypeOSPF, "1").Set("area", "7"))
 	instances := Extract([]*confmodel.Config{a, b}, nil, OSPF)
-	if len(instances) != 1 || instances[0].Size() != 2 {
+	if len(instances) != 1 || len(instances[0].Devices) != 2 {
 		t.Errorf("network-statement area join failed: %v", instances)
 	}
 }
@@ -139,14 +178,5 @@ func TestDeterministicOrder(t *testing.T) {
 	}
 	if first[0].Devices[0] != "a" {
 		t.Errorf("instances not sorted: %v", first)
-	}
-}
-
-func TestProtocolString(t *testing.T) {
-	if BGP.String() != "bgp" || OSPF.String() != "ospf" || MSTP.String() != "mstp" {
-		t.Error("protocol names wrong")
-	}
-	if Protocol(9).String() != "unknown" {
-		t.Error("unknown protocol name wrong")
 	}
 }

@@ -243,8 +243,9 @@ func TestIngestStream(t *testing.T) {
 		if nh.Network != want || nh.Month != ir.Month {
 			t.Fatalf("event %d: delta for %s/%s, want %s/%s", i, nh.Network, nh.Month, want, ir.Month)
 		}
-		// Deltas carry the post-ingest truth.
-		if got := f.Tickets().HealthCounts()[ticketing.NetworkMonth{Network: nh.Network, Month: f.Window()[len(f.Window())-1]}]; got != nh.Tickets {
+		// Deltas carry the post-ingest truth: the served count comes from the
+		// dataset, the oracle from the raw ticket log.
+		if got := f.State().Tickets.HealthCounts()[ticketing.NetworkMonth{Network: nh.Network, Month: f.Window()[len(f.Window())-1]}]; got != nh.Tickets {
 			t.Fatalf("event %d: delta tickets %d, want %d", i, nh.Tickets, got)
 		}
 	}

@@ -118,8 +118,8 @@ func TestStreamsExcludedFromLatency(t *testing.T) {
 	latencyCount := func() int64 {
 		var total int64
 		for _, name := range []string{"rank", "causal", "predict", "network", "report", "manifest", "ingest"} {
-			total += obs.GetLogHistogram("serve.latency_ns." + name).Count()
-			total += obs.GetLogHistogram("serve.tenant." + testOrg + ".latency_ns." + name).Count()
+			total += obs.GetLogHistogram("serve.latency_ns." + name).Snapshot().Count
+			total += obs.GetLogHistogram("serve.tenant." + testOrg + ".latency_ns." + name).Snapshot().Count
 		}
 		return total
 	}

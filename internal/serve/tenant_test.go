@@ -78,7 +78,7 @@ func raw(t *testing.T, s *serve.Server, method, path string, header map[string]s
 func TestShardRoutingByPath(t *testing.T) {
 	s, reg := shardedServer(t)
 
-	for _, org := range reg.Names() {
+	for i, org := range reg.Names() {
 		var hz struct {
 			Status   string `json:"status"`
 			Org      string `json:"org"`
@@ -92,7 +92,7 @@ func TestShardRoutingByPath(t *testing.T) {
 		if err := json.Unmarshal(body, &hz); err != nil {
 			t.Fatal(err)
 		}
-		o, _ := reg.Get(org)
+		o := reg.Orgs()[i]
 		if hz.Status != "ok" || hz.Org != org {
 			t.Errorf("%s: got %+v, want ok for org %s", path, hz, org)
 		}
@@ -317,8 +317,7 @@ func TestTenantRecorderAndSLO(t *testing.T) {
 func TestTenantIsolationOnIngest(t *testing.T) {
 	reg := loadShardedRegistry(t, "alpha=21:5:2,beta=22:4:2", 2)
 	s := serve.NewSharded(reg, serve.Config{})
-	alpha, _ := reg.Get("alpha")
-	beta, _ := reg.Get("beta")
+	alpha, beta := reg.Orgs()[0], reg.Orgs()[1]
 
 	lastMonth := beta.F.Window()[len(beta.F.Window())-1].String()
 	betaNets := beta.F.Dataset().Networks()
@@ -406,7 +405,7 @@ func TestTenantIsolationOnIngest(t *testing.T) {
 func TestConcurrentCrossTenantQueries(t *testing.T) {
 	reg := loadShardedRegistry(t, "left=31:4:2,right=32:4:2", 3)
 	s := serve.NewSharded(reg, serve.Config{})
-	left, _ := reg.Get("left")
+	left := reg.Orgs()[0]
 
 	ups, err := mpa.NextMonths(left.Cfg, 1)
 	if err != nil {
@@ -479,7 +478,7 @@ func TestOneOrgDaemon(t *testing.T) {
 	s := oneOrgServer(t, testFramework(t), serve.Config{Recorder: rec})
 	tenantRank := obs.GetLogHistogram("serve.tenant." + testOrg + ".latency_ns.rank")
 	tenantOK := obs.GetCounter("serve.tenant." + testOrg + ".status.rank.2xx")
-	rankBefore, okBefore := tenantRank.Count(), tenantOK.Value()
+	rankBefore, okBefore := tenantRank.Snapshot().Count, tenantOK.Value()
 
 	codeBare, bare := raw(t, s, http.MethodGet, "/v1/rank",
 		map[string]string{"X-Request-ID": "one-org-rank"}, nil)
@@ -535,7 +534,7 @@ func TestOneOrgDaemon(t *testing.T) {
 		}
 	}
 
-	if d := tenantRank.Count() - rankBefore; d != 2 {
+	if d := tenantRank.Snapshot().Count - rankBefore; d != 2 {
 		t.Errorf("per-tenant rank latency series grew by %d, want 2", d)
 	}
 	if d := tenantOK.Value() - okBefore; d != 2 {

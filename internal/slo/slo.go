@@ -115,22 +115,6 @@ type Check struct {
 	Note     string  // set when skipped or missing, explains why
 }
 
-// String renders the check for logs: "rank p99 412.3ms <= 500ms: ok".
-func (c Check) String() string {
-	status := "ok"
-	if !c.OK {
-		status = "VIOLATION"
-	}
-	if c.Note != "" {
-		return fmt.Sprintf("%s %s: %s (%s)", c.Endpoint, c.Name, status, c.Note)
-	}
-	unit := "ms"
-	if c.Name == "error_rate" {
-		unit = ""
-	}
-	return fmt.Sprintf("%s %s %.4g%s <= %.4g%s: %s", c.Endpoint, c.Name, c.Got, unit, c.Limit, unit, status)
-}
-
 // Result is a full evaluation.
 type Result struct {
 	Checks     []Check

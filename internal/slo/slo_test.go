@@ -40,7 +40,7 @@ func TestEvaluatePasses(t *testing.T) {
 	res := Evaluate(spec, testManifest(t))
 	if res.Violations != 0 {
 		for _, c := range res.Checks {
-			t.Log(c)
+			t.Logf("%+v", c)
 		}
 		t.Fatalf("violations = %d, want 0", res.Violations)
 	}

@@ -37,13 +37,11 @@ func NewBinnerBounds(lo, hi float64, bins int) *Binner {
 	return &Binner{lo: lo, hi: hi, bins: bins}
 }
 
-// Bins returns the number of bins.
-func (b *Binner) Bins() int { return b.bins }
-
 // Bounds returns the 5th/95th percentile anchors of the binner.
 func (b *Binner) Bounds() (lo, hi float64) { return b.lo, b.hi }
 
-// Bin maps a value to its bin index in [0, Bins()).
+// Bin maps a value to its bin index in [0, bins), bins as the binner was
+// built with.
 func (b *Binner) Bin(v float64) int {
 	if b.bins == 1 || b.hi <= b.lo {
 		return 0

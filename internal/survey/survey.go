@@ -63,15 +63,6 @@ type PracticeOpinion struct {
 	Counts [NumOpinions]int
 }
 
-// Total returns the number of responses recorded.
-func (p PracticeOpinion) Total() int {
-	total := 0
-	for _, c := range p.Counts {
-		total += c
-	}
-	return total
-}
-
 // MajorityOpinion returns the most frequent answer.
 func (p PracticeOpinion) MajorityOpinion() Opinion {
 	best := NoImpact

@@ -8,7 +8,11 @@ import (
 
 func TestAllHistogramsSumToRespondents(t *testing.T) {
 	for _, p := range Results() {
-		if got := p.Total(); got != Respondents {
+		got := 0
+		for _, c := range p.Counts {
+			got += c
+		}
+		if got != Respondents {
 			t.Errorf("%s: responses sum to %d, want %d", p.Practice, got, Respondents)
 		}
 	}

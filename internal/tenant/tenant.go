@@ -167,10 +167,10 @@ type Org struct {
 	F    *mpa.Framework
 }
 
-// Registry holds the fleet's organizations, keyed by name.
+// Registry holds the fleet's organizations in name order.
 type Registry struct {
-	orgs  map[string]*Org
-	names []string // sorted
+	orgs  []*Org
+	names []string
 }
 
 // New builds a registry over already-constructed orgs (the test path;
@@ -179,7 +179,6 @@ func New(orgs []*Org) (*Registry, error) {
 	if len(orgs) == 0 {
 		return nil, fmt.Errorf("tenant: registry needs at least one org")
 	}
-	r := &Registry{orgs: make(map[string]*Org, len(orgs))}
 	for _, o := range orgs {
 		if o == nil || o.F == nil {
 			return nil, fmt.Errorf("tenant: nil org or framework")
@@ -187,13 +186,15 @@ func New(orgs []*Org) (*Registry, error) {
 		if !ValidName(o.Name) {
 			return nil, fmt.Errorf("tenant: invalid org name %q", o.Name)
 		}
-		if _, dup := r.orgs[o.Name]; dup {
+	}
+	r := &Registry{orgs: slices.Clone(orgs)}
+	slices.SortFunc(r.orgs, func(a, b *Org) int { return strings.Compare(a.Name, b.Name) })
+	for i, o := range r.orgs {
+		if i > 0 && o.Name == r.orgs[i-1].Name {
 			return nil, fmt.Errorf("tenant: org %q repeated", o.Name)
 		}
-		r.orgs[o.Name] = o
 		r.names = append(r.names, o.Name)
 	}
-	sort.Strings(r.names)
 	return r, nil
 }
 
@@ -236,23 +237,11 @@ func Load(specs []OrgSpec, base mpa.Config) (*Registry, error) {
 	return New(orgs)
 }
 
-// Get returns the named org.
-func (r *Registry) Get(name string) (*Org, bool) {
-	o, ok := r.orgs[name]
-	return o, ok
-}
-
 // Names returns the org names, sorted.
 func (r *Registry) Names() []string { return r.names }
 
 // Orgs returns the orgs in name order.
-func (r *Registry) Orgs() []*Org {
-	out := make([]*Org, len(r.names))
-	for i, n := range r.names {
-		out[i] = r.orgs[n]
-	}
-	return out
-}
+func (r *Registry) Orgs() []*Org { return r.orgs }
 
 // Len returns the number of registered orgs.
 func (r *Registry) Len() int { return len(r.names) }

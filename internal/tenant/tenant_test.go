@@ -114,22 +114,18 @@ func TestLoadRegistry(t *testing.T) {
 	if got, want := reg.Names(), []string{"acme", "globex"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want sorted %v", got, want)
 	}
-	acme, ok := reg.Get("acme")
-	if !ok {
-		t.Fatal("Get(acme) missing")
+	acme, globex := reg.Orgs()[0], reg.Orgs()[1]
+	if acme.Name != "acme" || globex.Name != "globex" {
+		t.Fatalf("Orgs() = %s, %s, want acme, globex", acme.Name, globex.Name)
 	}
 	if n := len(acme.F.Dataset().Networks()); n != 8 {
 		t.Errorf("acme networks = %d, want the spec override 8", n)
 	}
-	globex, _ := reg.Get("globex")
 	if n := len(globex.F.Dataset().Networks()); n != 6 {
 		t.Errorf("globex networks = %d, want 6", n)
 	}
 	if w := acme.F.Window(); len(w) != 2 {
 		t.Errorf("acme window = %d months, want the spec override 2", len(w))
-	}
-	if _, ok := reg.Get("nope"); ok {
-		t.Error("Get(nope) = ok")
 	}
 	if reg.Len() != 2 {
 		t.Errorf("Len = %d", reg.Len())
@@ -248,7 +244,7 @@ func TestPartialsReadOneSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, _ := reg.Get("acme")
+	o := reg.Orgs()[0]
 	ups, err := mpa.NextMonths(o.Cfg, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ package ticketing
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mpa/internal/months"
@@ -96,17 +95,6 @@ func (l *Log) All() []*Ticket { return l.tickets }
 // Len returns the number of tickets.
 func (l *Log) Len() int { return len(l.tickets) }
 
-// ForNetwork returns the network's tickets in filing order.
-func (l *Log) ForNetwork(network string) []*Ticket {
-	var out []*Ticket
-	for _, t := range l.tickets {
-		if t.Network == network {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // NetworkMonth names one network's calendar month.
 type NetworkMonth struct {
 	Network string
@@ -124,19 +112,5 @@ func (l *Log) HealthCounts() map[NetworkMonth]int {
 			out[NetworkMonth{t.Network, months.Of(t.Opened)}]++
 		}
 	}
-	return out
-}
-
-// Networks returns the sorted set of networks with at least one ticket.
-func (l *Log) Networks() []string {
-	seen := map[string]bool{}
-	for _, t := range l.tickets {
-		seen[t.Network] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }

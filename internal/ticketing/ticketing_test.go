@@ -60,20 +60,6 @@ func healthCount(l *Log, network string, m months.Month) int {
 	return count
 }
 
-func TestForNetworkAndNetworks(t *testing.T) {
-	l := NewLog()
-	l.File(Ticket{Network: "b", Opened: at(2014, 1, 1)})
-	l.File(Ticket{Network: "a", Opened: at(2014, 1, 2)})
-	l.File(Ticket{Network: "b", Opened: at(2014, 1, 3)})
-	if got := len(l.ForNetwork("b")); got != 2 {
-		t.Errorf("ForNetwork(b) = %d", got)
-	}
-	nets := l.Networks()
-	if len(nets) != 2 || nets[0] != "a" || nets[1] != "b" {
-		t.Errorf("Networks = %v", nets)
-	}
-}
-
 func TestOriginString(t *testing.T) {
 	if OriginAlarm.String() != "alarm" || OriginUserReport.String() != "user-report" ||
 		OriginMaintenance.String() != "maintenance" || Origin(9).String() != "unknown" {

@@ -208,7 +208,7 @@ func TestWriteManifest(t *testing.T) {
 	defer SetWorkers(0)
 	f := smallManifestFramework(t, 7)
 	path := filepath.Join(t.TempDir(), "run.json")
-	if err := f.WriteManifest(path); err != nil {
+	if err := f.Manifest().AddProcess().Write(path); err != nil {
 		t.Fatal(err)
 	}
 	m, err := runinfo.Read(path)

@@ -193,7 +193,7 @@ func NewSynthetic(cfg Config) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, err := experiments.NewEnvCached(p, cfg.Cache)
+	env, err := experiments.NewEnv(p, cfg.Cache)
 	if err != nil {
 		return nil, err
 	}
@@ -248,12 +248,6 @@ func (s State) RankPractices() []PracticeDependence { return experiments.MIRanki
 
 // Dataset returns the case matrix (one case per network-month).
 func (f *Framework) Dataset() *Dataset { return f.environment().Data }
-
-// Inventory returns the organization's inventory.
-func (f *Framework) Inventory() *Inventory { return f.environment().OSP.Inventory }
-
-// Tickets returns the trouble-ticket log.
-func (f *Framework) Tickets() *TicketLog { return f.environment().OSP.Tickets }
 
 // Window returns the study months.
 func (f *Framework) Window() []Month { return f.environment().Window() }

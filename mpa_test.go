@@ -380,7 +380,8 @@ func TestNewFromOwnData(t *testing.T) {
 	// data sources.
 	src := testFramework
 	start, end := src.Window()[0], src.Window()[len(src.Window())-1]
-	f, err := New(src.Inventory(), src.environment().OSP.Archive, src.Tickets(), start, end)
+	o := src.environment().OSP
+	f, err := New(o.Inventory, o.Archive, o.Tickets, start, end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,33 +469,6 @@ func TestLoadOrganizationMissingDir(t *testing.T) {
 	start, end := StudyWindow()
 	if _, err := LoadOrganization("/no/such/dir", nil, start, end); err == nil {
 		t.Error("expected error")
-	}
-}
-
-func TestWhatIf(t *testing.T) {
-	model, err := testFramework.TrainHealthModel(TwoClass)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := testFramework.Dataset().Cases[0]
-	// No adjustment: baseline == adjusted.
-	same := model.WhatIf(c.Metrics, nil)
-	if same.Baseline != same.Adjusted {
-		t.Errorf("no-op adjustment changed prediction: %+v", same)
-	}
-	if same.Improved() {
-		t.Error("no-op adjustment reported as improvement")
-	}
-	// The original metrics must not be mutated by the adjustment.
-	before := c.Metrics["no_change_events"]
-	model.WhatIf(c.Metrics, Metrics{"no_change_events": before * 10})
-	if c.Metrics["no_change_events"] != before {
-		t.Error("WhatIf mutated the input metrics")
-	}
-	// Class names line up with labels.
-	r := model.WhatIf(c.Metrics, Metrics{"no_change_events": 1e9})
-	if r.AdjustedName != TwoClass.ClassNames()[r.Adjusted] {
-		t.Errorf("class name mismatch: %+v", r)
 	}
 }
 

@@ -68,9 +68,9 @@ func (f *Framework) StageCalls(stage string) int {
 // PipelineStats, and the SHA-256 digest of every experiment report
 // produced. It describes this framework (one org of a daemon) and
 // nothing process-wide; AddProcess adds the metric registry, runtime/GC
-// state and flight recorder for a run artifact, as WriteManifest does.
-// Like PipelineStats, it reflects the work done up to the call — build
-// it last.
+// state and flight recorder for a run artifact, as mpa's -manifest file
+// does. Like PipelineStats, it reflects the work done up to the call —
+// build it last.
 func (f *Framework) Manifest() *runinfo.Manifest {
 	m := runinfo.New()
 	env := f.environment() // one snapshot: config and digests must agree
@@ -99,12 +99,6 @@ func (f *Framework) Manifest() *runinfo.Manifest {
 		m.Reports = digests
 	}
 	return m
-}
-
-// WriteManifest writes the run manifest, with its process sections, to
-// path (mpa's -manifest flag).
-func (f *Framework) WriteManifest(path string) error {
-	return f.Manifest().AddProcess().Write(path)
 }
 
 // formatDuration rounds to a human scale: microseconds under 1ms,

@@ -2,7 +2,6 @@ package mpa
 
 import (
 	"fmt"
-	"maps"
 
 	"mpa/internal/dataset"
 	"mpa/internal/experiments"
@@ -69,9 +68,6 @@ type HealthModel struct {
 	binners     map[string]*stats.Binner
 	quality     ModelQuality
 }
-
-// Granularity returns the model's class scheme.
-func (m *HealthModel) Granularity() Granularity { return m.granularity }
 
 // Quality returns the cross-validated training quality.
 func (m *HealthModel) Quality() ModelQuality { return m.quality }
@@ -163,34 +159,4 @@ func (f *Framework) PredictOnline(g Granularity, history int) ([]OnlinePredictio
 		out = append(out, OnlinePrediction{Month: om.Month, Accuracy: om.Accuracy[0], Cases: om.Cases})
 	}
 	return out, nil
-}
-
-// WhatIfResult reports how an adjusted set of practices changes a health
-// prediction (the paper's §6.2 use case: "will combining configuration
-// changes into fewer, larger changes improve network health?").
-type WhatIfResult struct {
-	Baseline     int
-	BaselineName string
-	Adjusted     int
-	AdjustedName string
-}
-
-// Improved reports whether the adjustment moves the prediction to a
-// healthier class (lower label).
-func (r WhatIfResult) Improved() bool { return r.Adjusted < r.Baseline }
-
-// WhatIf predicts health for the given practices and for a copy with the
-// adjustments applied (absolute values keyed by metric name), returning
-// both predictions.
-func (m *HealthModel) WhatIf(metrics Metrics, adjustments Metrics) WhatIfResult {
-	adjusted := Metrics{}
-	maps.Copy(adjusted, metrics)
-	maps.Copy(adjusted, adjustments)
-	names := m.granularity.ClassNames()
-	base := m.Predict(metrics)
-	adj := m.Predict(adjusted)
-	return WhatIfResult{
-		Baseline: base, BaselineName: names[base],
-		Adjusted: adj, AdjustedName: names[adj],
-	}
 }

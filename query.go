@@ -157,12 +157,6 @@ func (f *Framework) Experiment(id string) (Report, bool) {
 	return r, true
 }
 
-// Case returns the dataset's observation for one network-month, or false
-// when the network or month is not in the dataset.
-func (f *Framework) Case(network string, m Month) (*Case, bool) {
-	return f.environment().Case(network, m)
-}
-
 // NetworkHealth is one network-month's health summary: the observed
 // ticket count with its class labels, plus that month's inferred change
 // count. It is the payload of the per-network warm query and of the

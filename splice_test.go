@@ -352,7 +352,7 @@ func TestIngestCacheInvalidationPrecision(t *testing.T) {
 		}
 		if n == ticketNet {
 			// The new ticket must be visible in the recomputed entry.
-			want := f.Tickets().HealthCounts()[ticketing.NetworkMonth{Network: n, Month: m}]
+			want := f.State().Tickets.HealthCounts()[ticketing.NetworkMonth{Network: n, Month: m}]
 			if nh.Tickets != want {
 				t.Fatalf("%s: cached tickets %d, want %d after ingest", n, nh.Tickets, want)
 			}
