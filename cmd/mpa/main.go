@@ -108,7 +108,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.dir, "dir", "mpa-export", "output directory for export")
 	fs.StringVar(&o.network, "network", "", "network name for report (default: the first)")
 	fs.IntVar(&o.workers, "workers", 0, "worker goroutines per pipeline stage (0 = all CPUs); results are identical at any count")
-	fs.StringVar(&o.cacheDir, "cache-dir", "", "on-disk cache directory for per-network inference (empty = no cache; serve and watch use D/orgs/<org>); re-runs skip unchanged per-network work, results are identical either way")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "on-disk cache directory (empty = no cache; serve and watch use D/orgs/<org>): per-network inference, so re-runs skip unchanged per-network work, and the daemon's rank, causal, predict and report answers, so a restart over the same data answers them from disk; results are identical either way")
 	fs.StringVar(&o.addr, "addr", "localhost:8080", "listen address for the serve subcommand")
 	fs.IntVar(&o.maxInflight, "max-inflight", 0, "concurrent query limit for serve (0 = 2×GOMAXPROCS)")
 	fs.StringVar(&o.orgs, "orgs", "", "multi-tenant serve: comma-separated name=seed[:networks[:months]] org specs; unset fields inherit -networks/-months")

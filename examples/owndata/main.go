@@ -31,7 +31,8 @@ func main() {
 	if err := src.Save(dir); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("exported organization to", dir)
+	// The directory's name differs on every run; the listing does not.
+	fmt.Println("exported organization to a temporary directory:")
 	for _, name := range []string{"inventory.json", "tickets.csv", "snapshots"} {
 		info, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {

@@ -1,8 +1,9 @@
 // Package cache provides the pipeline's memoization: Memo, a per-key
 // single-flight memo for answers computed from one immutable snapshot
 // (the framework's query memo lives on each snapshot), and Cache, a
-// content-addressed disk tier for per-network practice inference, so a
-// fresh process re-analyzing unchanged inputs skips the work. Disk keys
+// content-addressed disk tier for per-network practice inference and
+// for the daemon's organization-wide answer bodies, so a fresh process
+// re-analyzing unchanged inputs skips the work. Disk keys
 // are SHA-256 digests over canonical input bytes.
 //
 // Both are strictly optimizations: every memoized value is a pure
@@ -106,7 +107,7 @@ type Cache struct {
 	diskGet               *obs.LogHistogram // nanoseconds
 }
 
-// New returns the disk tier for one pipeline stage ("practices"), or nil
+// New returns the disk tier for one stage ("practices", "answers"), or nil
 // when cfg.Dir is empty.
 func New(stage string, cfg Config) *Cache {
 	if cfg.Dir == "" {

@@ -12,9 +12,12 @@ package experiments
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"maps"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -62,6 +65,10 @@ type Env struct {
 	casesOnce sync.Once
 	cases     map[string]map[months.Month]*dataset.Case
 
+	// dataDigest is DataDigest's value, computed on first use.
+	dataOnce   sync.Once
+	dataDigest [sha256.Size]byte
+
 	// digests records the SHA-256 of every report produced through Run,
 	// keyed by experiment ID, for the run manifest. Run executes
 	// concurrently under RunAll, hence the lock.
@@ -69,14 +76,16 @@ type Env struct {
 	digests  map[string]string
 }
 
-// recordDigest stores r's digest under id.
-func (e *Env) recordDigest(id string, r Report) {
+// RecordDigest stores a report's digest under its experiment ID. Run
+// records every report it produces; a caller that answers a report from
+// a stored copy records the digest the copy carries.
+func (e *Env) RecordDigest(id, digest string) {
 	e.digestMu.Lock()
 	defer e.digestMu.Unlock()
 	if e.digests == nil {
 		e.digests = make(map[string]string, 24)
 	}
-	e.digests[id] = r.Digest()
+	e.digests[id] = digest
 }
 
 // ReportDigests returns a copy of the digests of every experiment run
@@ -227,6 +236,33 @@ func (e *Env) Evolve(p osp.Params, o *osp.OSP, analysis map[string][]practices.M
 	return ne
 }
 
+// DataDigest returns the SHA-256 of the snapshot's case matrix: for each
+// case in order, its network (length-prefixed), month, ticket count and
+// the IEEE bits of its 28 metrics in practices.MetricNames order, all
+// as little-endian 64-bit words. Two snapshots with equal digests hand
+// every analysis that reads only Params and Data the same cases. It is
+// computed once per Env, on first use.
+func (e *Env) DataDigest() [sha256.Size]byte {
+	e.dataOnce.Do(func() {
+		h := sha256.New()
+		var buf []byte
+		for i := range e.Data.Cases {
+			c := &e.Data.Cases[i]
+			buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(len(c.Network)))
+			buf = append(buf, c.Network...)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Month.Year))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Month.Mon))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Tickets))
+			for _, name := range practices.MetricNames {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Metrics[name]))
+			}
+			h.Write(buf)
+		}
+		h.Sum(e.dataDigest[:0])
+	})
+	return e.dataDigest
+}
+
 // Window returns the study months.
 func (e *Env) Window() []months.Month { return e.Params.Months() }
 
@@ -337,6 +373,25 @@ func Registry() []struct {
 	}
 }
 
+// readsOnlyData holds every experiment ID, true for the reports that
+// read nothing of their Env but Params and Data; false for the ones
+// that read the OSP's inventory, archive or tickets, or the per-network
+// analysis rows.
+var readsOnlyData = func() map[string]bool {
+	readsSubstrates := []string{"table2", "figure3", "figure11", "figure12", "figure13", "ablation-grouping"}
+	ids := IDs()
+	m := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		m[id] = !slices.Contains(readsSubstrates, id)
+	}
+	return m
+}()
+
+// ReadsOnlyData reports whether id names a report that reads nothing of
+// its Env but Params and Data, so that two Envs agreeing on those two
+// produce the same report.
+func ReadsOnlyData(id string) bool { return readsOnlyData[id] }
+
 // Run executes the experiment with the given ID, or returns false. Each
 // run is recorded as an "experiment:<id>" stage on the Env's stage table.
 func Run(env *Env, id string) (Report, bool) {
@@ -346,7 +401,7 @@ func Run(env *Env, id string) (Report, bool) {
 			r := entry.Run(env)
 			sp.End()
 			r.digest = r.Digest()
-			env.recordDigest(id, r)
+			env.RecordDigest(id, r.digest)
 			obs.GetCounter("experiments.runs").Add(1)
 			obs.Logger().Debug("experiment complete", "id", id, "elapsed", sp.Duration())
 			return r, true

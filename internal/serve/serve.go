@@ -618,7 +618,7 @@ type rankEntry struct {
 }
 
 func (s *Server) handleRank(sh *shard, w http.ResponseWriter, r *http.Request) {
-	respond(w, r, sh.f, "rank_practices", "", "body/rank", func(q *mpa.Framework) (any, error) {
+	respond(w, r, sh.f, "rank_practices", "", "body/rank", persist, func(q *mpa.Framework) (any, error) {
 		ranked := q.RankPractices()
 		out := make([]rankEntry, len(ranked))
 		for i, e := range ranked {
@@ -664,7 +664,7 @@ func (s *Server) handleCausal(sh *shard, w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusNotFound, "unknown practice metric %q", metric)
 		return
 	}
-	respond(w, r, sh.f, "causal_analysis", "", "body/causal/"+metric, func(q *mpa.Framework) (any, error) {
+	respond(w, r, sh.f, "causal_analysis", "", "body/causal/"+metric, persist, func(q *mpa.Framework) (any, error) {
 		res, err := q.AnalyzeCausal(metric)
 		if err != nil {
 			return nil, &httpError{http.StatusInternalServerError, fmt.Sprintf("causal analysis failed: %v", err)}
@@ -738,7 +738,7 @@ func (s *Server) handlePredict(sh *shard, w http.ResponseWriter, r *http.Request
 		return
 	}
 	key := "body/predict/" + month.String() + "/" + network
-	respond(w, r, sh.f, "predict", "", key, func(q *mpa.Framework) (any, error) {
+	respond(w, r, sh.f, "predict", "", key, persist, func(q *mpa.Framework) (any, error) {
 		pred, err := q.PredictNetworkMonth(network, month)
 		if err != nil {
 			return nil, &httpError{http.StatusNotFound, err.Error()}
@@ -771,7 +771,7 @@ type reportResponse struct {
 
 func (s *Server) handleReport(sh *shard, w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	respond(w, r, sh.f, "experiment", "", "body/report/"+name, func(q *mpa.Framework) (any, error) {
+	respond(w, r, sh.f, "experiment", "", "body/report/"+name, reportLoaded(name), func(q *mpa.Framework) (any, error) {
 		rep, ok := q.Experiment(name)
 		if !ok {
 			return nil, &httpError{http.StatusNotFound, fmt.Sprintf("unknown experiment %q (GET /v1/manifest lists the known ids after they run; see mpa.ExperimentIDs)", name)}
@@ -796,7 +796,7 @@ func (s *Server) handleNetwork(sh *shard, w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	respond(w, r, sh.f, "network_health", network, "body/health/"+month.String(), func(q *mpa.Framework) (any, error) {
+	respond(w, r, sh.f, "network_health", network, "body/health/"+month.String(), nil, func(q *mpa.Framework) (any, error) {
 		nh, err := q.NetworkHealthCached(network, month)
 		if err != nil {
 			return nil, &httpError{http.StatusNotFound, err.Error()}

@@ -79,11 +79,13 @@ type (
 	CausalPoint = qed.PointResult
 	// Report is a rendered experiment result.
 	Report = experiments.Report
-	// CacheConfig places the content-addressed per-network inference
-	// cache (Config.Cache): with Dir set, analyses are stored on disk
-	// under it, so re-runs and restarts skip all unchanged per-network
-	// work. Dir is the only setting; Enabled is deprecated and ignored.
-	// The zero value disables the cache; caching never changes results.
+	// CacheConfig places the content-addressed disk cache
+	// (Config.Cache): with Dir set, per-network analyses are stored on
+	// disk under it, so re-runs and restarts skip all unchanged
+	// per-network work, and so are the organization-wide answers served
+	// through OnDisk (answers.go). Dir is the only setting; Enabled is
+	// deprecated and ignored. The zero value disables the cache; caching
+	// never changes results.
 	CacheConfig = cache.Config
 	// IngestUpdate is one month of new snapshots and tickets in the
 	// streaming wire format (see Framework.Ingest and internal/ingest).
@@ -170,6 +172,8 @@ type Framework struct {
 	// cacheDir is the on-disk inference cache directory, recorded in
 	// manifests; empty when the cache is off.
 	cacheDir string
+	// answers is the answers disk tier (answers.go); nil when it is off.
+	answers *cache.Cache
 	// ingestMu serializes updates.
 	ingestMu sync.Mutex
 	// hub fans applied updates out to stream subscribers.
@@ -181,7 +185,7 @@ func (f *Framework) environment() *experiments.Env { return f.env.Load() }
 
 // newFramework wraps an Env in a Framework.
 func newFramework(env *experiments.Env, cc CacheConfig) *Framework {
-	f := &Framework{cacheDir: cc.Dir, hub: ingest.NewHub()}
+	f := &Framework{cacheDir: cc.Dir, answers: newAnswers(cc), hub: ingest.NewHub()}
 	f.env.Store(env)
 	return f
 }

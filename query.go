@@ -64,7 +64,7 @@ func Memoized[T any](f *Framework, network, key string, build func(*Framework) (
 // Memoized build queries through. It only answers queries; it has no
 // stream hub and never ingests.
 func (f *Framework) at(env *experiments.Env) *Framework {
-	q := &Framework{cacheDir: f.cacheDir}
+	q := &Framework{cacheDir: f.cacheDir, answers: f.answers}
 	q.env.Store(env)
 	return q
 }

@@ -10,15 +10,20 @@
 #   - a library function `func F` is pkgpath.F, a method
 #     `func (r *T) M` is pkgpath.(*T).M, `func (r T) M` is pkgpath.T.M;
 #   - type parameters are dropped on both sides, so a generic function
-#     or a method of a generic type counts as reached when any
-#     instantiation is in a binary;
+#     counts as reached when any instantiation is in a binary;
 #   - a function of a main package must be in that package's binary.
+#
+# Blind spot: a method of a generic type. Once a binary instantiates the
+# type, the linker keeps the instantiation's method wrappers whether or
+# not anything calls them, so an uncalled method reads as reached. The
+# check cannot tell, and fails on every method declared on a generic
+# type instead, unless the allowlist names it with a reason.
 #
 # Exceptions live in scripts/reach-allow.txt, one per line: the symbol
 # as this script prints it, then the reason it is kept. An entry whose
-# function no longer exists, or is now reached, or has no reason, fails
-# the check too, so the list cannot go stale. `init` functions are not
-# checked.
+# function no longer exists, or is now reached (methods of generic
+# types aside), or has no reason, fails the check too, so the list
+# cannot go stale. `init` functions are not checked.
 #
 # Usage: scripts/reach.sh
 set -euo pipefail
@@ -64,6 +69,20 @@ find . -path ./perfbench -prune -o -path '*/testdata' -prune -o \
       sed "s#^#$pkg.#"
   done | sort -u > "$TMP/declared"
 
+# Methods of generic types: every ^func line whose receiver carries type
+# parameters, named as above.
+find . -path ./perfbench -prune -o -path '*/testdata' -prune -o \
+  -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print |
+  sort | while read -r file; do
+    dir="$(dirname "${file#./}")"
+    pkg="mpa"
+    [ "$dir" = . ] || pkg="mpa/$dir"
+    sed -nE \
+      -e 's/^func \(([A-Za-z0-9_]+ )?\*([A-Za-z0-9_]+)\[[^]]*\]\) ([A-Za-z0-9_]+).*/(*\2).\3/p' \
+      -e 's/^func \(([A-Za-z0-9_]+ )?([A-Za-z0-9_]+)\[[^]]*\]\) ([A-Za-z0-9_]+).*/\2.\3/p' "$file" |
+      sed "s#^#$pkg.#"
+  done | sort -u > "$TMP/generic"
+
 grep -vE '^[[:space:]]*(#|$)' "$ALLOW" | sort > "$TMP/allow-lines" || true
 awk '{ print $1 }' "$TMP/allow-lines" | sort -u > "$TMP/allowed"
 
@@ -78,9 +97,11 @@ report() { # message, file of symbols
 comm -23 "$TMP/declared" "$TMP/reached" > "$TMP/unreached"
 comm -23 "$TMP/unreached" "$TMP/allowed" > "$TMP/bad"
 report "functions no binary reaches (delete them, or add a line to $ALLOW)" "$TMP/bad"
+comm -23 "$TMP/generic" "$TMP/allowed" > "$TMP/bad"
+report "methods of generic types, which no binary can show uncalled (make them functions, or add a line to $ALLOW)" "$TMP/bad"
 comm -23 "$TMP/allowed" "$TMP/declared" > "$TMP/bad"
 report "$ALLOW names functions that no longer exist" "$TMP/bad"
-comm -12 "$TMP/allowed" "$TMP/reached" > "$TMP/bad"
+comm -12 "$TMP/allowed" "$TMP/reached" | comm -23 - "$TMP/generic" > "$TMP/bad"
 report "$ALLOW names functions a binary now reaches" "$TMP/bad"
 awk 'NF < 2 { print $1 }' "$TMP/allow-lines" > "$TMP/bad"
 report "$ALLOW entries without a reason" "$TMP/bad"
