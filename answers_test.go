@@ -375,3 +375,30 @@ func TestAnswersKeyOnParams(t *testing.T) {
 		t.Errorf("a framework with other Params read %d answers from disk, want none", d)
 	}
 }
+
+// TestAnswersUnknownPredictSkipsDisk: a prediction for a network or
+// month the snapshot has no case for answers 404 from the case index
+// alone. It counts no disk miss and writes nothing under <dir>/answers.
+func TestAnswersUnknownPredictSkipsDisk(t *testing.T) {
+	o := answersOrg()
+	dir := t.TempDir()
+	s := server(t, build(t, o, o.Params.End, dir), nil)
+	misses := obs.GetCounter("cache.answers.disk_misses")
+	before := misses.Value()
+	network := o.Inventory.Networks[0].Name
+	for _, path := range []string{
+		"/v1/predict?network=nope",
+		"/v1/predict?network=nope",
+		"/v1/predict?network=" + network + "&month=1999-01",
+	} {
+		if _, err := fetch(s, path); err == nil || !strings.Contains(err.Error(), "status 404") {
+			t.Errorf("GET %s: %v, want a 404", path, err)
+		}
+	}
+	if d := misses.Value() - before; d != 0 {
+		t.Errorf("unknown predictions counted %d disk misses, want 0", d)
+	}
+	if n := len(entries(t, dir)); n != 0 {
+		t.Errorf("unknown predictions left %d entries under answers/, want 0", n)
+	}
+}

@@ -1,7 +1,8 @@
 // Command mpa-loadgen drives deterministic open-loop load against a
 // running `mpa serve` daemon and writes an mpa.load-manifest/v1 JSON
 // artifact (per-endpoint throughput, error rates, latency percentiles,
-// build provenance) that cmd/mpa-slogate gates in CI.
+// build provenance) that cmd/mpa-benchdiff judges in CI against a base
+// revision's run (scripts/paired.sh).
 //
 // Usage:
 //
@@ -28,8 +29,8 @@
 // names via -orgs: each request draws its tenant uniformly and carries
 // it in the X-MPA-Org header, and each org's target pools are
 // bootstrapped from its own /healthz. Accounting stays per endpoint
-// across tenants, so the manifest gates against the same SLO baseline
-// as a single-tenant run.
+// across tenants, so each endpoint's row in the manifest has the same
+// shape as in a single-tenant run.
 //
 // Exit status: 0 on a completed run (errors are recorded in the
 // manifest, not fatal), 1 on bad usage, an unreachable daemon, or a

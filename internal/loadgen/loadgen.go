@@ -1,7 +1,9 @@
 // Package loadgen is the substrate of cmd/mpa-loadgen: deterministic
 // open-loop load plans against a running `mpa serve` daemon, client-side
-// latency collection, and the mpa.load-manifest/v1 result artifact the
-// SLO gate (internal/slo, cmd/mpa-slogate) consumes.
+// latency collection, and the mpa.load-manifest/v1 result artifact that
+// cmd/mpa-benchdiff judges (each endpoint's p50 and p99 paired against a
+// base revision's run on the same host, plus absolute floors on the
+// change's own run; see scripts/paired.sh).
 //
 // # Open loop and coordinated omission
 //
@@ -313,26 +315,6 @@ type Latency struct {
 	Max  float64 `json:"max"`
 	Mean float64 `json:"mean"`
 }
-
-// Percentile returns the named percentile ("p50", "p90", "p99",
-// "p999"), false for unknown names — the lookup the SLO evaluator uses.
-func (l Latency) Percentile(name string) (float64, bool) {
-	switch name {
-	case "p50":
-		return l.P50, true
-	case "p90":
-		return l.P90, true
-	case "p99":
-		return l.P99, true
-	case "p999":
-		return l.P999, true
-	}
-	return 0, false
-}
-
-// PercentileNames lists the percentiles a load manifest carries, in
-// report order.
-var PercentileNames = []string{"p50", "p90", "p99", "p999"}
 
 // EndpointStats is one endpoint's results.
 type EndpointStats struct {

@@ -34,7 +34,7 @@ type Recorder struct {
 	next     int
 	count    int // total ever recorded
 	trees    map[string]*retainedTree
-	slowIDs  []string    // ids retained as slowest; unordered, bounded by keepSlowest
+	slowIDs  [2][]string // ids retained as slowest, per slowClass; unordered, each bounded by keepSlowest
 	errIDs   []string    // ids retained as recent errors; FIFO, bounded by keepErrors
 	logs     []LogRecord // circular
 	logNext  int
@@ -46,7 +46,8 @@ const (
 	// ringSize is how many completed-entry summaries are kept.
 	ringSize = 256
 	// keepSlowest is how many full span trees are retained for the
-	// slowest entries seen so far.
+	// slowest entries seen so far: that many for requests, and that many
+	// more for pipeline stages (slowClass).
 	keepSlowest = 8
 	// keepErrors is how many full span trees are retained for the most
 	// recent errored entries.
@@ -177,9 +178,20 @@ func (r *Recorder) retainError(id string, sp *Span, durNS int64) {
 	}
 }
 
+// slowClass is the slowest set an entry competes in: 1 for a pipeline
+// stage (ID "stage-<seq>-<name>"), 0 for anything else. A daemon's
+// start-up stages run far longer than its requests, so in one set they
+// would hold every slot for good.
+func slowClass(id string) int {
+	if strings.HasPrefix(id, stageIDPrefix) {
+		return 1
+	}
+	return 0
+}
+
 // retainSlow keeps id's tree if it ranks among the keepSlowest slowest
-// entries seen so far, evicting the fastest member when full. Caller
-// holds r.mu.
+// entries of its class seen so far, evicting the class's fastest member
+// when full. Caller holds r.mu.
 func (r *Recorder) retainSlow(id string, sp *Span, durNS int64) {
 	if t := r.trees[id]; t != nil && t.slow {
 		if durNS > t.durNS {
@@ -188,14 +200,15 @@ func (r *Recorder) retainSlow(id string, sp *Span, durNS int64) {
 		}
 		return
 	}
-	if len(r.slowIDs) < keepSlowest {
+	ids := &r.slowIDs[slowClass(id)]
+	if len(*ids) < keepSlowest {
 		r.ensureTree(id, sp, durNS).slow = true
-		r.slowIDs = append(r.slowIDs, id)
+		*ids = append(*ids, id)
 		return
 	}
 	// Full: find the fastest retained entry and replace it if beaten.
 	minIdx, minDur := -1, int64(0)
-	for i, sid := range r.slowIDs {
+	for i, sid := range *ids {
 		if t := r.trees[sid]; t != nil && (minIdx < 0 || t.durNS < minDur) {
 			minIdx, minDur = i, t.durNS
 		}
@@ -203,13 +216,13 @@ func (r *Recorder) retainSlow(id string, sp *Span, durNS int64) {
 	if minIdx < 0 || durNS <= minDur {
 		return
 	}
-	old := r.slowIDs[minIdx]
+	old := (*ids)[minIdx]
 	if ot := r.trees[old]; ot != nil {
 		ot.slow = false
 		r.dropUnreferenced(old, ot)
 	}
 	r.ensureTree(id, sp, durNS).slow = true
-	r.slowIDs[minIdx] = id
+	(*ids)[minIdx] = id
 }
 
 func (r *Recorder) ensureTree(id string, sp *Span, durNS int64) *retainedTree {

@@ -73,6 +73,47 @@ func TestRecorderRetainsSlowest(t *testing.T) {
 	}
 }
 
+// TestRecorderStagesKeepOwnSlowest: pipeline stages and requests hold
+// separate slowest slots. Long start-up stages recorded first leave
+// every request slot to requests, and a burst of slow requests evicts
+// no stage tree.
+func TestRecorderStagesKeepOwnSlowest(t *testing.T) {
+	r := NewRecorder()
+	stage := func(i int) string { return fmt.Sprintf("%s%03d-generate", stageIDPrefix, i) }
+	for i := 0; i < keepSlowest; i++ {
+		r.Record(recSpan("generate", int64(1_000_000+i)), RequestMeta{ID: stage(i)})
+	}
+	// Requests far faster than any stage are all retained...
+	for i := 0; i < keepSlowest; i++ {
+		r.Record(recSpan("q", int64(10+i)), RequestMeta{ID: fmt.Sprintf("req-%d", i)})
+	}
+	// ...and slower requests replace the fastest requests, not stages.
+	for i := 0; i < keepSlowest; i++ {
+		r.Record(recSpan("q", int64(2_000_000+i)), RequestMeta{ID: fmt.Sprintf("slow-%d", i)})
+	}
+	for i := 0; i < keepSlowest; i++ {
+		if r.Tree(stage(i)) == nil {
+			t.Errorf("stage tree %s evicted by requests", stage(i))
+		}
+		if r.Tree(fmt.Sprintf("slow-%d", i)) == nil {
+			t.Errorf("request tree slow-%d not retained beside the stages", i)
+		}
+		if r.Tree(fmt.Sprintf("req-%d", i)) != nil {
+			t.Errorf("request tree req-%d outlived slower requests", i)
+		}
+	}
+	// A slower stage evicts the fastest stage, never a request.
+	r.Record(recSpan("inference", 5_000_000), RequestMeta{ID: stage(keepSlowest)})
+	if r.Tree(stage(keepSlowest)) == nil || r.Tree(stage(0)) != nil {
+		t.Error("a slower stage did not replace the fastest stage")
+	}
+	for i := 0; i < keepSlowest; i++ {
+		if r.Tree(fmt.Sprintf("slow-%d", i)) == nil {
+			t.Errorf("a stage evicted request tree slow-%d", i)
+		}
+	}
+}
+
 func TestRecorderRetainsRecentErrors(t *testing.T) {
 	r := NewRecorder()
 	// Fill the slowest set first, so a fast errored request can be

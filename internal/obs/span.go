@@ -122,7 +122,7 @@ func (s *Span) End() {
 		t.mu.Lock()
 		t.table.rows[t.table.index[s.name]].fold(dur, alloc, counters)
 		t.mu.Unlock()
-		DefaultRecorder().Record(s, RequestMeta{ID: fmt.Sprintf("stage-%03d-%s", stageSeq.Add(1)-1, s.name)})
+		DefaultRecorder().Record(s, RequestMeta{ID: fmt.Sprintf(stageIDPrefix+"%03d-%s", stageSeq.Add(1)-1, s.name)})
 		if c := tracing.Load(); c != nil {
 			c.mu.Lock()
 			c.children = append(c.children, s)

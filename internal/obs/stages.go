@@ -54,6 +54,10 @@ func (r *StageStat) fold(dur time.Duration, alloc uint64, counters map[string]fl
 // unique across stage tables.
 var stageSeq atomic.Uint64
 
+// stageIDPrefix starts every stage's recorder ID, which keeps stages in
+// their own slowest slots (slowClass).
+const stageIDPrefix = "stage-"
+
 // NewStageTable starts a root that keeps a stage table, not a span tree:
 // a framework's lifetime root, one row per stage name however long it
 // runs. A stage opened on it counts in its row when it starts; when it

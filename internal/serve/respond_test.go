@@ -23,7 +23,7 @@ func TestStoredEncodeFailureNotStored(t *testing.T) {
 	s := bareServer(obs.NewRecorder())
 	builds := 0
 	h := s.query("nan_answer", func(_ *shard, w http.ResponseWriter, r *http.Request) {
-		respond(w, r, f, "answer", "", "body/nan_answer", nil, func(*mpa.Framework) (any, error) {
+		respond(w, r, f, "answer", "", "body/nan_answer", nil, nil, func(*mpa.Framework) (any, error) {
 			builds++
 			if builds == 1 {
 				return struct{ X float64 }{math.NaN()}, nil

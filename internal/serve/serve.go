@@ -45,7 +45,9 @@
 // depth, and latency histograms are registered under "serve.*" — one
 // log-spaced serve.latency_ns.<endpoint> histogram (p50…p99.9 at ~5%
 // relative error) and serve.status.<endpoint>.<class> counters per
-// endpoint, summarized at /debug/slo and gated in CI by cmd/mpa-slogate.
+// endpoint, summarized at /debug/slo. CI judges client-side latency
+// instead: scripts/paired.sh drives this daemon and its base revision's
+// with cmd/mpa-loadgen and cmd/mpa-benchdiff compares the two.
 // Each request is also recorded under its tenant's own
 // serve.tenant.<org>.latency_ns.<endpoint> / status series; the global
 // series stay fleet-wide aggregates. Each request gets an ID — honoring
@@ -618,7 +620,7 @@ type rankEntry struct {
 }
 
 func (s *Server) handleRank(sh *shard, w http.ResponseWriter, r *http.Request) {
-	respond(w, r, sh.f, "rank_practices", "", "body/rank", persist, func(q *mpa.Framework) (any, error) {
+	respond(w, r, sh.f, "rank_practices", "", "body/rank", nil, persist, func(q *mpa.Framework) (any, error) {
 		ranked := q.RankPractices()
 		out := make([]rankEntry, len(ranked))
 		for i, e := range ranked {
@@ -664,7 +666,7 @@ func (s *Server) handleCausal(sh *shard, w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusNotFound, "unknown practice metric %q", metric)
 		return
 	}
-	respond(w, r, sh.f, "causal_analysis", "", "body/causal/"+metric, persist, func(q *mpa.Framework) (any, error) {
+	respond(w, r, sh.f, "causal_analysis", "", "body/causal/"+metric, nil, persist, func(q *mpa.Framework) (any, error) {
 		res, err := q.AnalyzeCausal(metric)
 		if err != nil {
 			return nil, &httpError{http.StatusInternalServerError, fmt.Sprintf("causal analysis failed: %v", err)}
@@ -737,8 +739,16 @@ func (s *Server) handlePredict(sh *shard, w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
+	// An unknown network or month is a 404 the snapshot's case index
+	// decides: no disk key is hashed and no entry opened for it.
+	check := func(q *mpa.Framework) error {
+		if err := q.CheckCase(network, month); err != nil {
+			return &httpError{http.StatusNotFound, err.Error()}
+		}
+		return nil
+	}
 	key := "body/predict/" + month.String() + "/" + network
-	respond(w, r, sh.f, "predict", "", key, persist, func(q *mpa.Framework) (any, error) {
+	respond(w, r, sh.f, "predict", "", key, check, persist, func(q *mpa.Framework) (any, error) {
 		pred, err := q.PredictNetworkMonth(network, month)
 		if err != nil {
 			return nil, &httpError{http.StatusNotFound, err.Error()}
@@ -771,7 +781,7 @@ type reportResponse struct {
 
 func (s *Server) handleReport(sh *shard, w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	respond(w, r, sh.f, "experiment", "", "body/report/"+name, reportLoaded(name), func(q *mpa.Framework) (any, error) {
+	respond(w, r, sh.f, "experiment", "", "body/report/"+name, nil, reportLoaded(name), func(q *mpa.Framework) (any, error) {
 		rep, ok := q.Experiment(name)
 		if !ok {
 			return nil, &httpError{http.StatusNotFound, fmt.Sprintf("unknown experiment %q (GET /v1/manifest lists the known ids after they run; see mpa.ExperimentIDs)", name)}
@@ -796,7 +806,7 @@ func (s *Server) handleNetwork(sh *shard, w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	respond(w, r, sh.f, "network_health", network, "body/health/"+month.String(), nil, func(q *mpa.Framework) (any, error) {
+	respond(w, r, sh.f, "network_health", network, "body/health/"+month.String(), nil, nil, func(q *mpa.Framework) (any, error) {
 		nh, err := q.NetworkHealthCached(network, month)
 		if err != nil {
 			return nil, &httpError{http.StatusNotFound, err.Error()}

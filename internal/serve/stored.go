@@ -133,7 +133,9 @@ func (e *httpError) Error() string { return e.msg }
 // snapshot of f (network's memo for a per-network answer, the
 // organization's for ""), building it on a miss: build computes the
 // response value from a framework pinned to that snapshot, and the value
-// is encoded and tagged once. With a non-nil onLoad the memo miss reads
+// is encoded and tagged once. A non-nil check runs first on the pinned
+// framework; its error answers the request before the disk tier or build
+// is touched. With a non-nil onLoad the memo miss reads
 // the answers disk tier first and writes a built body there (a
 // whole-organization answer only, see above); a body read from disk is
 // handed to onLoad and counted as "disk_hits" on the stage span. The
@@ -141,10 +143,15 @@ func (e *httpError) Error() string { return e.msg }
 // under "encode". A build error answers through writeError and is not
 // stored: an *httpError with its status, anything else (a waiter on a
 // build that panicked) a 500.
-func respond(w http.ResponseWriter, r *http.Request, f *mpa.Framework, stage, network, key string, onLoad loaded, build func(*mpa.Framework) (any, error)) {
+func respond(w http.ResponseWriter, r *http.Request, f *mpa.Framework, stage, network, key string, check func(*mpa.Framework) error, onLoad loaded, build func(*mpa.Framework) (any, error)) {
 	sp := obs.SpanFrom(r.Context())
 	c := sp.Start(stage)
 	a, err := mpa.Memoized(f, network, key, func(q *mpa.Framework) (*stored, error) {
+		if check != nil {
+			if err := check(q); err != nil {
+				return nil, err
+			}
+		}
 		compute := func() (*stored, error) {
 			v, err := build(q)
 			if err != nil {

@@ -236,6 +236,21 @@ type NetworkPrediction struct {
 	Accuracy5 float64
 }
 
+// CheckCase returns the error PredictNetworkMonth answers for network and
+// month m when the current snapshot has no case for them, and nil when it
+// has one. It reads only the snapshot's case index, so a caller can turn
+// away a request that cannot succeed before it does any other work.
+func (f *Framework) CheckCase(network string, m Month) error {
+	if _, ok := f.environment().Case(network, m); !ok {
+		return noCase(network, m)
+	}
+	return nil
+}
+
+func noCase(network string, m Month) error {
+	return fmt.Errorf("mpa: no case for network %q in %s", network, m)
+}
+
 // PredictNetworkMonth predicts one network-month's health class from its
 // inferred practices, using the memoized models (trained on first use).
 // The case and both models come from one snapshot. It errors when the
@@ -244,7 +259,7 @@ func (f *Framework) PredictNetworkMonth(network string, m Month) (*NetworkPredic
 	env := f.environment()
 	c, ok := env.Case(network, m)
 	if !ok {
-		return nil, fmt.Errorf("mpa: no case for network %q in %s", network, m)
+		return nil, noCase(network, m)
 	}
 	// Both models come from the memo. Until both are stored they are
 	// looked up as two pool jobs, so cold ones train side by side; a warm

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# loadgen-smoke.sh — end-to-end smoke test for the latency-SLO
-# tooling: build `mpa`, `mpa-loadgen`, and `mpa-slogate`, start a
+# loadgen-smoke.sh — end-to-end smoke test of the load tooling and the
+# daemon's own latency view: build `mpa` and `mpa-loadgen`, start a
 # daemon over a small generated archive, drive a short deterministic
-# open-loop load run, and gate the resulting load-manifest against the
-# checked-in SLO baseline (testdata/slo.json). A second phase repeats
-# the run against a 2-org sharded daemon with a tenant-aware mix
-# (-orgs) and gates it against the same baseline.
+# open-loop load run, and check that the daemon's /metrics and
+# /debug/slo describe it. A second phase repeats the run against a 2-org
+# sharded daemon with a tenant-aware mix (-orgs) and checks the
+# per-tenant series. The latencies themselves are judged against a base
+# revision's by scripts/paired.sh, which runs the same two shapes.
 #
 # Usage: scripts/loadgen-smoke.sh [port] [out-manifest]
 #        (the sharded phase uses port+1 and <out-manifest>.orgs)
@@ -19,7 +20,6 @@ trap 'rm -rf "$BINDIR"' EXIT
 
 go build -o "$BINDIR/mpa" ./cmd/mpa
 go build -o "$BINDIR/mpa-loadgen" ./cmd/mpa-loadgen
-go build -o "$BINDIR/mpa-slogate" ./cmd/mpa-slogate
 
 "$BINDIR/mpa" -networks 12 -months 3 -addr "127.0.0.1:$PORT" serve &
 PID=$!
@@ -43,11 +43,6 @@ echo "loadgen-smoke: daemon up"
 "$BINDIR/mpa-loadgen" -addr "http://127.0.0.1:$PORT" \
     -rate 40 -duration 5s -conns 4 -seed 1 -out "$OUT"
 echo "loadgen-smoke: load run complete"
-
-# Gate the manifest against the checked-in baseline. Exit 2 here means
-# a genuine SLO violation and fails the script (and CI) loudly.
-"$BINDIR/mpa-slogate" testdata/slo.json "$OUT"
-echo "loadgen-smoke: SLO gate passed"
 
 # The daemon's own view must agree: per-endpoint series on /metrics and
 # a populated /debug/slo summary.
@@ -97,14 +92,10 @@ done
 echo "loadgen-smoke: sharded daemon up (2 orgs)"
 
 # The same plan shape, now drawing a tenant per request. Endpoint
-# accounting spans tenants, so the single-tenant SLO baseline gates the
-# sharded run unchanged.
+# accounting spans tenants.
 "$BINDIR/mpa-loadgen" -addr "http://127.0.0.1:$PORT2" -orgs "acme,globex" \
     -rate 40 -duration 5s -conns 4 -seed 1 -out "$OUT.orgs"
 echo "loadgen-smoke: tenant-aware load run complete"
-
-"$BINDIR/mpa-slogate" testdata/slo.json "$OUT.orgs"
-echo "loadgen-smoke: sharded SLO gate passed"
 
 # Tenant traffic must land in per-org series alongside the fleet-wide
 # ones, and /debug/slo must carry the per-tenant breakdown.
